@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MaxIterExceeded, WeakSensitivityWarning
-from .market import Scenario
-from .qp import QuadraticProgram, solve_qp
+from .market import ClearingOutcome, Scenario, _clear
 from .equilibrium import EquilibriumResult
 
 
@@ -40,10 +39,14 @@ class BiddingConfig:
     init_bids: object = None
     init_prices: object = None
 
+    def __post_init__(self):
+        if self.epsilon is not None and not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
     def resolved_epsilon(self, scenario: Scenario) -> float:
         if self.epsilon is not None:
-            if not self.epsilon > 0.0:
-                raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
             return self.epsilon
         return 1e-6 * (1.0 + float(np.abs(scenario.D).max()))
 
@@ -96,38 +99,17 @@ class FejerReport:
     distances: np.ndarray
 
 
-def platform_update(scenario: Scenario, prices_k, bids_k) -> np.ndarray:
+def platform_update(scenario: Scenario, prices_k, bids_k,
+                    active=()) -> ClearingOutcome:
     """Proximal re-clearing of the standing bids.
 
     Minimizes ``sum lam_i^2 + sum (lam_i - lam_i^k)^2`` over prices whose
     induced demands at ``bids_k`` balance and respect the flow limits.  The
     uncongested stationary point ``lam_i = lam_i^k / 2 - a eta / 4`` is used
-    directly when its flows are feasible.
+    directly when its flows are feasible.  ``active`` (the previous round's
+    ``active_set``) is the solver's first guess.
     """
-    lam_k = np.asarray(prices_k, dtype=float)
-    b = np.asarray(bids_k, dtype=float)
-    n = scenario.size
-    a = scenario.a
-    net = scenario.network
-    G = net.ptdf.T
-
-    # uncongested candidate: stationarity 4 lam - 2 lam_k + a*eta = 0 plus balance
-    shift = (float(lam_k.sum()) / 2.0 - float(b.sum()) / a) / n
-    lam = lam_k / 2.0 - shift
-    q = b - a * lam
-    if np.all(np.abs(G @ q) <= net.limits):
-        return lam
-
-    qp = QuadraticProgram(
-        hessian=4.0 * np.eye(n),
-        linear=-2.0 * lam_k,
-        eq_matrix=np.ones((1, n)),
-        eq_rhs=np.array([b.sum() / a]),
-        ineq_matrix=-a * G,
-        ineq_lower=-net.limits - G @ b,
-        ineq_upper=net.limits - G @ b,
-    )
-    return solve_qp(qp).x
+    return _clear(scenario, bids_k, prices_k, active)
 
 
 def prosumer_update(scenario: Scenario, prices_next):
@@ -178,8 +160,10 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
         trace.production.append(p.copy())
         trace.delta_b.append(float("nan"))
 
+    active = ()
     for k in range(1, config.max_iter + 1):
-        lam_next = platform_update(scenario, lam, b)
+        cleared = platform_update(scenario, lam, b, active)
+        lam_next, active = cleared.prices, cleared.active_set
         p_next, b_next = prosumer_update(scenario, lam_next)
         delta = float(np.abs(b_next - b).max())
         if config.record_trace:

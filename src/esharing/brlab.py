@@ -205,11 +205,14 @@ def _clearing_curve(scenario: Scenario, i: int, b_base: np.ndarray,
             if covered.all():
                 return lam_i, q_i
 
-    # robustness fallback: full clearing per remaining point
+    # robustness fallback: full clearing per remaining point, each warm
+    # started from its neighbour's active set
+    active = ()
     for j in np.flatnonzero(~covered):
         b = b_base.copy()
         b[i] = t[j]
-        out = clear_market(scenario, b)
+        out = clear_market(scenario, b, active=active)
+        active = out.active_set
         lam_i[j] = out.prices[i]
         q_i[j] = out.quantities[i]
     return lam_i, q_i

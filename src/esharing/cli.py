@@ -38,12 +38,15 @@ class UsageError(EsharingError):
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
+    """One command's outcome; ``fmt`` is the requested rendering, not content."""
+
     command: str
     scenario: str | None
     digest: str | None
     elapsed_s: float
     results: dict
     residuals: dict
+    fmt: str = "json"
 
     def to_dict(self) -> dict:
         return {
@@ -246,7 +249,10 @@ def _cmd_poa(scenario: Scenario) -> tuple:
 
 
 def _cmd_bid(scenario: Scenario, args) -> tuple:
-    config = bidding.BiddingConfig(epsilon=args.eps, max_iter=args.max_iter)
+    try:
+        config = bidding.BiddingConfig(epsilon=args.eps, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     eqm = equilibrium.improved_gne(scenario)
     result = bidding.run_bidding(scenario, config)  # may raise MaxIterExceeded
     fejer = bidding.fejer_check(result.trace, eqm)
@@ -321,7 +327,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cmd_gen(args, fmt: str) -> tuple:
-    scenario = gen_scenario(args.seed, args.size, style=args.style)
+    try:
+        scenario = gen_scenario(args.seed, args.size, style=args.style)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out_dir = _output_dir(None, os.getcwd())
     path = args.output or os.path.join(
         out_dir, f"generated_seed{args.seed}_size{args.size}.json")
@@ -333,7 +342,7 @@ def _cmd_gen(args, fmt: str) -> tuple:
                                 "seed": args.seed, "style": args.style,
                                 "a": scenario.a,
                                 "radial": is_radial(scenario.network)},
-                       residuals={})
+                       residuals={}, fmt=fmt)
     return report, 0
 
 
@@ -353,8 +362,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
         try:
             scenario = load_scenario(path)
             results, residuals = _cmd_gne(scenario)
-            poa_results, _ = _cmd_poa(scenario)
-            results["poa"] = poa_results
+            results["poa"] = equilibrium.poa(scenario, p_bar=results["p_bar"])
             report = RunReport(
                 command="batch/gne", scenario=path, digest=_digest(path),
                 elapsed_s=time.perf_counter() - started, results=results,
@@ -370,7 +378,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
                        elapsed_s=0.0,
                        results={"evaluated": len(names), "failures": failures,
                                 "files": summary, "out_dir": out_dir},
-                       residuals={})
+                       residuals={}, fmt=fmt)
     return report, (1 if failures else 0)
 
 
@@ -411,7 +419,8 @@ def run_command(argv) -> tuple:
         report = RunReport(command=args.command, scenario=path,
                            digest=_digest(path),
                            elapsed_s=time.perf_counter() - started,
-                           results=results, residuals=residuals)
+                           results=results, residuals=residuals,
+                           fmt=args.format)
         return report, 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -436,11 +445,7 @@ def run_command(argv) -> tuple:
 def main(argv=None) -> int:
     report, code = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        fmt = "json"
-        source = sys.argv[1:] if argv is None else argv
-        if "--format" in source:
-            fmt = source[source.index("--format") + 1]
-        print(render_report(report, fmt))
+        print(render_report(report, report.fmt))
     return code
 
 

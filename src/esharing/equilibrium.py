@@ -102,9 +102,10 @@ def _shared_constraints(scenario: Scenario):
 
 
 def _production_program(scenario: Scenario, hessian_diag, linear) -> tuple:
+    """Solve from the no-trade plan ``p = D``, feasible for every limit >= 0."""
     qp = QuadraticProgram(hessian=np.diag(hessian_diag), linear=np.asarray(linear),
                           **_shared_constraints(scenario))
-    sol = solve_qp(qp)
+    sol = solve_qp(qp, x0=scenario.D)
     kappa = float(sol.eq_duals[0])
     return sol.x, kappa, sol.ineq_duals_lower, sol.ineq_duals_upper
 
@@ -146,7 +147,11 @@ def improved_gne(scenario: Scenario) -> EquilibriumResult:
     lam_r = (2.0 * scenario.c * p_bar + scenario.d
              - q_bar / (scenario.a * (n - 1)))
     b_bar = q_bar + scenario.a * lam_r
-    clearing = clear_market(scenario, b_bar)
+    # a clearing row is the central program's row of the same line, bound
+    # for bound, so the central binding lines are the clearing's active set
+    binding = [(int(l), "lower") for l in np.flatnonzero(tau_lo > 0.0)] \
+        + [(int(l), "upper") for l in np.flatnonzero(tau_up > 0.0)]
+    clearing = clear_market(scenario, b_bar, active=binding)
     residual = float(np.abs(clearing.prices - lam_r).max())
     costs = np.array([
         prosumer_cost_from_outcome(scenario, clearing, i, regulated=True)
@@ -199,9 +204,11 @@ def self_sufficiency(scenario: Scenario):
     return costs, float(costs.sum())
 
 
-def poa(scenario: Scenario) -> dict:
+def poa(scenario: Scenario, p_bar=None) -> dict:
     """Efficiency loss of the equilibrium relative to the social optimum.
 
+    ``p_bar`` is the equilibrium production when the caller already has it
+    (from :func:`improved_gne`); otherwise the central program is solved.
     Returns ``poa_value``, the instance constants ``C1`` (largest squared
     sharing quantity over both solutions) and ``C2`` (smallest optimal
     per-prosumer cost), and ``upper_bound = 1 + C1/(2a(I-1)C2)`` (``None``
@@ -212,7 +219,8 @@ def poa(scenario: Scenario) -> dict:
         raise DegenerateBaseline(
             f"social optimum cost {so.total_cost} is not positive"
         )
-    p_bar, _, _, _ = central_solution(scenario)
+    if p_bar is None:
+        p_bar, _, _, _ = central_solution(scenario)
     j_bar = float(scenario.disutility(p_bar).sum())
     dev = np.concatenate([scenario.D - so.p_tilde, scenario.D - p_bar])
     c1 = float(np.max(dev * dev))

@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    Infeasible,
-    MarketInfeasible,
-    TooFewProsumers,
-)
+from .errors import DimensionMismatch, TooFewProsumers
 from .network import NetworkModel
 from .qp import QuadraticProgram, solve_qp
 
@@ -109,7 +104,9 @@ class ClearingOutcome:
     """Prices, cleared quantities, duals, and line flows for one bid vector.
 
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
-    of ``flow_l <= F_l``.  ``eta`` is the balance dual.
+    of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``active_set`` is
+    the solver's, in the format of :attr:`esharing.qp.QpSolution.active_set`;
+    it is empty when no line is at a limit and no program was solved.
     """
 
     prices: np.ndarray
@@ -118,6 +115,7 @@ class ClearingOutcome:
     alpha_lower: np.ndarray
     alpha_upper: np.ndarray
     flows: np.ndarray
+    active_set: tuple = ()
 
 
 def _flow_matrix(net: NetworkModel) -> np.ndarray:
@@ -125,14 +123,28 @@ def _flow_matrix(net: NetworkModel) -> np.ndarray:
     return net.ptdf.T
 
 
-def clear_market(scenario: Scenario, bids) -> ClearingOutcome:
+def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
     The uncongested solution has a uniform price equal to the mean bid over
     ``a I``; it is returned directly whenever its flows respect all limits
     (this is exact, not an approximation: with no active flow constraint the
     stationarity system forces a uniform price).  Otherwise the price-space
-    program is solved with the active-set solver.
+    program is solved with the active-set solver, trying ``active`` (the
+    ``active_set`` of a related clearing) as its first guess.
+    """
+    return _clear(scenario, bids, None, active)
+
+
+def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
+    """Price-space clearing, plain or proximal.
+
+    Minimizes ``sum lam_i^2``, plus ``sum (lam_i - anchor_i)^2`` when an
+    ``anchor`` is given, over prices whose demands ``b - a lam`` balance and
+    keep every line flow within its limit.  The stationary point with no
+    line at a limit is used directly when its flows are feasible; otherwise
+    the program is solved from the no-trade prices ``lam = b / a``, which
+    are feasible for every limit >= 0.
     """
     b = np.asarray(bids, dtype=float)
     n = scenario.size
@@ -142,39 +154,40 @@ def clear_market(scenario: Scenario, bids) -> ClearingOutcome:
     a = scenario.a
     limits = net.limits
     G = _flow_matrix(net)
+    if anchor is None:
+        h, g = 2.0, np.zeros(n)
+    else:
+        h, g = 4.0, -2.0 * np.asarray(anchor, dtype=float)
 
-    lam_u = float(b.sum()) / (a * n)
-    q_u = b - a * lam_u
-    flows_u = G @ q_u
-    if np.all(np.abs(flows_u) <= limits):
-        lam = np.full(n, lam_u)
+    # uncongested candidate: stationarity h lam + g + a eta = 0 plus balance
+    free_lam = -g / h
+    lam = free_lam - (float(free_lam.sum()) - float(b.sum()) / a) / n
+    q = b - a * lam
+    flows = G @ q
+    if np.all(np.abs(flows) <= limits):
         return ClearingOutcome(
-            prices=lam, quantities=q_u, eta=-2.0 * lam_u / a,
+            prices=lam, quantities=q, eta=-(h * lam[0] + g[0]) / a,
             alpha_lower=np.zeros(net.line_count),
-            alpha_upper=np.zeros(net.line_count), flows=flows_u,
+            alpha_upper=np.zeros(net.line_count), flows=flows,
         )
 
+    Gb = G @ b
     qp = QuadraticProgram(
-        hessian=2.0 * np.eye(n),
-        linear=np.zeros(n),
+        hessian=h * np.eye(n),
+        linear=g,
         eq_matrix=np.ones((1, n)),
         eq_rhs=np.array([b.sum() / a]),
         ineq_matrix=-a * G,
-        ineq_lower=-limits - G @ b,
-        ineq_upper=limits - G @ b,
+        ineq_lower=-limits - Gb,
+        ineq_upper=limits - Gb,
     )
-    try:
-        sol = solve_qp(qp)
-    except Infeasible as exc:
-        raise MarketInfeasible(
-            "no balanced flow-feasible clearing exists for these bids"
-        ) from exc
+    sol = solve_qp(qp, x0=b / a, active=active)
     lam = sol.x
     q = b - a * lam
     return ClearingOutcome(
         prices=lam, quantities=q, eta=float(sol.eq_duals[0]) / a,
         alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
-        flows=G @ q,
+        flows=G @ q, active_set=sol.active_set,
     )
 
 
@@ -200,13 +213,7 @@ def clear_market_qform(scenario: Scenario, bids) -> ClearingOutcome:
         ineq_lower=-net.limits,
         ineq_upper=net.limits,
     )
-    try:
-        sol = solve_qp(qp)
-    except Infeasible as exc:
-        raise MarketInfeasible(
-            "no balanced flow-feasible clearing exists for these bids"
-        ) from exc
-    q = sol.x
+    q = solve_qp(qp, x0=np.zeros(n)).x
     lam = (b - q) / scenario.a
     return ClearingOutcome(
         prices=lam, quantities=q, eta=float("nan"),

@@ -46,7 +46,7 @@ class LineSpec:
             )
         if not self.weight > 0.0:
             raise NonpositiveWeight(f"line weight must be > 0, got {self.weight}")
-        if self.limit < 0.0:
+        if not self.limit >= 0.0:  # also refuses NaN
             raise DimensionMismatch(f"line limit must be >= 0, got {self.limit}")
 
 

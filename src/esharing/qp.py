@@ -6,27 +6,38 @@ Solves
     s.t. A x = b                 (equality rows, duals ``nu``)
          lo <= C x <= up         (two-sided rows, duals ``mu_lo``/``mu_up``)
 
-by a primal active-set method.  The working-set subproblems are solved through
-the full KKT system, so multipliers come out exactly consistent with the
-stationarity condition
+by a primal active-set method in range-space form.  H is factored once per
+solve by Cholesky (which is also the positive-definiteness test) and
+H^-1 [A; C]' is formed once for all rows, so each working-set subproblem
+is the small Schur system on the working rows alone, refined once against
+the rows themselves.  Multipliers come out consistent with the stationarity
+condition
 
     H x + g + A' nu + C' (mu_up - mu_lo) = 0,      mu_lo, mu_up >= 0.
 
 The method is deterministic: a least-index rule breaks ties both when a
 blocking row is added and when a wrong-signed multiplier is dropped, so
-identical inputs produce bit-identical outputs.  Problem sizes here are tiny
-(tens of variables), so KKT systems are re-solved from scratch each iteration
-rather than updated.
+identical inputs produce bit-identical outputs.
 
-A feasible starting point is found with one linear-programming call
-(``scipy.optimize.linprog``); everything after that is handled locally.
+Start point and warm start, ``solve_qp(qp, x0, active)``:
+
+* ``x0`` is a feasible start point.  It must satisfy every row to
+  :func:`feasibility_tolerance`, or the solve raises ``ValueError``.  Only
+  when no ``x0`` is given is a feasible point found with one
+  linear-programming call (``scipy.optimize.linprog``, the phase 1).
+* ``active`` is a guess of the optimal active set, in the format of
+  ``QpSolution.active_set``.  It is tried once: if the minimizer with the
+  guessed rows held at their bounds is feasible and its multipliers have
+  the right signs, it satisfies the KKT conditions and, by strict
+  convexity, is the optimum.  Otherwise the solve starts cold from ``x0``
+  with an empty working set.  A guess changes the work, never the optimum.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 
 from .errors import (
@@ -160,28 +171,30 @@ def _phase1(qp: QuadraticProgram) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
-def _eqp_solve(H, g, A_act, b_act):
-    """Minimize the quadratic subject to the stacked rows held as equalities."""
-    n = H.shape[0]
-    m = A_act.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
-    if m:
-        K[:n, n:] = A_act.T
-        K[n:, :n] = A_act
-    rhs = np.concatenate([-g, b_act])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:n], sol[n:]
+def _violation(qp: QuadraticProgram, x: np.ndarray) -> float:
+    """Largest violation of any constraint row at ``x``; NaN if ``x`` has NaN."""
+    parts = [np.abs(qp.eq_matrix @ x - qp.eq_rhs)]
+    if qp.ineq_count:
+        cx = qp.ineq_matrix @ x
+        parts += [cx - qp.ineq_upper, qp.ineq_lower - cx]
+    return float(np.max(np.concatenate(parts), initial=0.0))
 
 
-def solve_qp(qp: QuadraticProgram) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
     """Solve to stationarity/feasibility residuals at the 1e-9 (scaled) level.
+
+    ``x0`` is a feasible start point; without one, a phase-1 linear program
+    finds one.  ``active`` is a guess of the optimal active set, as
+    ``(row, side)`` pairs like :attr:`QpSolution.active_set`; it is tried
+    once and never changes the optimum, only the work to reach it.
 
     Raises
     ------
+    DimensionMismatch
+        If ``x0`` has the wrong shape.
+    ValueError
+        If ``x0`` violates a constraint by more than
+        :func:`feasibility_tolerance`.
     Infeasible
         If the constraint set is empty.
     NotPositiveDefinite
@@ -202,86 +215,119 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
                           ineq_duals_upper=np.zeros(qp.ineq_count),
                           active_set=(), iterations=0, residual=0.0)
     try:
-        np.linalg.cholesky(qp.hessian)
+        factor = cho_factor(qp.hessian)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("hessian is not positive definite") from exc
 
-    H, g = qp.hessian, qp.linear
+    g = qp.linear
     C, lo, up = qp.ineq_matrix, qp.ineq_lower, qp.ineq_upper
-    m_in = qp.ineq_count
+    m_eq, m_in = qp.eq_count, qp.ineq_count
+    # range space of every row at once: the working-set subproblem
+    #   min 0.5 x'Hx + g'x  s.t.  R x = t   (R: some rows of [A; C])
+    # has x = x_u - H^-1 R' y with (R H^-1 R') y = R x_u - t, x_u = -H^-1 g
+    rows = np.vstack([qp.eq_matrix, C])
+    solved = cho_solve(factor, np.column_stack([g, rows.T]))
+    x_u = -solved[:, 0]
+    hinv_rt = solved[:, 1:]
+    gram = rows @ hinv_rt
+
     # rows with equal bounds are equalities in disguise: pin them permanently
-    fixed = [j for j in range(m_in) if lo[j] == up[j]]
-    free_rows = [j for j in range(m_in) if lo[j] != up[j]]
-
-    x = _phase1(qp)
-    working: list[tuple[int, int]] = []  # (row, side) with side -1=lower, +1=upper
+    fixed = np.flatnonzero(lo == up)
+    free = lo != up
+    pinned = np.concatenate([np.arange(m_eq), m_eq + fixed])
+    pinned_rhs = np.concatenate([qp.eq_rhs, lo[fixed]])
     dual_tol = 1e-10 * (1.0 + np.abs(g).max(initial=0.0))
-    max_iter = 50 * (n + m_in) + 10
 
-    nu = np.zeros(qp.eq_count)
-    mu_fixed = np.zeros(len(fixed))
-    mu_w: list[float] = []
+    def minimize_on(working):
+        """Minimizer and multipliers with the working rows held at their bounds."""
+        idx = np.concatenate([pinned, [m_eq + r for r, _ in working]]).astype(int)
+        x, y = x_u, np.zeros(idx.size)
+        if idx.size == 0:
+            return x, y
+        target = np.concatenate(
+            [pinned_rhs, [up[r] if s > 0 else lo[r] for r, s in working]])
+        schur = gram[np.ix_(idx, idx)]
+        # the second pass is one step of iterative refinement against the
+        # rows themselves, which keeps feasibility at the dense KKT
+        # solve's rounding level on badly scaled rows
+        for _ in range(2):
+            residual = rows[idx] @ x - target
+            try:
+                dy = np.linalg.solve(schur, residual)
+            except np.linalg.LinAlgError:
+                dy, *_ = np.linalg.lstsq(schur, residual, rcond=None)
+            x, y = x - hinv_rt[:, idx] @ dy, y + dy
+        return x, y
+
+    def wrong_signed(working, duals):
+        """Positions in ``working`` whose multiplier has the wrong sign."""
+        sides = np.array([s for _, s in working], dtype=float)
+        return np.flatnonzero(sides * duals[pinned.size:] < -dual_tol)
+
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (n,):
+            raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
+        if not _violation(qp, x0) <= feasibility_tolerance(qp):
+            raise ValueError("x0 is not a feasible point of the program")
+
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        A_act = np.vstack([qp.eq_matrix,
-                           C[fixed] if fixed else np.zeros((0, n)),
-                           C[[r for r, _ in working]] if working else np.zeros((0, n))])
-        b_act = np.concatenate([
-            qp.eq_rhs,
-            lo[fixed] if fixed else np.zeros(0),
-            np.asarray([up[r] if s > 0 else lo[r] for r, s in working]),
-        ])
-        x_star, duals = _eqp_solve(H, g, A_act, b_act)
-        nu = duals[:qp.eq_count]
-        mu_fixed = duals[qp.eq_count:qp.eq_count + len(fixed)]
-        mu_w = list(duals[qp.eq_count + len(fixed):])
-
-        d = x_star - x
-        if np.abs(d).max(initial=0.0) <= 1e-13 * (1.0 + np.abs(x).max(initial=0.0)):
-            # stationary on the working set; least-index drop of any
-            # wrong-signed multiplier, else optimal
-            drop = None
-            for k, (r, s) in enumerate(working):
-                if (s > 0 and mu_w[k] < -dual_tol) or (s < 0 and mu_w[k] > dual_tol):
-                    if drop is None or (r, s) < (working[drop][0], working[drop][1]):
-                        drop = k
-            if drop is None:
+    x = None
+    working: list[tuple[int, int]] = []  # (row, side) with side -1=lower, +1=upper
+    if active:
+        # a guess whose equality-constrained solution is feasible and has
+        # right-signed multipliers satisfies the KKT conditions, so by strict
+        # convexity it is the optimum; feasibility is asked to rounding level
+        # (1e-3 of the contract) so that the cold solve's optimum comes back
+        guess = sorted({(int(r), 1 if side == "upper" else -1)
+                        for r, side in active if free[r]
+                        and np.isfinite(up[r] if side == "upper" else lo[r])})
+        x_g, duals = minimize_on(guess)
+        iterations = 1
+        if _violation(qp, x_g) <= 1e-3 * feasibility_tolerance(qp) \
+                and not wrong_signed(guess, duals).size:
+            x, working = x_g, guess
+    if x is None:
+        x = _phase1(qp) if x0 is None else x0
+        row_l1 = np.abs(C).sum(axis=1)
+        max_iter = 50 * (n + m_in) + 10
+        for _ in range(max_iter):
+            iterations += 1
+            x_star, duals = minimize_on(working)
+            d = x_star - x
+            if np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
+                # largest step along d that keeps the rows outside the set
+                # feasible; the least index wins ties
+                cd = C @ d
+                cx = C @ x
+                thresh = 1e-14 * (1.0 + row_l1 * np.abs(d).max())
+                candidate = free.copy()
+                candidate[[r for r, _ in working]] = False
+                hits_up = candidate & (cd > thresh) & np.isfinite(up)
+                hits_lo = candidate & (cd < -thresh) & np.isfinite(lo)
+                limit = np.full(m_in, np.inf)
+                limit[hits_up] = (up[hits_up] - cx[hits_up]) / cd[hits_up]
+                limit[hits_lo] = (lo[hits_lo] - cx[hits_lo]) / cd[hits_lo]
+                np.maximum(limit, 0.0, out=limit)
+                j = int(np.argmin(limit)) if m_in else 0
+                if m_in and limit[j] < 1.0:
+                    x = x + limit[j] * d
+                    working.append((j, 1 if hits_up[j] else -1))
+                    working.sort()
+                    continue
                 x = x_star
+            # x minimizes on the working set: least-index drop of a
+            # wrong-signed multiplier, else optimal
+            drop = wrong_signed(working, duals)
+            if not drop.size:
                 break
-            del working[drop]
-            continue
-
-        # largest step along d that stays feasible for rows not in the set
-        in_set = {r for r, _ in working}
-        alpha = 1.0
-        blocker = None
-        for j in free_rows:
-            if j in in_set:
-                continue
-            cj = C[j]
-            cd = float(cj @ d)
-            denom_scale = 1e-14 * (1.0 + float(np.abs(cj).sum() * np.abs(d).max()))
-            if cd > denom_scale and np.isfinite(up[j]):
-                limit = (up[j] - float(cj @ x)) / cd
-                side = 1
-            elif cd < -denom_scale and np.isfinite(lo[j]):
-                limit = (lo[j] - float(cj @ x)) / cd
-                side = -1
-            else:
-                continue
-            limit = max(limit, 0.0)
-            if limit < alpha:
-                alpha = limit
-                blocker = (j, side)
-        if blocker is None:
-            x = x_star
+            del working[drop[0]]
         else:
-            x = x + alpha * d
-            working.append(blocker)
-            working.sort()
-    else:
-        raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
+            raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
 
+    nu = duals[:m_eq]
+    mu_fixed = duals[m_eq:pinned.size]
+    mu_w = duals[pinned.size:]
     mu_lower = np.zeros(m_in)
     mu_upper = np.zeros(m_in)
     for k, j in enumerate(fixed):
@@ -294,12 +340,13 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
             mu_upper[r] = max(mu_w[k], 0.0)
         else:
             mu_lower[r] = max(-mu_w[k], 0.0)
-    active = sorted(
+    active_set = sorted(
         [(r, "upper" if s > 0 else "lower") for r, s in working]
-        + [(j, "upper" if mu_fixed[k] >= 0 else "lower") for k, j in enumerate(fixed)]
+        + [(int(j), "upper" if mu_fixed[k] >= 0 else "lower")
+           for k, j in enumerate(fixed)]
     )
     sol = QpSolution(x=x, eq_duals=nu, ineq_duals_lower=mu_lower,
-                     ineq_duals_upper=mu_upper, active_set=tuple(active),
+                     ineq_duals_upper=mu_upper, active_set=tuple(active_set),
                      iterations=iterations, residual=0.0)
     object.__setattr__(sol, "residual", kkt_residual(qp, sol))
     return sol

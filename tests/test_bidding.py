@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esharing import cases, equilibrium
+from esharing import cases, equilibrium, market
 from esharing.bidding import (
     BiddingConfig,
     a_min,
@@ -13,19 +13,21 @@ from esharing.bidding import (
 )
 from esharing.errors import MaxIterExceeded, WeakSensitivityWarning
 from esharing.market import Scenario, clear_market
+from esharing.qp import solve_qp
+from esharing.scenario_io import gen_scenario
 
 
 def test_platform_fixed_point(two_f5):
     bids = np.array([10.5, 30.6])
     lam = clear_market(two_f5, bids).prices
-    assert platform_update(two_f5, lam, bids) == pytest.approx(lam, abs=1e-9)
+    assert platform_update(two_f5, lam, bids).prices == pytest.approx(lam, abs=1e-9)
 
 
 def test_platform_uncongested_shift(two_f10):
     # away from limits the update averages the prior prices toward balance
     bids = np.array([12.0, 28.0])
     lam_k = np.array([1.0, 3.0])
-    lam = platform_update(two_f10, lam_k, bids)
+    lam = platform_update(two_f10, lam_k, bids).prices
     shift = (lam_k.sum() / 2.0 - bids.sum() / two_f10.a) / 2.0
     assert lam == pytest.approx(lam_k / 2.0 - shift)
     assert lam.sum() == pytest.approx(bids.sum() / two_f10.a)
@@ -130,3 +132,20 @@ def test_trace_distance_helper(two_f5):
     dist = result.trace.distances(eqm)
     assert len(dist) == len(result.trace)
     assert dist[-1] <= 1e-3
+
+
+def test_settled_rounds_take_one_solver_iteration(monkeypatch):
+    # each round warm starts from the previous round's active set, so once
+    # the set stops changing a round's program is solved by its first guess
+    solves = []
+
+    def recording(qp, x0=None, active=()):
+        sol = solve_qp(qp, x0=x0, active=active)
+        solves.append((tuple(active), sol.active_set, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(market, "solve_qp", recording)
+    run_bidding(gen_scenario(7, 38, "tight"))
+    settled = [its for guess, found, its in solves if guess and guess == found]
+    assert len(settled) > len(solves) // 2
+    assert settled == [1] * len(settled)

@@ -213,3 +213,22 @@ def test_module_entry_point(fixture_file):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["p_bar"] == pytest.approx([105.0, 195.0])
+
+
+def test_format_flag_with_equals_sign(fixture_file, capsys):
+    code = cli.main(["--format=csv", "gne", fixture_file])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "key,value"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "1", "--size", "1"],
+    ["bid", "{scenario}", "--eps", "-1"],
+    ["bid", "{scenario}", "--max-iter", "0"],
+], ids=["gen-size-1", "bid-negative-eps", "bid-max-iter-0"])
+def test_bad_arguments_exit_1_without_traceback(argv, fixture_file, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    code = cli.main([arg.format(scenario=fixture_file) for arg in argv])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err

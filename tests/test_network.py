@@ -126,6 +126,8 @@ def test_line_validation():
         LineSpec(1, 2, weight=-1.0)
     with pytest.raises(DimensionMismatch):
         LineSpec(1, 2, limit=-0.5)
+    with pytest.raises(DimensionMismatch):
+        LineSpec(1, 2, limit=math.nan)
 
 
 def test_bus_index_out_of_range():

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from esharing import brlab, equilibrium
+from esharing import qp as qp_module
+from esharing.bidding import run_bidding
 from esharing.errors import DimensionMismatch, Infeasible, NotPositiveDefinite
+from esharing.market import clear_market
 from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
+from esharing.scenario_io import gen_scenario
 
 
 def box_qp(hessian, linear, lower, upper, eq=None, rhs=None):
@@ -212,3 +217,67 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n):
     if ref.success:
         ours = 0.5 * sol.x @ h @ sol.x + g @ sol.x
         assert ours <= ref.fun + 1e-6
+
+
+def random_feasible_qp(rng, n):
+    """Dense-H program with general rows, feasible at a known point ``x0``."""
+    m = rng.standard_normal((n, n))
+    h = m @ m.T + np.eye(n)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    rows = rng.standard_normal((int(rng.integers(1, n + 3)), n))
+    lo = rows @ x0 - rng.uniform(0.0, 1.0, rows.shape[0])
+    up = rows @ x0 + rng.uniform(0.0, 1.0, rows.shape[0])
+    lo[rng.random(rows.shape[0]) < 0.2] = -np.inf
+    eq = rng.standard_normal((1, n))
+    qp = QuadraticProgram(hessian=h, linear=rng.uniform(-3.0, 3.0, n),
+                          eq_matrix=eq, eq_rhs=eq @ x0, ineq_matrix=rows,
+                          ineq_lower=lo, ineq_upper=up)
+    return qp, x0
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 7))
+@settings(max_examples=100)
+def test_warm_starts_match_the_cold_solve(seed, n):
+    rng = np.random.default_rng(seed)
+    qp, x0 = random_feasible_qp(rng, n)
+    cold = solve_qp(qp)
+    rows = rng.choice(qp.ineq_count, int(rng.integers(0, qp.ineq_count + 1)),
+                      replace=False)
+    random_guess = [(int(r), "upper" if rng.random() < 0.5 else "lower")
+                    for r in rows]
+    right_guess = solve_qp(qp, x0=x0, active=cold.active_set)
+    for warm in (solve_qp(qp, x0=x0), solve_qp(qp, x0=x0, active=random_guess),
+                 right_guess):
+        assert kkt_residual(qp, warm) <= 1e-8
+        for a, b in ((cold.x, warm.x), (cold.eq_duals, warm.eq_duals),
+                     (cold.ineq_duals_lower, warm.ineq_duals_lower),
+                     (cold.ineq_duals_upper, warm.ineq_duals_upper)):
+            assert np.abs(a - b).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(a).max(initial=0.0))
+    if cold.active_set:
+        assert right_guess.iterations == 1
+
+
+def test_infeasible_start_is_refused():
+    qp = box_qp(2.0 * np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        solve_qp(qp, x0=[1.5, 0.0])
+    with pytest.raises(DimensionMismatch):
+        solve_qp(qp, x0=[0.0, 0.0, 0.0])
+
+
+def test_package_programs_never_reach_the_phase1_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase-1 linear program called")
+
+    monkeypatch.setattr(qp_module, "linprog", refuse)
+    tight = gen_scenario(7, 38, "tight")
+    eqm = equilibrium.improved_gne(tight)
+    assert eqm.clearing.active_set  # the re-clearing ran the solver
+    equilibrium.poa(tight)
+    assert clear_market(tight, 1.1 * eqm.b_bar).active_set
+    run_bidding(tight)
+    eight = gen_scenario(1, 8, "tight")
+    b_bar = equilibrium.improved_gne(eight).b_bar
+    brlab.best_response(eight, 0, b_bar[1:],
+                        scan_config=brlab.ScanConfig(coarse_points=201,
+                                                     refine_rounds=1))

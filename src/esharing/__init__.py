@@ -42,7 +42,6 @@ from .equilibrium import (
     central_solution,
     congestion_rent,
     improved_gne,
-    net_payment,
     pareto_check,
     poa,
     price_structure_residual,
@@ -59,7 +58,6 @@ from .errors import (
     FileError,
     Infeasible,
     IterationLimit,
-    MarketInfeasible,
     MaxIterExceeded,
     NonpositiveWeight,
     NonRadialWarning,
@@ -75,7 +73,6 @@ from .market import (
     Prosumer,
     Scenario,
     clear_market,
-    clear_market_qform,
     clearing_kkt_residual,
     payment,
     prosumer_cost,

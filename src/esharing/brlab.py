@@ -1,29 +1,33 @@
 """Best-response laboratory for the unregulated sharing game.
 
 Fixing all bids but one, a prosumer's cost as a function of its own bid is
-piecewise quadratic: each congestion pattern of the clearing rule contributes
-one affine price segment.  The lab scans that curve on a grid with recursive
-refinement, reports every local minimum (so disqualified equilibrium
-candidates are visible, not just the best response), verifies equilibrium
-candidates by per-prosumer deviation gaps, and classifies the two-bus
-closed-form regimes.
+piecewise quadratic: each set of lines held at a limit by the clearing rule
+contributes one affine price segment.  The lab scans that curve on a grid
+with recursive refinement, reports every local minimum (so disqualified
+equilibrium candidates are visible, not just the best response), verifies
+equilibrium candidates by per-prosumer deviation gaps, and classifies the
+two-bus closed-form regimes.
 
-Scans exploit the piecewise-affine structure: for each congestion pattern the
-pinned-constraint subproblem is solved once as an affine function of the
-scanned bid and validated (primal feasibility + dual signs) vectorately over
-the whole grid.  A per-point solver fallback covers anything left over.
+A scan evaluates one piecewise-affine clearing path: each piece is built
+from one :func:`clear_market` call at the first bid no earlier piece
+covers, and holds over an interval whose ends are found in closed form, so
+the coarse grid and every refinement window share a handful of clearings.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScanIntervalEmpty, WrongTopology
-from .market import Scenario, clear_market, prosumer_cost_from_outcome
+from .market import (
+    Scenario,
+    clear_market,
+    marginal_term,
+    prosumer_cost_from_outcome,
+)
 from .network import is_radial
 
 
@@ -121,120 +125,99 @@ class Example2Region:
 
 
 # ---------------------------------------------------------------------------
-# fast clearing along a one-dimensional bid sweep
+# the clearing solution along a one-dimensional bid sweep
 
 
-def _clearing_curve(scenario: Scenario, i: int, b_base: np.ndarray,
-                    t: np.ndarray):
-    """Price and quantity of prosumer ``i`` as its bid sweeps over ``t``.
+def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
+    """Prosumer ``i``'s clearing price as a function of its own bid ``t``.
 
-    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns
-    ``(lam_i, q_i)`` arrays aligned with ``t``.
+    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns a
+    function mapping an array of bids to the prices ``lam_i(t)``.
+
+    The clearing program is a strictly convex QP whose right-hand side is
+    affine in ``t``, so its solution is piecewise affine in ``t``, one piece
+    per set of lines held at a limit.  A piece is built at the first bid no
+    earlier piece covers, by one :func:`clear_market` call that guesses the
+    last piece's held lines.  Its slopes are the min-norm projection onto
+    the balance row and the held lines; it holds exactly where every free
+    line stays within its limits and every held line with a nonzero limit
+    keeps a right-signed dual.  A start clearing that already violates one
+    of these beyond rounding gives a piece of one point.
     """
-    n = scenario.size
-    a = scenario.a
-    net = scenario.network
-    G = net.ptdf.T
-    F = net.limits
-    m = t.size
-    lam_i = np.empty(m)
-    q_i = np.empty(m)
-    covered = np.zeros(m, dtype=bool)
+    n, a = scenario.size, scenario.a
+    G = scenario.network.ptdf.T
+    F = scenario.network.limits
+    limited = np.isfinite(F)
+    pieces = []  # (lo, hi, t0, lam_i(t0), d lam_i / dt)
+    guess = ()
 
-    S0 = float(b_base.sum())
-    lam_u = (S0 + t) / (a * n)
-    flows_base = (G @ b_base)[:, None] + np.outer(G[:, i], t) \
-        - a * (G.sum(axis=1))[:, None] * lam_u[None, :]
-    ok = np.all(np.abs(flows_base) <= F[:, None], axis=0)
-    lam_i[ok] = lam_u[ok]
-    q_i[ok] = t[ok] - a * lam_u[ok]
-    covered |= ok
-    if covered.all():
-        return lam_i, q_i
-
-    finite = np.flatnonzero(np.isfinite(F))
-    if finite.size and finite.size <= 6:
-        scale = 1.0 + float(np.abs(t).max()) + float(np.abs(b_base).max()) \
-            + float(np.abs(F[finite]).max(initial=0.0))
-        tol = 1e-9 * scale
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        for signs in itertools.product((0, -1, 1), repeat=finite.size):
-            if not any(signs):
-                continue
-            pinned = [int(finite[k]) for k, s in enumerate(signs) if s]
-            sg = np.array([s for s in signs if s], dtype=float)
-            A = np.vstack([np.ones((1, n)), -a * G[pinned, :]])
-            p_ct = len(pinned)
-            K = np.zeros((n + 1 + p_ct, n + 1 + p_ct))
-            K[:n, :n] = 2.0 * np.eye(n)
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            rhs0 = np.concatenate([np.zeros(n), [S0 / a],
-                                   sg * F[pinned] - G[pinned, :] @ b_base])
-            rhs1 = np.concatenate([np.zeros(n), [1.0 / a], -G[pinned, i]])
-            try:
-                x0 = np.linalg.solve(K, rhs0)
-                x1 = np.linalg.solve(K, rhs1)
-            except np.linalg.LinAlgError:
-                continue
-            lam0, lam1 = x0[:n], x1[:n]
-            z0, z1 = x0[n + 1:], x1[n + 1:]
-            # dual-sign validity of the pinned rows over the sweep
-            zt = z0[:, None] + np.outer(z1, t)
-            valid = np.ones(m, dtype=bool)
-            for k in range(p_ct):
-                if sg[k] > 0:
-                    valid &= zt[k] >= -tol
-                else:
-                    valid &= zt[k] <= tol
-            # primal feasibility of every non-pinned line
-            free = [l for l in range(net.line_count)
-                    if l not in pinned and np.isfinite(F[l])]
-            if free:
-                f0 = G[free, :] @ b_base - a * (G[free, :] @ lam0)
-                df = G[free, i] - a * (G[free, :] @ lam1)
-                ft = f0[:, None] + np.outer(df, t)
-                valid &= np.all(np.abs(ft) <= F[free, None] + tol, axis=0)
-            new = valid & ~covered
-            if np.any(new):
-                lam_it = lam0[i] + lam1[i] * t[new]
-                lam_i[new] = lam_it
-                q_i[new] = t[new] - a * lam_it
-                covered |= new
-            if covered.all():
-                return lam_i, q_i
-
-    # robustness fallback: full clearing per remaining point, each warm
-    # started from its neighbour's active set
-    active = ()
-    for j in np.flatnonzero(~covered):
+    def build(t0):
+        nonlocal guess
         b = b_base.copy()
-        b[i] = t[j]
-        out = clear_market(scenario, b, active=active)
-        active = out.active_set
-        lam_i[j] = out.prices[i]
-        q_i[j] = out.quantities[i]
-    return lam_i, q_i
+        b[i] = t0
+        out = clear_market(scenario, b, active=guess)
+        guess = out.active_set
+        held = np.array([l for l, _ in out.active_set], dtype=int)
+        side = np.array([1.0 if s == "upper" else -1.0
+                         for _, s in out.active_set])
+        # rows {sum lam = S / a; held flows at their bounds}, rhs slope r1
+        A = np.vstack([np.ones(n), -a * G[held]])
+        r1 = np.concatenate([[1.0 / a], -G[held, i]])
+        y1 = np.linalg.lstsq(A @ A.T, r1, rcond=None)[0]
+        dlam = A.T @ y1
+        free = limited.copy()
+        free[held] = False
+        dflow = G[free, i] - a * (G[free] @ dlam)
+        # a held line's dual is -2 side y; with F = 0 it has no sign
+        signed = F[held] > 0.0
+        dual = np.where(side > 0, out.alpha_upper[held], out.alpha_lower[held])
+        ddual = -2.0 * side * y1[1:]
+        # every condition reads value + slope * (t - t0) >= 0
+        value = np.concatenate([F[free] - out.flows[free],
+                                F[free] + out.flows[free], dual[signed]])
+        slope = np.concatenate([-dflow, dflow, ddual[signed]])
+        scale = 1.0 + np.abs(b).sum() + F[limited].max(initial=0.0)
+        lam0 = float(out.prices[i])
+        if np.any(value < -1e-9 * scale):
+            return t0, t0, t0, lam0, 0.0
+        value = np.maximum(value, 0.0)
+        lo = t0 - float(np.min(value[slope > 0] / slope[slope > 0],
+                               initial=np.inf))
+        hi = t0 + float(np.min(value[slope < 0] / -slope[slope < 0],
+                               initial=np.inf))
+        return lo, hi, t0, lam0, float(dlam[i])
+
+    def prices(t):
+        lam = np.empty(t.size)
+        todo = np.ones(t.size, dtype=bool)
+
+        def fill(piece):
+            lo, hi, t0, lam0, dlam_i = piece
+            hit = todo & (t >= lo) & (t <= hi)
+            lam[hit] = lam0 + dlam_i * (t[hit] - t0)
+            todo[hit] = False
+
+        for piece in pieces:
+            fill(piece)
+        for j in np.argsort(t, kind="stable"):
+            if todo[j]:
+                pieces.append(build(float(t[j])))
+                fill(pieces[-1])
+        return lam
+
+    return prices
 
 
-def _cost_curve(scenario: Scenario, i: int, lam_i: np.ndarray, q_i: np.ndarray,
+def _cost_curve(scenario: Scenario, i: int, t: np.ndarray, lam_i: np.ndarray,
                 regulated: bool) -> np.ndarray:
-    """Prosumer ``i`` cost along a clearing curve."""
-    n = scenario.size
+    """Prosumer ``i`` cost along its bids ``t`` with clearing prices ``lam_i``."""
+    q_i = t - scenario.a * lam_i
     p = scenario.D[i] - q_i
     disutility = scenario.c[i] * p * p + scenario.d[i] * p
     pay = lam_i * q_i
     if regulated:
-        marginal = (2.0 * scenario.c[i] * p + scenario.d[i]
-                    - q_i / (scenario.a * (n - 1)))
-        pay = np.maximum(pay, marginal * q_i)
+        pay = np.maximum(pay, marginal_term(scenario, p, q_i, i) * q_i)
     return disutility + pay
-
-
-def _evaluate(scenario, i, b_base, t, regulated):
-    lam_i, q_i = _clearing_curve(scenario, i, b_base, np.asarray(t, dtype=float))
-    return _cost_curve(scenario, i, lam_i, q_i, regulated)
 
 
 def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
@@ -300,8 +283,13 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     if not hi > lo:
         raise ScanIntervalEmpty(f"scan interval [{lo}, {hi}] is empty")
 
+    path = _clearing_path(scenario, i, b_base)
+
+    def evaluate(t):
+        return _cost_curve(scenario, i, t, path(t), regulated)
+
     t = np.linspace(lo, hi, cfg.coarse_points)
-    cost = _evaluate(scenario, i, b_base, t, regulated)
+    cost = evaluate(t)
     spacing = (hi - lo) / (cfg.coarse_points - 1)
 
     minima = []
@@ -311,7 +299,7 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
         for _ in range(cfg.refine_rounds):
             wt = np.linspace(max(t_best - h, lo), min(t_best + h, hi),
                              2 * cfg.refine_factor + 1)
-            wc = _evaluate(scenario, i, b_base, wt, regulated)
+            wc = evaluate(wt)
             j_best = int(np.argmin(wc))
             t_best, c_best = float(wt[j_best]), float(wc[j_best])
             h /= cfg.refine_factor

@@ -28,6 +28,7 @@ from .market import (
     ClearingOutcome,
     Scenario,
     clear_market,
+    marginal_term,
     prosumer_cost_from_outcome,
 )
 from .network import is_radial
@@ -144,8 +145,7 @@ def improved_gne(scenario: Scenario) -> EquilibriumResult:
     n = scenario.size
     p_bar, kappa, tau_lo, tau_up = central_solution(scenario)
     q_bar = scenario.D - p_bar
-    lam_r = (2.0 * scenario.c * p_bar + scenario.d
-             - q_bar / (scenario.a * (n - 1)))
+    lam_r = marginal_term(scenario, p_bar, q_bar)
     b_bar = q_bar + scenario.a * lam_r
     # a clearing row is the central program's row of the same line, bound
     # for bound, so the central binding lines are the clearing's active set
@@ -242,11 +242,6 @@ def price_structure_residual(scenario: Scenario, eqm: EquilibriumResult) -> floa
     pi = scenario.network.ptdf
     rebuilt = -eqm.kappa - pi @ eqm.tau_lower + pi @ eqm.tau_upper
     return float(np.abs(eqm.lambda_r - rebuilt).max())
-
-
-def net_payment(scenario: Scenario, eqm: EquilibriumResult) -> float:
-    """Total money collected from prosumers at the equilibrium."""
-    return float(eqm.lambda_r @ (scenario.D - eqm.p_bar))
 
 
 def congestion_rent(scenario: Scenario, eqm: EquilibriumResult) -> float:

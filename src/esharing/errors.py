@@ -45,10 +45,6 @@ class IterationLimit(EsharingError):
 
 # --- market / equilibrium -------------------------------------------------
 
-class MarketInfeasible(Infeasible):
-    """No balanced, flow-feasible allocation exists for the given bids."""
-
-
 class TooFewProsumers(EsharingError):
     """At least two prosumers are required."""
 

@@ -7,10 +7,6 @@ variables so the reported duals (``eta`` for balance, ``alpha`` for the flow
 bounds) match the stationarity system
 
     2 lam_i + a eta + a sum_l pi_il alpha_l_lower - a sum_l pi_il alpha_l_upper = 0.
-
-An equivalent formulation in the quantity variables (projection of the bids
-onto the balanced flow-feasible set) is provided as an independent
-cross-check.
 """
 
 from __future__ import annotations
@@ -118,11 +114,6 @@ class ClearingOutcome:
     active_set: tuple = ()
 
 
-def _flow_matrix(net: NetworkModel) -> np.ndarray:
-    """L x I map from purchases to line flows (transpose of the PTDF)."""
-    return net.ptdf.T
-
-
 def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
@@ -153,7 +144,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     net = scenario.network
     a = scenario.a
     limits = net.limits
-    G = _flow_matrix(net)
+    G = net.ptdf.T
     if anchor is None:
         h, g = 2.0, np.zeros(n)
     else:
@@ -191,44 +182,13 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     )
 
 
-def clear_market_qform(scenario: Scenario, bids) -> ClearingOutcome:
-    """Cross-check route: project the bids onto the balanced feasible set.
-
-    Minimizes ``sum (q_i - b_i)^2`` over balanced flow-feasible quantities and
-    maps back to prices via ``lam = (b - q)/a``.  Duals are not populated
-    (they live in a different scaling); use :func:`clear_market` for duals.
-    """
-    b = np.asarray(bids, dtype=float)
-    n = scenario.size
-    if b.shape != (n,):
-        raise DimensionMismatch(f"expected {n} bids, got shape {b.shape}")
-    net = scenario.network
-    G = _flow_matrix(net)
-    qp = QuadraticProgram(
-        hessian=2.0 * np.eye(n),
-        linear=-2.0 * b,
-        eq_matrix=np.ones((1, n)),
-        eq_rhs=np.zeros(1),
-        ineq_matrix=G,
-        ineq_lower=-net.limits,
-        ineq_upper=net.limits,
-    )
-    q = solve_qp(qp, x0=np.zeros(n)).x
-    lam = (b - q) / scenario.a
-    return ClearingOutcome(
-        prices=lam, quantities=q, eta=float("nan"),
-        alpha_lower=np.full(net.line_count, np.nan),
-        alpha_upper=np.full(net.line_count, np.nan), flows=G @ q,
-    )
-
-
 def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) -> float:
     """Worst violation of the clearing stationarity/feasibility system."""
     b = np.asarray(bids, dtype=float)
     net = scenario.network
     a = scenario.a
     lam, q = outcome.prices, outcome.quantities
-    G = _flow_matrix(net)
+    G = net.ptdf.T
     stat = (2.0 * lam + a * outcome.eta
             + a * (G.T @ outcome.alpha_lower) - a * (G.T @ outcome.alpha_upper))
     parts = [
@@ -247,10 +207,14 @@ def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) ->
     return max(parts)
 
 
-def _marginal_term(scenario: Scenario, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Marginal disutility adjusted by the per-prosumer price privilege."""
+def marginal_term(scenario: Scenario, p, q, i=slice(None)):
+    """Marginal disutility adjusted by the per-prosumer price privilege.
+
+    ``2 c p + d - q / (a (I-1))`` for the prosumers selected by ``i`` (all
+    of them by default), at their productions ``p`` and purchases ``q``.
+    """
     n = scenario.size
-    return 2.0 * scenario.c * p + scenario.d - q / (scenario.a * (n - 1))
+    return 2.0 * scenario.c[i] * p + scenario.d[i] - q / (scenario.a * (n - 1))
 
 
 def regulated_price(scenario: Scenario, clearing: ClearingOutcome, p) -> np.ndarray:
@@ -262,7 +226,7 @@ def regulated_price(scenario: Scenario, clearing: ClearingOutcome, p) -> np.ndar
     p = np.asarray(p, dtype=float)
     if p.shape != (scenario.size,):
         raise DimensionMismatch(f"expected {scenario.size} productions")
-    m = _marginal_term(scenario, p, clearing.quantities)
+    m = marginal_term(scenario, p, clearing.quantities)
     lam = clearing.prices
     return np.where(clearing.quantities >= 0.0, np.maximum(lam, m),
                     np.minimum(lam, m))
@@ -276,8 +240,7 @@ def payment(scenario: Scenario, bids, p_i: float, i: int) -> float:
     """
     out = clear_market(scenario, bids)
     q_i = float(out.quantities[i])
-    n = scenario.size
-    m_i = 2.0 * scenario.c[i] * p_i + scenario.d[i] - q_i / (scenario.a * (n - 1))
+    m_i = marginal_term(scenario, p_i, q_i, i)
     return max(float(out.prices[i]) * q_i, m_i * q_i)
 
 
@@ -300,6 +263,4 @@ def prosumer_cost_from_outcome(scenario: Scenario, out: ClearingOutcome, i: int,
     lam_q = float(out.prices[i]) * q_i
     if not regulated:
         return ju + lam_q
-    n = scenario.size
-    m_i = 2.0 * scenario.c[i] * p_i + scenario.d[i] - q_i / (scenario.a * (n - 1))
-    return ju + max(lam_q, m_i * q_i)
+    return ju + max(lam_q, marginal_term(scenario, p_i, q_i, i) * q_i)

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from esharing import cases
+from esharing.market import Prosumer, Scenario
 from esharing.network import LineSpec, build_network
 
 settings.register_profile(
@@ -50,6 +52,39 @@ def random_tree(rng, size):
         weight = float(rng.uniform(0.5, 2.0))
         lines.append(LineSpec(parent, child, weight))
     return build_network(size, lines)
+
+
+@st.composite
+def limited_scenarios(draw, max_size=20):
+    """Scenarios whose every line has a limit that binds at moderate bids.
+
+    The network is a random tree of up to ``max_size`` buses or, half of the
+    time, a mesh: the tree plus a few chords and a parallel copy of one line
+    with a different weight.  One line may have a zero limit.
+    """
+    size = draw(st.integers(3, max_size))
+    mesh = draw(st.booleans())
+    zero_limit = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = list(random_tree(rng, size).lines)
+    if mesh:
+        for _ in range(int(rng.integers(1, 4))):
+            u, v = rng.choice(size, 2, replace=False) + 1
+            lines.append(LineSpec(int(u), int(v), float(rng.uniform(0.5, 2.0))))
+        twin = lines[int(rng.integers(len(lines)))]
+        lines.append(LineSpec(twin.from_bus, twin.to_bus,
+                              twin.weight * float(rng.uniform(0.2, 0.8))))
+    limits = rng.uniform(0.05, 1.0, len(lines))
+    if zero_limit:
+        limits[rng.integers(len(lines))] = 0.0
+    lines = [LineSpec(ln.from_bus, ln.to_bus, ln.weight, float(F))
+             for ln, F in zip(lines, limits)]
+    prosumers = [Prosumer(c=float(rng.uniform(0.5, 2.0)),
+                          d=float(rng.uniform(0.0, 1.0)),
+                          demand_reduction=float(rng.uniform(0.0, 2.0)))
+                 for _ in range(size)]
+    return Scenario(network=build_network(size, lines), prosumers=prosumers,
+                    a=float(rng.uniform(0.5, 2.0)))
 
 
 def balanced_vector(rng, size, scale=10.0):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from esharing import cases, equilibrium
+from conftest import limited_scenarios
+from esharing import brlab, cases, equilibrium
 from esharing.brlab import (
     ScanConfig,
     best_response,
@@ -12,7 +14,9 @@ from esharing.brlab import (
     write_scan_csv,
 )
 from esharing.errors import ScanIntervalEmpty, WrongTopology
-from esharing.market import Scenario, clear_market
+from esharing.market import Prosumer, Scenario, clear_market, prosumer_cost
+from esharing.network import LineSpec, build_network
+from esharing.scenario_io import gen_scenario
 
 
 def test_two_local_minima_in_loose_chain(chain_f027):
@@ -212,3 +216,72 @@ def test_scan_interval_validation(chain_f03):
     with pytest.raises(ScanIntervalEmpty):
         best_response(chain_f03, 1, np.array([1.6, 0.8]),
                       scan_config=ScanConfig(interval=(2.0, 1.0)))
+
+
+def test_scan_on_parallel_lines_matches_prosumer_cost():
+    # lines 1 and 4 join the same buses; holding both at a limit makes the
+    # clearing's equality rows linearly dependent
+    net = build_network(4, [LineSpec(1, 2, 1.0, 0.57), LineSpec(2, 3, 1.0, 0.33),
+                            LineSpec(3, 4, 1.0, 0.54), LineSpec(1, 2, 0.5, 0.6)])
+    scenario = Scenario(network=net, a=1.0, prosumers=[
+        Prosumer(1.0, 0.0, D) for D in (0.2, 1.7, 0.6, 0.9)])
+    fixed = np.array([0.0, 1.0, 2.8])
+    scan = best_response(scenario, 1, fixed)
+    bids = np.insert(fixed, 1, scan.best_bid)
+    assert scan.best_cost == pytest.approx(prosumer_cost(scenario, bids, 1),
+                                           rel=1e-9, abs=1e-9)
+    assert scan.best_bid == pytest.approx(1.38, abs=1e-3)
+    assert scan.best_cost == pytest.approx(1.8295, abs=1e-4)
+    for b, cost in zip(scan.samples_b, scan.samples_cost):
+        bids[1] = b
+        assert cost == pytest.approx(prosumer_cost(scenario, bids, 1),
+                                     rel=1e-9, abs=1e-9), b
+
+
+@pytest.mark.parametrize("size", [8, 12, 20])
+def test_scan_clears_once_per_piece(monkeypatch, size):
+    # more than 6 limited lines; the clearing path is built from a handful
+    # of clearings, not one per grid point
+    scenario = gen_scenario(1, size, "tight")
+    eqm = equilibrium.improved_gne(scenario)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return clear_market(*args, **kwargs)
+
+    monkeypatch.setattr(brlab, "clear_market", counted)
+    scan = best_response(scenario, 0, np.delete(eqm.b_bar, 0))
+    assert 0 < len(calls) <= 20
+    bids = eqm.b_bar.copy()
+    bids[0] = scan.best_bid
+    assert scan.best_cost == pytest.approx(prosumer_cost(scenario, bids, 0),
+                                           rel=1e-9)
+
+
+@settings(max_examples=40)
+@given(limited_scenarios(), st.integers(0, 2**32 - 1))
+def test_clearing_path_matches_clear_market(scenario, seed):
+    rng = np.random.default_rng(seed)
+    n = scenario.size
+    i = int(rng.integers(n))
+    b_base = rng.uniform(-2.0, 3.0, n)
+    b_base[i] = 0.0
+    path = brlab._clearing_path(scenario, i, b_base)
+    grid = np.linspace(-6.0, 9.0, 201)
+    lam_grid = path(grid)
+    t = rng.uniform(-6.0, 9.0, 25)
+    lam = path(t)
+    for tj, lam_j in zip(t, lam):
+        bids = b_base.copy()
+        bids[i] = tj
+        ref = clear_market(scenario, bids).prices
+        assert abs(lam_j - ref[i]) <= 1e-9 * (1.0 + np.abs(ref).max()), tj
+    # a fresh path asked for the same points one by one, in shuffled order
+    points = np.concatenate([grid, t])
+    order = rng.permutation(points.size)
+    fresh = brlab._clearing_path(scenario, i, b_base)
+    shuffled = np.array([fresh(points[[k]])[0] for k in order])
+    expected = np.concatenate([lam_grid, lam])[order]
+    assert np.abs(shuffled - expected).max() <= 1e-9 * (
+        1.0 + np.abs(expected).max())

@@ -90,8 +90,6 @@ def test_net_payment_equals_congestion_rent(two_f5):
     assert eqm.net_payment == pytest.approx(rent, abs=1e-6)
     assert eqm.net_payment == pytest.approx(5.0 * 1.01, abs=1e-8)
     assert eqm.net_payment >= -1e-9
-    assert equilibrium.net_payment(two_f5, eqm) == pytest.approx(
-        eqm.net_payment)
 
 
 def test_gne_chain_fixture(chain_f03):

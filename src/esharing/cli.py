@@ -206,8 +206,9 @@ def _cmd_clear(scenario: Scenario, bids: np.ndarray) -> tuple:
     return results, {"clearing_kkt": clearing_kkt_residual(scenario, bids, out)}
 
 
-def _cmd_gne(scenario: Scenario) -> tuple:
-    eqm = equilibrium.improved_gne(scenario)
+def _cmd_gne(scenario: Scenario, eqm=None) -> tuple:
+    if eqm is None:
+        eqm = equilibrium.improved_gne(scenario)
     ok, margins = equilibrium.pareto_check(scenario, eqm)
     rent = equilibrium.congestion_rent(scenario, eqm)
     results = {
@@ -361,8 +362,9 @@ def _cmd_batch(args, fmt: str) -> tuple:
         started = time.perf_counter()
         try:
             scenario = load_scenario(path)
-            results, residuals = _cmd_gne(scenario)
-            results["poa"] = equilibrium.poa(scenario, p_bar=results["p_bar"])
+            eqm = equilibrium.improved_gne(scenario)
+            results, residuals = _cmd_gne(scenario, eqm)
+            results["poa"] = equilibrium.poa(scenario, eqm)
             report = RunReport(
                 command="batch/gne", scenario=path, digest=_digest(path),
                 elapsed_s=time.perf_counter() - started, results=results,

@@ -102,19 +102,34 @@ def _shared_constraints(scenario: Scenario):
     }
 
 
-def _production_program(scenario: Scenario, hessian_diag, linear) -> tuple:
-    """Solve from the no-trade plan ``p = D``, feasible for every limit >= 0."""
+def _production_program(scenario: Scenario, hessian_diag, linear,
+                        start=None) -> tuple:
+    """Solve from ``start = (plan, binding lines)`` when given, else from the
+    no-trade plan ``p = D``, feasible for every limit >= 0."""
     qp = QuadraticProgram(hessian=np.diag(hessian_diag), linear=np.asarray(linear),
                           **_shared_constraints(scenario))
-    sol = solve_qp(qp, x0=scenario.D)
+    x0, active = (scenario.D, ()) if start is None else start
+    sol = solve_qp(qp, x0=x0, active=active)
     kappa = float(sol.eq_duals[0])
     return sol.x, kappa, sol.ineq_duals_lower, sol.ineq_duals_upper
 
 
-def social_optimum(scenario: Scenario) -> SocialOptimum:
-    """Minimize total disutility subject to balance and flow limits."""
+def _binding_lines(tau_lower, tau_upper) -> list:
+    """Lines with a positive flow dual, as ``QpSolution.active_set`` pairs."""
+    return [(int(l), "lower") for l in np.flatnonzero(tau_lower > 0.0)] \
+        + [(int(l), "upper") for l in np.flatnonzero(tau_upper > 0.0)]
+
+
+def social_optimum(scenario: Scenario, start=None) -> SocialOptimum:
+    """Minimize total disutility subject to balance and flow limits.
+
+    ``start = (plan, binding)`` is a feasible production plan and its binding
+    lines as ``(line, "lower"|"upper")`` pairs.  The regulated equilibrium's
+    binding lines are usually the optimum's active set, and from its plan
+    the solve then takes one step.
+    """
     p, kappa, tau_lo, tau_up = _production_program(
-        scenario, 2.0 * scenario.c, scenario.d)
+        scenario, 2.0 * scenario.c, scenario.d, start)
     costs = scenario.disutility(p)
     return SocialOptimum(p_tilde=p, kappa=kappa, tau_lower=tau_lo,
                          tau_upper=tau_up, cost_per_prosumer=costs,
@@ -149,9 +164,8 @@ def improved_gne(scenario: Scenario) -> EquilibriumResult:
     b_bar = q_bar + scenario.a * lam_r
     # a clearing row is the central program's row of the same line, bound
     # for bound, so the central binding lines are the clearing's active set
-    binding = [(int(l), "lower") for l in np.flatnonzero(tau_lo > 0.0)] \
-        + [(int(l), "upper") for l in np.flatnonzero(tau_up > 0.0)]
-    clearing = clear_market(scenario, b_bar, active=binding)
+    clearing = clear_market(scenario, b_bar,
+                            active=_binding_lines(tau_lo, tau_up))
     residual = float(np.abs(clearing.prices - lam_r).max())
     costs = np.array([
         prosumer_cost_from_outcome(scenario, clearing, i, regulated=True)
@@ -204,23 +218,26 @@ def self_sufficiency(scenario: Scenario):
     return costs, float(costs.sum())
 
 
-def poa(scenario: Scenario, p_bar=None) -> dict:
+def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
     """Efficiency loss of the equilibrium relative to the social optimum.
 
-    ``p_bar`` is the equilibrium production when the caller already has it
-    (from :func:`improved_gne`); otherwise the central program is solved.
+    ``eqm`` is the equilibrium when the caller already has it (from
+    :func:`improved_gne`); otherwise the central program is solved.  The
+    social program starts from the equilibrium plan and its binding lines.
     Returns ``poa_value``, the instance constants ``C1`` (largest squared
     sharing quantity over both solutions) and ``C2`` (smallest optimal
     per-prosumer cost), and ``upper_bound = 1 + C1/(2a(I-1)C2)`` (``None``
     when C2 <= 0 makes the bound undefined).
     """
-    so = social_optimum(scenario)
+    if eqm is None:
+        p_bar, _, tau_lo, tau_up = central_solution(scenario)
+    else:
+        p_bar, tau_lo, tau_up = eqm.p_bar, eqm.tau_lower, eqm.tau_upper
+    so = social_optimum(scenario, start=(p_bar, _binding_lines(tau_lo, tau_up)))
     if so.total_cost <= 0.0:
         raise DegenerateBaseline(
             f"social optimum cost {so.total_cost} is not positive"
         )
-    if p_bar is None:
-        p_bar, _, _, _ = central_solution(scenario)
     j_bar = float(scenario.disutility(p_bar).sum())
     dev = np.concatenate([scenario.D - so.p_tilde, scenario.D - p_bar])
     c1 = float(np.max(dev * dev))

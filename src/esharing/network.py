@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DimensionMismatch,
@@ -140,11 +139,11 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
     lap = (Cr * B) @ Cr.T
     if lap.size:
         try:
-            factor = cho_factor(lap)
+            np.linalg.cholesky(lap)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by checks above
             raise SingularLaplacian(str(exc)) from exc
         # purchases are withdrawals, hence the minus sign
-        ptdf_r = -cho_solve(factor, Cr * B)
+        ptdf_r = -np.linalg.solve(lap, Cr * B)
     else:
         ptdf_r = np.zeros((0, len(lines)))
     ptdf = np.zeros((bus_count, len(lines)))

@@ -6,12 +6,12 @@ Solves
     s.t. A x = b                 (equality rows, duals ``nu``)
          lo <= C x <= up         (two-sided rows, duals ``mu_lo``/``mu_up``)
 
-by a primal active-set method in range-space form.  H is factored once per
-solve by Cholesky (which is also the positive-definiteness test) and
-H^-1 [A; C]' is formed once for all rows, so each working-set subproblem
-is the small Schur system on the working rows alone, refined once against
-the rows themselves.  Multipliers come out consistent with the stationarity
-condition
+by a primal active-set method in range-space form.  H passes a Cholesky
+test for positive definiteness, and H^-1 [A; C]' is formed once for all
+rows (by division when H is diagonal, as in every package program), so
+each working-set subproblem is the small Schur system on the working rows
+alone, refined once against the rows themselves.  Multipliers come out
+consistent with the stationarity condition
 
     H x + g + A' nu + C' (mu_up - mu_lo) = 0,      mu_lo, mu_up >= 0.
 
@@ -19,26 +19,29 @@ The method is deterministic: a least-index rule breaks ties both when a
 blocking row is added and when a wrong-signed multiplier is dropped, so
 identical inputs produce bit-identical outputs.
 
-Start point and warm start, ``solve_qp(qp, x0, active)``:
+Start point and hot start, ``solve_qp(qp, x0, active)``:
 
 * ``x0`` is a feasible start point.  It must satisfy every row to
   :func:`feasibility_tolerance`, or the solve raises ``ValueError``.  Only
   when no ``x0`` is given is a feasible point found with one
-  linear-programming call (``scipy.optimize.linprog``, the phase 1).
+  linear-programming call (:func:`linprog`, the phase 1).
 * ``active`` is a guess of the optimal active set, in the format of
-  ``QpSolution.active_set``.  It is tried once: if the minimizer with the
-  guessed rows held at their bounds is feasible and its multipliers have
-  the right signs, it satisfies the KKT conditions and, by strict
-  convexity, is the optimum.  Otherwise the solve starts cold from ``x0``
-  with an empty working set.  A guess changes the work, never the optimum.
+  ``QpSolution.active_set``, and a hot start of the one active-set loop.
+  The minimizer with the guessed rows held at their bounds is solved once.
+  If that point is feasible, holds every guessed row and its objective is
+  no higher than at ``x0``, the loop starts there with the guess as its
+  working set; a wrong-signed multiplier is then dropped as in any other
+  iteration.  Otherwise the loop starts from ``x0`` with the guessed rows
+  that ``x0`` holds at their bound.  Either way, when the loop's first
+  working set is the guess, the guess's solve is its first step, so a right
+  guess costs one iteration; a guess solve it cannot reuse counts as one
+  iteration more.  A guess changes the work, never the optimum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -132,6 +135,13 @@ class QpSolution:
     residual: float = field(default=0.0)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: no package program
+    reaches the phase 1, so importing the package does not load scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
+
 def _phase1(qp: QuadraticProgram) -> np.ndarray:
     """Any feasible point, via one LP solve.  Raises Infeasible if none."""
     n = qp.n
@@ -185,8 +195,11 @@ def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
 
     ``x0`` is a feasible start point; without one, a phase-1 linear program
     finds one.  ``active`` is a guess of the optimal active set, as
-    ``(row, side)`` pairs like :attr:`QpSolution.active_set`; it is tried
-    once and never changes the optimum, only the work to reach it.
+    ``(row, side)`` pairs like :attr:`QpSolution.active_set` (a row named
+    twice keeps its last side).  It hot-starts the loop from its own
+    minimizer when that point is feasible and no worse than ``x0``, and
+    otherwise from ``x0`` with the guessed rows ``x0`` holds; it never
+    changes the optimum, only the work to reach it.
 
     Raises
     ------
@@ -215,7 +228,7 @@ def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
                           ineq_duals_upper=np.zeros(qp.ineq_count),
                           active_set=(), iterations=0, residual=0.0)
     try:
-        factor = cho_factor(qp.hessian)
+        np.linalg.cholesky(qp.hessian)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("hessian is not positive definite") from exc
 
@@ -226,7 +239,14 @@ def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
     #   min 0.5 x'Hx + g'x  s.t.  R x = t   (R: some rows of [A; C])
     # has x = x_u - H^-1 R' y with (R H^-1 R') y = R x_u - t, x_u = -H^-1 g
     rows = np.vstack([qp.eq_matrix, C])
-    solved = cho_solve(factor, np.column_stack([g, rows.T]))
+    rhs = np.column_stack([g, rows.T])
+    h = np.diagonal(qp.hessian)
+    if np.array_equal(qp.hessian, np.diag(h)):  # every package program
+        solved = rhs / h[:, None]
+    else:
+        # numpy has no triangular solve: one LU solve of H costs less than
+        # two general solves with the Cholesky factor
+        solved = np.linalg.solve(qp.hessian, rhs)
     x_u = -solved[:, 0]
     hinv_rt = solved[:, 1:]
     gram = rows @ hinv_rt
@@ -264,66 +284,85 @@ def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
         sides = np.array([s for _, s in working], dtype=float)
         return np.flatnonzero(sides * duals[pinned.size:] < -dual_tol)
 
+    def held(x, pairs):
+        """The ``(row, side)`` pairs whose bound ``x`` holds."""
+        cx = C @ x
+        return [(r, s) for r, s in pairs
+                if abs(cx[r] - (up[r] if s > 0 else lo[r])) <= feas_tol]
+
+    def objective(x):
+        return 0.5 * x @ qp.hessian @ x + g @ x
+
+    feas_tol = feasibility_tolerance(qp)
     if x0 is not None:
         x0 = np.array(x0, dtype=float)
         if x0.shape != (n,):
             raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
-        if not _violation(qp, x0) <= feasibility_tolerance(qp):
+        if not _violation(qp, x0) <= feas_tol:
             raise ValueError("x0 is not a feasible point of the program")
 
-    iterations = 0
     x = None
     working: list[tuple[int, int]] = []  # (row, side) with side -1=lower, +1=upper
+    first = None  # the guess's solve, when it is the loop's first step
     if active:
-        # a guess whose equality-constrained solution is feasible and has
-        # right-signed multipliers satisfies the KKT conditions, so by strict
-        # convexity it is the optimum; feasibility is asked to rounding level
-        # (1e-3 of the contract) so that the cold solve's optimum comes back
-        guess = sorted({(int(r), 1 if side == "upper" else -1)
-                        for r, side in active if free[r]
-                        and np.isfinite(up[r] if side == "upper" else lo[r])})
-        x_g, duals = minimize_on(guess)
-        iterations = 1
-        if _violation(qp, x_g) <= 1e-3 * feasibility_tolerance(qp) \
-                and not wrong_signed(guess, duals).size:
-            x, working = x_g, guess
+        sides = {int(r): 1 if side == "upper" else -1 for r, side in active}
+        guess = sorted((r, s) for r, s in sides.items()
+                       if free[r] and np.isfinite(up[r] if s > 0 else lo[r]))
+        x_g, duals_g = minimize_on(guess)
+        # the guess point is the start, with the guess as its working set,
+        # when it is feasible to rounding level (1e-3 of the contract, so
+        # that the optimum reached from it keeps the contract), holds every
+        # guessed row and is no worse than x0: the loop only descends, so a
+        # start above x0 only lengthens its path
+        if _violation(qp, x_g) <= 1e-3 * feas_tol and held(x_g, guess) == guess \
+                and (x0 is None or objective(x_g) <= objective(x0)):
+            x, working, first = x_g, guess, (x_g, duals_g)
     if x is None:
         x = _phase1(qp) if x0 is None else x0
-        row_l1 = np.abs(C).sum(axis=1)
-        max_iter = 50 * (n + m_in) + 10
-        for _ in range(max_iter):
-            iterations += 1
+        if active:
+            working = held(x, guess)
+            if working == guess:
+                first = (x_g, duals_g)
+    # a guess solve the loop could not reuse is one iteration of its own
+    iterations = 1 if active and first is None else 0
+    row_l1 = np.abs(C).sum(axis=1)
+    max_iter = 50 * (n + m_in) + 10
+    for _ in range(max_iter):
+        iterations += 1
+        if first is None:
             x_star, duals = minimize_on(working)
-            d = x_star - x
-            if np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
-                # largest step along d that keeps the rows outside the set
-                # feasible; the least index wins ties
-                cd = C @ d
-                cx = C @ x
-                thresh = 1e-14 * (1.0 + row_l1 * np.abs(d).max())
-                candidate = free.copy()
-                candidate[[r for r, _ in working]] = False
-                hits_up = candidate & (cd > thresh) & np.isfinite(up)
-                hits_lo = candidate & (cd < -thresh) & np.isfinite(lo)
-                limit = np.full(m_in, np.inf)
-                limit[hits_up] = (up[hits_up] - cx[hits_up]) / cd[hits_up]
-                limit[hits_lo] = (lo[hits_lo] - cx[hits_lo]) / cd[hits_lo]
-                np.maximum(limit, 0.0, out=limit)
-                j = int(np.argmin(limit)) if m_in else 0
-                if m_in and limit[j] < 1.0:
-                    x = x + limit[j] * d
-                    working.append((j, 1 if hits_up[j] else -1))
-                    working.sort()
-                    continue
-                x = x_star
-            # x minimizes on the working set: least-index drop of a
-            # wrong-signed multiplier, else optimal
-            drop = wrong_signed(working, duals)
-            if not drop.size:
-                break
-            del working[drop[0]]
         else:
-            raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
+            (x_star, duals), first = first, None
+        d = x_star - x
+        if np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
+            # largest step along d that keeps the rows outside the set
+            # feasible; the least index wins ties
+            cd = C @ d
+            cx = C @ x
+            thresh = 1e-14 * (1.0 + row_l1 * np.abs(d).max())
+            candidate = free.copy()
+            candidate[[r for r, _ in working]] = False
+            hits_up = candidate & (cd > thresh) & np.isfinite(up)
+            hits_lo = candidate & (cd < -thresh) & np.isfinite(lo)
+            limit = np.full(m_in, np.inf)
+            limit[hits_up] = (up[hits_up] - cx[hits_up]) / cd[hits_up]
+            limit[hits_lo] = (lo[hits_lo] - cx[hits_lo]) / cd[hits_lo]
+            np.maximum(limit, 0.0, out=limit)
+            j = int(np.argmin(limit)) if m_in else 0
+            if m_in and limit[j] < 1.0:
+                x = x + limit[j] * d
+                working.append((j, 1 if hits_up[j] else -1))
+                working.sort()
+                continue
+            x = x_star
+        # x minimizes on the working set: least-index drop of a
+        # wrong-signed multiplier, else optimal
+        drop = wrong_signed(working, duals)
+        if not drop.size:
+            break
+        del working[drop[0]]
+    else:
+        raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
 
     nu = duals[:m_eq]
     mu_fixed = duals[m_eq:pinned.size]

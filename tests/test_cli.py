@@ -186,6 +186,11 @@ def test_batch_command(tmp_path):
     assert not list(out_dir.glob("*.tmp"))
     doc = json.loads((out_dir / "a.report.json").read_text())
     assert doc["results"]["p_bar"] == pytest.approx([105.0, 195.0])
+    gne, _ = cli.run_command(["gne", str(scen_dir / "a.json")])
+    assert set(doc["results"]) == set(gne.results) | {"poa"}
+    assert doc["results"]["poa"]["poa_value"] == pytest.approx(
+        cli.run_command(["poa", str(scen_dir / "a.json")])[0].results["poa_value"],
+        rel=1e-12)
 
 
 def test_render_formats(fixture_file):
@@ -213,6 +218,14 @@ def test_module_entry_point(fixture_file):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["p_bar"] == pytest.approx([105.0, 195.0])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, esharing.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_format_flag_with_equals_sign(fixture_file, capsys):

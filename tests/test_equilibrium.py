@@ -215,3 +215,28 @@ def test_equilibrium_invariants_on_generated_scenarios(seed):
     assert report["poa_value"] >= 1.0 - 1e-9
     if report["upper_bound"] is not None:
         assert report["poa_value"] <= report["upper_bound"] + 1e-6
+
+
+@pytest.mark.parametrize("size", [120, 200])
+def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch):
+    scenario = gen_scenario(7, size, "tight")
+    eqm = equilibrium.improved_gne(scenario)
+    solve_qp = equilibrium.solve_qp
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solve_qp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(equilibrium, "solve_qp", recording)
+    report = equilibrium.poa(scenario, eqm)
+    cold = equilibrium.social_optimum(scenario)
+    hot_solve, cold_solve = solves
+    # a cold social solve takes 133 and 209 iterations here
+    assert hot_solve.iterations <= 3 < cold_solve.iterations
+    assert np.abs(hot_solve.x - cold.p_tilde).max() \
+        <= 1e-12 * np.abs(cold.p_tilde).max()
+    assert report["social_cost"] == pytest.approx(cold.total_cost, rel=1e-12, abs=0.0)
+    assert report["poa_value"] == pytest.approx(
+        eqm.total_disutility / cold.total_cost, rel=1e-12, abs=0.0)
+    assert equilibrium.poa(scenario) == report

@@ -27,12 +27,12 @@ from .errors import DegenerateBaseline, NonRadialWarning, TooFewProsumers
 from .market import (
     ClearingOutcome,
     Scenario,
+    _solve_program,
     clear_market,
     marginal_term,
     prosumer_cost_from_outcome,
 )
 from .network import is_radial
-from .qp import QuadraticProgram, solve_qp
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,31 +87,22 @@ class PriceTakingEquilibrium:
     bids: np.ndarray
 
 
-def _shared_constraints(scenario: Scenario):
-    """Equality/inequality blocks common to the production-space programs."""
-    net = scenario.network
-    n = scenario.size
-    G = net.ptdf.T
-    base = G @ scenario.D
-    return {
-        "eq_matrix": np.ones((1, n)),
-        "eq_rhs": np.array([scenario.D.sum()]),
-        "ineq_matrix": -G,
-        "ineq_lower": -net.limits - base,
-        "ineq_upper": net.limits - base,
-    }
-
-
 def _production_program(scenario: Scenario, hessian_diag, linear,
                         start=None) -> tuple:
-    """Solve from ``start = (plan, binding lines)`` when given, else from the
-    no-trade plan ``p = D``, feasible for every limit >= 0."""
-    qp = QuadraticProgram(hessian=np.diag(hessian_diag), linear=np.asarray(linear),
-                          **_shared_constraints(scenario))
+    """Minimize ``sum (hessian_diag p^2 / 2 + linear p)`` over productions
+    that keep total production and every line flow within its limit.
+
+    Solved exactly on a radial network and by the active-set QP on a mesh
+    (see :func:`esharing.market._solve_program`).  ``start = (plan, binding
+    lines)`` is the hot start; without one, the QP starts from the no-trade
+    plan ``p = D``, feasible for every limit >= 0, and the tree solver from
+    the uniform-price guess.  Returns ``(p, kappa, tau_lower, tau_upper)``.
+    """
     x0, active = (scenario.D, ()) if start is None else start
-    sol = solve_qp(qp, x0=x0, active=active)
-    kappa = float(sol.eq_duals[0])
-    return sol.x, kappa, sol.ineq_duals_lower, sol.ineq_duals_upper
+    sol = _solve_program(scenario.network, np.asarray(hessian_diag, dtype=float),
+                         np.asarray(linear, dtype=float), scenario.D, 1.0,
+                         x0, active)
+    return sol.x, float(sol.eq_duals[0]), sol.ineq_duals_lower, sol.ineq_duals_upper
 
 
 def _binding_lines(tau_lower, tau_upper) -> list:
@@ -139,6 +130,8 @@ def social_optimum(scenario: Scenario, start=None) -> SocialOptimum:
 def central_solution(scenario: Scenario):
     """Unique minimizer of the penalized program and its duals.
 
+    Solved exactly on a radial network, starting from the uniform-price
+    guess; on a meshed network by the active-set QP from the no-trade plan.
     Returns ``(p_bar, kappa, tau_lower, tau_upper)``.
     """
     n = scenario.size
@@ -224,6 +217,9 @@ def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
     ``eqm`` is the equilibrium when the caller already has it (from
     :func:`improved_gne`); otherwise the central program is solved.  The
     social program starts from the equilibrium plan and its binding lines.
+    The equilibrium plan is feasible for the social program, so its cost
+    bounds the optimum from above; the social cost is the lower of the two,
+    which keeps ``poa_value >= 1`` when both plans agree up to rounding.
     Returns ``poa_value``, the instance constants ``C1`` (largest squared
     sharing quantity over both solutions) and ``C2`` (smallest optimal
     per-prosumer cost), and ``upper_bound = 1 + C1/(2a(I-1)C2)`` (``None``
@@ -234,23 +230,24 @@ def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
     else:
         p_bar, tau_lo, tau_up = eqm.p_bar, eqm.tau_lower, eqm.tau_upper
     so = social_optimum(scenario, start=(p_bar, _binding_lines(tau_lo, tau_up)))
-    if so.total_cost <= 0.0:
-        raise DegenerateBaseline(
-            f"social optimum cost {so.total_cost} is not positive"
-        )
     j_bar = float(scenario.disutility(p_bar).sum())
+    social_cost = min(so.total_cost, j_bar)
+    if social_cost <= 0.0:
+        raise DegenerateBaseline(
+            f"social optimum cost {social_cost} is not positive"
+        )
     dev = np.concatenate([scenario.D - so.p_tilde, scenario.D - p_bar])
     c1 = float(np.max(dev * dev))
     c2 = float(so.cost_per_prosumer.min())
     n = scenario.size
     bound = 1.0 + c1 / (2.0 * scenario.a * (n - 1) * c2) if c2 > 0.0 else None
     return {
-        "poa_value": j_bar / so.total_cost,
+        "poa_value": j_bar / social_cost,
         "upper_bound": bound,
         "C1": c1,
         "C2": c2,
         "equilibrium_cost": j_bar,
-        "social_cost": so.total_cost,
+        "social_cost": social_cost,
     }
 
 

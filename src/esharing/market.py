@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewProsumers
-from .network import NetworkModel
-from .qp import QuadraticProgram, solve_qp
+from .network import NetworkModel, is_radial
+from .qp import QuadraticProgram, QpSolution, solve_qp
+from .tree import solve_tree
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,9 @@ class Prosumer:
     def __post_init__(self):
         if not self.c > 0.0:
             raise DimensionMismatch(f"prosumer c must be > 0, got {self.c}")
+        for name, v in (("c", self.c), ("d", self.d), ("D", self.demand_reduction)):
+            if not np.isfinite(v):  # JSON files may hold NaN and Infinity
+                raise DimensionMismatch(f"prosumer {name} must be finite, got {v}")
         base = (self.base_production, self.base_purchase, self.base_demand)
         present = [v is not None for v in base]
         if any(present) and not all(present):
@@ -72,8 +76,9 @@ class Scenario:
             )
         if len(self.prosumers) < 2:
             raise TooFewProsumers("a market needs at least two prosumers")
-        if not self.a > 0.0:
-            raise DimensionMismatch(f"market sensitivity a must be > 0, got {self.a}")
+        if not 0.0 < self.a < np.inf:
+            raise DimensionMismatch(
+                f"market sensitivity a must be finite and > 0, got {self.a}")
         for name, arr in (("c", [p.c for p in self.prosumers]),
                           ("d", [p.d for p in self.prosumers]),
                           ("D", [p.demand_reduction for p in self.prosumers])):
@@ -121,8 +126,9 @@ def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     ``a I``; it is returned directly whenever its flows respect all limits
     (this is exact, not an approximation: with no active flow constraint the
     stationarity system forces a uniform price).  Otherwise the price-space
-    program is solved with the active-set solver, trying ``active`` (the
-    ``active_set`` of a related clearing) as its first guess.
+    program is solved, exactly on a radial network and by the active-set
+    solver on a meshed one, trying ``active`` (the ``active_set`` of a
+    related clearing) as its first guess.
     """
     return _clear(scenario, bids, None, active)
 
@@ -133,9 +139,11 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     Minimizes ``sum lam_i^2``, plus ``sum (lam_i - anchor_i)^2`` when an
     ``anchor`` is given, over prices whose demands ``b - a lam`` balance and
     keep every line flow within its limit.  The stationary point with no
-    line at a limit is used directly when its flows are feasible; otherwise
-    the program is solved from the no-trade prices ``lam = b / a``, which
-    are feasible for every limit >= 0.
+    line at a limit is used directly when its flows are feasible.  Otherwise
+    :func:`_solve_program` solves the program with ``active`` as its hot
+    start: on a radial network by the exact tree solver, on a meshed one by
+    the active-set QP from the no-trade prices ``lam = b / a``, which are
+    feasible for every limit >= 0.
     """
     b = np.asarray(bids, dtype=float)
     n = scenario.size
@@ -162,17 +170,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
             alpha_upper=np.zeros(net.line_count), flows=flows,
         )
 
-    Gb = G @ b
-    qp = QuadraticProgram(
-        hessian=h * np.eye(n),
-        linear=g,
-        eq_matrix=np.ones((1, n)),
-        eq_rhs=np.array([b.sum() / a]),
-        ineq_matrix=-a * G,
-        ineq_lower=-limits - Gb,
-        ineq_upper=limits - Gb,
-    )
-    sol = solve_qp(qp, x0=b / a, active=active)
+    sol = _solve_program(net, np.full(n, h), g, b, a, b / a, active)
     lam = sol.x
     q = b - a * lam
     return ClearingOutcome(
@@ -180,6 +178,31 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
         flows=G @ q, active_set=sol.active_set,
     )
+
+
+def _solve_program(net: NetworkModel, hess, linear, base, k: float, x0,
+                   active) -> QpSolution:
+    """Minimize ``sum (hess x^2 / 2 + linear x)`` over ``x`` whose purchases
+    ``base - k x`` balance and keep every line flow within its limit.
+
+    A radial network is solved exactly by :func:`esharing.tree.solve_tree`;
+    a meshed one by :func:`esharing.qp.solve_qp` from the feasible ``x0``.
+    Either way ``active``, a guess of the lines at a limit, is a hot start.
+    """
+    if is_radial(net):
+        return solve_tree(net, hess, linear, base, k, active)
+    G = net.ptdf.T
+    Gb = G @ base
+    qp = QuadraticProgram(
+        hessian=np.diag(hess),
+        linear=linear,
+        eq_matrix=np.ones((1, net.bus_count)),
+        eq_rhs=np.array([base.sum() / k]),
+        ineq_matrix=-k * G,
+        ineq_lower=-net.limits - Gb,
+        ineq_upper=net.limits - Gb,
+    )
+    return solve_qp(qp, x0=x0, active=active)
 
 
 def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) -> float:

@@ -50,6 +50,24 @@ class LineSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class TreeTopology:
+    """A radial network rooted at its slack bus (0-indexed arrays).
+
+    ``parent[i]`` is the bus above bus i (the root is its own parent);
+    ``child[l]`` is the bus below line l; ``order`` lists the lines from the
+    root down, so a line comes after the line above it; ``sign[l]`` is the
+    PTDF entry of line l for every bus below it: +1 when the line points
+    away from the root, -1 otherwise.
+    """
+
+    root: int
+    parent: np.ndarray
+    child: np.ndarray
+    order: np.ndarray
+    sign: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Immutable DC network with a precomputed injection-to-flow map.
 
@@ -62,6 +80,8 @@ class NetworkModel:
     ptdf : np.ndarray, shape (bus_count, line_count)
         ``ptdf[i, l]`` is the flow on line l per unit purchase at bus i+1.
     limits : np.ndarray, shape (line_count,)
+    tree : TreeTopology or None
+        The network rooted at its slack bus when it is radial, else None.
     """
 
     bus_count: int
@@ -69,6 +89,7 @@ class NetworkModel:
     lines: tuple
     ptdf: np.ndarray = field(repr=False)
     limits: np.ndarray = field(repr=False)
+    tree: TreeTopology | None = field(default=None, repr=False)
 
     @property
     def line_count(self) -> int:
@@ -104,6 +125,34 @@ def _check_connected(bus_count: int, lines) -> None:
     if len(seen) != bus_count:
         missing = sorted(set(range(1, bus_count + 1)) - seen)
         raise DisconnectedGraph(f"buses unreachable from bus 1: {missing}")
+
+
+def _tree_topology(bus_count: int, lines, slack: int) -> TreeTopology:
+    """Breadth-first rooting of a connected radial network at ``slack``."""
+    root = slack - 1
+    adj = [[] for _ in range(bus_count)]
+    for l, ln in enumerate(lines):
+        adj[ln.from_bus - 1].append(l)
+        adj[ln.to_bus - 1].append(l)
+    parent = np.arange(bus_count)
+    child = np.full(len(lines), -1)
+    sign = np.empty(len(lines))
+    order = []
+    frontier = [root]
+    for u in frontier:  # grows while it is walked: a breadth-first search
+        for l in adj[u]:
+            if child[l] >= 0:  # the line up to u's parent
+                continue
+            ln = lines[l]
+            down = ln.from_bus - 1 == u
+            v = ln.to_bus - 1 if down else ln.from_bus - 1
+            parent[v], child[l], sign[l] = u, v, 1.0 if down else -1.0
+            order.append(l)
+            frontier.append(v)
+    arrays = (parent, child, np.asarray(order, dtype=int), sign)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return TreeTopology(root, *arrays)
 
 
 def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkModel:
@@ -151,8 +200,10 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
     limits = np.asarray([ln.limit for ln in lines], dtype=float)
     ptdf.setflags(write=False)
     limits.setflags(write=False)
+    tree = (_tree_topology(bus_count, lines, slack)
+            if len(lines) == bus_count - 1 else None)
     return NetworkModel(bus_count=bus_count, slack=slack, lines=lines,
-                        ptdf=ptdf, limits=limits)
+                        ptdf=ptdf, limits=limits, tree=tree)
 
 
 def line_flows(net: NetworkModel, purchases: np.ndarray) -> np.ndarray:

@@ -87,6 +87,20 @@ def limited_scenarios(draw, max_size=20):
                     a=float(rng.uniform(0.5, 2.0)))
 
 
+def with_chords(scenario, count, seed=0):
+    """The scenario on its network plus ``count`` chords between random
+    buses, each limited at the median line limit: a congested mesh."""
+    net = scenario.network
+    rng = np.random.default_rng(seed)
+    limit = float(np.median(net.limits))
+    lines = list(net.lines)
+    for _ in range(count):
+        u, v = rng.choice(net.bus_count, 2, replace=False) + 1
+        lines.append(LineSpec(int(u), int(v), float(rng.uniform(0.5, 2.0)), limit))
+    return Scenario(network=build_network(net.bus_count, lines, net.slack),
+                    prosumers=scenario.prosumers, a=scenario.a)
+
+
 def balanced_vector(rng, size, scale=10.0):
     q = rng.uniform(-scale, scale, size)
     return q - q.mean()

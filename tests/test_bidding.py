@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from esharing import cases, equilibrium, market
+from conftest import with_chords
+from esharing import cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
     a_min,
@@ -136,7 +137,8 @@ def test_trace_distance_helper(two_f5):
 
 def test_settled_rounds_take_one_solver_iteration(monkeypatch):
     # each round warm starts from the previous round's active set, so once
-    # the set stops changing a round's program is solved by its first guess
+    # the set stops changing a round's program is solved by its first guess;
+    # a mesh, because a tree never reaches the QP
     solves = []
 
     def recording(qp, x0=None, active=()):
@@ -145,7 +147,23 @@ def test_settled_rounds_take_one_solver_iteration(monkeypatch):
         return sol
 
     monkeypatch.setattr(market, "solve_qp", recording)
-    run_bidding(gen_scenario(7, 38, "tight"))
+    run_bidding(with_chords(gen_scenario(7, 38, "tight"), 3))
     settled = [its for guess, found, its in solves if guess and guess == found]
     assert len(settled) > len(solves) // 2
     assert settled == [1] * len(settled)
+
+
+def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
+    # on a tree each round checks the previous round's held lines in closed
+    # form; only a round whose set changes runs the exact pass
+    exact_pass = tree._exact_pass
+    passes = []
+
+    def counting(*args):
+        passes.append(args)
+        return exact_pass(*args)
+
+    monkeypatch.setattr(tree, "_exact_pass", counting)
+    result = run_bidding(gen_scenario(7, 38, "tight"))
+    assert result.iterations == 124
+    assert 0 < len(passes) <= 15

@@ -245,3 +245,18 @@ def test_bad_arguments_exit_1_without_traceback(argv, fixture_file, tmp_path,
     code = cli.main([arg.format(scenario=fixture_file) for arg in argv])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gne", "bid", "poa"])
+@pytest.mark.parametrize("key,value", [("D", "NaN"), ("d", "NaN"),
+                                       ("c", "Infinity")])
+def test_non_finite_prosumer_data_exits_1_without_traceback(
+        command, key, value, fixture_file, tmp_path, capsys):
+    # Python's json reads NaN and Infinity
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    doc["prosumers"][0][key] = float(value.replace("Infinity", "inf"))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 1
+    assert "must be finite" in capsys.readouterr().err

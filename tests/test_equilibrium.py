@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esharing import cases, equilibrium
+from conftest import with_chords
+from esharing import cases, equilibrium, market, tree
 from esharing.errors import DegenerateBaseline, NonRadialWarning
 from esharing.market import Scenario, clear_market
 from esharing.scenario_io import gen_scenario
@@ -219,20 +220,21 @@ def test_equilibrium_invariants_on_generated_scenarios(seed):
 
 @pytest.mark.parametrize("size", [120, 200])
 def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch):
-    scenario = gen_scenario(7, size, "tight")
+    # a mesh, because a tree never reaches the QP
+    scenario = with_chords(gen_scenario(7, size, "tight"), 3)
     eqm = equilibrium.improved_gne(scenario)
-    solve_qp = equilibrium.solve_qp
+    solve_qp = market.solve_qp
     solves = []
 
     def recording(*args, **kwargs):
         solves.append(solve_qp(*args, **kwargs))
         return solves[-1]
 
-    monkeypatch.setattr(equilibrium, "solve_qp", recording)
+    monkeypatch.setattr(market, "solve_qp", recording)
     report = equilibrium.poa(scenario, eqm)
     cold = equilibrium.social_optimum(scenario)
     hot_solve, cold_solve = solves
-    # a cold social solve takes 133 and 209 iterations here
+    # a cold social solve takes 103 and 174 iterations here
     assert hot_solve.iterations <= 3 < cold_solve.iterations
     assert np.abs(hot_solve.x - cold.p_tilde).max() \
         <= 1e-12 * np.abs(cold.p_tilde).max()
@@ -240,3 +242,25 @@ def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch)
     assert report["poa_value"] == pytest.approx(
         eqm.total_disutility / cold.total_cost, rel=1e-12, abs=0.0)
     assert equilibrium.poa(scenario) == report
+
+
+@pytest.mark.parametrize("size", [120, 200])
+def test_poa_on_a_tree_takes_the_social_active_set_from_the_equilibrium(
+        size, monkeypatch):
+    scenario = gen_scenario(7, size, "tight")
+    eqm = equilibrium.improved_gne(scenario)
+    cold = equilibrium.social_optimum(scenario)
+
+    def no_exact_pass(*args):
+        raise AssertionError("the equilibrium's binding lines were not optimal")
+
+    monkeypatch.setattr(tree, "_exact_pass", no_exact_pass)
+    report = equilibrium.poa(scenario, eqm)
+    assert report["social_cost"] == pytest.approx(cold.total_cost, rel=1e-12, abs=0.0)
+
+
+def test_poa_is_not_below_one_by_rounding():
+    # every line binds, so the equilibrium and social plans coincide in
+    # exact arithmetic; the social cost is the lower of the two costs
+    report = equilibrium.poa(gen_scenario(18, 5, "tight"))
+    assert report["poa_value"] >= 1.0

@@ -227,3 +227,17 @@ def test_scenario_validation(two_f5):
         Scenario(network=net, prosumers=pros, a=0.0)
     with pytest.raises(TooFewProsumers):
         Scenario(network=build_network(1, []), prosumers=pros[:1], a=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("c", np.inf), ("d", np.nan), ("d", -np.inf),
+    ("demand_reduction", np.nan), ("demand_reduction", np.inf)])
+def test_prosumer_refuses_non_finite_data(field, value):
+    data = {"c": 1.0, "d": 0.5, "demand_reduction": 2.0, field: value}
+    with pytest.raises(DimensionMismatch):
+        Prosumer(**data)
+
+
+def test_scenario_refuses_an_infinite_sensitivity(two_f5):
+    with pytest.raises(DimensionMismatch):
+        Scenario(network=two_f5.network, prosumers=two_f5.prosumers, a=np.inf)

@@ -1,0 +1,116 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_tree, with_chords
+from esharing import equilibrium, market, tree
+from esharing.network import LineSpec, build_network
+from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
+from esharing.scenario_io import gen_scenario
+
+FORMS = ("clearing", "proximal", "central", "social")
+
+
+@st.composite
+def tree_programs(draw):
+    """A random tree with zero, finite and unlimited lines, any slack bus and
+    random line directions, and one of the four package programs on it as
+    ``(net, hess, linear, base, k)``, its curvature scaled over 1e+-2."""
+    size = draw(st.integers(2, 24))
+    form = draw(st.sampled_from(FORMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.permutation(size) + 1
+    lines = []
+    for child in range(2, size + 1):
+        ends = [int(label[rng.integers(child - 1)]), int(label[child - 1])]
+        rng.shuffle(ends)
+        limit = rng.choice([0.0, np.inf, *rng.uniform(0.05, 1.0, 4)])
+        lines.append(LineSpec(*ends, float(rng.uniform(0.5, 2.0)), float(limit)))
+    net = build_network(size, lines, slack=int(rng.integers(1, size + 1)))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    if form in ("clearing", "proximal"):
+        a = float(rng.uniform(0.5, 2.0)) * scale
+        bids = rng.uniform(-2.0, 3.0, size)
+        if form == "clearing":
+            return net, np.full(size, 2.0), np.zeros(size), bids, a
+        anchor = rng.uniform(-1.0, 2.0, size) / a
+        return net, np.full(size, 4.0), -2.0 * anchor, bids, a
+    c = rng.uniform(0.5, 2.0, size) * scale
+    d = rng.uniform(0.0, 1.0, size) * scale
+    D = rng.uniform(0.0, 2.0, size)
+    if form == "social":
+        return net, 2.0 * c, d, D, 1.0
+    w = 1.0 / (float(rng.uniform(0.5, 2.0)) * (size - 1))
+    return net, 2.0 * c + w, d - w * D, D, 1.0
+
+
+def oracle(net, hess, linear, base, k):
+    """The program as a dense QP, and its active-set solution."""
+    G = net.ptdf.T
+    qp = QuadraticProgram(
+        hessian=np.diag(hess), linear=linear,
+        eq_matrix=np.ones((1, net.bus_count)), eq_rhs=[base.sum() / k],
+        ineq_matrix=-k * G, ineq_lower=-net.limits - G @ base,
+        ineq_upper=net.limits - G @ base)
+    return qp, solve_qp(qp, x0=base / k)
+
+
+def assert_same(sol, ref):
+    def close(x, y):
+        return np.abs(x - y).max() <= 1e-9 * np.abs(y).max() + 1e-12
+
+    assert close(sol.x, ref.x)
+    assert close(np.concatenate([sol.eq_duals, sol.ineq_duals_lower,
+                                 sol.ineq_duals_upper]),
+                 np.concatenate([ref.eq_duals, ref.ineq_duals_lower,
+                                 ref.ineq_duals_upper]))
+
+
+@settings(max_examples=300)
+@given(tree_programs())
+def test_tree_solver_matches_the_qp(program):
+    qp, ref = oracle(*program)
+    sol = tree.solve_tree(*program)
+    assert_same(sol, ref)
+    assert kkt_residual(qp, sol) <= 1e-8
+    assert sol.residual <= 1e-8
+
+
+@settings(max_examples=150)
+@given(tree_programs(), st.integers(0, 2**32 - 1))
+def test_any_hot_start_gives_the_same_answer(program, seed):
+    net = program[0]
+    rng = np.random.default_rng(seed)
+    _, ref = oracle(*program)
+    right = list(ref.active_set)
+    subset = [pair for pair in right if rng.random() < 0.5]
+    spare = [l for l in range(net.line_count)
+             if l not in {r for r, _ in right}]
+    extra = right + [(int(rng.choice(spare)), rng.choice(["lower", "upper"]))] \
+        if spare else right
+    for guess in (right, subset, extra):
+        assert_same(tree.solve_tree(*program, active=guess), ref)
+    assert tree.solve_tree(*program, active=right).iterations == 1
+
+
+def test_topology_agrees_with_the_ptdf():
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 9, 30):
+        lines = random_tree(rng, size).lines
+        net = build_network(size, lines, slack=int(rng.integers(1, size + 1)))
+        topo = net.tree
+        expected = np.zeros_like(net.ptdf)
+        for l in topo.order:  # a bus below line l sees the lines above l too
+            below = topo.child[l]
+            expected[below] = expected[topo.parent[below]]
+            expected[below, l] = topo.sign[l]
+        assert topo.root == net.slack - 1
+        assert topo.parent[topo.root] == topo.root
+        assert np.abs(net.ptdf - expected).max() <= 1e-12
+
+
+def test_meshes_have_no_tree_and_keep_the_qp(monkeypatch):
+    scenario = with_chords(gen_scenario(3, 12, "tight"), 2)
+    assert scenario.network.tree is None
+    monkeypatch.setattr(market, "solve_tree", None)
+    equilibrium.improved_gne(scenario)
+

@@ -35,7 +35,6 @@ class BiddingConfig:
 
     epsilon: float | None = None
     max_iter: int = 500
-    record_trace: bool = True
     init_bids: object = None
     init_prices: object = None
 
@@ -69,6 +68,12 @@ class BiddingTrace:
 
     def __len__(self) -> int:
         return len(self.bids)
+
+    def record(self, prices, bids, production, delta_b: float) -> None:
+        self.prices.append(prices)
+        self.bids.append(bids)
+        self.production.append(production)
+        self.delta_b.append(delta_b)
 
     def distances(self, eqm: EquilibriumResult) -> np.ndarray:
         """Euclidean distance of each iterate (p, b) to the equilibrium."""
@@ -104,9 +109,10 @@ def platform_update(scenario: Scenario, prices_k, bids_k,
     """Proximal re-clearing of the standing bids.
 
     Minimizes ``sum lam_i^2 + sum (lam_i - lam_i^k)^2`` over prices whose
-    induced demands at ``bids_k`` balance and respect the flow limits.  The
-    uncongested stationary point ``lam_i = lam_i^k / 2 - a eta / 4`` is used
-    directly when its flows are feasible.  ``active`` (the previous round's
+    induced demands at ``bids_k`` balance and respect the flow limits, by
+    :func:`esharing.market._solve_program`: with no line at a limit the
+    answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4`` and
+    no program is built for it.  ``active`` (the previous round's
     ``active_set``) is the solver's first guess.
     """
     return _clear(scenario, bids_k, prices_k, active)
@@ -154,11 +160,7 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
     p = scenario.D + scenario.a * lam - b
 
     trace = BiddingTrace()
-    if config.record_trace:
-        trace.prices.append(lam.copy())
-        trace.bids.append(b.copy())
-        trace.production.append(p.copy())
-        trace.delta_b.append(float("nan"))
+    trace.record(lam.copy(), b.copy(), p.copy(), float("nan"))
 
     active = ()
     for k in range(1, config.max_iter + 1):
@@ -166,11 +168,7 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
         lam_next, active = cleared.prices, cleared.active_set
         p_next, b_next = prosumer_update(scenario, lam_next)
         delta = float(np.abs(b_next - b).max())
-        if config.record_trace:
-            trace.prices.append(lam_next)
-            trace.bids.append(b_next)
-            trace.production.append(p_next)
-            trace.delta_b.append(delta)
+        trace.record(lam_next, b_next, p_next, delta)
         lam, b, p = lam_next, b_next, p_next
         if delta <= eps:
             trace.termination = "converged"

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScanIntervalEmpty, WrongTopology
-from .market import (
-    Scenario,
-    clear_market,
-    marginal_term,
-    prosumer_cost_from_outcome,
-)
+from .market import Scenario, clear_market, cost_at
 from .network import is_radial
+
+_REFINE_FACTOR = 10  # spacing shrink per refinement round
+_DISTINCT_TOL = 1e-5  # refined minima closer than this are one minimum
+_FIXED_POINT_TOL = 1e-5  # sweep step below which br_iteration verifies
+_CYCLE_TOL = 1e-5  # distance at which a sweep revisits an earlier state
+_VERIFY_TOL = 1e-6  # deviation gap a verified fixed point may leave
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,13 @@ class ScanConfig:
     """Grid controls for :func:`best_response`.
 
     ``interval=None`` auto-sizes around the marginal-cost-consistent bid
-    range (see ``_auto_interval``).  Refinement shrinks the spacing by
-    ``refine_factor`` per round around each local minimum.
+    range (see ``_auto_interval``).  Each of the ``refine_rounds`` shrinks
+    the spacing tenfold around each local minimum.
     """
 
     interval: tuple | None = None
     coarse_points: int = 2001
     refine_rounds: int = 3
-    refine_factor: int = 10
-    distinct_tol: float = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,18 +207,6 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
     return prices
 
 
-def _cost_curve(scenario: Scenario, i: int, t: np.ndarray, lam_i: np.ndarray,
-                regulated: bool) -> np.ndarray:
-    """Prosumer ``i`` cost along its bids ``t`` with clearing prices ``lam_i``."""
-    q_i = t - scenario.a * lam_i
-    p = scenario.D[i] - q_i
-    disutility = scenario.c[i] * p * p + scenario.d[i] * p
-    pay = lam_i * q_i
-    if regulated:
-        pay = np.maximum(pay, marginal_term(scenario, p, q_i, i) * q_i)
-    return disutility + pay
-
-
 def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
                    include=()) -> tuple:
     """Heuristic bid window guaranteed wide enough in practice.
@@ -286,7 +273,8 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     path = _clearing_path(scenario, i, b_base)
 
     def evaluate(t):
-        return _cost_curve(scenario, i, t, path(t), regulated)
+        lam_i = path(t)
+        return cost_at(scenario, lam_i, t - scenario.a * lam_i, regulated, i)
 
     t = np.linspace(lo, hi, cfg.coarse_points)
     cost = evaluate(t)
@@ -298,18 +286,18 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
         h = spacing
         for _ in range(cfg.refine_rounds):
             wt = np.linspace(max(t_best - h, lo), min(t_best + h, hi),
-                             2 * cfg.refine_factor + 1)
+                             2 * _REFINE_FACTOR + 1)
             wc = evaluate(wt)
             j_best = int(np.argmin(wc))
             t_best, c_best = float(wt[j_best]), float(wc[j_best])
-            h /= cfg.refine_factor
+            h /= _REFINE_FACTOR
         minima.append((t_best, c_best))
 
     # merge refinements that collapsed onto the same point
     minima.sort()
     merged = []
     for t_min, c_min in minima:
-        if merged and abs(t_min - merged[-1][0]) <= cfg.distinct_tol:
+        if merged and abs(t_min - merged[-1][0]) <= _DISTINCT_TOL:
             if c_min < merged[-1][1]:
                 merged[-1] = (t_min, c_min)
         else:
@@ -333,13 +321,12 @@ def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
     """
     b = np.asarray(b, dtype=float)
     incumbent = clear_market(scenario, b)
+    incumbent_costs = cost_at(scenario, incumbent.prices, incumbent.quantities,
+                              regulated)
     n = scenario.size
     gaps = np.empty(n)
-    incumbent_costs = np.empty(n)
     best_bids = np.empty(n)
     for i in range(n):
-        incumbent_costs[i] = prosumer_cost_from_outcome(
-            scenario, incumbent, i, regulated=regulated)
         scan = best_response(scenario, i, np.delete(b, i),
                              scan_config=scan_config, regulated=regulated,
                              include=(float(b[i]),))
@@ -383,8 +370,7 @@ def classify_gne_2bus(c: float, D1: float, D2: float, F: float) -> GneClassifica
 
 
 def br_iteration(scenario: Scenario, b0, iters: int = 20,
-                 fp_tol: float = 1e-5, cycle_tol: float = 1e-5,
-                 verify_tol: float = 1e-6, regulated: bool = False,
+                 regulated: bool = False,
                  scan_config: ScanConfig | None = None) -> BrTrajectory:
     """Sequential best-response sweeps from ``b0``.
 
@@ -405,15 +391,15 @@ def br_iteration(scenario: Scenario, b0, iters: int = 20,
             b[i] = scan.best_bid
         states.append(b.copy())
         delta = float(np.abs(states[-1] - states[-2]).max())
-        if delta <= fp_tol:
-            verification = verify_gne(scenario, b, tol=verify_tol,
+        if delta <= _FIXED_POINT_TOL:
+            verification = verify_gne(scenario, b, tol=_VERIFY_TOL,
                                       regulated=regulated,
                                       scan_config=scan_config)
             if verification.is_gne:
                 termination = "fixed_point"
                 break
         revisited = any(
-            float(np.abs(b - s).max()) <= cycle_tol for s in states[:-2]
+            float(np.abs(b - s).max()) <= _CYCLE_TOL for s in states[:-2]
         )
         if revisited:
             termination = "cycling"

@@ -29,8 +29,8 @@ from .market import (
     Scenario,
     _solve_program,
     clear_market,
+    cost_at,
     marginal_term,
-    prosumer_cost_from_outcome,
 )
 from .network import is_radial
 
@@ -150,7 +150,6 @@ def improved_gne(scenario: Scenario) -> EquilibriumResult:
     self-consistency residual: re-clearing the equilibrium bids must
     reproduce the equilibrium prices.
     """
-    n = scenario.size
     p_bar, kappa, tau_lo, tau_up = central_solution(scenario)
     q_bar = scenario.D - p_bar
     lam_r = marginal_term(scenario, p_bar, q_bar)
@@ -160,10 +159,8 @@ def improved_gne(scenario: Scenario) -> EquilibriumResult:
     clearing = clear_market(scenario, b_bar,
                             active=_binding_lines(tau_lo, tau_up))
     residual = float(np.abs(clearing.prices - lam_r).max())
-    costs = np.array([
-        prosumer_cost_from_outcome(scenario, clearing, i, regulated=True)
-        for i in range(n)
-    ])
+    costs = cost_at(scenario, clearing.prices, clearing.quantities,
+                    regulated=True)
     return EquilibriumResult(
         p_bar=p_bar, b_bar=b_bar, lambda_r=lam_r, kappa=kappa,
         tau_lower=tau_lo, tau_upper=tau_up, costs=costs,

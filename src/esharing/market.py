@@ -106,8 +106,9 @@ class ClearingOutcome:
 
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
     of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``active_set`` is
-    the solver's, in the format of :attr:`esharing.qp.QpSolution.active_set`;
-    it is empty when no line is at a limit and no program was solved.
+    the solver's, in the format of :attr:`esharing.qp.QpSolution.active_set`:
+    the lines it held at a limit.  It is empty at a uniform price, except
+    that the tree solver always holds a zero-limit line.
     """
 
     prices: np.ndarray
@@ -122,13 +123,11 @@ class ClearingOutcome:
 def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
-    The uncongested solution has a uniform price equal to the mean bid over
-    ``a I``; it is returned directly whenever its flows respect all limits
-    (this is exact, not an approximation: with no active flow constraint the
-    stationarity system forces a uniform price).  Otherwise the price-space
-    program is solved, exactly on a radial network and by the active-set
-    solver on a meshed one, trying ``active`` (the ``active_set`` of a
-    related clearing) as its first guess.
+    Solves the price-space program by :func:`_solve_program`: exactly on a
+    radial network and by the active-set solver on a meshed one, trying
+    ``active`` (the ``active_set`` of a related clearing) as its first
+    guess.  With no line at a limit the price is uniform, the mean bid over
+    ``a I``, and no program is built for it.
     """
     return _clear(scenario, bids, None, active)
 
@@ -138,12 +137,10 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
 
     Minimizes ``sum lam_i^2``, plus ``sum (lam_i - anchor_i)^2`` when an
     ``anchor`` is given, over prices whose demands ``b - a lam`` balance and
-    keep every line flow within its limit.  The stationary point with no
-    line at a limit is used directly when its flows are feasible.  Otherwise
-    :func:`_solve_program` solves the program with ``active`` as its hot
-    start: on a radial network by the exact tree solver, on a meshed one by
-    the active-set QP from the no-trade prices ``lam = b / a``, which are
-    feasible for every limit >= 0.
+    keep every line flow within its limit.  :func:`_solve_program` solves it
+    with ``active`` as its hot start; on a meshed network its QP starts from
+    the no-trade prices ``lam = b / a``, which are feasible for every limit
+    >= 0.
     """
     b = np.asarray(bids, dtype=float)
     n = scenario.size
@@ -151,32 +148,17 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         raise DimensionMismatch(f"expected {n} bids, got shape {b.shape}")
     net = scenario.network
     a = scenario.a
-    limits = net.limits
-    G = net.ptdf.T
     if anchor is None:
         h, g = 2.0, np.zeros(n)
     else:
         h, g = 4.0, -2.0 * np.asarray(anchor, dtype=float)
-
-    # uncongested candidate: stationarity h lam + g + a eta = 0 plus balance
-    free_lam = -g / h
-    lam = free_lam - (float(free_lam.sum()) - float(b.sum()) / a) / n
-    q = b - a * lam
-    flows = G @ q
-    if np.all(np.abs(flows) <= limits):
-        return ClearingOutcome(
-            prices=lam, quantities=q, eta=-(h * lam[0] + g[0]) / a,
-            alpha_lower=np.zeros(net.line_count),
-            alpha_upper=np.zeros(net.line_count), flows=flows,
-        )
-
     sol = _solve_program(net, np.full(n, h), g, b, a, b / a, active)
     lam = sol.x
     q = b - a * lam
     return ClearingOutcome(
         prices=lam, quantities=q, eta=float(sol.eq_duals[0]) / a,
         alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
-        flows=G @ q, active_set=sol.active_set,
+        flows=net.ptdf.T @ q, active_set=sol.active_set,
     )
 
 
@@ -185,13 +167,27 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float, x0,
     """Minimize ``sum (hess x^2 / 2 + linear x)`` over ``x`` whose purchases
     ``base - k x`` balance and keep every line flow within its limit.
 
-    A radial network is solved exactly by :func:`esharing.tree.solve_tree`;
-    a meshed one by :func:`esharing.qp.solve_qp` from the feasible ``x0``.
-    Either way ``active``, a guess of the lines at a limit, is a hot start.
+    With no line at a limit the local price ``u = hess x + linear`` is one
+    number, at which the purchases ``alpha - beta u`` (``alpha = base + k
+    linear / hess``, ``beta = k / hess``) balance.  A radial network is
+    solved exactly by :func:`esharing.tree.solve_tree`, whose empty guess is
+    this point.  On a meshed one the point is returned when its flows are
+    within their limits, and otherwise :func:`esharing.qp.solve_qp` solves
+    the program from the feasible ``x0``.  Either way ``active``, a guess of
+    the lines at a limit, is a hot start.
     """
     if is_radial(net):
         return solve_tree(net, hess, linear, base, k, active)
     G = net.ptdf.T
+    alpha, beta = base + k * linear / hess, k / hess
+    u = alpha.sum() / beta.sum()
+    q = alpha - beta * u
+    if np.all(np.abs(G @ q) <= net.limits):
+        none = np.zeros(net.line_count)
+        return QpSolution(x=(u - linear) / hess, eq_duals=np.array([-u]),
+                          ineq_duals_lower=none, ineq_duals_upper=none,
+                          active_set=(), iterations=0,
+                          residual=abs(float(q.sum())))
     Gb = G @ base
     qp = QuadraticProgram(
         hessian=np.diag(hess),
@@ -222,10 +218,10 @@ def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) ->
         float(max(np.max(-outcome.alpha_lower, initial=0.0),
                   np.max(-outcome.alpha_upper, initial=0.0), 0.0)),
     ]
-    comp_lo = np.abs(outcome.alpha_lower) * np.abs(outcome.flows + net.limits)
-    comp_up = np.abs(outcome.alpha_upper) * np.abs(net.limits - outcome.flows)
-    comp = np.concatenate([comp_lo, comp_up])
-    comp[np.isnan(comp)] = 0.0  # 0 * inf on unlimited lines
+    finite = np.isfinite(net.limits)  # an unlimited line has no bound to meet
+    f, F = outcome.flows[finite], net.limits[finite]
+    comp = np.concatenate([np.abs(outcome.alpha_lower[finite] * (f + F)),
+                           np.abs(outcome.alpha_upper[finite] * (F - f))])
     parts.append(float(np.max(comp, initial=0.0)))
     return max(parts)
 
@@ -255,35 +251,42 @@ def regulated_price(scenario: Scenario, clearing: ClearingOutcome, p) -> np.ndar
                     np.minimum(lam, m))
 
 
-def payment(scenario: Scenario, bids, p_i: float, i: int) -> float:
-    """Regulated payment of prosumer ``i`` under bid vector ``bids``.
+def _payment(scenario: Scenario, prices, purchases, p, i, regulated: bool):
+    """Sharing payment ``lam q``; regulated, the max of ``lam q`` and
+    ``m q`` with ``m`` the adjusted marginal disutility, which equals
+    (regulated price) x quantity for buyers and sellers alike."""
+    pay = prices * purchases
+    if regulated:
+        pay = np.maximum(pay, marginal_term(scenario, p, purchases, i) * purchases)
+    return pay
 
-    The max of the two candidate products equals (regulated price) x quantity
-    for both buyers and sellers.
-    """
+
+def payment(scenario: Scenario, bids, p_i: float, i: int) -> float:
+    """Regulated payment of prosumer ``i`` at production ``p_i`` under bid
+    vector ``bids``."""
     out = clear_market(scenario, bids)
-    q_i = float(out.quantities[i])
-    m_i = marginal_term(scenario, p_i, q_i, i)
-    return max(float(out.prices[i]) * q_i, m_i * q_i)
+    return float(_payment(scenario, out.prices[i], out.quantities[i], p_i, i,
+                          True))
 
 
 def prosumer_cost(scenario: Scenario, bids, i: int, regulated: bool = False) -> float:
-    """Cost of prosumer ``i`` at bid vector ``bids``.
+    """Cost of prosumer ``i`` at bid vector ``bids``: :func:`cost_at` of
+    its clearing."""
+    out = clear_market(scenario, bids)
+    return float(cost_at(scenario, out.prices[i], out.quantities[i],
+                         regulated, i))
+
+
+def cost_at(scenario: Scenario, prices, purchases, regulated: bool = False,
+            i=slice(None)) -> np.ndarray:
+    """Costs of the prosumers selected by ``i`` (all of them by default) at
+    their cleared ``prices`` and ``purchases``.
 
     Production is pinned by the market constraint ``p_i = D_i - q_i``; the
-    cost is disutility plus the (regulated or raw) sharing payment.
+    cost is disutility plus the (regulated or raw) sharing payment.  With a
+    single ``i``, ``prices`` and ``purchases`` may be arrays of that
+    prosumer's outcomes, such as the points of a bid scan.
     """
-    out = clear_market(scenario, bids)
-    return prosumer_cost_from_outcome(scenario, out, i, regulated=regulated)
-
-
-def prosumer_cost_from_outcome(scenario: Scenario, out: ClearingOutcome, i: int,
-                               regulated: bool = False) -> float:
-    """Same as :func:`prosumer_cost` but reusing an existing clearing."""
-    q_i = float(out.quantities[i])
-    p_i = float(scenario.D[i]) - q_i
-    ju = scenario.prosumers[i].disutility(p_i)
-    lam_q = float(out.prices[i]) * q_i
-    if not regulated:
-        return ju + lam_q
-    return ju + max(lam_q, marginal_term(scenario, p_i, q_i, i) * q_i)
+    p = scenario.D[i] - purchases
+    return (scenario.c[i] * p * p + scenario.d[i] * p
+            + _payment(scenario, prices, purchases, p, i, regulated))

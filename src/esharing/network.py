@@ -45,6 +45,8 @@ class LineSpec:
             )
         if not self.weight > 0.0:
             raise NonpositiveWeight(f"line weight must be > 0, got {self.weight}")
+        if not np.isfinite(self.weight):  # JSON files may hold Infinity
+            raise DimensionMismatch(f"line weight must be finite, got {self.weight}")
         if not self.limit >= 0.0:  # also refuses NaN
             raise DimensionMismatch(f"line limit must be >= 0, got {self.limit}")
 
@@ -95,10 +97,6 @@ class NetworkModel:
     def line_count(self) -> int:
         return len(self.lines)
 
-    @property
-    def finite_limit_mask(self) -> np.ndarray:
-        return np.isfinite(self.limits)
-
 
 def _incidence(bus_count: int, lines) -> np.ndarray:
     """Bus-by-line incidence: +1 at the from-bus, -1 at the to-bus."""
@@ -109,46 +107,36 @@ def _incidence(bus_count: int, lines) -> np.ndarray:
     return C
 
 
-def _check_connected(bus_count: int, lines) -> None:
-    seen = {1}
-    frontier = [1]
-    adj = {i: [] for i in range(1, bus_count + 1)}
-    for ln in lines:
-        adj[ln.from_bus].append(ln.to_bus)
-        adj[ln.to_bus].append(ln.from_bus)
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    if len(seen) != bus_count:
-        missing = sorted(set(range(1, bus_count + 1)) - seen)
-        raise DisconnectedGraph(f"buses unreachable from bus 1: {missing}")
-
-
 def _tree_topology(bus_count: int, lines, slack: int) -> TreeTopology:
-    """Breadth-first rooting of a connected radial network at ``slack``."""
+    """Breadth-first search from ``slack``: the network rooted there.
+
+    On a mesh the result is one spanning tree of it.  Raises
+    :class:`DisconnectedGraph` when some bus is not reached.
+    """
     root = slack - 1
     adj = [[] for _ in range(bus_count)]
     for l, ln in enumerate(lines):
         adj[ln.from_bus - 1].append(l)
         adj[ln.to_bus - 1].append(l)
-    parent = np.arange(bus_count)
+    parent = np.full(bus_count, -1)
+    parent[root] = root
     child = np.full(len(lines), -1)
     sign = np.empty(len(lines))
     order = []
     frontier = [root]
     for u in frontier:  # grows while it is walked: a breadth-first search
         for l in adj[u]:
-            if child[l] >= 0:  # the line up to u's parent
-                continue
             ln = lines[l]
             down = ln.from_bus - 1 == u
             v = ln.to_bus - 1 if down else ln.from_bus - 1
+            if parent[v] >= 0:  # the line up to u's parent, or a chord
+                continue
             parent[v], child[l], sign[l] = u, v, 1.0 if down else -1.0
             order.append(l)
             frontier.append(v)
+    if len(frontier) < bus_count:
+        missing = (np.flatnonzero(parent < 0) + 1).tolist()
+        raise DisconnectedGraph(f"buses unreachable from bus {slack}: {missing}")
     arrays = (parent, child, np.asarray(order, dtype=int), sign)
     for arr in arrays:
         arr.setflags(write=False)
@@ -179,7 +167,7 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
             raise DimensionMismatch(
                 f"line {ln.from_bus}->{ln.to_bus} references a bus outside 1..{bus_count}"
             )
-    _check_connected(bus_count, lines)
+    topology = _tree_topology(bus_count, lines, slack)
 
     C = _incidence(bus_count, lines)
     B = np.asarray([ln.weight for ln in lines])
@@ -200,8 +188,7 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
     limits = np.asarray([ln.limit for ln in lines], dtype=float)
     ptdf.setflags(write=False)
     limits.setflags(write=False)
-    tree = (_tree_topology(bus_count, lines, slack)
-            if len(lines) == bus_count - 1 else None)
+    tree = topology if len(lines) == bus_count - 1 else None
     return NetworkModel(bus_count=bus_count, slack=slack, lines=lines,
                         ptdf=ptdf, limits=limits, tree=tree)
 

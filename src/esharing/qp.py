@@ -51,7 +51,6 @@ from .errors import (
 )
 
 _FEAS_RTOL = 1e-9
-_STAT_RTOL = 1e-9
 
 
 def _as_array(a, shape_hint=None):
@@ -435,7 +434,3 @@ def feasibility_tolerance(qp: QuadraticProgram) -> float:
                     if qp.ineq_count else 0.0)
     return _FEAS_RTOL * (1.0 + rhs_scale)
 
-
-def stationarity_tolerance(qp: QuadraticProgram) -> float:
-    """Scaled stationarity tolerance used by the solution contract."""
-    return _STAT_RTOL * (1.0 + np.abs(qp.linear).max(initial=0.0))

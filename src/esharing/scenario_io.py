@@ -138,12 +138,11 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def gen_scenario(seed: int, size: int, style: str = "default",
-                 demand_range: tuple = (50.0, 150.0)) -> Scenario:
+def gen_scenario(seed: int, size: int, style: str = "default") -> Scenario:
     """Deterministic random radial scenario.
 
     Cost coefficients are drawn from [0.001, 0.01] ($/unit^2) and
-    [0.1, 1.0] ($/unit); demands from ``demand_range``.  Line limits are the
+    [0.1, 1.0] ($/unit); demands from [50, 150].  Line limits are the
     flows of an unconstrained optimal dispatch scaled by a style factor
     (``default``: 1.25, mildly binding at most; ``tight``: 0.6, actively
     congested).  The sensitivity is set at 5% above the convergence
@@ -157,7 +156,7 @@ def gen_scenario(seed: int, size: int, style: str = "default",
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.001, 0.01, size)
     d = rng.uniform(0.1, 1.0, size)
-    D = rng.uniform(demand_range[0], demand_range[1], size)
+    D = rng.uniform(50.0, 150.0, size)
     parents = [int(rng.integers(0, i)) for i in range(1, size)]
     weights = rng.uniform(0.5, 2.0, size - 1)
 

@@ -260,3 +260,17 @@ def test_non_finite_prosumer_data_exits_1_without_traceback(
     path.write_text(json.dumps(doc))
     assert cli.main([command, str(path)]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gne", "bid", "poa"])
+def test_infinite_line_weight_exits_1_without_traceback(command, fixture_file,
+                                                        tmp_path, capsys):
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    doc["network"]["lines"][0]["weight"] = float("inf")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err

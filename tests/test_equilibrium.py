@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import with_chords
 from esharing import cases, equilibrium, market, tree
 from esharing.errors import DegenerateBaseline, NonRadialWarning
-from esharing.market import Scenario, clear_market
+from esharing.market import Scenario, clear_market, clearing_kkt_residual
+from esharing.network import LineSpec, build_network
 from esharing.scenario_io import gen_scenario
 
 
@@ -242,6 +243,35 @@ def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch)
     assert report["poa_value"] == pytest.approx(
         eqm.total_disutility / cold.total_cost, rel=1e-12, abs=0.0)
     assert equilibrium.poa(scenario) == report
+
+
+def test_uncongested_programs_on_a_mesh_build_no_qp(monkeypatch):
+    meshed = with_chords(gen_scenario(3, 38, "tight"), 4)
+    net = meshed.network
+    # the same mesh with no limit on any line
+    lines = [LineSpec(ln.from_bus, ln.to_bus, ln.weight) for ln in net.lines]
+    scenario = Scenario(network=build_network(net.bus_count, lines, net.slack),
+                        prosumers=meshed.prosumers, a=meshed.a)
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("an uncongested program reached the QP")
+
+    monkeypatch.setattr(market, "solve_qp", no_qp)
+    bids = np.random.default_rng(0).uniform(0.0, 50.0, scenario.size)
+    out = clear_market(scenario, bids)
+    assert clearing_kkt_residual(scenario, bids, out) <= 1e-8
+    assert np.ptp(out.prices) == 0.0 and out.active_set == ()
+    p_bar, kappa, tau_lo, tau_up = equilibrium.central_solution(scenario)
+    w = 1.0 / (scenario.a * (scenario.size - 1))
+    marginal = (2.0 * scenario.c + w) * p_bar + scenario.d - w * scenario.D
+    assert np.abs(marginal + kappa).max() <= 1e-9 * abs(kappa)
+    assert p_bar.sum() == pytest.approx(scenario.D.sum(), rel=1e-12)
+    assert not tau_lo.any() and not tau_up.any()
+    so = equilibrium.social_optimum(scenario)
+    marginal = 2.0 * scenario.c * so.p_tilde + scenario.d
+    assert np.abs(marginal + so.kappa).max() <= 1e-9 * abs(so.kappa)
+    assert so.p_tilde.sum() == pytest.approx(scenario.D.sum(), rel=1e-12)
+    assert equilibrium.poa(scenario)["poa_value"] >= 1.0
 
 
 @pytest.mark.parametrize("size", [120, 200])

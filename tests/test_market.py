@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import with_chords
+from esharing.brlab import ScanConfig, verify_gne
+from esharing.equilibrium import improved_gne
 from esharing.errors import DimensionMismatch, TooFewProsumers
 from esharing.market import (
     Prosumer,
     Scenario,
     clear_market,
     clearing_kkt_residual,
+    cost_at,
     payment,
     prosumer_cost,
-    prosumer_cost_from_outcome,
     regulated_price,
 )
 from esharing.network import line_flows
@@ -107,6 +112,14 @@ def test_clearing_kkt_residual_small(seed):
     assert np.all(np.abs(flows) <= scenario.network.limits + 1e-8)
 
 
+def test_clearing_kkt_residual_on_unlimited_lines_warns_nothing(chain_f027):
+    bids = np.array([1.0, 3.6, 0.8])
+    out = clear_market(chain_f027, bids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clearing_kkt_residual(chain_f027, bids, out) <= 1e-8
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40)
 def test_demand_identity_and_price_balance(seed):
@@ -195,12 +208,33 @@ def test_zero_trade_cost_is_standalone_disutility(two_f10):
         assert prosumer_cost(two_f10, bids, i) == pytest.approx(expected)
 
 
-def test_cost_from_outcome_matches(two_f5):
+def test_cost_from_outcome_matches(two_f5, two_f10, chain_f03, chain_f027):
     out = clear_market(two_f5, GNE_BIDS_F5)
     for i in range(2):
-        assert prosumer_cost_from_outcome(two_f5, out, i, True) == \
+        assert cost_at(two_f5, out.prices[i], out.quantities[i], True, i) == \
             pytest.approx(prosumer_cost(two_f5, GNE_BIDS_F5, i,
                                         regulated=True))
+    tree = gen_scenario(3, 12, "tight")
+    rng = np.random.default_rng(0)
+    scan = ScanConfig(coarse_points=41, refine_rounds=1)
+    for scenario in (two_f5, two_f10, chain_f03, chain_f027, tree,
+                     with_chords(tree, 3)):
+        eqm = improved_gne(scenario)
+        # perturbed bids, at which regulation binds for some prosumers
+        off = eqm.b_bar * rng.uniform(0.8, 1.2, scenario.size)
+        for bids in (eqm.b_bar, off):
+            out = clear_market(scenario, bids)
+            for regulated in (False, True):
+                each = [prosumer_cost(scenario, bids, i, regulated)
+                        for i in range(scenario.size)]
+                tol = 1e-12 * np.abs(each).max()
+                assert np.abs(cost_at(scenario, out.prices, out.quantities,
+                                      regulated) - each).max() <= tol
+                check = verify_gne(scenario, bids, regulated=regulated,
+                                   scan_config=scan)
+                assert np.abs(check.incumbent_costs - each).max() <= tol
+                if regulated and bids is eqm.b_bar:
+                    assert np.abs(eqm.costs - each).max() <= tol
 
 
 def test_prosumer_validation():

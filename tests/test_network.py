@@ -115,6 +115,9 @@ def test_oracle_rejects_unbalanced_injections():
 def test_disconnected_graph_rejected():
     with pytest.raises(DisconnectedGraph):
         build_network(4, [LineSpec(1, 2), LineSpec(3, 4)])
+    # bus_count - 1 lines, but they close a cycle and leave the slack bus alone
+    with pytest.raises(DisconnectedGraph, match=r"unreachable from bus 4: \[1, 2, 3\]"):
+        build_network(4, [LineSpec(1, 2), LineSpec(2, 3), LineSpec(3, 1)])
 
 
 def test_line_validation():
@@ -128,6 +131,8 @@ def test_line_validation():
         LineSpec(1, 2, limit=-0.5)
     with pytest.raises(DimensionMismatch):
         LineSpec(1, 2, limit=math.nan)
+    with pytest.raises(DimensionMismatch):
+        LineSpec(1, 2, weight=math.inf)
 
 
 def test_bus_index_out_of_range():
@@ -150,4 +155,4 @@ def test_arrays_are_write_protected():
 def test_infinite_limit_mask():
     net = build_network(3, [LineSpec(1, 2, 1.0, 4.0),
                             LineSpec(2, 3, 1.0, math.inf)])
-    assert list(net.finite_limit_mask) == [True, False]
+    assert list(np.isfinite(net.limits)) == [True, False]

@@ -14,7 +14,6 @@ emits a warning, since the condition is sufficient, not necessary.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,12 +76,12 @@ class BiddingTrace:
 
     def distances(self, eqm: EquilibriumResult) -> np.ndarray:
         """Euclidean distance of each iterate (p, b) to the equilibrium."""
-        out = np.empty(len(self))
-        for k in range(len(self)):
-            dp = self.production[k] - eqm.p_bar
-            db = self.bids[k] - eqm.b_bar
-            out[k] = np.sqrt(float(dp @ dp) + float(db @ db))
-        return out
+        shape = (len(self), eqm.p_bar.size)
+        dp = np.reshape(self.production, shape) - eqm.p_bar
+        db = np.reshape(self.bids, shape) - eqm.b_bar
+        # row by row dot products, each summed as ``dp[k] @ dp[k]`` sums it
+        sq = dp[:, None, :] @ dp[:, :, None] + db[:, None, :] @ db[:, :, None]
+        return np.sqrt(sq[:, 0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +205,13 @@ def write_trace_csv(trace: BiddingTrace, path, eqm: EquilibriumResult | None = N
     equilibrium was supplied).  Iterations and prosumers are 1-based.
     """
     dist = trace.distances(eqm) if eqm is not None else None
+    columns = [np.asarray(rows, dtype=float).tolist()
+               for rows in (trace.prices, trace.bids, trace.production)]
+    # the text csv.writer makes of these rows, one write per iterate
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "i", "lambda", "b", "p",
-                         "delta_b_norm", "dist_to_eqm"])
-        for k in range(len(trace)):
-            delta = trace.delta_b[k]
-            for i in range(len(trace.bids[k])):
-                writer.writerow([
-                    k + 1, i + 1,
-                    repr(float(trace.prices[k][i])),
-                    repr(float(trace.bids[k][i])),
-                    repr(float(trace.production[k][i])),
-                    "" if np.isnan(delta) else repr(delta),
-                    "" if dist is None else repr(float(dist[k])),
-                ])
+        fh.write("iter,i,lambda,b,p,delta_b_norm,dist_to_eqm\r\n")
+        for k, (delta, *iterate) in enumerate(zip(trace.delta_b, *columns)):
+            tail = ("" if np.isnan(delta) else repr(float(delta))) + "," \
+                + ("" if dist is None else repr(float(dist[k])))
+            fh.write("".join([f"{k + 1},{i},{lam!r},{b!r},{p!r},{tail}\r\n"
+                              for i, (lam, b, p) in enumerate(zip(*iterate), 1)]))

@@ -16,7 +16,6 @@ the coarse grid and every refinement window share a handful of clearings.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,20 +232,15 @@ def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
 
 def _local_minima_indices(cost: np.ndarray) -> list:
     """Indices of local minima, plateau runs collapsed to one representative."""
-    m = cost.size
     tie = 1e-12 * (1.0 + float(np.abs(cost).max()))
-    mins = []
-    j = 0
-    while j < m:
-        k = j
-        while k + 1 < m and abs(cost[k + 1] - cost[k]) <= tie:
-            k += 1
-        left_ok = j == 0 or cost[j - 1] > cost[j] + tie
-        right_ok = k == m - 1 or cost[k + 1] > cost[k] + tie
-        if left_ok and right_ok:
-            mins.append((j + k) // 2)
-        j = k + 1
-    return mins
+    # runs of ties end where a step is not within the tie (NaN included)
+    step = np.flatnonzero(~(np.abs(np.diff(cost)) <= tie))
+    starts = np.concatenate([[0], step + 1])
+    ends = np.concatenate([step, [cost.size - 1]])
+    left_ok = cost[starts - 1] > cost[starts] + tie
+    right_ok = cost[np.minimum(ends + 1, cost.size - 1)] > cost[ends] + tie
+    left_ok[0] = right_ok[-1] = True
+    return ((starts + ends) // 2)[left_ok & right_ok].tolist()
 
 
 def best_response(scenario: Scenario, i: int, b_minus_i,
@@ -455,8 +449,6 @@ def example2_region(scenario: Scenario, b) -> Example2Region:
 
 def write_scan_csv(scan: BestResponseScan, path) -> None:
     """Write the coarse scan curve as two columns: bid, cost."""
+    rows = zip(scan.samples_b.tolist(), scan.samples_cost.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "cost"])
-        for bv, cv in zip(scan.samples_b, scan.samples_cost):
-            writer.writerow([repr(float(bv)), repr(float(cv))])
+        fh.write("".join(["b,cost\r\n", *(f"{b!r},{c!r}\r\n" for b, c in rows)]))

@@ -24,6 +24,7 @@ from .errors import (
     Infeasible,
     IterationLimit,
     MaxIterExceeded,
+    NonFiniteResult,
 )
 from .market import Scenario, clear_market, clearing_kkt_residual
 from .network import dc_flow_oracle, is_radial, line_flows
@@ -107,6 +108,28 @@ def render_report(report: RunReport, fmt: str) -> str:
     writer.writerow(["key", "value"])
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+def _nonfinite_key(value, key: str):
+    """The dotted key of the first infinite or NaN number in ``value``."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((key, v) for v in value)
+    elif isinstance(value, (float, np.floating, np.ndarray)):
+        return None if np.all(np.isfinite(value)) else key
+    else:
+        return None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
+
+
+def _require_finite(results: dict, residuals: dict) -> None:
+    """Refuse to report an infinite or NaN number.  Such a figure means the
+    computation overflowed, as it does for magnitudes near 1e308."""
+    for section, values in (("results", results), ("residuals", residuals)):
+        key = _nonfinite_key(values, section)
+        if key is not None:
+            raise NonFiniteResult(f"{key} is infinite or NaN; no report written")
 
 
 def _digest(path: str) -> str:
@@ -257,8 +280,6 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
     eqm = equilibrium.improved_gne(scenario)
     result = bidding.run_bidding(scenario, config)  # may raise MaxIterExceeded
     fejer = bidding.fejer_check(result.trace, eqm)
-    if args.trace:
-        bidding.write_trace_csv(result.trace, args.trace, eqm=eqm)
     results = {
         "iterations": result.iterations, "production": result.production,
         "bids": result.bids, "prices": result.prices,
@@ -266,7 +287,11 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
         "fejer_monotone": fejer.monotone,
         "gap_to_equilibrium": float(np.abs(result.bids - eqm.b_bar).max()),
     }
-    return results, {"fejer_violation": fejer.max_violation}
+    residuals = {"fejer_violation": fejer.max_violation}
+    if args.trace:
+        _require_finite(results, residuals)  # before the trace is written
+        bidding.write_trace_csv(result.trace, args.trace, eqm=eqm)
+    return results, residuals
 
 
 def _cmd_brlab(scenario: Scenario, args) -> tuple:
@@ -365,6 +390,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
             eqm = equilibrium.improved_gne(scenario)
             results, residuals = _cmd_gne(scenario, eqm)
             results["poa"] = equilibrium.poa(scenario, eqm)
+            _require_finite(results, residuals)
             report = RunReport(
                 command="batch/gne", scenario=path, digest=_digest(path),
                 elapsed_s=time.perf_counter() - started, results=results,
@@ -418,6 +444,7 @@ def run_command(argv) -> tuple:
             results, residuals = _cmd_brlab(scenario, args)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
+        _require_finite(results, residuals)
         report = RunReport(command=args.command, scenario=path,
                            digest=_digest(path),
                            elapsed_s=time.perf_counter() - started,

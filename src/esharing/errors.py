@@ -88,6 +88,10 @@ class FileError(EsharingError):
     """A scenario file could not be read, parsed, or validated."""
 
 
+class NonFiniteResult(EsharingError):
+    """A computed figure is infinite or NaN, so no report is written."""
+
+
 # --- warnings -------------------------------------------------------------
 
 class NonRadialWarning(UserWarning):

@@ -36,9 +36,19 @@ zero-limit line is always held, as its dual has no sign condition.  A
 guessed set, such as the previous bidding round's, is checked this way in
 O(n) numpy work.
 
-Exact pass, for a guess that fails the check.  Bottom-up, the purchase of
-the subtree below line l is a strictly decreasing piecewise-linear function
-of the price at its top,
+Exchange steps, for a guess that fails the check.  A primal-dual active-set
+step (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13(3), 2002) releases
+every held line with ``F_l > 0`` whose price jump has the wrong sign, holds
+every free line beyond its limit at the side it exceeds, and solves the
+components again; zero-limit lines stay held.  Each step costs one more
+component solve, and ``iterations`` counts the component solves made.  A
+guess a few lines off settles in a few steps, but the steps can cycle
+between held sets, so after ``_EXCHANGE_STEPS`` of them the exact pass
+below finds the set instead and guarantees termination.
+
+Exact pass, the fallback.  Bottom-up, the purchase of the subtree below
+line l is a strictly decreasing piecewise-linear function of the price at
+its top,
 
     P_l(u) = q_c(u) + sum_{lines m below bus c} clip(P_m(u), -F_m, F_m),
 
@@ -57,6 +67,7 @@ import numpy as np
 from .qp import QpSolution
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
+_EXCHANGE_STEPS = 8  # exchange steps tried before the exact pass
 
 
 def solve_tree(net, hess, linear, base, k: float, active=()) -> QpSolution:
@@ -69,23 +80,38 @@ def solve_tree(net, hess, linear, base, k: float, active=()) -> QpSolution:
     equality dual, the line duals in the sign convention of
     :func:`esharing.qp.solve_qp` for rows ``-k G x``, the held lines as its
     ``active_set``, the component solves made as ``iterations`` (1 when the
-    guess is right) and, as ``residual``, the worst balance error, flow
-    excess or clipped dual, the conditions not met exactly by construction.
+    guess is right, one more per exchange step and for the exact pass) and,
+    as ``residual``, the worst balance error, flow excess or clipped dual,
+    the conditions not met exactly by construction.
     """
     tree, limits = net.tree, net.limits
     alpha, beta = base + k * linear / hess, k / hess
     held = limits == 0.0
     target = np.zeros(limits.size)
-    for l, side in active:
-        if np.isfinite(limits[l]) and not held[l]:
-            held[l] = True
-            target[l] = tree.sign[l] * (limits[l] if side == "upper" else -limits[l])
+    if len(active):
+        guessed = np.array([l for l, _ in active])
+        sides = np.array([1.0 if side == "upper" else -1.0 for _, side in active])
+        keep = np.isfinite(limits[guessed]) & ~held[guessed]
+        guessed = guessed[keep]
+        held[guessed] = True
+        target[guessed] = tree.sign[guessed] * sides[keep] * limits[guessed]
     u, q, flows = _components(net, alpha, beta, held, target)
     iterations = 1
-    if not _optimal(tree, limits, held, target, u, q, flows):
-        held, target = _exact_pass(tree, limits, alpha, beta)
+    while True:
+        over, wrong = _violations(tree, limits, held, target, u, q, flows)
+        if not (over.any() or wrong.any()):
+            break
+        if iterations > _EXCHANGE_STEPS:  # the steps may cycle
+            held, target = _exact_pass(tree, limits, alpha, beta)
+            u, q, flows = _components(net, alpha, beta, held, target)
+            iterations += 1
+            break
+        # exchange step: release the lines pulling the wrong way, hold the
+        # free lines beyond their limit at the side they exceed
+        held = (held & ~wrong) | over
+        target = np.where(over, np.copysign(limits, tree.sign * flows), target)
         u, q, flows = _components(net, alpha, beta, held, target)
-        iterations = 2
+        iterations += 1
 
     jump = u[tree.child] - u[tree.parent[tree.child]]
     dual = np.where(held, tree.sign * jump / k, 0.0)  # mu_up - mu_lo
@@ -97,11 +123,12 @@ def solve_tree(net, hess, linear, base, k: float, active=()) -> QpSolution:
                    float(np.max(np.abs(flows) - limits, initial=0.0)),
                    float(np.max(-dual[upper], initial=0.0)),
                    float(np.max(dual[lower], initial=0.0)))
+    held_lines = np.flatnonzero(held)
     return QpSolution(
         x=(u - linear) / hess, eq_duals=np.array([-u[tree.root]]),
         ineq_duals_lower=mu_lo, ineq_duals_upper=mu_up,
-        active_set=tuple((int(l), "upper" if upper[l] else "lower")
-                         for l in np.flatnonzero(held)),
+        active_set=tuple(zip(held_lines.tolist(),
+                             np.where(upper[held_lines], "upper", "lower").tolist())),
         iterations=iterations, residual=residual,
     )
 
@@ -130,15 +157,17 @@ def _components(net, alpha, beta, held, target):
     return u, q, net.ptdf.T @ q
 
 
-def _optimal(tree, limits, held, target, u, q, flows) -> bool:
-    """The KKT conditions the component solve leaves open, to rounding."""
+def _violations(tree, limits, held, target, u, q, flows):
+    """The KKT conditions the component solve leaves open, beyond rounding:
+    the free lines past their limit and the held lines with ``F_l > 0``
+    whose price jump has the wrong sign, as two line masks."""
     free = ~held & np.isfinite(limits)
-    excess = np.abs(flows[free]) - limits[free]
-    signed = np.flatnonzero(held & (limits > 0.0))
-    below = tree.child[signed]
-    wrong = -np.sign(target[signed]) * (u[below] - u[tree.parent[below]])
-    return bool(np.all(excess <= _RTOL * (1.0 + np.abs(q).sum()))
-                and np.all(wrong <= _RTOL * (1.0 + np.abs(u).max())))
+    signed = held & (limits > 0.0)
+    jump = u[tree.child] - u[tree.parent[tree.child]]
+    # written as "not within", so that a NaN counts as a violation
+    over = free & ~(np.abs(flows) - limits <= _RTOL * (1.0 + np.abs(q).sum()))
+    wrong = signed & ~(-np.sign(target) * jump <= _RTOL * (1.0 + np.abs(u).max()))
+    return over, wrong
 
 
 # A curve is (knots, values, left slope, right slope): piecewise linear

@@ -1,3 +1,6 @@
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from conftest import with_chords
 from esharing import cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
+    BiddingTrace,
     a_min,
     fejer_check,
     platform_update,
@@ -127,6 +131,51 @@ def test_trace_csv_export(tmp_path, two_f5):
     assert dists == sorted(dists, reverse=True)
 
 
+def write_trace_rows(trace, path, eqm=None):
+    """Reference for ``write_trace_csv``: one ``csv.writer`` row at a time,
+    with the distance to the equilibrium from one dot product per row."""
+    dist = None
+    if eqm is not None:
+        dist = []
+        for k in range(len(trace)):
+            dp = trace.production[k] - eqm.p_bar
+            db = trace.bids[k] - eqm.b_bar
+            dist.append(np.sqrt(float(dp @ dp) + float(db @ db)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "i", "lambda", "b", "p",
+                         "delta_b_norm", "dist_to_eqm"])
+        for k in range(len(trace)):
+            delta = trace.delta_b[k]
+            for i in range(len(trace.bids[k])):
+                writer.writerow([
+                    k + 1, i + 1,
+                    repr(float(trace.prices[k][i])),
+                    repr(float(trace.bids[k][i])),
+                    repr(float(trace.production[k][i])),
+                    "" if np.isnan(delta) else repr(delta),
+                    "" if dist is None else repr(float(dist[k])),
+                ])
+
+
+def test_trace_csv_matches_a_row_by_row_writer(tmp_path):
+    scenario = gen_scenario(7, 38, "tight")
+    eqm = equilibrium.improved_gne(scenario)
+    run = run_bidding(scenario).trace
+    odd = BiddingTrace()  # signed zeros, subnormals, extremes, nan and inf
+    odd.record(np.array([-0.0, 5e-324, 1e308]), np.array([0.1, -1e-300, 3.0]),
+               np.array([np.inf, 2.5, -7.0]), float("nan"))
+    odd.record(np.array([1.0, 2.0, 3.0]), np.array([1 / 3, 2e-17, -4.0]),
+               np.array([0.0, np.nan, 1e16]), 0.0)
+    far = SimpleNamespace(p_bar=np.array([1.0, -2.0, 0.5]), b_bar=np.zeros(3))
+    for trace, ref in ((run, eqm), (run, None), (odd, far), (odd, None),
+                       (BiddingTrace(), far)):
+        write_trace_csv(trace, tmp_path / "trace.csv", eqm=ref)
+        write_trace_rows(trace, tmp_path / "rows.csv", eqm=ref)
+        assert (tmp_path / "trace.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
+
+
 def test_trace_distance_helper(two_f5):
     eqm = equilibrium.improved_gne(two_f5)
     result = run_bidding(two_f5, BiddingConfig(epsilon=1e-4))
@@ -155,15 +204,23 @@ def test_settled_rounds_take_one_solver_iteration(monkeypatch):
 
 def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
     # on a tree each round checks the previous round's held lines in closed
-    # form; only a round whose set changes runs the exact pass
-    exact_pass = tree._exact_pass
-    passes = []
+    # form; a round whose set changes repairs it by exchange steps, and no
+    # round falls back to the exact pass
+    solve_tree, exact_pass = market.solve_tree, tree._exact_pass
+    iterations, passes = [], []
+
+    def recording(*args):
+        sol = solve_tree(*args)
+        iterations.append(sol.iterations)
+        return sol
 
     def counting(*args):
         passes.append(args)
         return exact_pass(*args)
 
+    monkeypatch.setattr(market, "solve_tree", recording)
     monkeypatch.setattr(tree, "_exact_pass", counting)
     result = run_bidding(gen_scenario(7, 38, "tight"))
-    assert result.iterations == 124
-    assert 0 < len(passes) <= 15
+    assert result.iterations == len(iterations) == 124
+    assert 0 < sum(its > 1 for its in iterations) <= 15
+    assert passes == []

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +212,58 @@ def test_scan_csv_export(tmp_path, chain_f027):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "b,cost"
     assert len(lines) == 1 + len(scan.samples_b)
+
+
+def test_scan_csv_matches_a_row_by_row_writer(tmp_path, chain_f027):
+    scan = best_response(chain_f027, 1, np.array([1.6, 0.8]))
+    write_scan_csv(scan, tmp_path / "scan.csv")
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["b", "cost"])
+        for bv, cv in zip(scan.samples_b, scan.samples_cost):
+            writer.writerow([repr(float(bv)), repr(float(cv))])
+    assert (tmp_path / "scan.csv").read_bytes() == \
+        (tmp_path / "rows.csv").read_bytes()
+
+
+def local_minima_loop(cost):
+    """Reference for ``_local_minima_indices``: a walk over the runs."""
+    m = cost.size
+    tie = 1e-12 * (1.0 + float(np.abs(cost).max()))
+    mins = []
+    j = 0
+    while j < m:
+        k = j
+        while k + 1 < m and abs(cost[k + 1] - cost[k]) <= tie:
+            k += 1
+        left_ok = j == 0 or cost[j - 1] > cost[j] + tie
+        right_ok = k == m - 1 or cost[k + 1] > cost[k] + tie
+        if left_ok and right_ok:
+            mins.append((j + k) // 2)
+        j = k + 1
+    return mins
+
+
+@st.composite
+def cost_curves(draw):
+    """Rounded random curves, full of exact ties, and cumulative ones whose
+    flat stretches carry steps on both sides of the tie tolerance."""
+    size = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if draw(st.booleans()):
+        return scale * np.round(rng.normal(size=size), int(rng.integers(0, 3)))
+    steps = rng.normal(size=size) * (rng.random(size) < rng.random())
+    curve = scale * np.cumsum(steps)
+    tie = 1e-12 * (1.0 + np.abs(curve).max())
+    return curve + np.cumsum(rng.choice([0.0, 0.4, 0.9, 1.1], size)
+                             * rng.choice([-tie, tie], size))
+
+
+@settings(max_examples=300)
+@given(cost_curves())
+def test_local_minima_match_a_walk_over_the_runs(cost):
+    assert brlab._local_minima_indices(cost) == local_minima_loop(cost)
 
 
 def test_scan_interval_validation(chain_f03):

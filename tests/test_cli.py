@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from esharing import cases, cli
@@ -274,3 +276,51 @@ def test_infinite_line_weight_exits_1_without_traceback(command, fixture_file,
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def overflow_file(fixture_file, tmp_path):
+    """The two-prosumer fixture with prosumer 2's demand at 1e307, where the
+    equilibrium's costs and payments overflow floating point."""
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    doc["prosumers"][1]["D"] = 1e307
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["gne", "poa", "bid"])
+def test_non_finite_results_exit_1_without_traceback(command, overflow_file,
+                                                     capsys):
+    with np.errstate(all="ignore"):
+        assert cli.main([command, overflow_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is infinite or NaN" in err
+    assert "Traceback" not in err
+
+
+def test_bid_writes_no_trace_for_non_finite_results(overflow_file, tmp_path):
+    trace = tmp_path / "trace.csv"
+    with np.errstate(all="ignore"):
+        _, code = cli.run_command(["bid", overflow_file, "--trace", str(trace)])
+    assert code == 1
+    assert not trace.exists()
+
+
+def test_batch_counts_non_finite_results_as_a_failure(overflow_file, tmp_path):
+    scen_dir = tmp_path / "scens"
+    scen_dir.mkdir()
+    os.replace(overflow_file, scen_dir / "overflow.json")
+    dump_scenario(cases.two_prosumer_line(5.0), scen_dir / "fine.json")
+    out_dir = tmp_path / "reports"
+    with np.errstate(all="ignore"):
+        report, code = cli.run_command(["batch", "--dir", str(scen_dir),
+                                        "--out", str(out_dir)])
+    assert code == 1
+    assert report.results["failures"] == 1
+    assert report.results["files"]["fine.json"] == "ok"
+    assert report.results["files"]["overflow.json"].startswith("error: results.")
+    assert "is infinite or NaN" in report.results["files"]["overflow.json"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["fine.report.json"]

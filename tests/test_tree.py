@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree, with_chords
@@ -17,7 +18,12 @@ def tree_programs(draw):
     ``(net, hess, linear, base, k)``, its curvature scaled over 1e+-2."""
     size = draw(st.integers(2, 24))
     form = draw(st.sampled_from(FORMS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_program(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                          size, form)
+
+
+def random_program(rng, size, form):
+    """The program ``tree_programs`` draws, on ``size`` buses."""
     label = rng.permutation(size) + 1
     lines = []
     for child in range(2, size + 1):
@@ -41,6 +47,21 @@ def tree_programs(draw):
         return net, 2.0 * c, d, D, 1.0
     w = 1.0 / (float(rng.uniform(0.5, 2.0)) * (size - 1))
     return net, 2.0 * c + w, d - w * D, D, 1.0
+
+
+def random_guess(net, seed):
+    """About half of the lines, each at a random side."""
+    rng = np.random.default_rng(seed)
+    return [(l, str(rng.choice(["lower", "upper"])))
+            for l in range(net.line_count) if rng.random() < 0.5]
+
+
+def exact_pass_only(program, active):
+    """``solve_tree`` with no exchange steps: a failed guess goes straight
+    to the exact pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "_EXCHANGE_STEPS", 0)
+        return tree.solve_tree(*program, active=active)
 
 
 def oracle(net, hess, linear, base, k):
@@ -90,6 +111,54 @@ def test_any_hot_start_gives_the_same_answer(program, seed):
     for guess in (right, subset, extra):
         assert_same(tree.solve_tree(*program, active=guess), ref)
     assert tree.solve_tree(*program, active=right).iterations == 1
+
+
+@settings(max_examples=150)
+@given(tree_programs(), st.integers(0, 2**32 - 1))
+def test_the_exact_pass_alone_matches_the_qp(program, seed):
+    qp, ref = oracle(*program)
+    for active in ((), random_guess(program[0], seed)):
+        sol = exact_pass_only(program, active)
+        assert sol.iterations <= 2
+        assert_same(sol, ref)
+        assert kkt_residual(qp, sol) <= 1e-8
+
+
+@settings(max_examples=150)
+@given(tree_programs(), st.integers(0, 2**32 - 1))
+def test_exchange_steps_hold_the_lines_the_exact_pass_holds(program, seed):
+    for active in ((), random_guess(program[0], seed)):
+        stepped = tree.solve_tree(*program, active=active)
+        exact = exact_pass_only(program, active)
+        assert stepped.active_set == exact.active_set
+        assert np.array_equal(stepped.x, exact.x)
+
+
+def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
+    # on this congested 40-bus tree the exchange steps from the empty guess
+    # come back to a held set every 4 steps; the exact pass settles it
+    program = random_program(np.random.default_rng(4441), 40, "social")
+    components, exact_pass = tree._components, tree._exact_pass
+    held_sets, passes = [], []
+
+    def recording(net, alpha, beta, held, target):
+        held_sets.append(held.tobytes())
+        return components(net, alpha, beta, held, target)
+
+    def counting(*args):
+        passes.append(args)
+        return exact_pass(*args)
+
+    monkeypatch.setattr(tree, "_components", recording)
+    monkeypatch.setattr(tree, "_exact_pass", counting)
+    sol = tree.solve_tree(*program)
+    stepped = held_sets[:-1]  # the last solve is on the exact pass's set
+    assert len(passes) == 1
+    assert len(set(stepped)) < len(stepped) == tree._EXCHANGE_STEPS + 1
+    assert sol.iterations == tree._EXCHANGE_STEPS + 2
+    qp, ref = oracle(*program)
+    assert_same(sol, ref)
+    assert kkt_residual(qp, sol) <= 1e-8
 
 
 def test_topology_agrees_with_the_ptdf():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScanIntervalEmpty, WrongTopology
+from .errors import NonFiniteResult, ScanIntervalEmpty, WrongTopology
 from .market import Scenario, clear_market, cost_at
 from .network import is_radial
 
@@ -296,6 +296,10 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
                 merged[-1] = (t_min, c_min)
         else:
             merged.append((t_min, c_min))
+    if not merged:  # every sample is NaN, as when the costs overflow
+        raise NonFiniteResult(
+            f"the cost of prosumer {i + 1} is infinite or NaN at every scanned "
+            "bid; no best response")
     best_bid, best_cost = min(merged, key=lambda mc: (mc[1], mc[0]))
     return BestResponseScan(
         prosumer=i, fixed_bids=b_minus_i, interval=(lo, hi), samples_b=t,

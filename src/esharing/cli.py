@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bidding, brlab, equilibrium
 from .errors import (
+    ContractBreach,
     EsharingError,
     FileError,
     Infeasible,
@@ -31,6 +32,7 @@ from .network import dc_flow_oracle, is_radial, line_flows
 from .scenario_io import dump_scenario, gen_scenario, load_scenario
 
 OUTPUT_DIR_ENV = "ESHARING_OUT"
+_RECLEAR_TOL = 1e-6  # README contract: re-clearing the equilibrium bids
 
 
 class UsageError(EsharingError):
@@ -123,13 +125,20 @@ def _nonfinite_key(value, key: str):
     return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
 
 
-def _require_finite(results: dict, residuals: dict) -> None:
-    """Refuse to report an infinite or NaN number.  Such a figure means the
-    computation overflowed, as it does for magnitudes near 1e308."""
+def _check_report(results: dict, residuals: dict) -> None:
+    """Refuse to report an infinite or NaN number, or an equilibrium whose
+    bids re-clear to prices further than ``_RECLEAR_TOL`` from its own.  The
+    first means the computation overflowed, as it does for magnitudes near
+    1e308; the second happens when a tiny ``a`` swamps the programs."""
     for section, values in (("results", results), ("residuals", residuals)):
         key = _nonfinite_key(values, section)
         if key is not None:
             raise NonFiniteResult(f"{key} is infinite or NaN; no report written")
+    gap = residuals.get("clearing_price_gap", 0.0)
+    if gap > _RECLEAR_TOL:
+        raise ContractBreach(
+            f"residuals.clearing_price_gap is {gap:.3g}, above the re-clear "
+            f"bound {_RECLEAR_TOL:g}; no report written")
 
 
 def _digest(path: str) -> str:
@@ -206,13 +215,12 @@ def _cmd_validate(scenario: Scenario) -> tuple:
     net = scenario.network
     checks = {"prosumer_count": scenario.size, "radial": is_radial(net),
               "slack": net.slack}
-    # PTDF against the nodal-equation oracle on deterministic probes
-    worst = 0.0
-    for i in range(net.bus_count - 1):
-        q = np.zeros(net.bus_count)
-        q[i], q[-1] = 1.0, -1.0
-        worst = max(worst, float(np.abs(
-            line_flows(net, q) - dc_flow_oracle(net, -q)).max(initial=0.0)))
+    # PTDF against the nodal-equation oracle on deterministic probes, one per
+    # column: probe i buys a unit at bus i+1 and sells it at the last bus
+    probes = np.eye(net.bus_count, net.bus_count - 1)
+    probes[-1] = -1.0
+    worst = float(np.abs(line_flows(net, probes)
+                         - dc_flow_oracle(net, -probes)).max(initial=0.0))
     checks["self_sufficiency_feasible"] = bool(
         np.all(np.abs(line_flows(net, np.zeros(net.bus_count)))
                <= net.limits))
@@ -289,7 +297,7 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
     }
     residuals = {"fejer_violation": fejer.max_violation}
     if args.trace:
-        _require_finite(results, residuals)  # before the trace is written
+        _check_report(results, residuals)  # before the trace is written
         bidding.write_trace_csv(result.trace, args.trace, eqm=eqm)
     return results, residuals
 
@@ -390,7 +398,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
             eqm = equilibrium.improved_gne(scenario)
             results, residuals = _cmd_gne(scenario, eqm)
             results["poa"] = equilibrium.poa(scenario, eqm)
-            _require_finite(results, residuals)
+            _check_report(results, residuals)
             report = RunReport(
                 command="batch/gne", scenario=path, digest=_digest(path),
                 elapsed_s=time.perf_counter() - started, results=results,
@@ -410,6 +418,9 @@ def _cmd_batch(args, fmt: str) -> tuple:
     return report, (1 if failures else 0)
 
 
+# an overflow shows up as a non-finite figure, which _check_report refuses
+# with one error line, so numpy need not warn of it first
+@np.errstate(over="ignore", invalid="ignore")
 def run_command(argv) -> tuple:
     """Execute one CLI invocation.  Returns ``(RunReport | None, exit_code)``."""
     parser = build_parser()
@@ -444,7 +455,7 @@ def run_command(argv) -> tuple:
             results, residuals = _cmd_brlab(scenario, args)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command}")
-        _require_finite(results, residuals)
+        _check_report(results, residuals)
         report = RunReport(command=args.command, scenario=path,
                            digest=_digest(path),
                            elapsed_s=time.perf_counter() - started,

@@ -92,6 +92,11 @@ class NonFiniteResult(EsharingError):
     """A computed figure is infinite or NaN, so no report is written."""
 
 
+class ContractBreach(EsharingError):
+    """A residual exceeds the bound README's numerical contracts promise, so
+    no report is written."""
+
+
 # --- warnings -------------------------------------------------------------
 
 class NonRadialWarning(UserWarning):

@@ -11,6 +11,7 @@ bounds) match the stationarity system
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ class Prosumer:
         if not self.c > 0.0:
             raise DimensionMismatch(f"prosumer c must be > 0, got {self.c}")
         for name, v in (("c", self.c), ("d", self.d), ("D", self.demand_reduction)):
-            if not np.isfinite(v):  # JSON files may hold NaN and Infinity
+            if not math.isfinite(v):  # JSON files may hold NaN and Infinity
                 raise DimensionMismatch(f"prosumer {name} must be finite, got {v}")
         base = (self.base_production, self.base_purchase, self.base_demand)
         present = [v is not None for v in base]

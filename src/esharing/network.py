@@ -7,10 +7,18 @@ Sign convention: ``line_flows(net, q)`` maps net *purchases* q (positive =
 buying from the pool) to directed line flows.  It agrees with the angle-based
 DC solution for nodal injections equal to ``-q`` (a purchase is a withdrawal),
 which ``dc_flow_oracle`` computes independently from the nodal equations.
+
+PTDF: on a radial network a purchase at bus i reaches the slack bus along
+the one path between them, whatever the weights, so ``ptdf[i, l]`` is the
+orientation sign of line l when l lies on that path and 0 otherwise.  It is
+built exactly from the breadth-first tree in O(bus_count x depth).  On a
+meshed network the flow splits by weight, and the PTDF is the solve of the
+reduced nodal Laplacian against the weighted incidence matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +53,7 @@ class LineSpec:
             )
         if not self.weight > 0.0:
             raise NonpositiveWeight(f"line weight must be > 0, got {self.weight}")
-        if not np.isfinite(self.weight):  # JSON files may hold Infinity
+        if not math.isfinite(self.weight):  # JSON files may hold Infinity
             raise DimensionMismatch(f"line weight must be finite, got {self.weight}")
         if not self.limit >= 0.0:  # also refuses NaN
             raise DimensionMismatch(f"line limit must be >= 0, got {self.limit}")
@@ -81,6 +89,9 @@ class NetworkModel:
     lines : tuple[LineSpec, ...]
     ptdf : np.ndarray, shape (bus_count, line_count)
         ``ptdf[i, l]`` is the flow on line l per unit purchase at bus i+1.
+        On a tree it is exact: ``tree.sign[l]`` when line l is on the path
+        from bus i+1 up to the slack bus, else 0.  On a mesh it is solved
+        from the reduced nodal Laplacian.
     limits : np.ndarray, shape (line_count,)
     tree : TreeTopology or None
         The network rooted at its slack bus when it is radial, else None.
@@ -101,9 +112,9 @@ class NetworkModel:
 def _incidence(bus_count: int, lines) -> np.ndarray:
     """Bus-by-line incidence: +1 at the from-bus, -1 at the to-bus."""
     C = np.zeros((bus_count, len(lines)))
-    for l, ln in enumerate(lines):
-        C[ln.from_bus - 1, l] = 1.0
-        C[ln.to_bus - 1, l] = -1.0
+    cols = np.arange(len(lines))
+    C[[ln.from_bus - 1 for ln in lines], cols] = 1.0
+    C[[ln.to_bus - 1 for ln in lines], cols] = -1.0
     return C
 
 
@@ -168,43 +179,68 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
                 f"line {ln.from_bus}->{ln.to_bus} references a bus outside 1..{bus_count}"
             )
     topology = _tree_topology(bus_count, lines, slack)
+    tree = topology if len(lines) == bus_count - 1 else None
+    ptdf = _tree_ptdf(tree) if tree is not None else _mesh_ptdf(
+        bus_count, lines, slack)
+    limits = np.asarray([ln.limit for ln in lines], dtype=float)
+    ptdf.setflags(write=False)
+    limits.setflags(write=False)
+    return NetworkModel(bus_count=bus_count, slack=slack, lines=lines,
+                        ptdf=ptdf, limits=limits, tree=tree)
 
+
+def _tree_ptdf(tree: TreeTopology) -> np.ndarray:
+    """The exact PTDF of a radial network: every bus climbs to the root at
+    once, one level per step, marking the sign of each line it passes."""
+    bus_count, line_count = len(tree.parent), len(tree.child)
+    above = np.empty(bus_count, dtype=int)  # the line up from each bus
+    above[tree.child] = np.arange(line_count)
+    ptdf = np.zeros((bus_count, line_count))
+    rows = bus = np.delete(np.arange(bus_count), tree.root)
+    while rows.size:
+        lines = above[bus]
+        ptdf[rows, lines] = tree.sign[lines]
+        bus = tree.parent[bus]
+        climbing = bus != tree.root
+        rows, bus = rows[climbing], bus[climbing]
+    return ptdf
+
+
+def _mesh_ptdf(bus_count: int, lines, slack: int) -> np.ndarray:
+    """The PTDF from the reduced nodal Laplacian; the slack row is zero."""
     C = _incidence(bus_count, lines)
     B = np.asarray([ln.weight for ln in lines])
     keep = np.arange(bus_count) != slack - 1
     Cr = C[keep, :]
     lap = (Cr * B) @ Cr.T
-    if lap.size:
-        try:
-            np.linalg.cholesky(lap)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by checks above
-            raise SingularLaplacian(str(exc)) from exc
-        # purchases are withdrawals, hence the minus sign
-        ptdf_r = -np.linalg.solve(lap, Cr * B)
-    else:
-        ptdf_r = np.zeros((0, len(lines)))
+    try:
+        np.linalg.cholesky(lap)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by checks above
+        raise SingularLaplacian(str(exc)) from exc
     ptdf = np.zeros((bus_count, len(lines)))
-    ptdf[keep, :] = ptdf_r
-    limits = np.asarray([ln.limit for ln in lines], dtype=float)
-    ptdf.setflags(write=False)
-    limits.setflags(write=False)
-    tree = topology if len(lines) == bus_count - 1 else None
-    return NetworkModel(bus_count=bus_count, slack=slack, lines=lines,
-                        ptdf=ptdf, limits=limits, tree=tree)
+    ptdf[keep, :] = -np.linalg.solve(lap, Cr * B)  # purchases are withdrawals
+    return ptdf
+
+
+def _per_bus(net: NetworkModel, values, what: str) -> np.ndarray:
+    """``values`` as floats of shape (bus_count,) or (bus_count, k)."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != net.bus_count:
+        raise DimensionMismatch(
+            f"expected {net.bus_count} {what} per column, got shape {v.shape}"
+        )
+    return v
 
 
 def line_flows(net: NetworkModel, purchases: np.ndarray) -> np.ndarray:
     """Directed line flows induced by balanced net purchases.
 
-    ``purchases`` need not be balanced for the map to be evaluated, but only
-    balanced vectors correspond to a physical operating point.
+    ``purchases`` has shape (bus_count,), or (bus_count, k) for k purchase
+    vectors at once, one per column.  It need not be balanced for the map to
+    be evaluated, but only balanced vectors correspond to a physical
+    operating point.
     """
-    q = np.asarray(purchases, dtype=float)
-    if q.shape != (net.bus_count,):
-        raise DimensionMismatch(
-            f"expected {net.bus_count} purchases, got shape {q.shape}"
-        )
-    return net.ptdf.T @ q
+    return net.ptdf.T @ _per_bus(net, purchases, "purchases")
 
 
 def dc_flow_oracle(net: NetworkModel, injections: np.ndarray,
@@ -214,24 +250,24 @@ def dc_flow_oracle(net: NetworkModel, injections: np.ndarray,
     Solves the reduced angle system ``L theta = inj`` and reads flows off the
     line equations ``w_l (theta_from - theta_to)``.  Used as a cross-check for
     :func:`line_flows`; the two agree on ``injections = -purchases``.
+    ``injections`` may hold k vectors as the columns of a (bus_count, k)
+    matrix; they share one solve, and each must be balanced.
     """
-    inj = np.asarray(injections, dtype=float)
-    if inj.shape != (net.bus_count,):
-        raise DimensionMismatch(
-            f"expected {net.bus_count} injections, got shape {inj.shape}"
-        )
-    scale = 1.0 + float(np.abs(inj).max(initial=0.0))
-    if abs(inj.sum()) > tol * scale:
-        raise UnbalancedInjection(f"injections sum to {inj.sum():.3e}, not 0")
+    inj = _per_bus(net, injections, "injections")
+    sums = inj.sum(axis=0)
+    unbalanced = np.abs(sums) > tol * (1.0 + np.abs(inj).max(axis=0, initial=0.0))
+    if np.any(unbalanced):
+        raise UnbalancedInjection(
+            f"injections sum to {np.extract(unbalanced, sums)[0]:.3e}, not 0")
     C = _incidence(net.bus_count, net.lines)
     B = np.asarray([ln.weight for ln in net.lines])
     keep = np.arange(net.bus_count) != net.slack - 1
     Cr = C[keep, :]
     lap = (Cr * B) @ Cr.T
-    theta = np.zeros(net.bus_count)
+    theta = np.zeros(inj.shape)
     if lap.size:
         theta[keep] = np.linalg.solve(lap, inj[keep])
-    return B * (C.T @ theta)
+    return (B * (C.T @ theta).T).T  # B scales the rows, one per line
 
 
 def is_radial(net: NetworkModel) -> bool:

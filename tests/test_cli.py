@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from esharing import cases, cli
 from esharing.errors import Infeasible
-from esharing.scenario_io import dump_scenario
+from esharing.market import Scenario
+from esharing.scenario_io import dump_scenario, gen_scenario
 
 
 @pytest.fixture
@@ -324,3 +326,71 @@ def test_batch_counts_non_finite_results_as_a_failure(overflow_file, tmp_path):
     assert report.results["files"]["overflow.json"].startswith("error: results.")
     assert "is infinite or NaN" in report.results["files"]["overflow.json"]
     assert sorted(p.name for p in out_dir.iterdir()) == ["fine.report.json"]
+
+
+def test_brlab_on_an_all_nan_scan_exits_1_without_traceback(overflow_file,
+                                                            capsys):
+    code = cli.main(["brlab", overflow_file, "--prosumer", "1",
+                     "--fix-bids", "1,2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "is infinite or NaN" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gne"], ["poa"], ["bid"], ["brlab", "--prosumer", "1", "--fix-bids", "1,2"],
+], ids=["gne", "poa", "bid", "brlab"])
+def test_overflow_prints_no_runtime_warnings(argv, overflow_file):
+    # a subprocess, so that no warning filter of the test run hides them
+    proc = subprocess.run([sys.executable, "-m", "esharing", argv[0],
+                           overflow_file, *argv[1:]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def _small_a_file(tmp_path, scenario, a):
+    path = tmp_path / "small_a.json"
+    dump_scenario(scenario, path)
+    doc = json.loads(path.read_text())
+    doc["a"] = a
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("scenario,a", [
+    (cases.two_prosumer_line(5.0), 1e-10),
+    (gen_scenario(3, 30, "tight"), 1e-9),
+], ids=["two_prosumer_f5", "tight30"])
+def test_a_breached_reclear_contract_exits_1(scenario, a, tmp_path, capsys):
+    path = _small_a_file(tmp_path, scenario, a)
+    assert cli.main(["gne", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "residuals.clearing_price_gap" in err
+    assert "Traceback" not in err
+    out_dir = tmp_path / "reports"
+    report, code = cli.run_command(["batch", "--dir", str(tmp_path),
+                                    "--out", str(out_dir)])
+    assert code == 1
+    assert report.results["failures"] == 1
+    assert "residuals.clearing_price_gap" in report.results["files"]["small_a.json"]
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("row", [0, 36])
+def test_validate_probes_every_bus(row):
+    scenario = gen_scenario(7, 38, "tight")
+    _, residuals = cli._cmd_validate(scenario)
+    assert residuals["ptdf_oracle_gap"] <= 1e-12
+    net = scenario.network
+    ptdf = net.ptdf.copy()
+    ptdf[row, 5] += 0.25
+    bad = Scenario(network=dataclasses.replace(net, ptdf=ptdf),
+                   prosumers=scenario.prosumers, a=scenario.a)
+    _, residuals = cli._cmd_validate(bad)
+    assert residuals["ptdf_oracle_gap"] == pytest.approx(0.25)

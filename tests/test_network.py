@@ -21,6 +21,43 @@ from esharing.network import (
 from conftest import balanced_vector, random_tree
 
 
+@st.composite
+def rooted_trees(draw, max_size=40):
+    """``(bus_count, lines, slack)`` of a random tree: random parents over
+    shuffled bus labels, each line pointing either way, a random slack bus
+    and weights spread log-uniformly over 1e-3..1e3."""
+    size = draw(st.integers(2, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.permutation(size) + 1
+    lines = []
+    for i in range(1, size):
+        ends = int(label[rng.integers(0, i)]), int(label[i])
+        if rng.random() < 0.5:
+            ends = ends[::-1]
+        lines.append(LineSpec(*ends, float(10.0 ** rng.uniform(-3.0, 3.0))))
+    return size, lines, int(rng.integers(1, size + 1))
+
+
+def laplacian_ptdf(bus_count, lines, slack):
+    """Reference: the PTDF solved from the reduced nodal Laplacian, which a
+    mesh must match bit for bit and a tree to within the error bound of the
+    solve, also returned: machine epsilon times the condition number of the
+    Laplacian, or 1e-11 when that is smaller.  Weights spread over 1e+-3
+    take the bound to about 1e-9."""
+    C = np.zeros((bus_count, len(lines)))
+    for l, ln in enumerate(lines):
+        C[ln.from_bus - 1, l] = 1.0
+        C[ln.to_bus - 1, l] = -1.0
+    B = np.asarray([ln.weight for ln in lines])
+    keep = np.arange(bus_count) != slack - 1
+    Cr = C[keep, :]
+    lap = (Cr * B) @ Cr.T
+    np.linalg.cholesky(lap)
+    ptdf = np.zeros((bus_count, len(lines)))
+    ptdf[keep, :] = -np.linalg.solve(lap, Cr * B)
+    return ptdf, max(1e-11, np.finfo(float).eps * np.linalg.cond(lap))
+
+
 def test_two_bus_ptdf():
     net = build_network(2, [LineSpec(1, 2, 1.0, 5.0)])
     # one unit bought at bus 1 flows in over the line, against its orientation
@@ -84,13 +121,13 @@ def test_is_radial_on_trees():
     assert is_radial(random_tree(rng, 9))
 
 
-@given(st.integers(2, 12), st.integers(0, 10 ** 6))
-def test_ptdf_matches_nodal_oracle_on_trees(size, seed):
-    rng = np.random.default_rng(seed)
-    net = random_tree(rng, size)
-    q = balanced_vector(rng, size)
-    assert line_flows(net, q) == pytest.approx(dc_flow_oracle(net, -q),
-                                               abs=1e-9)
+@given(rooted_trees(), st.integers(0, 2**32 - 1))
+def test_ptdf_matches_nodal_oracle_on_trees(tree, seed):
+    bus_count, lines, slack = tree
+    net = build_network(bus_count, lines, slack)
+    q = balanced_vector(np.random.default_rng(seed), bus_count)
+    tol = laplacian_ptdf(bus_count, lines, slack)[1] * np.abs(q).sum()
+    assert np.abs(line_flows(net, q) - dc_flow_oracle(net, -q)).max() <= tol
 
 
 @given(st.integers(0, 10 ** 6))
@@ -156,3 +193,59 @@ def test_infinite_limit_mask():
     net = build_network(3, [LineSpec(1, 2, 1.0, 4.0),
                             LineSpec(2, 3, 1.0, math.inf)])
     assert list(np.isfinite(net.limits)) == [True, False]
+
+
+@given(rooted_trees())
+def test_tree_ptdf_is_exact(tree):
+    bus_count, lines, slack = tree
+    net = build_network(bus_count, lines, slack)
+    assert net.tree is not None
+    assert set(np.unique(net.ptdf)) <= {-1.0, 0.0, 1.0}
+    assert not net.ptdf[slack - 1].any()
+    solved, tol = laplacian_ptdf(bus_count, lines, slack)
+    assert np.abs(net.ptdf - solved).max() <= tol
+
+
+@given(rooted_trees(), st.integers(0, 2**32 - 1))
+def test_tree_ptdf_ignores_the_weights(tree, seed):
+    bus_count, lines, slack = tree
+    rng = np.random.default_rng(seed)
+    reweighted = [LineSpec(ln.from_bus, ln.to_bus,
+                           float(10.0 ** rng.uniform(-3.0, 3.0)), ln.limit)
+                  for ln in lines]
+    assert np.array_equal(build_network(bus_count, lines, slack).ptdf,
+                          build_network(bus_count, reweighted, slack).ptdf)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_mesh_ptdf_keeps_the_laplacian_solve(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(3, 15))
+    lines = list(random_tree(rng, size).lines)
+    for _ in range(int(rng.integers(1, 4))):
+        u, v = rng.choice(size, 2, replace=False) + 1
+        lines.append(LineSpec(int(u), int(v), float(rng.uniform(0.5, 2.0))))
+    twin = lines[int(rng.integers(len(lines)))]
+    lines.append(LineSpec(twin.to_bus, twin.from_bus, 0.5 * twin.weight))
+    slack = int(rng.integers(1, size + 1))
+    net = build_network(size, lines, slack)
+    assert net.tree is None
+    assert np.array_equal(net.ptdf, laplacian_ptdf(size, lines, slack)[0])
+
+
+def test_oracle_takes_one_injection_vector_per_column():
+    rng = np.random.default_rng(5)
+    net = build_network(4, [LineSpec(1, 2, 1.0), LineSpec(2, 3, 0.5),
+                            LineSpec(1, 3, 2.0), LineSpec(3, 4, 1.5)])
+    inj = np.column_stack([balanced_vector(rng, 4) for _ in range(3)])
+    flows = dc_flow_oracle(net, inj)
+    assert flows.shape == (net.line_count, 3)
+    for k in range(3):
+        assert flows[:, k] == pytest.approx(dc_flow_oracle(net, inj[:, k]),
+                                            rel=1e-12, abs=1e-12)
+    assert line_flows(net, -inj) == pytest.approx(flows, abs=1e-9)
+    inj[0, 1] += 1.0
+    with pytest.raises(UnbalancedInjection, match="sum to 1.000e"):
+        dc_flow_oracle(net, inj)
+    with pytest.raises(DimensionMismatch):
+        dc_flow_oracle(net, np.zeros((3, 2)))

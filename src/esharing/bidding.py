@@ -110,9 +110,9 @@ def platform_update(scenario: Scenario, prices_k, bids_k,
     Minimizes ``sum lam_i^2 + sum (lam_i - lam_i^k)^2`` over prices whose
     induced demands at ``bids_k`` balance and respect the flow limits, by
     :func:`esharing.market._solve_program`: with no line at a limit the
-    answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4`` and
-    no program is built for it.  ``active`` (the previous round's
-    ``active_set``) is the solver's first guess.
+    answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4``.
+    ``active`` (the previous round's ``active_set``) is the solver's first
+    guess.
     """
     return _clear(scenario, bids_k, prices_k, active)
 

@@ -485,7 +485,13 @@ def run_command(argv) -> tuple:
 def main(argv=None) -> int:
     report, code = run_command(sys.argv[1:] if argv is None else argv)
     if report is not None:
-        print(render_report(report, report.fmt))
+        try:
+            print(render_report(report, report.fmt), flush=True)
+        except BrokenPipeError:
+            # the reader closed early; with stdout on the null device the
+            # flush at interpreter shutdown cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -88,20 +88,17 @@ class PriceTakingEquilibrium:
 
 
 def _production_program(scenario: Scenario, hessian_diag, linear,
-                        start=None) -> tuple:
+                        active=()) -> tuple:
     """Minimize ``sum (hessian_diag p^2 / 2 + linear p)`` over productions
     that keep total production and every line flow within its limit.
 
-    Solved exactly on a radial network and by the active-set QP on a mesh
-    (see :func:`esharing.market._solve_program`).  ``start = (plan, binding
-    lines)`` is the hot start; without one, the QP starts from the no-trade
-    plan ``p = D``, feasible for every limit >= 0, and the tree solver from
-    the uniform-price guess.  Returns ``(p, kappa, tau_lower, tau_upper)``.
+    Solved by :func:`esharing.market._solve_program` with ``active``, a
+    guess of the binding lines, as its hot start.  Returns ``(p, kappa,
+    tau_lower, tau_upper)``.
     """
-    x0, active = (scenario.D, ()) if start is None else start
     sol = _solve_program(scenario.network, np.asarray(hessian_diag, dtype=float),
                          np.asarray(linear, dtype=float), scenario.D, 1.0,
-                         x0, active)
+                         active)
     return sol.x, float(sol.eq_duals[0]), sol.ineq_duals_lower, sol.ineq_duals_upper
 
 
@@ -111,16 +108,16 @@ def _binding_lines(tau_lower, tau_upper) -> list:
         + [(int(l), "upper") for l in np.flatnonzero(tau_upper > 0.0)]
 
 
-def social_optimum(scenario: Scenario, start=None) -> SocialOptimum:
+def social_optimum(scenario: Scenario, active=()) -> SocialOptimum:
     """Minimize total disutility subject to balance and flow limits.
 
-    ``start = (plan, binding)`` is a feasible production plan and its binding
-    lines as ``(line, "lower"|"upper")`` pairs.  The regulated equilibrium's
-    binding lines are usually the optimum's active set, and from its plan
-    the solve then takes one step.
+    ``active`` is a guess of the binding lines as ``(line,
+    "lower"|"upper")`` pairs.  The regulated equilibrium's binding lines
+    are usually the optimum's, and from them the solve takes one held-set
+    solve.
     """
     p, kappa, tau_lo, tau_up = _production_program(
-        scenario, 2.0 * scenario.c, scenario.d, start)
+        scenario, 2.0 * scenario.c, scenario.d, active)
     costs = scenario.disutility(p)
     return SocialOptimum(p_tilde=p, kappa=kappa, tau_lower=tau_lo,
                          tau_upper=tau_up, cost_per_prosumer=costs,
@@ -130,8 +127,7 @@ def social_optimum(scenario: Scenario, start=None) -> SocialOptimum:
 def central_solution(scenario: Scenario):
     """Unique minimizer of the penalized program and its duals.
 
-    Solved exactly on a radial network, starting from the uniform-price
-    guess; on a meshed network by the active-set QP from the no-trade plan.
+    Solved from the uniform-price guess, the empty set of binding lines.
     Returns ``(p_bar, kappa, tau_lower, tau_upper)``.
     """
     n = scenario.size
@@ -213,7 +209,7 @@ def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
 
     ``eqm`` is the equilibrium when the caller already has it (from
     :func:`improved_gne`); otherwise the central program is solved.  The
-    social program starts from the equilibrium plan and its binding lines.
+    social program starts from the equilibrium's binding lines.
     The equilibrium plan is feasible for the social program, so its cost
     bounds the optimum from above; the social cost is the lower of the two,
     which keeps ``poa_value >= 1`` when both plans agree up to rounding.
@@ -226,7 +222,7 @@ def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
         p_bar, _, tau_lo, tau_up = central_solution(scenario)
     else:
         p_bar, tau_lo, tau_up = eqm.p_bar, eqm.tau_lower, eqm.tau_upper
-    so = social_optimum(scenario, start=(p_bar, _binding_lines(tau_lo, tau_up)))
+    so = social_optimum(scenario, active=_binding_lines(tau_lo, tau_up))
     j_bar = float(scenario.disutility(p_bar).sum())
     social_cost = min(so.total_cost, j_bar)
     if social_cost <= 0.0:

@@ -12,14 +12,17 @@ bounds) match the stationarity system
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewProsumers
 from .network import NetworkModel, is_radial
 from .qp import QuadraticProgram, QpSolution, solve_qp
-from .tree import solve_tree
+from .tree import _components as _tree_components, _exact_pass
+
+_RTOL = 1e-12  # rounding-level slack of the optimality check
+_EXCHANGE_STEPS = 8  # exchange steps tried before the fallback
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class ClearingOutcome:
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
     of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``active_set`` is
     the solver's, in the format of :attr:`esharing.qp.QpSolution.active_set`:
-    the lines it held at a limit.  It is empty at a uniform price, except
-    that the tree solver always holds a zero-limit line.
+    the lines held at a limit, every zero-limit line among them.  With no
+    other line held the price is uniform.
     """
 
     prices: np.ndarray
@@ -124,11 +127,10 @@ class ClearingOutcome:
 def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
-    Solves the price-space program by :func:`_solve_program`: exactly on a
-    radial network and by the active-set solver on a meshed one, trying
+    Solves the price-space program by :func:`_solve_program`, trying
     ``active`` (the ``active_set`` of a related clearing) as its first
     guess.  With no line at a limit the price is uniform, the mean bid over
-    ``a I``, and no program is built for it.
+    ``a I``, and that is the answer to the empty guess.
     """
     return _clear(scenario, bids, None, active)
 
@@ -139,9 +141,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     Minimizes ``sum lam_i^2``, plus ``sum (lam_i - anchor_i)^2`` when an
     ``anchor`` is given, over prices whose demands ``b - a lam`` balance and
     keep every line flow within its limit.  :func:`_solve_program` solves it
-    with ``active`` as its hot start; on a meshed network its QP starts from
-    the no-trade prices ``lam = b / a``, which are feasible for every limit
-    >= 0.
+    with ``active`` as its hot start.
     """
     b = np.asarray(bids, dtype=float)
     n = scenario.size
@@ -153,7 +153,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         h, g = 2.0, np.zeros(n)
     else:
         h, g = 4.0, -2.0 * np.asarray(anchor, dtype=float)
-    sol = _solve_program(net, np.full(n, h), g, b, a, b / a, active)
+    sol = _solve_program(net, np.full(n, h), g, b, a, active)
     lam = sol.x
     q = b - a * lam
     return ClearingOutcome(
@@ -163,32 +163,139 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     )
 
 
-def _solve_program(net: NetworkModel, hess, linear, base, k: float, x0,
-                   active) -> QpSolution:
+def _solve_program(net: NetworkModel, hess, linear, base, k: float,
+                   active=()) -> QpSolution:
     """Minimize ``sum (hess x^2 / 2 + linear x)`` over ``x`` whose purchases
-    ``base - k x`` balance and keep every line flow within its limit.
+    ``q = base - k x`` balance and keep every line flow within its limit.
 
-    With no line at a limit the local price ``u = hess x + linear`` is one
-    number, at which the purchases ``alpha - beta u`` (``alpha = base + k
-    linear / hess``, ``beta = k / hess``) balance.  A radial network is
-    solved exactly by :func:`esharing.tree.solve_tree`, whose empty guess is
-    this point.  On a meshed one the point is returned when its flows are
-    within their limits, and otherwise :func:`esharing.qp.solve_qp` solves
-    the program from the feasible ``x0``.  Either way ``active``, a guess of
-    the lines at a limit, is a hot start.
+    Stationarity reads ``u = hess x + linear = -nu + k G' (mu_up - mu_lo)``
+    (``G`` the PTDF rows of the lines), so the purchases are ``q = alpha -
+    beta u`` with ``alpha = base + k linear / hess`` and ``beta = k /
+    hess``.  One hot-start loop serves both topologies:
+
+    * Guess.  ``active``, as ``QpSolution.active_set`` pairs, names the
+      lines held at a limit; zero-limit lines are always held, as their
+      duals have no sign condition.  The empty guess is the uniform-price
+      point, the answer when no line is at a limit.
+    * Held-set solve.  Prices, purchases and flows with the held lines at
+      their targets, and each held line's push ``k (mu_up - mu_lo)`` in
+      price units: the component solve of :mod:`esharing.tree` on a radial
+      network, :func:`_mesh_components` on a meshed one.
+    * Check.  The program is strictly convex, so the result is its unique
+      optimum when every free line is within its limit and every held line
+      with a positive limit pushes its flow back (``push >= 0`` at ``+F``,
+      ``<= 0`` at ``-F``), to rounding level.
+    * Exchange step, when the check fails (Hintermueller, Ito & Kunisch,
+      SIAM J. Optim. 13(3), 2002): release the held lines with a
+      wrong-signed push, hold the free lines beyond their limit at the side
+      they exceed, and solve again.  A guess a few lines off settles in a
+      few steps, but the steps can cycle.
+    * Fallback after ``_EXCHANGE_STEPS`` steps, or when a mesh's held rows
+      are dependent: the exact pass of :mod:`esharing.tree` finds the held
+      set on a radial network, and a cold :func:`esharing.qp.solve_qp` from
+      the no-trade point ``base / k``, feasible for every limit >= 0,
+      solves a meshed one.
+
+    The solution reports the balance dual ``nu`` as its only equality
+    dual, the line duals in the sign convention of ``solve_qp`` for rows
+    ``-k G x``, the held lines as its ``active_set``, as ``iterations`` the
+    held solves made plus the exact pass's one or the QP's iterations and,
+    as ``residual``, the worst balance error, flow excess or clipped dual,
+    the conditions a held solve does not meet by construction.
     """
-    if is_radial(net):
-        return solve_tree(net, hess, linear, base, k, active)
-    G = net.ptdf.T
+    limits = net.limits
     alpha, beta = base + k * linear / hess, k / hess
-    u = alpha.sum() / beta.sum()
-    q = alpha - beta * u
-    if np.all(np.abs(G @ q) <= net.limits):
-        none = np.zeros(net.line_count)
-        return QpSolution(x=(u - linear) / hess, eq_duals=np.array([-u]),
-                          ineq_duals_lower=none, ineq_duals_upper=none,
-                          active_set=(), iterations=0,
-                          residual=abs(float(q.sum())))
+    held = limits == 0.0
+    target = np.zeros(limits.size)  # the flows of the held lines
+    if len(active):
+        guessed = np.array([l for l, _ in active])
+        sides = np.array([1.0 if side == "upper" else -1.0 for _, side in active])
+        keep = np.isfinite(limits[guessed]) & ~held[guessed]
+        guessed = guessed[keep]
+        held[guessed] = True
+        target[guessed] = sides[keep] * limits[guessed]
+    finite, signed = np.isfinite(limits), limits > 0.0
+    radial = is_radial(net)
+    components = _tree_components if radial else _mesh_components
+    for iterations in range(1, _EXCHANGE_STEPS + 2):
+        step = components(net, alpha, beta, held, target)
+        if step is None:  # dependent held rows on a mesh
+            break
+        u, q, flows, push = step
+        # written as "not within", so that a NaN counts as a violation
+        over = ~held & finite & ~(
+            np.abs(flows) - limits <= _RTOL * (1.0 + np.abs(q).sum()))
+        wrong = held & signed & ~(
+            -np.sign(target) * push <= _RTOL * (1.0 + np.abs(u).max()))
+        if not (over.any() or wrong.any()):
+            break
+        held = (held & ~wrong) | over
+        target = np.where(over, np.copysign(limits, flows), target)
+    else:  # the steps may cycle
+        step = None
+    if step is None:
+        if not radial:
+            sol = _cold_qp(net, hess, linear, base, k)
+            return replace(sol, iterations=iterations + sol.iterations)
+        held, target = _exact_pass(net.tree, limits, alpha, beta)
+        u, q, flows, push = components(net, alpha, beta, held, target)
+        iterations += 1
+
+    dual = np.where(held, push / k, 0.0)  # mu_up - mu_lo
+    upper = held & np.where(limits == 0.0, dual >= 0.0, target > 0.0)
+    lower = held & ~upper
+    mu_up = np.where(upper, np.maximum(dual, 0.0), 0.0)
+    mu_lo = np.where(lower, np.maximum(-dual, 0.0), 0.0)
+    residual = max(abs(float(q.sum())),
+                   float(np.max(np.abs(flows) - limits, initial=0.0)),
+                   float(np.max(-dual[upper], initial=0.0)),
+                   float(np.max(dual[lower], initial=0.0)))
+    held_lines = np.flatnonzero(held)
+    return QpSolution(
+        x=(u - linear) / hess, eq_duals=np.array([-u[net.slack - 1]]),
+        ineq_duals_lower=mu_lo, ineq_duals_upper=mu_up,
+        active_set=tuple(zip(held_lines.tolist(),
+                             np.where(upper[held_lines], "upper", "lower").tolist())),
+        iterations=iterations, residual=residual,
+    )
+
+
+def _mesh_components(net, alpha, beta, held, target):
+    """Prices ``u``, purchases, flows and pushes on a meshed network with
+    the ``held`` lines' flows at ``target``, or None when the held rows are
+    (nearly) dependent.
+
+    The price is ``u = R' z`` on the rows ``R`` of the balance and the held
+    lines' flows, so ``R diag(beta) R' z = R alpha - t`` puts the purchases
+    on their targets ``t``; one refinement pass follows.  A near-singular
+    system, such as all lines of a cycle or a line with its parallel twin,
+    gives garbage that can pass the optimality check, so the balance and
+    every held flow must meet their targets afterwards.
+    """
+    G = net.ptdf.T
+    rows = np.vstack([np.ones(alpha.size), G[held]])
+    t = np.concatenate([[0.0], target[held]])
+    schur = (rows * beta) @ rows.T
+    z, q = np.zeros(t.size), alpha
+    try:
+        for _ in range(2):
+            z = z + np.linalg.solve(schur, rows @ q - t)
+            u = z @ rows
+            q = alpha - beta * u
+    except np.linalg.LinAlgError:
+        return None
+    flows = G @ q
+    gap = max(abs(q.sum()), np.abs(flows[held] - target[held]).max(initial=0.0))
+    if not gap <= _RTOL * (1.0 + np.abs(alpha).sum()):
+        return None
+    push = np.zeros(held.size)
+    push[held] = z[1:]
+    return u, q, flows, push
+
+
+def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:
+    """The program as a dense QP in ``x``, solved from ``x = base / k``."""
+    G = net.ptdf.T
     Gb = G @ base
     qp = QuadraticProgram(
         hessian=np.diag(hess),
@@ -199,7 +306,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float, x0,
         ineq_lower=-net.limits - Gb,
         ineq_upper=net.limits - Gb,
     )
-    return solve_qp(qp, x0=x0, active=active)
+    return solve_qp(qp, x0=base / k)
 
 
 def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) -> float:

@@ -19,23 +19,13 @@ The method is deterministic: a least-index rule breaks ties both when a
 blocking row is added and when a wrong-signed multiplier is dropped, so
 identical inputs produce bit-identical outputs.
 
-Start point and hot start, ``solve_qp(qp, x0, active)``:
-
-* ``x0`` is a feasible start point.  It must satisfy every row to
-  :func:`feasibility_tolerance`, or the solve raises ``ValueError``.  Only
-  when no ``x0`` is given is a feasible point found with one
-  linear-programming call (:func:`linprog`, the phase 1).
-* ``active`` is a guess of the optimal active set, in the format of
-  ``QpSolution.active_set``, and a hot start of the one active-set loop.
-  The minimizer with the guessed rows held at their bounds is solved once.
-  If that point is feasible, holds every guessed row and its objective is
-  no higher than at ``x0``, the loop starts there with the guess as its
-  working set; a wrong-signed multiplier is then dropped as in any other
-  iteration.  Otherwise the loop starts from ``x0`` with the guessed rows
-  that ``x0`` holds at their bound.  Either way, when the loop's first
-  working set is the guess, the guess's solve is its first step, so a right
-  guess costs one iteration; a guess solve it cannot reuse counts as one
-  iteration more.  A guess changes the work, never the optimum.
+The loop starts cold from ``x0``, a feasible point with an empty working
+set.  ``x0`` must satisfy every row to :func:`feasibility_tolerance`, or
+the solve raises ``ValueError``.  Only when no ``x0`` is given is a
+feasible point found with one linear-programming call (:func:`linprog`,
+the phase 1).  The package's programs hot-start elsewhere, in
+:func:`esharing.market._solve_program`, and reach this solver only as the
+mesh fallback, from their no-trade point.
 """
 from __future__ import annotations
 
@@ -189,16 +179,11 @@ def _violation(qp: QuadraticProgram, x: np.ndarray) -> float:
     return float(np.max(np.concatenate(parts), initial=0.0))
 
 
-def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, x0=None) -> QpSolution:
     """Solve to stationarity/feasibility residuals at the 1e-9 (scaled) level.
 
     ``x0`` is a feasible start point; without one, a phase-1 linear program
-    finds one.  ``active`` is a guess of the optimal active set, as
-    ``(row, side)`` pairs like :attr:`QpSolution.active_set` (a row named
-    twice keeps its last side).  It hot-starts the loop from its own
-    minimizer when that point is feasible and no worse than ``x0``, and
-    otherwise from ``x0`` with the guessed rows ``x0`` holds; it never
-    changes the optimum, only the work to reach it.
+    finds one.
 
     Raises
     ------
@@ -283,55 +268,21 @@ def solve_qp(qp: QuadraticProgram, x0=None, active=()) -> QpSolution:
         sides = np.array([s for _, s in working], dtype=float)
         return np.flatnonzero(sides * duals[pinned.size:] < -dual_tol)
 
-    def held(x, pairs):
-        """The ``(row, side)`` pairs whose bound ``x`` holds."""
-        cx = C @ x
-        return [(r, s) for r, s in pairs
-                if abs(cx[r] - (up[r] if s > 0 else lo[r])) <= feas_tol]
-
-    def objective(x):
-        return 0.5 * x @ qp.hessian @ x + g @ x
-
-    feas_tol = feasibility_tolerance(qp)
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (n,):
-            raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
-        if not _violation(qp, x0) <= feas_tol:
+    if x0 is None:
+        x = _phase1(qp)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != (n,):
+            raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({n},)")
+        if not _violation(qp, x) <= feasibility_tolerance(qp):
             raise ValueError("x0 is not a feasible point of the program")
-
-    x = None
     working: list[tuple[int, int]] = []  # (row, side) with side -1=lower, +1=upper
-    first = None  # the guess's solve, when it is the loop's first step
-    if active:
-        sides = {int(r): 1 if side == "upper" else -1 for r, side in active}
-        guess = sorted((r, s) for r, s in sides.items()
-                       if free[r] and np.isfinite(up[r] if s > 0 else lo[r]))
-        x_g, duals_g = minimize_on(guess)
-        # the guess point is the start, with the guess as its working set,
-        # when it is feasible to rounding level (1e-3 of the contract, so
-        # that the optimum reached from it keeps the contract), holds every
-        # guessed row and is no worse than x0: the loop only descends, so a
-        # start above x0 only lengthens its path
-        if _violation(qp, x_g) <= 1e-3 * feas_tol and held(x_g, guess) == guess \
-                and (x0 is None or objective(x_g) <= objective(x0)):
-            x, working, first = x_g, guess, (x_g, duals_g)
-    if x is None:
-        x = _phase1(qp) if x0 is None else x0
-        if active:
-            working = held(x, guess)
-            if working == guess:
-                first = (x_g, duals_g)
-    # a guess solve the loop could not reuse is one iteration of its own
-    iterations = 1 if active and first is None else 0
+    iterations = 0
     row_l1 = np.abs(C).sum(axis=1)
     max_iter = 50 * (n + m_in) + 10
     for _ in range(max_iter):
         iterations += 1
-        if first is None:
-            x_star, duals = minimize_on(working)
-        else:
-            (x_star, duals), first = first, None
+        x_star, duals = minimize_on(working)
         d = x_star - x
         if np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
             # largest step along d that keeps the rows outside the set

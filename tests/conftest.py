@@ -55,15 +55,17 @@ def random_tree(rng, size):
 
 
 @st.composite
-def limited_scenarios(draw, max_size=20):
+def limited_scenarios(draw, max_size=20, mesh=None):
     """Scenarios whose every line has a limit that binds at moderate bids.
 
-    The network is a random tree of up to ``max_size`` buses or, half of the
-    time, a mesh: the tree plus a few chords and a parallel copy of one line
-    with a different weight.  One line may have a zero limit.
+    The network is a random tree of up to ``max_size`` buses or a mesh: the
+    tree plus a few chords and a parallel copy of one line with a different
+    weight.  ``mesh`` chooses; by default each is drawn half of the time.
+    One line may have a zero limit.
     """
     size = draw(st.integers(3, max_size))
-    mesh = draw(st.booleans())
+    if mesh is None:
+        mesh = draw(st.booleans())
     zero_limit = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = list(random_tree(rng, size).lines)

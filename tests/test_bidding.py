@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import with_chords
-from esharing import cases, equilibrium, market, tree
+from esharing import cases, equilibrium, market
 from esharing.bidding import (
     BiddingConfig,
     BiddingTrace,
@@ -185,32 +185,46 @@ def test_trace_distance_helper(two_f5):
 
 
 def test_settled_rounds_take_one_solver_iteration(monkeypatch):
-    # each round warm starts from the previous round's active set, so once
-    # the set stops changing a round's program is solved by its first guess;
-    # a mesh, because a tree never reaches the QP
-    solves = []
+    # each round hot-starts from the previous round's active set, so once
+    # the set stops changing a round's program is solved by one held solve
+    # of its guess; a mesh, whose fallback is the QP
+    solve, mesh_components = market._solve_program, market._mesh_components
+    held_solves, qp_solves, solves = [], [], []
 
-    def recording(qp, x0=None, active=()):
-        sol = solve_qp(qp, x0=x0, active=active)
-        solves.append((tuple(active), sol.active_set, sol.iterations))
+    def recording(*args):
+        held, qps = len(held_solves), len(qp_solves)
+        sol = solve(*args)
+        solves.append((tuple(args[5]), sol.active_set,
+                       len(held_solves) - held, len(qp_solves) - qps))
         return sol
 
-    monkeypatch.setattr(market, "solve_qp", recording)
+    def counting(*args):
+        held_solves.append(args)
+        return mesh_components(*args)
+
+    def qp_recording(*args, **kwargs):
+        qp_solves.append(args)
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(market, "_solve_program", recording)
+    monkeypatch.setattr(market, "_mesh_components", counting)
+    monkeypatch.setattr(market, "solve_qp", qp_recording)
     run_bidding(with_chords(gen_scenario(7, 38, "tight"), 3))
-    settled = [its for guess, found, its in solves if guess and guess == found]
+    settled = [(held, qps) for guess, found, held, qps in solves
+               if guess and guess == found]
     assert len(settled) > len(solves) // 2
-    assert settled == [1] * len(settled)
+    assert settled == [(1, 0)] * len(settled)
 
 
 def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
     # on a tree each round checks the previous round's held lines in closed
     # form; a round whose set changes repairs it by exchange steps, and no
     # round falls back to the exact pass
-    solve_tree, exact_pass = market.solve_tree, tree._exact_pass
+    solve, exact_pass = market._solve_program, market._exact_pass
     iterations, passes = [], []
 
     def recording(*args):
-        sol = solve_tree(*args)
+        sol = solve(*args)
         iterations.append(sol.iterations)
         return sol
 
@@ -218,8 +232,8 @@ def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
         passes.append(args)
         return exact_pass(*args)
 
-    monkeypatch.setattr(market, "solve_tree", recording)
-    monkeypatch.setattr(tree, "_exact_pass", counting)
+    monkeypatch.setattr(market, "_solve_program", recording)
+    monkeypatch.setattr(market, "_exact_pass", counting)
     result = run_bidding(gen_scenario(7, 38, "tight"))
     assert result.iterations == len(iterations) == 124
     assert 0 < sum(its > 1 for its in iterations) <= 15

@@ -224,6 +224,21 @@ def test_module_entry_point(fixture_file):
     assert doc["results"]["p_bar"] == pytest.approx([105.0, 195.0])
 
 
+def test_closed_stdout_exits_one_without_a_traceback(fixture_file):
+    # the reading end is closed before the command writes, as when a pipe
+    # into ``head`` has read its lines
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "esharing", "gne",
+                               fixture_file], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, esharing.cli; print(sorted("

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import with_chords
-from esharing import cases, equilibrium, market, tree
+from esharing import cases, equilibrium, market
 from esharing.errors import DegenerateBaseline, NonRadialWarning
 from esharing.market import Scenario, clear_market, clearing_kkt_residual
 from esharing.network import LineSpec, build_network
@@ -221,22 +221,32 @@ def test_equilibrium_invariants_on_generated_scenarios(seed):
 
 @pytest.mark.parametrize("size", [120, 200])
 def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch):
-    # a mesh, because a tree never reaches the QP
+    # a mesh, whose held-set solve is not the tree's
     scenario = with_chords(gen_scenario(7, size, "tight"), 3)
     eqm = equilibrium.improved_gne(scenario)
-    solve_qp = market.solve_qp
-    solves = []
+    solve, mesh_components = equilibrium._solve_program, market._mesh_components
+    held_solves, solves = [], []
 
-    def recording(*args, **kwargs):
-        solves.append(solve_qp(*args, **kwargs))
-        return solves[-1]
+    def recording(*args):
+        held = len(held_solves)
+        solves.append((solve(*args), len(held_solves) - held))
+        return solves[-1][0]
 
-    monkeypatch.setattr(market, "solve_qp", recording)
+    def counting(*args):
+        held_solves.append(args)
+        return mesh_components(*args)
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("a social solve reached the QP")
+
+    monkeypatch.setattr(equilibrium, "_solve_program", recording)
+    monkeypatch.setattr(market, "_mesh_components", counting)
+    monkeypatch.setattr(market, "solve_qp", no_qp)
     report = equilibrium.poa(scenario, eqm)
     cold = equilibrium.social_optimum(scenario)
-    hot_solve, cold_solve = solves
-    # a cold social solve takes 103 and 174 iterations here
-    assert hot_solve.iterations <= 3 < cold_solve.iterations
+    (hot_solve, hot_held), (_, cold_held) = solves
+    # a cold social solve takes 9 and 7 held solves here
+    assert hot_held <= 3 < cold_held
     assert np.abs(hot_solve.x - cold.p_tilde).max() \
         <= 1e-12 * np.abs(cold.p_tilde).max()
     assert report["social_cost"] == pytest.approx(cold.total_cost, rel=1e-12, abs=0.0)
@@ -284,7 +294,7 @@ def test_poa_on_a_tree_takes_the_social_active_set_from_the_equilibrium(
     def no_exact_pass(*args):
         raise AssertionError("the equilibrium's binding lines were not optimal")
 
-    monkeypatch.setattr(tree, "_exact_pass", no_exact_pass)
+    monkeypatch.setattr(market, "_exact_pass", no_exact_pass)
     report = equilibrium.poa(scenario, eqm)
     assert report["social_cost"] == pytest.approx(cold.total_cost, rel=1e-12, abs=0.0)
 

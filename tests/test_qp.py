@@ -8,8 +8,7 @@ from esharing import qp as qp_module
 from esharing.bidding import run_bidding
 from esharing.errors import DimensionMismatch, Infeasible, NotPositiveDefinite
 from esharing.market import clear_market
-from esharing.qp import (QuadraticProgram, feasibility_tolerance, kkt_residual,
-                         solve_qp)
+from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
 from esharing.scenario_io import gen_scenario
 
 
@@ -218,98 +217,6 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n):
     if ref.success:
         ours = 0.5 * sol.x @ h @ sol.x + g @ sol.x
         assert ours <= ref.fun + 1e-6
-
-
-def random_feasible_qp(rng, n):
-    """Dense-H program with general rows, feasible at a known point ``x0``."""
-    m = rng.standard_normal((n, n))
-    h = m @ m.T + np.eye(n)
-    x0 = rng.uniform(-1.0, 1.0, n)
-    rows = rng.standard_normal((int(rng.integers(1, n + 3)), n))
-    lo = rows @ x0 - rng.uniform(0.0, 1.0, rows.shape[0])
-    up = rows @ x0 + rng.uniform(0.0, 1.0, rows.shape[0])
-    lo[rng.random(rows.shape[0]) < 0.2] = -np.inf
-    eq = rng.standard_normal((1, n))
-    qp = QuadraticProgram(hessian=h, linear=rng.uniform(-3.0, 3.0, n),
-                          eq_matrix=eq, eq_rhs=eq @ x0, ineq_matrix=rows,
-                          ineq_lower=lo, ineq_upper=up)
-    return qp, x0
-
-
-def assert_same_solution(cold, warm):
-    for a, b in ((cold.x, warm.x), (cold.eq_duals, warm.eq_duals),
-                 (cold.ineq_duals_lower, warm.ineq_duals_lower),
-                 (cold.ineq_duals_upper, warm.ineq_duals_upper)):
-        assert np.abs(a - b).max(initial=0.0) <= 1e-9 * (1.0 + np.abs(a).max(initial=0.0))
-
-
-@given(st.integers(0, 10 ** 6), st.integers(2, 7))
-@settings(max_examples=100)
-def test_warm_starts_match_the_cold_solve(seed, n):
-    rng = np.random.default_rng(seed)
-    qp, x0 = random_feasible_qp(rng, n)
-    cold = solve_qp(qp)
-    rows = rng.choice(qp.ineq_count, int(rng.integers(0, qp.ineq_count + 1)),
-                      replace=False)
-    random_guess = [(int(r), "upper" if rng.random() < 0.5 else "lower")
-                    for r in rows]
-    right_guess = solve_qp(qp, x0=x0, active=cold.active_set)
-    for warm in (solve_qp(qp, x0=x0), solve_qp(qp, x0=x0, active=random_guess),
-                 right_guess):
-        assert kkt_residual(qp, warm) <= 1e-8
-        assert_same_solution(cold, warm)
-    if cold.active_set:
-        assert right_guess.iterations == 1
-
-
-@given(st.integers(0, 10 ** 6), st.integers(2, 7))
-@settings(max_examples=100)
-def test_hot_starts_from_a_nearby_optimum(seed, n):
-    # x0 and its active set come from the same rows with a perturbed
-    # linear term, as the social optimum's start comes from the equilibrium
-    rng = np.random.default_rng(seed)
-    qp, _ = random_feasible_qp(rng, n)
-    near = solve_qp(QuadraticProgram(
-        hessian=qp.hessian, linear=qp.linear + 1e-3 * rng.standard_normal(n),
-        eq_matrix=qp.eq_matrix, eq_rhs=qp.eq_rhs, ineq_matrix=qp.ineq_matrix,
-        ineq_lower=qp.ineq_lower, ineq_upper=qp.ineq_upper))
-    x0, held = near.x, list(near.active_set)
-    cold = solve_qp(qp, x0=x0)
-    cx = qp.ineq_matrix @ x0
-    slack = [(r, side) for r in range(qp.ineq_count)
-             for side, bound in (("lower", qp.ineq_lower[r]),
-                                 ("upper", qp.ineq_upper[r]))
-             if np.isfinite(bound)
-             and abs(cx[r] - bound) > feasibility_tolerance(qp)]
-    guesses = [held, [p for p in held if rng.random() < 0.5]]
-    if slack:
-        guesses.append(held + [slack[rng.integers(len(slack))]])
-    for guess in guesses:
-        warm = solve_qp(qp, x0=x0, active=guess)
-        assert kkt_residual(qp, warm) <= 1e-8
-        assert_same_solution(cold, warm)
-        # a guessed row that the optimum does not hold may cost one
-        # iteration: its drop, or the guess solve that x0 cannot start from
-        wrong = set(guess) - set(cold.active_set)
-        assert warm.iterations <= cold.iterations + len(wrong)
-
-
-def test_feasible_guess_with_a_wrong_signed_multiplier_is_kept():
-    # min sum (x_i - t_i)^2 on [0, 1]^4, t = (2, 2, 2, 0.5): the optimum
-    # holds rows 0-2 at 1; guessing row 3 at 1 too gives a feasible point
-    # whose row-3 multiplier is negative
-    t = np.array([2.0, 2.0, 2.0, 0.5])
-    qp = box_qp(2.0 * np.eye(4), -2.0 * t, np.zeros(4), np.ones(4))
-    cold = solve_qp(qp, x0=np.zeros(4))
-    warm = solve_qp(qp, x0=np.zeros(4),
-                    active=[(r, "upper") for r in range(4)])
-    assert warm.x == pytest.approx([1.0, 1.0, 1.0, 0.5], abs=1e-12)
-    assert warm.active_set == cold.active_set == ((0, "upper"), (1, "upper"),
-                                                  (2, "upper"))
-    # the guess point's step drops row 3 and the next reaches the optimum;
-    # a cold restart would add rows 0-2 one at a time after the guess's solve
-    assert cold.iterations == 4
-    assert warm.iterations == 2
 
 
 def test_infeasible_start_is_refused():

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from conftest import with_chords
 from esharing import cases
 from esharing.bidding import a_min
 from esharing.errors import FileError
@@ -15,6 +17,15 @@ from esharing.scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+
+def test_the_bundled_mesh_is_the_chorded_tight_network():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "mesh38_chords.json")
+    bundled = load_scenario(path)
+    assert bundled.network.tree is None
+    assert scenario_to_dict(bundled) == scenario_to_dict(
+        with_chords(gen_scenario(7, 38, "tight"), 3))
 
 
 def test_round_trip(tmp_path, two_f5):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tree, with_chords
-from esharing import equilibrium, market, tree
+from conftest import limited_scenarios, random_tree, with_chords
+from esharing import equilibrium, market
 from esharing.network import LineSpec, build_network
 from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
 from esharing.scenario_io import gen_scenario
@@ -49,6 +49,26 @@ def random_program(rng, size, form):
     return net, 2.0 * c + w, d - w * D, D, 1.0
 
 
+@st.composite
+def mesh_programs(draw):
+    """One of the four package programs on a mesh drawn by
+    ``limited_scenarios``: chords, a parallel twin, sometimes a zero limit."""
+    scenario = draw(limited_scenarios(mesh=True))
+    form = draw(st.sampled_from(FORMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net, n, a = scenario.network, scenario.size, scenario.a
+    if form in ("clearing", "proximal"):
+        bids = rng.uniform(-2.0, 3.0, n)
+        if form == "clearing":
+            return net, np.full(n, 2.0), np.zeros(n), bids, a
+        return net, np.full(n, 4.0), -2.0 * rng.uniform(-1.0, 2.0, n) / a, bids, a
+    c, d, D = scenario.c, scenario.d, scenario.D
+    if form == "social":
+        return net, 2.0 * c, d, D, 1.0
+    w = 1.0 / (a * (n - 1))
+    return net, 2.0 * c + w, d - w * D, D, 1.0
+
+
 def random_guess(net, seed):
     """About half of the lines, each at a random side."""
     rng = np.random.default_rng(seed)
@@ -57,11 +77,11 @@ def random_guess(net, seed):
 
 
 def exact_pass_only(program, active):
-    """``solve_tree`` with no exchange steps: a failed guess goes straight
-    to the exact pass."""
+    """``_solve_program`` with no exchange steps: a failed guess goes
+    straight to the exact pass."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tree, "_EXCHANGE_STEPS", 0)
-        return tree.solve_tree(*program, active=active)
+        patch.setattr(market, "_EXCHANGE_STEPS", 0)
+        return market._solve_program(*program, active=active)
 
 
 def oracle(net, hess, linear, base, k):
@@ -90,7 +110,7 @@ def assert_same(sol, ref):
 @given(tree_programs())
 def test_tree_solver_matches_the_qp(program):
     qp, ref = oracle(*program)
-    sol = tree.solve_tree(*program)
+    sol = market._solve_program(*program)
     assert_same(sol, ref)
     assert kkt_residual(qp, sol) <= 1e-8
     assert sol.residual <= 1e-8
@@ -109,8 +129,8 @@ def test_any_hot_start_gives_the_same_answer(program, seed):
     extra = right + [(int(rng.choice(spare)), rng.choice(["lower", "upper"]))] \
         if spare else right
     for guess in (right, subset, extra):
-        assert_same(tree.solve_tree(*program, active=guess), ref)
-    assert tree.solve_tree(*program, active=right).iterations == 1
+        assert_same(market._solve_program(*program, active=guess), ref)
+    assert market._solve_program(*program, active=right).iterations == 1
 
 
 @settings(max_examples=150)
@@ -128,7 +148,7 @@ def test_the_exact_pass_alone_matches_the_qp(program, seed):
 @given(tree_programs(), st.integers(0, 2**32 - 1))
 def test_exchange_steps_hold_the_lines_the_exact_pass_holds(program, seed):
     for active in ((), random_guess(program[0], seed)):
-        stepped = tree.solve_tree(*program, active=active)
+        stepped = market._solve_program(*program, active=active)
         exact = exact_pass_only(program, active)
         assert stepped.active_set == exact.active_set
         assert np.array_equal(stepped.x, exact.x)
@@ -138,7 +158,7 @@ def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
     # on this congested 40-bus tree the exchange steps from the empty guess
     # come back to a held set every 4 steps; the exact pass settles it
     program = random_program(np.random.default_rng(4441), 40, "social")
-    components, exact_pass = tree._components, tree._exact_pass
+    components, exact_pass = market._tree_components, market._exact_pass
     held_sets, passes = [], []
 
     def recording(net, alpha, beta, held, target):
@@ -149,14 +169,48 @@ def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
         passes.append(args)
         return exact_pass(*args)
 
-    monkeypatch.setattr(tree, "_components", recording)
-    monkeypatch.setattr(tree, "_exact_pass", counting)
-    sol = tree.solve_tree(*program)
+    monkeypatch.setattr(market, "_tree_components", recording)
+    monkeypatch.setattr(market, "_exact_pass", counting)
+    sol = market._solve_program(*program)
     stepped = held_sets[:-1]  # the last solve is on the exact pass's set
     assert len(passes) == 1
-    assert len(set(stepped)) < len(stepped) == tree._EXCHANGE_STEPS + 1
-    assert sol.iterations == tree._EXCHANGE_STEPS + 2
+    assert len(set(stepped)) < len(stepped) == market._EXCHANGE_STEPS + 1
+    assert sol.iterations == market._EXCHANGE_STEPS + 2
     qp, ref = oracle(*program)
+    assert_same(sol, ref)
+    assert kkt_residual(qp, sol) <= 1e-8
+
+
+@settings(max_examples=300)
+@given(mesh_programs(), st.integers(0, 2**32 - 1))
+def test_mesh_hot_starts_match_the_cold_qp(program, seed):
+    qp, ref = oracle(*program)
+    for active in ((), random_guess(program[0], seed)):
+        sol = market._solve_program(*program, active=active)
+        assert_same(sol, ref)
+        assert kkt_residual(qp, sol) <= 1e-8
+
+
+def test_a_singular_held_set_falls_back_to_the_qp(monkeypatch):
+    # line 0 has a zero limit and line 3 is its parallel twin, so their
+    # flows are one row up to scale and rounding: holding the twin at its
+    # limit leaves no solution, and the held solve must refuse the garbage
+    # of the near-singular system at once
+    lines = [LineSpec(1, 2, 1.0, 0.0), LineSpec(2, 3, 1.0, 0.5),
+             LineSpec(1, 3, 1.0, 0.5), LineSpec(1, 2, 0.3, 0.4)]
+    net = build_network(3, lines)
+    program = net, np.full(3, 2.0), np.zeros(3), np.array([3.0, -1.0, 0.5]), 1.0
+    qps = []
+
+    def recording(*args, **kwargs):
+        qps.append(solve_qp(*args, **kwargs))
+        return qps[-1]
+
+    monkeypatch.setattr(market, "solve_qp", recording)
+    qp, ref = oracle(*program)
+    sol = market._solve_program(*program, active=[(3, "upper")])
+    assert len(qps) == 1
+    assert sol.iterations == 1 + qps[0].iterations
     assert_same(sol, ref)
     assert kkt_residual(qp, sol) <= 1e-8
 
@@ -180,6 +234,7 @@ def test_topology_agrees_with_the_ptdf():
 def test_meshes_have_no_tree_and_keep_the_qp(monkeypatch):
     scenario = with_chords(gen_scenario(3, 12, "tight"), 2)
     assert scenario.network.tree is None
-    monkeypatch.setattr(market, "solve_tree", None)
+    monkeypatch.setattr(market, "_tree_components", None)
+    monkeypatch.setattr(market, "_exact_pass", None)
     equilibrium.improved_gne(scenario)
 

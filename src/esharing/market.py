@@ -192,9 +192,9 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       few steps, but the steps can cycle.
     * Fallback after ``_EXCHANGE_STEPS`` steps, or when a mesh's held rows
       are dependent: the exact pass of :mod:`esharing.tree` finds the held
-      set on a radial network, and a cold :func:`esharing.qp.solve_qp` from
-      the no-trade point ``base / k``, feasible for every limit >= 0,
-      solves a meshed one.
+      set on a radial network, and the dual active-set method of
+      :func:`esharing.qp.solve_qp`, which starts from the unconstrained
+      minimum, solves a meshed one.
 
     The solution reports the balance dual ``nu`` as its only equality
     dual, the line duals in the sign convention of ``solve_qp`` for rows
@@ -294,7 +294,8 @@ def _mesh_components(net, alpha, beta, held, target):
 
 
 def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:
-    """The program as a dense QP in ``x``, solved from ``x = base / k``."""
+    """The program as a dense QP in ``x``, solved cold by
+    :func:`esharing.qp.solve_qp`."""
     G = net.ptdf.T
     Gb = G @ base
     qp = QuadraticProgram(
@@ -306,7 +307,7 @@ def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:
         ineq_lower=-net.limits - Gb,
         ineq_upper=net.limits - Gb,
     )
-    return solve_qp(qp, x0=base / k)
+    return solve_qp(qp)
 
 
 def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) -> float:

@@ -6,26 +6,29 @@ Solves
     s.t. A x = b                 (equality rows, duals ``nu``)
          lo <= C x <= up         (two-sided rows, duals ``mu_lo``/``mu_up``)
 
-by a primal active-set method in range-space form.  H passes a Cholesky
-test for positive definiteness, and H^-1 [A; C]' is formed once for all
-rows (by division when H is diagonal, as in every package program), so
-each working-set subproblem is the small Schur system on the working rows
-alone, refined once against the rows themselves.  Multipliers come out
-consistent with the stationarity condition
+by the dual active-set method of Goldfarb & Idnani (Math. Programming
+27, 1983).  H passes a Cholesky test for positive definiteness, and
+H^-1 [A; C]' is formed once for all rows (by division when H is diagonal,
+as in every package program), so each step solves only the small Schur
+system on the held rows.  Multipliers come out consistent with the
+stationarity condition
 
     H x + g + A' nu + C' (mu_up - mu_lo) = 0,      mu_lo, mu_up >= 0.
 
-The method is deterministic: a least-index rule breaks ties both when a
-blocking row is added and when a wrong-signed multiplier is dropped, so
-identical inputs produce bit-identical outputs.
+The loop starts at the unconstrained minimum with nothing held.  The
+equality and equal-bound rows are held first and never released; one that
+depends on the rows already held is skipped when it is met and raises
+``Infeasible`` when it is not.  Then each step adds the most violated row,
+releasing on the way any held row whose multiplier would change sign.  A
+violated row that depends on the held rows, with no held multiplier to
+release, proves the program infeasible.  A least-index rule breaks ties
+both when a row is added and when one is released, so identical inputs
+produce bit-identical outputs.  A Schur solve on the final held set,
+refined once against the rows themselves, gives the reported solution.
 
-The loop starts cold from ``x0``, a feasible point with an empty working
-set.  ``x0`` must satisfy every row to :func:`feasibility_tolerance`, or
-the solve raises ``ValueError``.  Only when no ``x0`` is given is a
-feasible point found with one linear-programming call (:func:`linprog`,
-the phase 1).  The package's programs hot-start elsewhere, in
+The package's programs hot-start elsewhere, in
 :func:`esharing.market._solve_program`, and reach this solver only as the
-mesh fallback, from their no-trade point.
+mesh fallback.
 """
 from __future__ import annotations
 
@@ -125,79 +128,26 @@ class QpSolution:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: no package program
-    reaches the phase 1, so importing the package does not load scipy."""
+    """``scipy.optimize.linprog``, imported on first use.
+
+    Nothing in the package calls it.  It stays because the benchmark's
+    tracer (``bench/tracing.py``) wraps this name to count LP calls.
+    """
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
 
-def _phase1(qp: QuadraticProgram) -> np.ndarray:
-    """Any feasible point, via one LP solve.  Raises Infeasible if none."""
-    n = qp.n
-    if qp.ineq_count == 0:
-        if qp.eq_count == 0:
-            return np.zeros(n)
-        x, *_ = np.linalg.lstsq(qp.eq_matrix, qp.eq_rhs, rcond=None)
-        resid = qp.eq_matrix @ x - qp.eq_rhs
-        if np.abs(resid).max(initial=0.0) > _FEAS_RTOL * (
-                1.0 + np.abs(qp.eq_rhs).max(initial=0.0)):
-            raise Infeasible("equality constraints are inconsistent")
-        return x
-    rows_ub = []
-    rhs_ub = []
-    for j in range(qp.ineq_count):
-        if np.isfinite(qp.ineq_upper[j]):
-            rows_ub.append(qp.ineq_matrix[j])
-            rhs_ub.append(qp.ineq_upper[j])
-        if np.isfinite(qp.ineq_lower[j]):
-            rows_ub.append(-qp.ineq_matrix[j])
-            rhs_ub.append(-qp.ineq_lower[j])
-    kwargs = {}
-    if qp.eq_count:
-        kwargs["A_eq"] = qp.eq_matrix
-        kwargs["b_eq"] = qp.eq_rhs
-    if rows_ub:
-        kwargs["A_ub"] = np.asarray(rows_ub)
-        kwargs["b_ub"] = np.asarray(rhs_ub)
-    res = linprog(c=np.zeros(n), bounds=[(None, None)] * n, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-9},
-                  **kwargs)
-    if res.status == 2:
-        raise Infeasible("constraint set is empty")
-    if res.status != 0:
-        raise IterationLimit(f"feasibility solve failed with status {res.status}")
-    return np.asarray(res.x, dtype=float)
-
-
-def _violation(qp: QuadraticProgram, x: np.ndarray) -> float:
-    """Largest violation of any constraint row at ``x``; NaN if ``x`` has NaN."""
-    parts = [np.abs(qp.eq_matrix @ x - qp.eq_rhs)]
-    if qp.ineq_count:
-        cx = qp.ineq_matrix @ x
-        parts += [cx - qp.ineq_upper, qp.ineq_lower - cx]
-    return float(np.max(np.concatenate(parts), initial=0.0))
-
-
-def solve_qp(qp: QuadraticProgram, x0=None) -> QpSolution:
+def solve_qp(qp: QuadraticProgram) -> QpSolution:
     """Solve to stationarity/feasibility residuals at the 1e-9 (scaled) level.
-
-    ``x0`` is a feasible start point; without one, a phase-1 linear program
-    finds one.
 
     Raises
     ------
-    DimensionMismatch
-        If ``x0`` has the wrong shape.
-    ValueError
-        If ``x0`` violates a constraint by more than
-        :func:`feasibility_tolerance`.
     Infeasible
         If the constraint set is empty.
     NotPositiveDefinite
         If the hessian fails a Cholesky test.
     IterationLimit
-        If the active-set loop exceeds ``50 * (n + ineq_count)`` changes.
+        If the active-set loop exceeds ``50 * (n + ineq_count)`` steps.
     """
     n = qp.n
     if n == 0:
@@ -219,7 +169,7 @@ def solve_qp(qp: QuadraticProgram, x0=None) -> QpSolution:
     g = qp.linear
     C, lo, up = qp.ineq_matrix, qp.ineq_lower, qp.ineq_upper
     m_eq, m_in = qp.eq_count, qp.ineq_count
-    # range space of every row at once: the working-set subproblem
+    # range space of every row at once: the held-set subproblem
     #   min 0.5 x'Hx + g'x  s.t.  R x = t   (R: some rows of [A; C])
     # has x = x_u - H^-1 R' y with (R H^-1 R') y = R x_u - t, x_u = -H^-1 g
     rows = np.vstack([qp.eq_matrix, C])
@@ -235,108 +185,107 @@ def solve_qp(qp: QuadraticProgram, x0=None) -> QpSolution:
     hinv_rt = solved[:, 1:]
     gram = rows @ hinv_rt
 
-    # rows with equal bounds are equalities in disguise: pin them permanently
-    fixed = np.flatnonzero(lo == up)
-    free = lo != up
-    pinned = np.concatenate([np.arange(m_eq), m_eq + fixed])
-    pinned_rhs = np.concatenate([qp.eq_rhs, lo[fixed]])
-    dual_tol = 1e-10 * (1.0 + np.abs(g).max(initial=0.0))
-
-    def minimize_on(working):
-        """Minimizer and multipliers with the working rows held at their bounds."""
-        idx = np.concatenate([pinned, [m_eq + r for r, _ in working]]).astype(int)
-        x, y = x_u, np.zeros(idx.size)
-        if idx.size == 0:
-            return x, y
-        target = np.concatenate(
-            [pinned_rhs, [up[r] if s > 0 else lo[r] for r, s in working]])
-        schur = gram[np.ix_(idx, idx)]
-        # the second pass is one step of iterative refinement against the
-        # rows themselves, which keeps feasibility at the dense KKT
-        # solve's rounding level on badly scaled rows
-        for _ in range(2):
-            residual = rows[idx] @ x - target
-            try:
-                dy = np.linalg.solve(schur, residual)
-            except np.linalg.LinAlgError:
-                dy, *_ = np.linalg.lstsq(schur, residual, rcond=None)
-            x, y = x - hinv_rt[:, idx] @ dy, y + dy
-        return x, y
-
-    def wrong_signed(working, duals):
-        """Positions in ``working`` whose multiplier has the wrong sign."""
-        sides = np.array([s for _, s in working], dtype=float)
-        return np.flatnonzero(sides * duals[pinned.size:] < -dual_tol)
-
-    if x0 is None:
-        x = _phase1(qp)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,):
-            raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({n},)")
-        if not _violation(qp, x) <= feasibility_tolerance(qp):
-            raise ValueError("x0 is not a feasible point of the program")
-    working: list[tuple[int, int]] = []  # (row, side) with side -1=lower, +1=upper
-    iterations = 0
-    row_l1 = np.abs(C).sum(axis=1)
+    # per row of [A; C]: its target when held, and the sign its multiplier
+    # y (stationarity H x + g + R' y = 0) keeps, +1 at an upper bound and -1
+    # at a lower one; the pinned rows, equalities and equal bounds, keep 0
+    pinned = np.concatenate([np.ones(m_eq, bool), lo == up])
+    target = np.concatenate([qp.eq_rhs, lo])
+    side = np.zeros(m_eq + m_in)
+    held = np.zeros(m_eq + m_in, bool)
+    y = np.zeros(m_eq + m_in)
+    x = x_u
+    row_l1 = np.abs(rows).sum(axis=1)
     max_iter = 50 * (n + m_in) + 10
-    for _ in range(max_iter):
-        iterations += 1
-        x_star, duals = minimize_on(working)
-        d = x_star - x
-        if np.abs(d).max() > 1e-13 * (1.0 + np.abs(x).max()):
-            # largest step along d that keeps the rows outside the set
-            # feasible; the least index wins ties
-            cd = C @ d
-            cx = C @ x
-            thresh = 1e-14 * (1.0 + row_l1 * np.abs(d).max())
-            candidate = free.copy()
-            candidate[[r for r, _ in working]] = False
-            hits_up = candidate & (cd > thresh) & np.isfinite(up)
-            hits_lo = candidate & (cd < -thresh) & np.isfinite(lo)
-            limit = np.full(m_in, np.inf)
-            limit[hits_up] = (up[hits_up] - cx[hits_up]) / cd[hits_up]
-            limit[hits_lo] = (lo[hits_lo] - cx[hits_lo]) / cd[hits_lo]
-            np.maximum(limit, 0.0, out=limit)
-            j = int(np.argmin(limit)) if m_in else 0
-            if m_in and limit[j] < 1.0:
-                x = x + limit[j] * d
-                working.append((j, 1 if hits_up[j] else -1))
-                working.sort()
-                continue
-            x = x_star
-        # x minimizes on the working set: least-index drop of a
-        # wrong-signed multiplier, else optimal
-        drop = wrong_signed(working, duals)
-        if not drop.size:
-            break
-        del working[drop[0]]
-    else:
-        raise IterationLimit(f"active-set loop exceeded {max_iter} iterations")
+    iterations = 0
 
-    nu = duals[:m_eq]
-    mu_fixed = duals[m_eq:pinned.size]
-    mu_w = duals[pinned.size:]
-    mu_lower = np.zeros(m_in)
-    mu_upper = np.zeros(m_in)
-    for k, j in enumerate(fixed):
-        if mu_fixed[k] >= 0.0:
-            mu_upper[j] = mu_fixed[k]
-        else:
-            mu_lower[j] = -mu_fixed[k]
-    for k, (r, s) in enumerate(working):
-        if s > 0:
-            mu_upper[r] = max(mu_w[k], 0.0)
-        else:
-            mu_lower[r] = max(-mu_w[k], 0.0)
-    active_set = sorted(
-        [(r, "upper" if s > 0 else "lower") for r, s in working]
-        + [(int(j), "upper" if mu_fixed[k] >= 0 else "lower")
-           for k, j in enumerate(fixed)]
-    )
-    sol = QpSolution(x=x, eq_duals=nu, ineq_duals_lower=mu_lower,
-                     ineq_duals_upper=mu_upper, active_set=tuple(active_set),
-                     iterations=iterations, residual=0.0)
+    def add(p):
+        """Move row ``p`` onto its target, dropping each held row whose
+        multiplier would change sign on the way; hold ``p`` at the end."""
+        nonlocal x, iterations
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                raise IterationLimit(
+                    f"active-set loop exceeded {max_iter} iterations")
+            idx = np.flatnonzero(held)
+            # moving p's multiplier by dy moves the held ones by -r dy, x by
+            # -z dy and row p by -sigma dy; sigma is 0 when p depends on the
+            # held rows, and then only the multipliers move
+            r = np.linalg.solve(gram[np.ix_(idx, idx)], gram[idx, p])
+            z = hinv_rt[:, p] - hinv_rt[:, idx] @ r
+            # sigma = z' H z, from p's residual against the held rows: the
+            # form gram[p, p] - gram[p, idx] r cancels to noise well above
+            # the test below when the held rows are badly conditioned
+            sigma = z @ (rows[p] - r @ rows[idx])
+            gap = rows[p] @ x - target[p]
+            dependent = sigma <= 1e-10 * gram[p, p]
+            if dependent and pinned[p]:
+                if abs(gap) <= _FEAS_RTOL * (1.0 + abs(target[p])
+                                             + row_l1[p] * np.abs(x).max()):
+                    return
+                raise Infeasible("equality rows are inconsistent")
+            direction = np.sign(gap)
+            full = np.inf if dependent else abs(gap) / sigma
+            # the partial steps at which a held multiplier reaches zero
+            rate = side[idx] * r * direction
+            blocks = rate > 0.0
+            limit = np.full(idx.size, np.inf)
+            limit[blocks] = np.maximum(side[idx] * y[idx], 0.0)[blocks] \
+                / rate[blocks]
+            step = min(full, limit.min(initial=np.inf))
+            if step == np.inf:
+                raise Infeasible("constraint set is empty")
+            dy = direction * step
+            if not dependent:
+                x = x - z * dy
+            y[idx] -= r * dy
+            y[p] += dy
+            if step == full:
+                held[p] = True
+                return
+            drop = idx[np.argmin(limit)]  # the least index wins ties
+            held[drop] = False
+            y[drop] = 0.0
+
+    # hold the pinned rows, then add the most violated free row (least
+    # index on ties) until none is violated
+    for p in np.flatnonzero(pinned):
+        add(p)
+    free = ~pinned[m_eq:]
+    while m_in:
+        cx = C @ x
+        violation = np.where(free & ~held[m_eq:],
+                             np.maximum(cx - up, lo - cx), 0.0)
+        j = int(np.argmax(violation))
+        if violation[j] <= 1e-12 * (1.0 + row_l1[m_eq + j] * np.abs(x).max()):
+            break
+        side[m_eq + j] = 1.0 if cx[j] > up[j] else -1.0
+        target[m_eq + j] = up[j] if cx[j] > up[j] else lo[j]
+        add(m_eq + j)
+
+    # one Schur solve on the final held set, refined once against the rows
+    # themselves, brings feasibility and stationarity back to the dense
+    # solve's rounding level after the loop's many updates
+    idx = np.flatnonzero(held)
+    x, y = x_u, np.zeros(m_eq + m_in)
+    schur = gram[np.ix_(idx, idx)]
+    for _ in range(2):
+        dy = np.linalg.solve(schur, rows[idx] @ x - target[idx])
+        x = x - hinv_rt[:, idx] @ dy
+        y[idx] += dy
+
+    mu = y[m_eq:]
+    # an equal-bound row is always at its bound, and is reported at the
+    # side its multiplier pushes from
+    upper = np.where(pinned[m_eq:], mu >= 0.0, side[m_eq:] > 0.0)
+    at_bound = held[m_eq:] | pinned[m_eq:]
+    sol = QpSolution(
+        x=x, eq_duals=y[:m_eq],
+        ineq_duals_lower=np.where(upper, 0.0, np.maximum(-mu, 0.0)),
+        ineq_duals_upper=np.where(upper, np.maximum(mu, 0.0), 0.0),
+        active_set=tuple((int(j), "upper" if upper[j] else "lower")
+                         for j in np.flatnonzero(at_bound)),
+        iterations=iterations, residual=0.0)
     object.__setattr__(sol, "residual", kkt_residual(qp, sol))
     return sol
 
@@ -374,14 +323,3 @@ def kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
         parts.append(np.max(comp, initial=0.0))
     parts.append(np.abs(stat).max(initial=0.0))
     return float(max(parts))
-
-
-def feasibility_tolerance(qp: QuadraticProgram) -> float:
-    """Scaled feasibility tolerance used by the solution contract."""
-    rhs_scale = max(np.abs(qp.eq_rhs).max(initial=0.0),
-                    np.abs(qp.ineq_lower[np.isfinite(qp.ineq_lower)]).max(initial=0.0)
-                    if qp.ineq_count else 0.0,
-                    np.abs(qp.ineq_upper[np.isfinite(qp.ineq_upper)]).max(initial=0.0)
-                    if qp.ineq_count else 0.0)
-    return _FEAS_RTOL * (1.0 + rhs_scale)
-

@@ -79,7 +79,7 @@ def clear_market_qform(scenario, bids):
                           eq_matrix=np.ones((1, n)), eq_rhs=np.zeros(1),
                           ineq_matrix=net.ptdf.T, ineq_lower=-net.limits,
                           ineq_upper=net.limits)
-    q = solve_qp(qp, x0=np.zeros(n)).x
+    q = solve_qp(qp).x
     return (b - q) / scenario.a, q
 
 

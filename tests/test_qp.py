@@ -1,15 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from esharing import brlab, equilibrium
-from esharing import qp as qp_module
-from esharing.bidding import run_bidding
 from esharing.errors import DimensionMismatch, Infeasible, NotPositiveDefinite
-from esharing.market import clear_market
 from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
-from esharing.scenario_io import gen_scenario
+
+MESH = str(Path(__file__).resolve().parents[1] / "scenarios"
+           / "mesh38_chords.json")
 
 
 def box_qp(hessian, linear, lower, upper, eq=None, rhs=None):
@@ -185,9 +187,9 @@ def test_matches_grid_oracle_on_random_boxes(seed):
     assert kkt_residual(qp, sol) <= 1e-8
 
 
-@given(st.integers(0, 10 ** 6), st.integers(2, 7))
+@given(st.integers(0, 10 ** 6), st.integers(2, 7), st.booleans())
 @settings(max_examples=60)
-def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n):
+def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n, dependent):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     h = m @ m.T + np.eye(n)
@@ -196,50 +198,78 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n):
     up = rng.uniform(0.5, 3.0, n)
     eq = rng.standard_normal((1, n))
     rhs = np.array([float(rng.uniform(-0.5, 0.5))])
+    rows = np.eye(n)
+    constraints = [optimize.LinearConstraint(eq, rhs, rhs)]
+    if dependent:
+        # a box row again, a scaled box row and an equal-bound row, each
+        # with bounds of its own, so that rows may depend on held ones and
+        # the program may be infeasible.  Box row j is narrowed so that it
+        # binds, and its scaled copy, a little narrower still but less
+        # violated, then makes the solver release it
+        i, j = rng.integers(n, size=2)
+        lo[j], up[j] = 0.1 * lo[j], 0.1 * up[j]
+        scale = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)
+        rows = np.vstack([rows, rows[i], scale * rows[j],
+                          rng.standard_normal(n)])
+        twin = np.sort(rng.uniform(-3.0, 3.0, 2))
+        scaled = np.sort(scale * rng.uniform(0.8, 1.0)
+                         * np.array([lo[j], up[j]]))
+        pinned = rng.uniform(-1.0, 1.0)
+        lo = np.concatenate([lo, [twin[0], scaled[0], pinned]])
+        up = np.concatenate([up, [twin[1], scaled[1], pinned]])
+        constraints.append(
+            optimize.LinearConstraint(rows[n:], lo[n:], up[n:]))
     qp = QuadraticProgram(hessian=h, linear=g, eq_matrix=eq, eq_rhs=rhs,
-                          ineq_matrix=np.eye(n), ineq_lower=lo, ineq_upper=up)
+                          ineq_matrix=rows, ineq_lower=lo, ineq_upper=up)
+    ref = optimize.minimize(
+        lambda x: 0.5 * x @ h @ x + g @ x,
+        jac=lambda x: h @ x + g,
+        x0=np.clip(np.zeros(n), lo[:n], up[:n]),
+        bounds=optimize.Bounds(lo[:n], up[:n]),
+        constraints=constraints,
+        method="SLSQP",
+        options={"ftol": 1e-12, "maxiter": 300},
+    )
     try:
         sol = solve_qp(qp)
     except Infeasible:
+        # SLSQP finds no feasible point either
+        excess = max(np.abs(eq @ ref.x - rhs).max(),
+                     np.max(rows @ ref.x - up), np.max(lo - rows @ ref.x))
+        assert excess > 1e-6
         return
     assert kkt_residual(qp, sol) <= 1e-7 * (1.0 + np.abs(g).max())
     assert sol.ineq_duals_lower.min(initial=0.0) >= 0.0
     assert sol.ineq_duals_upper.min(initial=0.0) >= 0.0
-    ref = optimize.minimize(
-        lambda x: 0.5 * x @ h @ x + g @ x,
-        jac=lambda x: h @ x + g,
-        x0=np.clip(np.zeros(n), lo, up),
-        bounds=optimize.Bounds(lo, up),
-        constraints=[optimize.LinearConstraint(eq, rhs, rhs)],
-        method="SLSQP",
-        options={"ftol": 1e-12, "maxiter": 300},
-    )
     if ref.success:
         ours = 0.5 * sol.x @ h @ sol.x + g @ sol.x
         assert ours <= ref.fun + 1e-6
 
 
-def test_infeasible_start_is_refused():
-    qp = box_qp(2.0 * np.eye(2), [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        solve_qp(qp, x0=[1.5, 0.0])
-    with pytest.raises(DimensionMismatch):
-        solve_qp(qp, x0=[0.0, 0.0, 0.0])
+def test_solver_and_mesh_fallback_need_no_scipy():
+    # the mesh fixture's central program falls back to a cold solve_qp
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from esharing import equilibrium, market
+from esharing.qp import QuadraticProgram, solve_qp
+from esharing.scenario_io import load_scenario
 
-
-def test_package_programs_never_reach_the_phase1_lp(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("phase-1 linear program called")
-
-    monkeypatch.setattr(qp_module, "linprog", refuse)
-    tight = gen_scenario(7, 38, "tight")
-    eqm = equilibrium.improved_gne(tight)
-    assert eqm.clearing.active_set  # the re-clearing ran the solver
-    equilibrium.poa(tight)
-    assert clear_market(tight, 1.1 * eqm.b_bar).active_set
-    run_bidding(tight)
-    eight = gen_scenario(1, 8, "tight")
-    b_bar = equilibrium.improved_gne(eight).b_bar
-    brlab.best_response(eight, 0, b_bar[1:],
-                        scan_config=brlab.ScanConfig(coarse_points=201,
-                                                     refine_rounds=1))
+sol = solve_qp(QuadraticProgram(
+    hessian=2.0 * np.eye(2), linear=np.zeros(2),
+    eq_matrix=np.ones((1, 2)), eq_rhs=np.array([4.11]),
+    ineq_matrix=np.array([[1.0, 0.0]]),
+    ineq_lower=np.array([0.55]), ineq_upper=np.array([1.55])))
+assert np.abs(sol.x - [1.55, 2.56]).max() <= 1e-10
+cold = []
+def counted(*args, solve=market._cold_qp):
+    cold.append(args)
+    return solve(*args)
+market._cold_qp = counted
+eqm = equilibrium.improved_gne(load_scenario({MESH!r}))
+assert cold and eqm.clearing_residual <= 1e-6
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

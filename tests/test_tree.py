@@ -92,7 +92,7 @@ def oracle(net, hess, linear, base, k):
         eq_matrix=np.ones((1, net.bus_count)), eq_rhs=[base.sum() / k],
         ineq_matrix=-k * G, ineq_lower=-net.limits - G @ base,
         ineq_upper=net.limits - G @ base)
-    return qp, solve_qp(qp, x0=base / k)
+    return qp, solve_qp(qp)
 
 
 def assert_same(sol, ref):

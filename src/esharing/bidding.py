@@ -23,19 +23,18 @@ from .errors import MaxIterExceeded, WeakSensitivityWarning
 from .market import ClearingOutcome, Scenario, _clear
 from .equilibrium import EquilibriumResult
 
+_FEJER_RTOL = 1e-10  # relative slack of one Fejer step, see fejer_check
+
 
 @dataclass(frozen=True)
 class BiddingConfig:
     """Loop controls.  ``epsilon=None`` selects 1e-6 * (1 + max |D_i|).
 
-    ``init_bids``/``init_prices`` override the all-zero starting point (used
-    e.g. to confirm the equilibrium is a fixed point).
+    Every run starts from zero bids and prices.
     """
 
     epsilon: float | None = None
     max_iter: int = 500
-    init_bids: object = None
-    init_prices: object = None
 
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0.0:
@@ -53,10 +52,10 @@ class BiddingConfig:
 class BiddingTrace:
     """Recorded iterates.  Row k holds the state entering iteration k+1.
 
-    The initial row stores the starting bids/prices with production read off
-    the bid identity ``p = D + a*lam - b`` (for the all-zero start this is
-    the self-sufficient plan).  ``delta_b`` entries are the stopping-norm
-    values; the initial row carries ``nan``.
+    The initial row stores the all-zero starting bids and prices with the
+    production the bid identity ``p = D + a*lam - b`` gives them, the
+    self-sufficient plan.  ``delta_b`` entries are the stopping-norm values;
+    the initial row carries ``nan``.
     """
 
     prices: list = field(default_factory=list)
@@ -152,11 +151,8 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
             WeakSensitivityWarning, stacklevel=2,
         )
     n = scenario.size
-    lam = (np.zeros(n) if config.init_prices is None
-           else np.asarray(config.init_prices, dtype=float))
-    b = (np.zeros(n) if config.init_bids is None
-         else np.asarray(config.init_bids, dtype=float))
-    p = scenario.D + scenario.a * lam - b
+    # zero bids and prices; the bid identity gives the self-sufficient plan
+    lam, b, p = np.zeros(n), np.zeros(n), scenario.D
 
     trace = BiddingTrace()
     trace.record(lam.copy(), b.copy(), p.copy(), float("nan"))
@@ -181,18 +177,17 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
     )
 
 
-def fejer_check(trace: BiddingTrace, eqm: EquilibriumResult,
-                rtol: float = 1e-10) -> FejerReport:
+def fejer_check(trace: BiddingTrace, eqm: EquilibriumResult) -> FejerReport:
     """Check that squared distances to the equilibrium never increase.
 
     A step from d_k to d_{k+1} counts as a violation when
-    ``d_{k+1}^2 > d_k^2 + rtol * (1 + d_k^2)``.
+    ``d_{k+1}^2 > d_k^2 + _FEJER_RTOL * (1 + d_k^2)``.
     """
     dist = trace.distances(eqm)
     sq = dist * dist
     if len(sq) < 2:
         return FejerReport(monotone=True, max_violation=0.0, distances=dist)
-    excess = sq[1:] - sq[:-1] - rtol * (1.0 + sq[:-1])
+    excess = sq[1:] - sq[:-1] - _FEJER_RTOL * (1.0 + sq[:-1])
     worst = float(excess.max())
     return FejerReport(monotone=bool(worst <= 0.0),
                        max_violation=max(worst, 0.0), distances=dist)

@@ -1,7 +1,9 @@
 """Command-line interface: scenario ingestion, analysis commands, batch runs.
 
-Exit codes: 0 success, 1 usage or file problems, 2 infeasible model,
-3 non-convergence.  Reports are JSON (default) or flat CSV key/value rows.
+``_COMMANDS`` maps each scenario command to its handler; ``_FAILURES`` maps
+each error to its stderr label and exit code (0 success, 1 usage, file or
+report problems, 2 infeasible model, 3 non-convergence).  Reports are JSON
+(default) or flat CSV key/value rows.
 """
 
 from __future__ import annotations
@@ -67,42 +69,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _plain(value):
+    """``value`` with numpy arrays and scalars made Python lists and numbers."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _flatten(prefix: str, value, rows: list):
     if isinstance(value, dict):
         for k, v in value.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(value, np.ndarray):
-        _flatten(prefix, value.tolist(), rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, ",".join(str(_scalar(v)) for v in value)))
+    elif isinstance(value, list):
+        rows.append((prefix, ",".join(map(str, value))))
     else:
-        rows.append((prefix, _scalar(value)))
-
-
-def _scalar(v):
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    return v
+        rows.append((prefix, value))
 
 
 def render_report(report: RunReport, fmt: str) -> str:
+    doc = _plain(report.to_dict())
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, default=_jsonable,
-                          sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True)
     rows: list = []
-    _flatten("", report.to_dict(), rows)
+    _flatten("", doc, rows)
     buf = io.StringIO()
     import csv as _csv
 
@@ -182,14 +173,15 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p = scen_cmd("brlab", "best-response analysis of the unregulated game")
-    p.add_argument("--prosumer", type=int, default=None,
-                   help="1-based prosumer index to scan")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--prosumer", type=int, default=None,
+                      help="1-based prosumer index to scan")
     p.add_argument("--fix-bids", default=None,
                    help="full bid vector; the scanned slot is ignored")
-    p.add_argument("--classify-2bus", action="store_true",
-                   help="closed-form regime of the symmetric two-bus game")
-    p.add_argument("--verify", default=None, metavar="BIDS",
-                   help="check an equilibrium candidate bid vector")
+    mode.add_argument("--classify-2bus", action="store_true",
+                      help="closed-form regime of the symmetric two-bus game")
+    mode.add_argument("--verify", default=None, metavar="BIDS",
+                      help="check an equilibrium candidate bid vector")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--regulated", action="store_true",
                    help="use regulated payments in scans")
@@ -211,7 +203,7 @@ def build_parser() -> _Parser:
 # command bodies
 
 
-def _cmd_validate(scenario: Scenario) -> tuple:
+def _cmd_validate(scenario: Scenario, _args=None) -> tuple:
     net = scenario.network
     checks = {"prosumer_count": scenario.size, "radial": is_radial(net),
               "slack": net.slack}
@@ -227,7 +219,8 @@ def _cmd_validate(scenario: Scenario) -> tuple:
     return {"ok": True, **checks}, {"ptdf_oracle_gap": worst}
 
 
-def _cmd_clear(scenario: Scenario, bids: np.ndarray) -> tuple:
+def _cmd_clear(scenario: Scenario, args) -> tuple:
+    bids = _parse_vector(args.bids, scenario.size, "--bids")
     out = clear_market(scenario, bids)
     results = {
         "prices": out.prices, "quantities": out.quantities, "eta": out.eta,
@@ -237,7 +230,7 @@ def _cmd_clear(scenario: Scenario, bids: np.ndarray) -> tuple:
     return results, {"clearing_kkt": clearing_kkt_residual(scenario, bids, out)}
 
 
-def _cmd_gne(scenario: Scenario, eqm=None) -> tuple:
+def _cmd_gne(scenario: Scenario, _args=None, eqm=None) -> tuple:
     if eqm is None:
         eqm = equilibrium.improved_gne(scenario)
     ok, margins = equilibrium.pareto_check(scenario, eqm)
@@ -258,26 +251,22 @@ def _cmd_gne(scenario: Scenario, eqm=None) -> tuple:
     return results, residuals
 
 
-def _cmd_ve(scenario: Scenario) -> tuple:
+def _cmd_ve(scenario: Scenario, _args) -> tuple:
     ve = equilibrium.variational_equilibrium(scenario)
     return ({"p_bar": ve.p_bar, "b_bar": ve.b_bar, "prices": ve.prices,
              "radial": is_radial(scenario.network)}, {})
 
 
-def _cmd_social(scenario: Scenario) -> tuple:
+def _cmd_social(scenario: Scenario, _args) -> tuple:
     so = equilibrium.social_optimum(scenario)
     return ({"p_tilde": so.p_tilde, "kappa": so.kappa,
              "tau_lower": so.tau_lower, "tau_upper": so.tau_upper,
              "costs": so.cost_per_prosumer, "total_cost": so.total_cost}, {})
 
 
-def _cmd_selfsuff(scenario: Scenario) -> tuple:
+def _cmd_selfsuff(scenario: Scenario, _args) -> tuple:
     costs, total = equilibrium.self_sufficiency(scenario)
     return {"costs": costs, "total": total}, {}
-
-
-def _cmd_poa(scenario: Scenario) -> tuple:
-    return equilibrium.poa(scenario), {}
 
 
 def _cmd_bid(scenario: Scenario, args) -> tuple:
@@ -303,12 +292,6 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
 
 
 def _cmd_brlab(scenario: Scenario, args) -> tuple:
-    modes = sum([args.classify_2bus, args.verify is not None,
-                 args.prosumer is not None])
-    if modes != 1:
-        raise UsageError(
-            "brlab needs exactly one of --prosumer/--fix-bids, "
-            "--classify-2bus, or --verify")
     n = scenario.size
     if args.classify_2bus:
         if n != 2 or abs(scenario.a - 1.0) > 1e-12 \
@@ -347,6 +330,15 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
              "local_minima": [list(mc) for mc in scan.local_minima],
              "best_bid": scan.best_bid, "best_cost": scan.best_cost,
              "regulated": scan.regulated}, {})
+
+
+# each scenario command: (scenario, parsed arguments) -> (results, residuals)
+_COMMANDS = {
+    "validate": _cmd_validate, "clear": _cmd_clear, "gne": _cmd_gne,
+    "ve": _cmd_ve, "social": _cmd_social, "selfsuff": _cmd_selfsuff,
+    "poa": lambda scenario, _args: (equilibrium.poa(scenario), {}),
+    "bid": _cmd_bid, "brlab": _cmd_brlab,
+}
 
 
 def _output_dir(explicit: str | None, fallback: str) -> str:
@@ -396,7 +388,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
         try:
             scenario = load_scenario(path)
             eqm = equilibrium.improved_gne(scenario)
-            results, residuals = _cmd_gne(scenario, eqm)
+            results, residuals = _cmd_gne(scenario, eqm=eqm)
             results["poa"] = equilibrium.poa(scenario, eqm)
             _check_report(results, residuals)
             report = RunReport(
@@ -418,6 +410,17 @@ def _cmd_batch(args, fmt: str) -> tuple:
     return report, (1 if failures else 0)
 
 
+# (error type, stderr label, exit code), matched in order; the last row
+# takes FileError, NonFiniteResult, ContractBreach and every other error
+_FAILURES = (
+    (UsageError, "usage error", 1),
+    (MaxIterExceeded, "did not converge", 3),
+    (IterationLimit, "solver did not converge", 3),
+    (Infeasible, "infeasible", 2),
+    (EsharingError, "error", 1),
+)
+
+
 # an overflow shows up as a non-finite figure, which _check_report refuses
 # with one error line, so numpy need not warn of it first
 @np.errstate(over="ignore", invalid="ignore")
@@ -434,27 +437,7 @@ def run_command(argv) -> tuple:
         path = args.scenario
         scenario = load_scenario(path)
         started = time.perf_counter()
-        if args.command == "validate":
-            results, residuals = _cmd_validate(scenario)
-        elif args.command == "clear":
-            bids = _parse_vector(args.bids, scenario.size, "--bids")
-            results, residuals = _cmd_clear(scenario, bids)
-        elif args.command == "gne":
-            results, residuals = _cmd_gne(scenario)
-        elif args.command == "ve":
-            results, residuals = _cmd_ve(scenario)
-        elif args.command == "social":
-            results, residuals = _cmd_social(scenario)
-        elif args.command == "selfsuff":
-            results, residuals = _cmd_selfsuff(scenario)
-        elif args.command == "poa":
-            results, residuals = _cmd_poa(scenario)
-        elif args.command == "bid":
-            results, residuals = _cmd_bid(scenario, args)
-        elif args.command == "brlab":
-            results, residuals = _cmd_brlab(scenario, args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command}")
+        results, residuals = _COMMANDS[args.command](scenario, args)
         _check_report(results, residuals)
         report = RunReport(command=args.command, scenario=path,
                            digest=_digest(path),
@@ -462,24 +445,11 @@ def run_command(argv) -> tuple:
                            results=results, residuals=residuals,
                            fmt=args.format)
         return report, 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return None, 1
-    except FileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-    except MaxIterExceeded as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return None, 3
-    except IterationLimit as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return None, 3
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return None, 2
     except EsharingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
+        label, code = next((label, code) for kind, label, code in _FAILURES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return None, code
 
 
 def main(argv=None) -> int:

@@ -34,6 +34,8 @@ from .market import (
 )
 from .network import is_radial
 
+_PARETO_TOL = 1e-8  # a margin this far below zero still counts as no loss
+
 
 @dataclass(frozen=True, eq=False)
 class SocialOptimum:
@@ -259,7 +261,7 @@ def congestion_rent(scenario: Scenario, eqm: EquilibriumResult) -> float:
     return float((limits[finite] * duals[finite]).sum())
 
 
-def pareto_check(scenario: Scenario, eqm: EquilibriumResult, tol: float = 1e-8):
+def pareto_check(scenario: Scenario, eqm: EquilibriumResult):
     """Compare each regulated equilibrium cost against self-sufficiency.
 
     Returns ``(ok_vector, margins)`` where ``margins[i] = J_i(D_i) - cost_i``
@@ -267,4 +269,4 @@ def pareto_check(scenario: Scenario, eqm: EquilibriumResult, tol: float = 1e-8):
     """
     baseline, _ = self_sufficiency(scenario)
     margins = baseline - eqm.costs
-    return margins >= -tol, margins
+    return margins >= -_PARETO_TOL, margins

@@ -31,6 +31,8 @@ from .errors import (
     UnbalancedInjection,
 )
 
+_BALANCE_TOL = 1e-9  # relative bound on the sum of balanced injections
+
 
 @dataclass(frozen=True)
 class LineSpec:
@@ -243,8 +245,7 @@ def line_flows(net: NetworkModel, purchases: np.ndarray) -> np.ndarray:
     return net.ptdf.T @ _per_bus(net, purchases, "purchases")
 
 
-def dc_flow_oracle(net: NetworkModel, injections: np.ndarray,
-                   tol: float = 1e-9) -> np.ndarray:
+def dc_flow_oracle(net: NetworkModel, injections: np.ndarray) -> np.ndarray:
     """Line flows from the nodal equations, independent of the PTDF matrix.
 
     Solves the reduced angle system ``L theta = inj`` and reads flows off the
@@ -255,7 +256,8 @@ def dc_flow_oracle(net: NetworkModel, injections: np.ndarray,
     """
     inj = _per_bus(net, injections, "injections")
     sums = inj.sum(axis=0)
-    unbalanced = np.abs(sums) > tol * (1.0 + np.abs(inj).max(axis=0, initial=0.0))
+    unbalanced = np.abs(sums) > _BALANCE_TOL * (
+        1.0 + np.abs(inj).max(axis=0, initial=0.0))
     if np.any(unbalanced):
         raise UnbalancedInjection(
             f"injections sum to {np.extract(unbalanced, sums)[0]:.3e}, not 0")

@@ -196,7 +196,8 @@ def test_criterion_6_randomized_invariants():
 def test_criterion_7_declared_gaps_are_documented():
     readme = os.path.join(SCENARIO_DIR, os.pardir, "README.md")
     with criterion(7, "declared gaps documented"):
-        text = open(readme).read()
+        with open(readme) as fh:
+            text = fh.read()
         assert "38-bus" in text
         assert "4 iterations" in text
         # the engine itself handles networks of that size; only the original

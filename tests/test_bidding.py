@@ -79,12 +79,11 @@ def test_bidding_converges_to_equilibrium(two_f5):
 
 
 def test_bidding_started_at_equilibrium_stays(two_f5):
+    # one round from the equilibrium prices and bids returns its bids
     eqm = equilibrium.improved_gne(two_f5)
-    config = BiddingConfig(epsilon=1e-6, init_bids=eqm.b_bar,
-                           init_prices=eqm.lambda_r)
-    result = run_bidding(two_f5, config)
-    assert result.iterations <= 2
-    assert np.abs(result.bids - eqm.b_bar).max() <= 1e-6
+    cleared = platform_update(two_f5, eqm.lambda_r, eqm.b_bar)
+    _, bids = prosumer_update(two_f5, cleared.prices)
+    assert np.abs(bids - eqm.b_bar).max() <= 1e-6
 
 
 def test_bidding_on_chain(chain_f03):

@@ -3,12 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from esharing import cases, cli
-from esharing.errors import Infeasible
+from esharing.errors import (
+    ContractBreach,
+    FileError,
+    Infeasible,
+    IterationLimit,
+    MaxIterExceeded,
+    NonFiniteResult,
+)
 from esharing.market import Scenario
 from esharing.scenario_io import dump_scenario, gen_scenario
 
@@ -80,7 +88,7 @@ def test_bid_command_with_trace(fixture_file, tmp_path):
     assert report.results["iterations"] <= 50
     assert report.results["fejer_monotone"]
     assert report.results["gap_to_equilibrium"] <= 1e-3
-    header = open(trace).readline().strip()
+    header = Path(trace).read_text().splitlines()[0]
     assert header == "iter,i,lambda,b,p,delta_b_norm,dist_to_eqm"
 
 
@@ -107,7 +115,7 @@ def test_brlab_scan_csv(chain_file, tmp_path):
                                     "--csv", out])
     assert code == 0
     assert len(report.results["local_minima"]) == 2
-    assert open(out).readline().strip() == "b,cost"
+    assert Path(out).read_text().splitlines()[0] == "b,cost"
 
 
 def test_brlab_classify(tmp_path):
@@ -141,14 +149,25 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_infeasible_maps_to_exit_2(fixture_file, monkeypatch, capsys):
+@pytest.mark.parametrize("row", [
+    (cli.UsageError, "usage error", 1),
+    (MaxIterExceeded, "did not converge", 3),
+    (IterationLimit, "solver did not converge", 3),
+    (Infeasible, "infeasible", 2),
+    (FileError, "error", 1),
+    (NonFiniteResult, "error", 1),
+    (ContractBreach, "error", 1),
+], ids=lambda row: row[0].__name__)
+def test_infeasible_maps_to_exit_2(row, fixture_file, monkeypatch, capsys):
+    error, label, code = row
+
     def boom(scenario):
-        raise Infeasible("forced")
+        raise error("forced")
 
     monkeypatch.setattr(cli.equilibrium, "improved_gne", boom)
-    report, code = cli.run_command(["gne", fixture_file])
-    assert report is None and code == 2
-    assert "infeasible" in capsys.readouterr().err
+    report, got = cli.run_command(["gne", fixture_file])
+    assert report is None and got == code
+    assert capsys.readouterr().err == f"{label}: forced\n"
 
 
 def test_gen_command_is_deterministic(tmp_path):
@@ -159,7 +178,7 @@ def test_gen_command_is_deterministic(tmp_path):
     _, code_b = cli.run_command(["gen", "--seed", "3", "--size", "5",
                                  "-o", b])
     assert code_a == code_b == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     report, code = cli.run_command(["gne", a])
     assert code == 0
 
@@ -207,6 +226,65 @@ def test_render_formats(fixture_file):
     assert lines[0] == "key,value"
     row = dict(line.split(",", 1) for line in lines[1:])
     assert float(row["results.total"]) == pytest.approx(456.0)
+
+
+def test_render_pins_both_formats():
+    report = cli.RunReport(
+        command="brlab", scenario="s.json", digest="0123456789abcdef",
+        elapsed_s=0.25,
+        results={"ok": np.bool_(True), "iterations": np.int64(7),
+                 "gap": np.float64(0.125), "prices": np.array([1.5, -2.0, 3.25]),
+                 "local_minima": [[1.5, 0.25], [2.0, 0.5]],
+                 "detail": {"regime": "unique", "b2_interval": None}},
+        residuals={"kkt": 1e-12})
+    assert cli.render_report(report, "json") == """\
+{
+  "command": "brlab",
+  "digest": "0123456789abcdef",
+  "elapsed_s": 0.25,
+  "residuals": {
+    "kkt": 1e-12
+  },
+  "results": {
+    "detail": {
+      "b2_interval": null,
+      "regime": "unique"
+    },
+    "gap": 0.125,
+    "iterations": 7,
+    "local_minima": [
+      [
+        1.5,
+        0.25
+      ],
+      [
+        2.0,
+        0.5
+      ]
+    ],
+    "ok": true,
+    "prices": [
+      1.5,
+      -2.0,
+      3.25
+    ]
+  },
+  "scenario": "s.json"
+}"""
+    assert cli.render_report(report, "csv") == """\
+key,value\r
+command,brlab\r
+scenario,s.json\r
+digest,0123456789abcdef\r
+elapsed_s,0.25\r
+results.ok,True\r
+results.iterations,7\r
+results.gap,0.125\r
+results.prices,"1.5,-2.0,3.25"\r
+results.local_minima,"[1.5, 0.25],[2.0, 0.5]"\r
+results.detail.regime,unique\r
+results.detail.b2_interval,\r
+residuals.kkt,1e-12\r"""
 
 
 def test_main_prints_report(fixture_file, capsys):

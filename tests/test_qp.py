@@ -217,8 +217,10 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n, dependent):
         pinned = rng.uniform(-1.0, 1.0)
         lo = np.concatenate([lo, [twin[0], scaled[0], pinned]])
         up = np.concatenate([up, [twin[1], scaled[1], pinned]])
-        constraints.append(
-            optimize.LinearConstraint(rows[n:], lo[n:], up[n:]))
+        # SLSQP takes the equal-bound row apart from the range rows
+        constraints += [
+            optimize.LinearConstraint(rows[n:-1], lo[n:-1], up[n:-1]),
+            optimize.LinearConstraint(rows[-1:], lo[-1:], up[-1:])]
     qp = QuadraticProgram(hessian=h, linear=g, eq_matrix=eq, eq_rhs=rhs,
                           ineq_matrix=rows, ineq_lower=lo, ineq_upper=up)
     ref = optimize.minimize(

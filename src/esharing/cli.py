@@ -9,12 +9,14 @@ report problems, 2 infeasible model, 3 non-convergence).  Reports are JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,8 @@ from .errors import (
     IterationLimit,
     MaxIterExceeded,
     NonFiniteResult,
+    NonRadialWarning,
+    WeakSensitivityWarning,
 )
 from .market import Scenario, clear_market, clearing_kkt_residual
 from .network import dc_flow_oracle, is_radial, line_flows
@@ -182,7 +186,8 @@ def build_parser() -> _Parser:
                       help="closed-form regime of the symmetric two-bus game")
     mode.add_argument("--verify", default=None, metavar="BIDS",
                       help="check an equilibrium candidate bid vector")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None,
+                   help="with --verify: largest gap allowed (default 1e-6)")
     p.add_argument("--regulated", action="store_true",
                    help="use regulated payments in scans")
     p.add_argument("--csv", default=None, help="write the scan curve here")
@@ -291,8 +296,21 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
     return results, residuals
 
 
+# each brlab flag that only some modes read, and those modes
+_BRLAB_FLAGS = {"--fix-bids": ("--prosumer",), "--csv": ("--prosumer",),
+                "--tol": ("--verify",), "--regulated": ("--prosumer", "--verify")}
+
+
 def _cmd_brlab(scenario: Scenario, args) -> tuple:
     n = scenario.size
+    mode = ("--classify-2bus" if args.classify_2bus else
+            "--verify" if args.verify is not None else "--prosumer")
+    for flag, modes in _BRLAB_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and mode not in modes:
+            raise UsageError(f"{flag} does not apply to {mode}")
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     if args.classify_2bus:
         if n != 2 or abs(scenario.a - 1.0) > 1e-12 \
                 or np.any(scenario.d != 0.0) or scenario.c[0] != scenario.c[1]:
@@ -311,8 +329,8 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
         return results, {}
     if args.verify is not None:
         b = _parse_vector(args.verify, n, "--verify bids")
-        check = brlab.verify_gne(scenario, b, tol=args.tol,
-                                 regulated=args.regulated)
+        check = brlab.verify_gne(scenario, b, regulated=args.regulated,
+                                 tol=1e-6 if args.tol is None else args.tol)
         return ({"is_gne": check.is_gne, "gaps": check.gaps,
                  "incumbent_costs": check.incumbent_costs,
                  "best_bids": check.best_bids, "tol": check.tol}, {})
@@ -421,35 +439,46 @@ _FAILURES = (
 )
 
 
+def _show_warning(fallback, message, category, *args, **kwargs):
+    """A package warning as one labelled stderr line, others as ``fallback``."""
+    if issubclass(category, (NonRadialWarning, WeakSensitivityWarning)):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        fallback(message, category, *args, **kwargs)
+
+
 # an overflow shows up as a non-finite figure, which _check_report refuses
 # with one error line, so numpy need not warn of it first
 @np.errstate(over="ignore", invalid="ignore")
 def run_command(argv) -> tuple:
     """Execute one CLI invocation.  Returns ``(RunReport | None, exit_code)``."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args, args.format)
-        if args.command == "batch":
-            return _cmd_batch(args, args.format)
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning,
+                                                 warnings.showwarning)
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "gen":
+                return _cmd_gen(args, args.format)
+            if args.command == "batch":
+                return _cmd_batch(args, args.format)
 
-        path = args.scenario
-        scenario = load_scenario(path)
-        started = time.perf_counter()
-        results, residuals = _COMMANDS[args.command](scenario, args)
-        _check_report(results, residuals)
-        report = RunReport(command=args.command, scenario=path,
-                           digest=_digest(path),
-                           elapsed_s=time.perf_counter() - started,
-                           results=results, residuals=residuals,
-                           fmt=args.format)
-        return report, 0
-    except EsharingError as exc:
-        label, code = next((label, code) for kind, label, code in _FAILURES
-                           if isinstance(exc, kind))
-        print(f"{label}: {exc}", file=sys.stderr)
-        return None, code
+            path = args.scenario
+            scenario = load_scenario(path)
+            started = time.perf_counter()
+            results, residuals = _COMMANDS[args.command](scenario, args)
+            _check_report(results, residuals)
+            report = RunReport(command=args.command, scenario=path,
+                               digest=_digest(path),
+                               elapsed_s=time.perf_counter() - started,
+                               results=results, residuals=residuals,
+                               fmt=args.format)
+            return report, 0
+        except EsharingError as exc:
+            label, code = next((label, code) for kind, label, code in _FAILURES
+                               if isinstance(exc, kind))
+            print(f"{label}: {exc}", file=sys.stderr)
+            return None, code
 
 
 def main(argv=None) -> int:

@@ -299,7 +299,7 @@ def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:
     G = net.ptdf.T
     Gb = G @ base
     qp = QuadraticProgram(
-        hessian=np.diag(hess),
+        hessian=hess,
         linear=linear,
         eq_matrix=np.ones((1, net.bus_count)),
         eq_rhs=np.array([base.sum() / k]),

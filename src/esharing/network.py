@@ -273,5 +273,5 @@ def dc_flow_oracle(net: NetworkModel, injections: np.ndarray) -> np.ndarray:
 
 
 def is_radial(net: NetworkModel) -> bool:
-    """True when the connected network is a tree (line_count == bus_count - 1)."""
-    return net.line_count == net.bus_count - 1
+    """True when the network carries a tree, as built for bus_count - 1 lines."""
+    return net.tree is not None

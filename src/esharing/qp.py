@@ -2,18 +2,17 @@
 
 Solves
 
-    min  0.5 x' H x + g' x
+    min  0.5 x' diag(h) x + g' x
     s.t. A x = b                 (equality rows, duals ``nu``)
          lo <= C x <= up         (two-sided rows, duals ``mu_lo``/``mu_up``)
 
 by the dual active-set method of Goldfarb & Idnani (Math. Programming
-27, 1983).  H passes a Cholesky test for positive definiteness, and
-H^-1 [A; C]' is formed once for all rows (by division when H is diagonal,
-as in every package program), so each step solves only the small Schur
-system on the held rows.  Multipliers come out consistent with the
-stationarity condition
+27, 1983).  H = diag(h) with every ``h > 0``, as in every program of the
+paper, so H^-1 [A; C]' is one division for all rows, and each step solves
+only the small Schur system on the held rows.  Multipliers come out
+consistent with the stationarity condition
 
-    H x + g + A' nu + C' (mu_up - mu_lo) = 0,      mu_lo, mu_up >= 0.
+    h * x + g + A' nu + C' (mu_up - mu_lo) = 0,      mu_lo, mu_up >= 0.
 
 The loop starts at the unconstrained minimum with nothing held.  The
 equality and equal-bound rows are held first and never released; one that
@@ -56,6 +55,7 @@ def _as_array(a, shape_hint=None):
 class QuadraticProgram:
     """Immutable problem data.  Missing blocks default to empty.
 
+    ``hessian`` holds the diagonal of H, each entry positive and finite.
     ``ineq_lower``/``ineq_upper`` entries may be ``-inf``/``+inf`` for
     one-sided rows; a row with equal bounds is treated as a pinned equality.
     """
@@ -69,13 +69,14 @@ class QuadraticProgram:
     ineq_upper: np.ndarray = None
 
     def __post_init__(self):
-        H = _as_array(self.hessian)
+        h = _as_array(self.hessian)
         g = _as_array(self.linear)
-        n = g.shape[0] if g.ndim == 1 else -1
-        if H.shape != (n, n) or n < 0:
-            raise DimensionMismatch(
-                f"hessian shape {H.shape} incompatible with linear shape {g.shape}"
-            )
+        n = g.size
+        if g.shape != (n,) or h.shape != (n,) or n == 0:
+            raise DimensionMismatch(f"hessian {h.shape} and linear {g.shape} "
+                                    "must be vectors of one nonzero length")
+        if not np.all((0.0 < h) & (h < np.inf)):  # also refuses NaN
+            raise NotPositiveDefinite("hessian entries must be positive and finite")
         A = _as_array(self.eq_matrix, (0, n))
         b = _as_array(self.eq_rhs, (0,))
         C = _as_array(self.ineq_matrix, (0, n))
@@ -86,12 +87,9 @@ class QuadraticProgram:
         if C.ndim != 2 or C.shape[1] != n or lo.shape != (C.shape[0],) \
                 or up.shape != (C.shape[0],):
             raise DimensionMismatch("inequality block shapes are inconsistent")
-        scale = 1.0 + (np.abs(H).max() if H.size else 0.0)
-        if H.size and np.abs(H - H.T).max() > 1e-12 * scale:
-            raise NotPositiveDefinite("hessian is not symmetric")
         if np.any(lo > up):
             raise Infeasible("a row has ineq_lower > ineq_upper")
-        for name, arr in (("hessian", H), ("linear", g), ("eq_matrix", A),
+        for name, arr in (("hessian", h), ("linear", g), ("eq_matrix", A),
                           ("eq_rhs", b), ("ineq_matrix", C),
                           ("ineq_lower", lo), ("ineq_upper", up)):
             arr.setflags(write=False)
@@ -138,51 +136,23 @@ def linprog(*args, **kwargs):
 
 
 def solve_qp(qp: QuadraticProgram) -> QpSolution:
-    """Solve to stationarity/feasibility residuals at the 1e-9 (scaled) level.
+    """Solve the diagonal-Hessian ``qp`` to residuals at the 1e-9 (scaled) level.
 
     Raises
     ------
     Infeasible
         If the constraint set is empty.
-    NotPositiveDefinite
-        If the hessian fails a Cholesky test.
     IterationLimit
         If the active-set loop exceeds ``50 * (n + ineq_count)`` steps.
     """
-    n = qp.n
-    if n == 0:
-        feas_scale = 1.0 + np.abs(qp.eq_rhs).max(initial=0.0)
-        if qp.eq_count and np.abs(qp.eq_rhs).max() > _FEAS_RTOL * feas_scale:
-            raise Infeasible("zero-variable program with nonzero equality rhs")
-        if qp.ineq_count and (np.any(qp.ineq_lower > 0) or np.any(qp.ineq_upper < 0)):
-            raise Infeasible("zero-variable program with infeasible rows")
-        empty = np.zeros(0)
-        return QpSolution(x=empty, eq_duals=np.zeros(qp.eq_count),
-                          ineq_duals_lower=np.zeros(qp.ineq_count),
-                          ineq_duals_upper=np.zeros(qp.ineq_count),
-                          active_set=(), iterations=0, residual=0.0)
-    try:
-        np.linalg.cholesky(qp.hessian)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("hessian is not positive definite") from exc
-
-    g = qp.linear
     C, lo, up = qp.ineq_matrix, qp.ineq_lower, qp.ineq_upper
     m_eq, m_in = qp.eq_count, qp.ineq_count
     # range space of every row at once: the held-set subproblem
     #   min 0.5 x'Hx + g'x  s.t.  R x = t   (R: some rows of [A; C])
     # has x = x_u - H^-1 R' y with (R H^-1 R') y = R x_u - t, x_u = -H^-1 g
     rows = np.vstack([qp.eq_matrix, C])
-    rhs = np.column_stack([g, rows.T])
-    h = np.diagonal(qp.hessian)
-    if np.array_equal(qp.hessian, np.diag(h)):  # every package program
-        solved = rhs / h[:, None]
-    else:
-        # numpy has no triangular solve: one LU solve of H costs less than
-        # two general solves with the Cholesky factor
-        solved = np.linalg.solve(qp.hessian, rhs)
-    x_u = -solved[:, 0]
-    hinv_rt = solved[:, 1:]
+    x_u = -qp.linear / qp.hessian
+    hinv_rt = rows.T / qp.hessian[:, None]
     gram = rows @ hinv_rt
 
     # per row of [A; C]: its target when held, and the sign its multiplier
@@ -195,7 +165,7 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     y = np.zeros(m_eq + m_in)
     x = x_u
     row_l1 = np.abs(rows).sum(axis=1)
-    max_iter = 50 * (n + m_in) + 10
+    max_iter = 50 * (qp.n + m_in) + 10
     iterations = 0
 
     def add(p):
@@ -297,10 +267,8 @@ def kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
     of a well-scaled problem sits at or below ``1e-9 * (1 + data norms)``.
     """
     x = sol.x
-    if qp.n == 0:
-        return 0.0
     parts = []
-    stat = qp.hessian @ x + qp.linear
+    stat = qp.hessian * x + qp.linear
     if qp.eq_count:
         stat = stat + qp.eq_matrix.T @ sol.eq_duals
         parts.append(np.abs(qp.eq_matrix @ x - qp.eq_rhs).max())

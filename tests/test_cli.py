@@ -20,6 +20,9 @@ from esharing.errors import (
 from esharing.market import Scenario
 from esharing.scenario_io import dump_scenario, gen_scenario
 
+MESH = str(Path(__file__).resolve().parents[1] / "scenarios"
+           / "mesh38_chords.json")
+
 
 @pytest.fixture
 def fixture_file(tmp_path):
@@ -106,6 +109,7 @@ def test_brlab_verify(chain_file):
     assert code == 0
     assert report.results["is_gne"] is False
     assert report.results["best_bids"][1] == pytest.approx(1.535, abs=1e-3)
+    assert report.results["tol"] == 1e-6
 
 
 def test_brlab_scan_csv(chain_file, tmp_path):
@@ -131,6 +135,34 @@ def test_brlab_mode_required(chain_file, capsys):
     report, code = cli.run_command(["brlab", chain_file])
     assert report is None and code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+BIDS = "1.6,1.6,0.8"
+
+
+@pytest.mark.parametrize("flags,flag", [
+    (["--verify", BIDS, "--fix-bids", BIDS], "--fix-bids"),
+    (["--classify-2bus", "--fix-bids", BIDS], "--fix-bids"),
+    (["--verify", BIDS, "--csv", "scan.csv"], "--csv"),
+    (["--classify-2bus", "--csv", "scan.csv"], "--csv"),
+    (["--prosumer", "2", "--fix-bids", BIDS, "--tol", "1e-3"], "--tol"),
+    (["--prosumer", "2", "--fix-bids", BIDS, "--tol", "0"], "--tol"),
+    (["--classify-2bus", "--tol", "1e-3"], "--tol"),
+    (["--verify", BIDS, "--tol", "-1"], "--tol"),
+    (["--verify", BIDS, "--tol", "nan"], "--tol"),
+    (["--verify", BIDS, "--tol", "inf"], "--tol"),
+    (["--classify-2bus", "--regulated"], "--regulated"),
+], ids=["verify-fix-bids", "classify-fix-bids", "verify-csv", "classify-csv",
+        "prosumer-tol", "prosumer-zero-tol", "classify-tol", "negative-tol", "nan-tol", "inf-tol",
+        "classify-regulated"])
+def test_brlab_refuses_flags_its_mode_does_not_read(
+        flags, flag, chain_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    report, code = cli.run_command(["brlab", chain_file, *flags])
+    err = capsys.readouterr().err
+    assert report is None and code == 1
+    assert err.startswith("usage error: ") and flag in err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_bad_file_exit_code(tmp_path, capsys):
@@ -443,6 +475,23 @@ def test_overflow_prints_no_runtime_warnings(argv, overflow_file):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "RuntimeWarning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["ve", "bid"])
+def test_package_warnings_print_one_labelled_line(command, tmp_path):
+    # ve on a mesh warns that its closed form assumes a tree; bid with a
+    # below a_min warns that it may not settle, and then settles
+    path = MESH
+    if command == "bid":
+        path = str(tmp_path / "weak.json")
+        dump_scenario(cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), 0.3, a=0.2),
+                      path)
+    proc = subprocess.run([sys.executable, "-m", "esharing", command, path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["command"] == command
+    assert proc.stderr.startswith("warning: ")
     assert len(proc.stderr.splitlines()) == 1
 
 

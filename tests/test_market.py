@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from esharing.market import (
     prosumer_cost,
     regulated_price,
 )
-from esharing.network import line_flows
+from esharing.network import is_radial, line_flows
 from esharing.qp import QuadraticProgram, solve_qp
 from esharing.scenario_io import gen_scenario
 
@@ -75,7 +76,7 @@ def clear_market_qform(scenario, bids):
     """
     b = np.asarray(bids, dtype=float)
     n, net = scenario.size, scenario.network
-    qp = QuadraticProgram(hessian=2.0 * np.eye(n), linear=-2.0 * b,
+    qp = QuadraticProgram(hessian=np.full(n, 2.0), linear=-2.0 * b,
                           eq_matrix=np.ones((1, n)), eq_rhs=np.zeros(1),
                           ineq_matrix=net.ptdf.T, ineq_lower=-net.limits,
                           ineq_upper=net.limits)
@@ -90,6 +91,19 @@ def test_qform_route_agrees(two_f5, chain_f027):
         alt_lam, alt_q = clear_market_qform(scenario, bids)
         assert alt_lam == pytest.approx(lam, abs=1e-8)
         assert alt_q.sum() == pytest.approx(0.0, abs=1e-9)
+
+
+def test_network_without_its_tree_clears_on_the_mesh_path(chain_f027):
+    # the radial decision reads the network's tree, so a model built
+    # without one takes the mesh path instead of failing on ``tree.child``
+    bids = np.array([2.1, 1.1, 0.6])
+    meshed = dataclasses.replace(
+        chain_f027, network=dataclasses.replace(chain_f027.network, tree=None))
+    tree_out = clear_market(chain_f027, bids)
+    assert tree_out.alpha_upper.any() or tree_out.alpha_lower.any()
+    out = clear_market(meshed, bids)
+    assert np.abs(out.prices - tree_out.prices).max() <= 1e-12
+    assert not is_radial(meshed.network)
 
 
 def random_case(seed):

@@ -88,7 +88,7 @@ def oracle(net, hess, linear, base, k):
     """The program as a dense QP, and its active-set solution."""
     G = net.ptdf.T
     qp = QuadraticProgram(
-        hessian=np.diag(hess), linear=linear,
+        hessian=hess, linear=linear,
         eq_matrix=np.ones((1, net.bus_count)), eq_rhs=[base.sum() / k],
         ineq_matrix=-k * G, ineq_lower=-net.limits - G @ base,
         ineq_upper=net.limits - G @ base)

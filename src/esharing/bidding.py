@@ -37,8 +37,8 @@ class BiddingConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -110,7 +110,7 @@ def platform_update(scenario: Scenario, prices_k, bids_k,
     induced demands at ``bids_k`` balance and respect the flow limits, by
     :func:`esharing.market._solve_program`: with no line at a limit the
     answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4``.
-    ``active`` (the previous round's ``active_set``) is the solver's first
+    ``active`` (the previous round's ``sides``) is the solver's first
     guess.
     """
     return _clear(scenario, bids_k, prices_k, active)
@@ -160,7 +160,7 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
     active = ()
     for k in range(1, config.max_iter + 1):
         cleared = platform_update(scenario, lam, b, active)
-        lam_next, active = cleared.prices, cleared.active_set
+        lam_next, active = cleared.prices, cleared.sides
         p_next, b_next = prosumer_update(scenario, lam_next)
         delta = float(np.abs(b_next - b).max())
         trace.record(lam_next, b_next, p_next, delta)

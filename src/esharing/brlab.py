@@ -154,10 +154,9 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
         b = b_base.copy()
         b[i] = t0
         out = clear_market(scenario, b, active=guess)
-        guess = out.active_set
-        held = np.array([l for l, _ in out.active_set], dtype=int)
-        side = np.array([1.0 if s == "upper" else -1.0
-                         for _, s in out.active_set])
+        guess = out.sides
+        held = np.flatnonzero(guess)
+        side = guess[held]
         # rows {sum lam = S / a; held flows at their bounds}, rhs slope r1
         A = np.vstack([np.ones(n), -a * G[held]])
         r1 = np.concatenate([[1.0 / a], -G[held, i]])

@@ -141,13 +141,16 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
+def _parse_vector(text: str, n: int, what: str, unread=()) -> np.ndarray:
     try:
         vals = np.array([float(v) for v in text.replace(";", ",").split(",")])
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
     if vals.shape != (n,):
         raise UsageError(f"expected {n} values for {what}, got {vals.size}")
+    # ``unread`` is a slot the command ignores, which may hold any number
+    if not np.isfinite(np.delete(vals, unread)).all():
+        raise UsageError(f"{what} must be finite, got {text!r}")
     return vals
 
 
@@ -339,7 +342,7 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
     if not 1 <= args.prosumer <= n:
         raise UsageError(f"--prosumer must be in 1..{n}")
     i = args.prosumer - 1
-    b = _parse_vector(args.fix_bids, n, "--fix-bids")
+    b = _parse_vector(args.fix_bids, n, "--fix-bids", unread=i)
     scan = brlab.best_response(scenario, i, np.delete(b, i),
                                regulated=args.regulated)
     if args.csv:

@@ -98,22 +98,21 @@ def _production_program(scenario: Scenario, hessian_diag, linear,
     guess of the binding lines, as its hot start.  Returns ``(p, kappa,
     tau_lower, tau_upper)``.
     """
-    sol = _solve_program(scenario.network, np.asarray(hessian_diag, dtype=float),
-                         np.asarray(linear, dtype=float), scenario.D, 1.0,
-                         active)
+    sol, _ = _solve_program(scenario.network, np.asarray(hessian_diag, dtype=float),
+                            np.asarray(linear, dtype=float), scenario.D, 1.0,
+                            active)
     return sol.x, float(sol.eq_duals[0]), sol.ineq_duals_lower, sol.ineq_duals_upper
 
 
-def _binding_lines(tau_lower, tau_upper) -> list:
-    """Lines with a positive flow dual, as ``QpSolution.active_set`` pairs."""
-    return [(int(l), "lower") for l in np.flatnonzero(tau_lower > 0.0)] \
-        + [(int(l), "upper") for l in np.flatnonzero(tau_upper > 0.0)]
+def _binding_lines(tau_lower, tau_upper) -> np.ndarray:
+    """Lines with a positive flow dual, as a ``QpSolution.sides`` vector."""
+    return (tau_upper > 0.0) - (tau_lower > 0.0).astype(float)
 
 
 def social_optimum(scenario: Scenario, active=()) -> SocialOptimum:
     """Minimize total disutility subject to balance and flow limits.
 
-    ``active`` is a guess of the binding lines as ``(line,
+    ``active`` is a guess of the binding lines, a side vector or ``(line,
     "lower"|"upper")`` pairs.  The regulated equilibrium's binding lines
     are usually the optimum's, and from them the solve takes one held-set
     solve.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooFewProsumers
 from .network import NetworkModel, is_radial
-from .qp import QuadraticProgram, QpSolution, solve_qp
+from .qp import QuadraticProgram, QpSolution, _active_pairs, _side_vector, solve_qp
 from .tree import _components as _tree_components, _exact_pass
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
@@ -109,10 +109,10 @@ class ClearingOutcome:
     """Prices, cleared quantities, duals, and line flows for one bid vector.
 
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
-    of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``active_set`` is
-    the solver's, in the format of :attr:`esharing.qp.QpSolution.active_set`:
-    the lines held at a limit, every zero-limit line among them.  With no
-    other line held the price is uniform.
+    of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``sides`` marks the
+    lines the solver held at a limit, as :attr:`esharing.qp.QpSolution.sides`
+    does, every zero-limit line among them; ``active_set`` lists them as
+    pairs.  With no other line held the price is uniform.
     """
 
     prices: np.ndarray
@@ -121,16 +121,20 @@ class ClearingOutcome:
     alpha_lower: np.ndarray
     alpha_upper: np.ndarray
     flows: np.ndarray
-    active_set: tuple = ()
+    sides: np.ndarray
+
+    @property
+    def active_set(self) -> tuple:
+        return _active_pairs(self.sides)
 
 
 def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
     Solves the price-space program by :func:`_solve_program`, trying
-    ``active`` (the ``active_set`` of a related clearing) as its first
-    guess.  With no line at a limit the price is uniform, the mean bid over
-    ``a I``, and that is the answer to the empty guess.
+    ``active`` as its first guess: the ``sides`` or the ``active_set`` of a
+    related clearing.  With no line at a limit the price is uniform, the
+    mean bid over ``a I``, and that is the answer to the empty guess.
     """
     return _clear(scenario, bids, None, active)
 
@@ -153,18 +157,17 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         h, g = 2.0, np.zeros(n)
     else:
         h, g = 4.0, -2.0 * np.asarray(anchor, dtype=float)
-    sol = _solve_program(net, np.full(n, h), g, b, a, active)
+    sol, flows = _solve_program(net, np.full(n, h), g, b, a, active)
     lam = sol.x
-    q = b - a * lam
     return ClearingOutcome(
-        prices=lam, quantities=q, eta=float(sol.eq_duals[0]) / a,
+        prices=lam, quantities=b - a * lam, eta=float(sol.eq_duals[0]) / a,
         alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
-        flows=net.ptdf.T @ q, active_set=sol.active_set,
+        flows=flows, sides=sol.sides,
     )
 
 
 def _solve_program(net: NetworkModel, hess, linear, base, k: float,
-                   active=()) -> QpSolution:
+                   active=()) -> tuple:
     """Minimize ``sum (hess x^2 / 2 + linear x)`` over ``x`` whose purchases
     ``q = base - k x`` balance and keep every line flow within its limit.
 
@@ -173,10 +176,11 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     beta u`` with ``alpha = base + k linear / hess`` and ``beta = k /
     hess``.  One hot-start loop serves both topologies:
 
-    * Guess.  ``active``, as ``QpSolution.active_set`` pairs, names the
-      lines held at a limit; zero-limit lines are always held, as their
-      duals have no sign condition.  The empty guess is the uniform-price
-      point, the answer when no line is at a limit.
+    * Guess.  ``active``, a side vector as in ``QpSolution.sides`` or
+      pairs as in its ``active_set``, names the lines held at a limit;
+      zero-limit lines are always held, as their duals have no sign
+      condition.  The empty guess is the uniform-price point, the answer
+      when no line is at a limit.
     * Held-set solve.  Prices, purchases and flows with the held lines at
       their targets, and each held line's push ``k (mu_up - mu_lo)`` in
       price units: the component solve of :mod:`esharing.tree` on a radial
@@ -196,68 +200,63 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       :func:`esharing.qp.solve_qp`, which starts from the unconstrained
       minimum, solves a meshed one.
 
-    The solution reports the balance dual ``nu`` as its only equality
-    dual, the line duals in the sign convention of ``solve_qp`` for rows
-    ``-k G x``, the held lines as its ``active_set``, as ``iterations`` the
-    held solves made plus the exact pass's one or the QP's iterations and,
-    as ``residual``, the worst balance error, flow excess or clipped dual,
-    the conditions a held solve does not meet by construction.
+    Returns the solution and the flows of its purchases.  The solution
+    reports the balance dual ``nu`` as its only equality dual, the line
+    duals in the sign convention of ``solve_qp`` for rows ``-k G x``, the
+    held lines as its ``sides`` (a zero-limit line at its dual's side), as
+    ``iterations`` the held solves made plus the exact pass's one or the
+    QP's iterations and, as ``residual``, the worst balance error, flow
+    excess or wrong-signed dual, which a held solve does not rule out.
     """
-    limits = net.limits
+    limits, bounded, pinned = net.limits, net.bounded, net.pinned
     alpha, beta = base + k * linear / hess, k / hess
-    held = limits == 0.0
-    target = np.zeros(limits.size)  # the flows of the held lines
-    if len(active):
-        guessed = np.array([l for l, _ in active])
-        sides = np.array([1.0 if side == "upper" else -1.0 for _, side in active])
-        keep = np.isfinite(limits[guessed]) & ~held[guessed]
-        guessed = guessed[keep]
-        held[guessed] = True
-        target[guessed] = sides[keep] * limits[guessed]
-    finite, signed = np.isfinite(limits), limits > 0.0
+    # +1 or -1 on each held line with a positive limit, 0 elsewhere; a
+    # zero-limit line is held with side 0 until its dual sides it
+    side = np.where(bounded, np.sign(_side_vector(active, limits.size)), 0.0)
+    held = side != 0.0
+    held[pinned] = True
     radial = is_radial(net)
     components = _tree_components if radial else _mesh_components
     for iterations in range(1, _EXCHANGE_STEPS + 2):
-        step = components(net, alpha, beta, held, target)
+        # the held lines' flows; the rest are not read
+        step = components(net, alpha, beta, held, np.copysign(limits, side))
         if step is None:  # dependent held rows on a mesh
             break
         u, q, flows, push = step
+        excess = np.abs(flows) - limits
         # written as "not within", so that a NaN counts as a violation
-        over = ~held & finite & ~(
-            np.abs(flows) - limits <= _RTOL * (1.0 + np.abs(q).sum()))
-        wrong = held & signed & ~(
-            -np.sign(target) * push <= _RTOL * (1.0 + np.abs(u).max()))
-        if not (over.any() or wrong.any()):
+        over = ~(excess <= _RTOL * (1.0 + np.abs(q).sum())) & bounded & ~held
+        wrong = ~(side * push >= -_RTOL * (1.0 + np.abs(u).max())) & (side != 0.0)
+        if not (over | wrong).any():
             break
         held = (held & ~wrong) | over
-        target = np.where(over, np.copysign(limits, flows), target)
+        side = np.where(over, np.copysign(1.0, flows), np.where(wrong, 0.0, side))
     else:  # the steps may cycle
         step = None
     if step is None:
         if not radial:
             sol = _cold_qp(net, hess, linear, base, k)
-            return replace(sol, iterations=iterations + sol.iterations)
+            return (replace(sol, iterations=iterations + sol.iterations),
+                    net.ptdf.T @ (base - k * sol.x))
         held, target = _exact_pass(net.tree, limits, alpha, beta)
+        side = np.where(bounded, np.sign(target), 0.0)
         u, q, flows, push = components(net, alpha, beta, held, target)
+        excess = np.abs(flows) - limits
         iterations += 1
 
-    dual = np.where(held, push / k, 0.0)  # mu_up - mu_lo
-    upper = held & np.where(limits == 0.0, dual >= 0.0, target > 0.0)
-    lower = held & ~upper
-    mu_up = np.where(upper, np.maximum(dual, 0.0), 0.0)
-    mu_lo = np.where(lower, np.maximum(-dual, 0.0), 0.0)
+    dual = push / k  # mu_up - mu_lo, zero on the free lines
+    if pinned.size:
+        side[pinned] = np.where(dual[pinned] >= 0.0, 1.0, -1.0)
+    signed = side * dual  # each held line's dual at its own side
+    mu = np.maximum(signed, 0.0)
     residual = max(abs(float(q.sum())),
-                   float(np.max(np.abs(flows) - limits, initial=0.0)),
-                   float(np.max(-dual[upper], initial=0.0)),
-                   float(np.max(dual[lower], initial=0.0)))
-    held_lines = np.flatnonzero(held)
+                   float(np.maximum(excess, -signed).max(initial=0.0)))
     return QpSolution(
         x=(u - linear) / hess, eq_duals=np.array([-u[net.slack - 1]]),
-        ineq_duals_lower=mu_lo, ineq_duals_upper=mu_up,
-        active_set=tuple(zip(held_lines.tolist(),
-                             np.where(upper[held_lines], "upper", "lower").tolist())),
-        iterations=iterations, residual=residual,
-    )
+        ineq_duals_lower=np.where(side < 0.0, mu, 0.0),
+        ineq_duals_upper=np.where(side > 0.0, mu, 0.0),
+        sides=side, iterations=iterations, residual=residual,
+    ), flows
 
 
 def _mesh_components(net, alpha, beta, held, target):

@@ -97,6 +97,9 @@ class NetworkModel:
     limits : np.ndarray, shape (line_count,)
     tree : TreeTopology or None
         The network rooted at its slack bus when it is radial, else None.
+    bounded, pinned : np.ndarray
+        Derived from ``limits``: the mask of lines with a positive finite
+        limit, and the indices of the lines with a zero limit.
     """
 
     bus_count: int
@@ -105,6 +108,15 @@ class NetworkModel:
     ptdf: np.ndarray = field(repr=False)
     limits: np.ndarray = field(repr=False)
     tree: TreeTopology | None = field(default=None, repr=False)
+    bounded: np.ndarray = field(init=False, repr=False)
+    pinned: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        limits = self.limits
+        for name, lines in (("bounded", (limits > 0.0) & (limits < np.inf)),
+                            ("pinned", np.flatnonzero(limits == 0.0))):
+            lines.setflags(write=False)
+            object.__setattr__(self, name, lines)
 
     @property
     def line_count(self) -> int:

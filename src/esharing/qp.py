@@ -112,17 +112,41 @@ class QuadraticProgram:
 class QpSolution:
     """Primal-dual solution.
 
-    ``active_set`` lists the inequality rows at a bound at the solution as
-    ``(row, side)`` pairs with side ``'lower'`` or ``'upper'``, sorted by row.
+    ``sides`` holds one entry per inequality row: +1 at its upper bound, -1
+    at its lower one, 0 at neither.  ``active_set`` lists the rows at a
+    bound as ``(row, side)`` pairs with side ``'upper'`` or ``'lower'``,
+    sorted by row.
     """
 
     x: np.ndarray
     eq_duals: np.ndarray
     ineq_duals_lower: np.ndarray
     ineq_duals_upper: np.ndarray
-    active_set: tuple
+    sides: np.ndarray
     iterations: int
     residual: float = field(default=0.0)
+
+    @property
+    def active_set(self) -> tuple:
+        return _active_pairs(self.sides)
+
+
+def _active_pairs(sides) -> tuple:
+    """A side vector's rows at a bound as ``QpSolution.active_set`` pairs."""
+    rows = np.flatnonzero(sides)
+    return tuple(zip(rows.tolist(),
+                     np.where(sides[rows] > 0.0, "upper", "lower").tolist()))
+
+
+def _side_vector(active, count: int) -> np.ndarray:
+    """``active``, pairs as in ``QpSolution.active_set`` or a side vector
+    already, as a side vector of ``count`` rows."""
+    if isinstance(active, np.ndarray):
+        return active
+    sides = np.zeros(count)
+    for row, side in active:
+        sides[row] = 1.0 if side == "upper" else -1.0
+    return sides
 
 
 def linprog(*args, **kwargs):
@@ -253,8 +277,7 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
         x=x, eq_duals=y[:m_eq],
         ineq_duals_lower=np.where(upper, 0.0, np.maximum(-mu, 0.0)),
         ineq_duals_upper=np.where(upper, np.maximum(mu, 0.0), 0.0),
-        active_set=tuple((int(j), "upper" if upper[j] else "lower")
-                         for j in np.flatnonzero(at_bound)),
+        sides=np.where(at_bound, np.where(upper, 1.0, -1.0), 0.0),
         iterations=iterations, residual=0.0)
     object.__setattr__(sol, "residual", kkt_residual(qp, sol))
     return sol

@@ -67,7 +67,7 @@ def _components(net, alpha, beta, held, target):
     comp[cut] = cut
     while True:  # pointer jumping: each bus ends at the top of its component
         top = comp[comp]
-        if np.array_equal(top, comp):
+        if (top == comp).all():
             break
         comp = top
     t = (tree.sign * target)[held]  # the net purchases of their subtrees

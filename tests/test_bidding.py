@@ -18,7 +18,7 @@ from esharing.bidding import (
 )
 from esharing.errors import MaxIterExceeded, WeakSensitivityWarning
 from esharing.market import Scenario, clear_market
-from esharing.qp import solve_qp
+from esharing.qp import _active_pairs, _side_vector, solve_qp
 from esharing.scenario_io import gen_scenario
 
 
@@ -109,6 +109,12 @@ def test_iteration_cap_raises_with_trace(two_f5):
     assert err.residual > 1e-14
 
 
+def test_config_refuses_a_non_finite_epsilon():
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            BiddingConfig(epsilon=eps)
+
+
 def test_default_epsilon_scales_with_demand(two_f5):
     config = BiddingConfig()
     expected = 1e-6 * (1.0 + float(np.abs(two_f5.D).max()))
@@ -192,10 +198,11 @@ def test_settled_rounds_take_one_solver_iteration(monkeypatch):
 
     def recording(*args):
         held, qps = len(held_solves), len(qp_solves)
-        sol = solve(*args)
-        solves.append((tuple(args[5]), sol.active_set,
+        sol, flows = solve(*args)
+        guess = _active_pairs(_side_vector(args[5], args[0].line_count))
+        solves.append((guess, sol.active_set,
                        len(held_solves) - held, len(qp_solves) - qps))
-        return sol
+        return sol, flows
 
     def counting(*args):
         held_solves.append(args)
@@ -223,9 +230,9 @@ def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
     iterations, passes = [], []
 
     def recording(*args):
-        sol = solve(*args)
+        sol, flows = solve(*args)
         iterations.append(sol.iterations)
-        return sol
+        return sol, flows
 
     def counting(*args):
         passes.append(args)

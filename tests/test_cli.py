@@ -165,6 +165,28 @@ def test_brlab_refuses_flags_its_mode_does_not_read(
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["clear", "{two}", "--bids", "nan,1"], "--bids"),
+    (["brlab", "{chain}", "--prosumer", "2", "--fix-bids", "inf,1.6,0.8"],
+     "--fix-bids"),
+    (["brlab", "{chain}", "--verify", "1.6,nan,0.8"], "--verify"),
+], ids=["clear-nan-bid", "brlab-infinite-fixed-bid", "brlab-nan-verify-bid"])
+def test_non_finite_bid_vectors_are_usage_errors(argv, flag, fixture_file,
+                                                 chain_file, capsys):
+    report, code = cli.run_command(
+        [arg.format(two=fixture_file, chain=chain_file) for arg in argv])
+    err = capsys.readouterr().err
+    assert report is None and code == 1
+    assert err.startswith("usage error: ") and flag in err and "finite" in err
+
+
+def test_the_scanned_slot_of_fixed_bids_is_not_read(chain_file):
+    report, code = cli.run_command(["brlab", chain_file, "--prosumer", "2",
+                                    "--fix-bids", "1.6,nan,0.8"])
+    assert code == 0
+    assert len(report.results["local_minima"]) == 2
+
+
 def test_bad_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -367,7 +389,8 @@ def test_format_flag_with_equals_sign(fixture_file, capsys):
     ["gen", "--seed", "1", "--size", "1"],
     ["bid", "{scenario}", "--eps", "-1"],
     ["bid", "{scenario}", "--max-iter", "0"],
-], ids=["gen-size-1", "bid-negative-eps", "bid-max-iter-0"])
+    ["bid", "{scenario}", "--eps", "inf"],
+], ids=["gen-size-1", "bid-negative-eps", "bid-max-iter-0", "bid-infinite-eps"])
 def test_bad_arguments_exit_1_without_traceback(argv, fixture_file, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

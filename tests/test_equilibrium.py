@@ -229,8 +229,9 @@ def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch)
 
     def recording(*args):
         held = len(held_solves)
-        solves.append((solve(*args), len(held_solves) - held))
-        return solves[-1][0]
+        result = solve(*args)
+        solves.append((result[0], len(held_solves) - held))
+        return result
 
     def counting(*args):
         held_solves.append(args)

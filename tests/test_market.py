@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from esharing.market import (
     prosumer_cost,
     regulated_price,
 )
-from esharing.network import is_radial, line_flows
+from esharing import market
+from esharing.network import LineSpec, build_network, is_radial, line_flows
 from esharing.qp import QuadraticProgram, solve_qp
-from esharing.scenario_io import gen_scenario
+from esharing.scenario_io import gen_scenario, load_scenario
 
 
 GNE_BIDS_F5 = np.array([10.5, 30.6])
@@ -289,3 +291,61 @@ def test_prosumer_refuses_non_finite_data(field, value):
 def test_scenario_refuses_an_infinite_sensitivity(two_f5):
     with pytest.raises(DimensionMismatch):
         Scenario(network=two_f5.network, prosumers=two_f5.prosumers, a=np.inf)
+
+
+def assert_pairs_follow_the_duals(out, limits):
+    """``active_set`` lists each held line once, sorted by line, as
+    ``(line, "upper"|"lower")``: every zero-limit line at the side of its
+    dual's sign, every line with a positive dual at that dual's side, and
+    each line with a positive limit at the limit of its side."""
+    pairs = out.active_set
+    lines = [line for line, _ in pairs]
+    assert all(type(line) is int for line in lines)
+    assert lines == sorted(set(lines))
+    held = dict(pairs)
+    dual = out.alpha_upper - out.alpha_lower
+    for line in np.flatnonzero(limits == 0.0):
+        assert held[int(line)] == ("upper" if dual[line] >= 0.0 else "lower")
+    for line in np.flatnonzero(out.alpha_upper > 0.0):
+        assert held[int(line)] == "upper"
+    for line in np.flatnonzero(out.alpha_lower > 0.0):
+        assert held[int(line)] == "lower"
+    for line, side in pairs:
+        at = limits[line] if side == "upper" else -limits[line]
+        assert out.flows[line] == pytest.approx(at, abs=1e-9)
+    assert np.array_equal(np.flatnonzero(out.sides), lines)
+    assert out.sides[lines].tolist() == [1.0 if held[line] == "upper" else -1.0
+                                         for line in lines]
+
+
+def test_active_set_pairs_on_a_small_tree():
+    # a chain 1-2-3-4-5 with bus 6 on the slack bus 3: line 0 is held at
+    # its lower limit, line 2 at its upper one, and the zero-limit lines 1
+    # and 4 at the sides their duals push from
+    lines = [LineSpec(1, 2, 1.0, 0.5), LineSpec(2, 3, 1.0, 0.0),
+             LineSpec(3, 4, 1.0, 0.4), LineSpec(4, 5, 1.0, np.inf),
+             LineSpec(6, 3, 1.0, 0.0)]
+    net = build_network(6, lines, slack=3)
+    scenario = Scenario(network=net, prosumers=[Prosumer(1.0, 0.0, 1.0)] * 6,
+                        a=1.0)
+    out = clear_market(scenario, np.array([3.0, -1.0, 0.0, 3.0, 0.0, 1.0]))
+    assert out.active_set == ((0, "lower"), (1, "upper"), (2, "upper"),
+                              (4, "lower"))
+    assert_pairs_follow_the_duals(out, net.limits)
+    # as a guess, the pairs and the side vector are the same
+    assert clear_market(scenario, np.zeros(6), active=out.active_set).sides \
+        .tobytes() == clear_market(scenario, np.zeros(6), active=out.sides) \
+        .sides.tobytes()
+
+
+def test_active_set_pairs_on_the_bundled_mesh():
+    scenario = load_scenario(str(Path(__file__).resolve().parents[1]
+                                 / "scenarios" / "mesh38_chords.json"))
+    net, n = scenario.network, scenario.size
+    bids = 1.1 * improved_gne(scenario).b_bar
+    out = clear_market(scenario, bids)
+    assert len(out.active_set) > 0
+    assert_pairs_follow_the_duals(out, net.limits)
+    # the dense QP's held rows, in its own format
+    cold = market._cold_qp(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
+    assert out.active_set == cold.active_set

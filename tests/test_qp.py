@@ -150,7 +150,7 @@ def test_kkt_residual_flags_perturbed_solution():
         x=sol.x + 0.01, eq_duals=sol.eq_duals,
         ineq_duals_lower=sol.ineq_duals_lower,
         ineq_duals_upper=sol.ineq_duals_upper,
-        active_set=sol.active_set, iterations=sol.iterations,
+        sides=sol.sides, iterations=sol.iterations,
         residual=sol.residual)
     assert kkt_residual(qp, shifted) >= 1e-4
 

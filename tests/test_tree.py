@@ -76,12 +76,17 @@ def random_guess(net, seed):
             for l in range(net.line_count) if rng.random() < 0.5]
 
 
+def solve(program, active=()):
+    """The solution of ``_solve_program`` from the guess ``active``."""
+    return market._solve_program(*program, active)[0]
+
+
 def exact_pass_only(program, active):
     """``_solve_program`` with no exchange steps: a failed guess goes
     straight to the exact pass."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(market, "_EXCHANGE_STEPS", 0)
-        return market._solve_program(*program, active=active)
+        return solve(program, active)
 
 
 def oracle(net, hess, linear, base, k):
@@ -110,7 +115,7 @@ def assert_same(sol, ref):
 @given(tree_programs())
 def test_tree_solver_matches_the_qp(program):
     qp, ref = oracle(*program)
-    sol = market._solve_program(*program)
+    sol = solve(program)
     assert_same(sol, ref)
     assert kkt_residual(qp, sol) <= 1e-8
     assert sol.residual <= 1e-8
@@ -129,8 +134,8 @@ def test_any_hot_start_gives_the_same_answer(program, seed):
     extra = right + [(int(rng.choice(spare)), rng.choice(["lower", "upper"]))] \
         if spare else right
     for guess in (right, subset, extra):
-        assert_same(market._solve_program(*program, active=guess), ref)
-    assert market._solve_program(*program, active=right).iterations == 1
+        assert_same(solve(program, guess), ref)
+    assert solve(program, right).iterations == 1
 
 
 @settings(max_examples=150)
@@ -148,7 +153,7 @@ def test_the_exact_pass_alone_matches_the_qp(program, seed):
 @given(tree_programs(), st.integers(0, 2**32 - 1))
 def test_exchange_steps_hold_the_lines_the_exact_pass_holds(program, seed):
     for active in ((), random_guess(program[0], seed)):
-        stepped = market._solve_program(*program, active=active)
+        stepped = solve(program, active)
         exact = exact_pass_only(program, active)
         assert stepped.active_set == exact.active_set
         assert np.array_equal(stepped.x, exact.x)
@@ -171,7 +176,7 @@ def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
 
     monkeypatch.setattr(market, "_tree_components", recording)
     monkeypatch.setattr(market, "_exact_pass", counting)
-    sol = market._solve_program(*program)
+    sol = solve(program)
     stepped = held_sets[:-1]  # the last solve is on the exact pass's set
     assert len(passes) == 1
     assert len(set(stepped)) < len(stepped) == market._EXCHANGE_STEPS + 1
@@ -186,7 +191,7 @@ def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
 def test_mesh_hot_starts_match_the_cold_qp(program, seed):
     qp, ref = oracle(*program)
     for active in ((), random_guess(program[0], seed)):
-        sol = market._solve_program(*program, active=active)
+        sol = solve(program, active)
         assert_same(sol, ref)
         assert kkt_residual(qp, sol) <= 1e-8
 
@@ -208,7 +213,7 @@ def test_a_singular_held_set_falls_back_to_the_qp(monkeypatch):
 
     monkeypatch.setattr(market, "solve_qp", recording)
     qp, ref = oracle(*program)
-    sol = market._solve_program(*program, active=[(3, "upper")])
+    sol = solve(program, [(3, "upper")])
     assert len(qps) == 1
     assert sol.iterations == 1 + qps[0].iterations
     assert_same(sol, ref)

@@ -103,15 +103,15 @@ class FejerReport:
 
 
 def platform_update(scenario: Scenario, prices_k, bids_k,
-                    active=()) -> ClearingOutcome:
+                    active=None) -> ClearingOutcome:
     """Proximal re-clearing of the standing bids.
 
     Minimizes ``sum lam_i^2 + sum (lam_i - lam_i^k)^2`` over prices whose
     induced demands at ``bids_k`` balance and respect the flow limits, by
     :func:`esharing.market._solve_program`: with no line at a limit the
     answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4``.
-    ``active`` (the previous round's ``sides``) is the solver's first
-    guess.
+    ``active`` (the previous round's ``sides``, or None) is the solver's
+    first guess.
     """
     return _clear(scenario, bids_k, prices_k, active)
 
@@ -157,7 +157,7 @@ def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> Bidd
     trace = BiddingTrace()
     trace.record(lam.copy(), b.copy(), p.copy(), float("nan"))
 
-    active = ()
+    active = None
     for k in range(1, config.max_iter + 1):
         cleared = platform_update(scenario, lam, b, active)
         lam_next, active = cleared.prices, cleared.sides

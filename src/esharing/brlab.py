@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult, ScanIntervalEmpty, WrongTopology
-from .market import Scenario, clear_market, cost_at
+from .market import Scenario, _held_solve, clear_market, cost_at
 from .network import is_radial
 
 _REFINE_FACTOR = 10  # spacing shrink per refinement round
@@ -134,47 +134,45 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
 
     The clearing program is a strictly convex QP whose right-hand side is
     affine in ``t``, so its solution is piecewise affine in ``t``, one piece
-    per set of lines held at a limit.  A piece is built at the first bid no
-    earlier piece covers, by one :func:`clear_market` call that guesses the
-    last piece's held lines.  Its slopes are the min-norm projection onto
-    the balance row and the held lines; it holds exactly where every free
-    line stays within its limits and every held line with a nonzero limit
-    keeps a right-signed dual.  A start clearing that already violates one
-    of these beyond rounding gives a piece of one point.
+    per set of lines held at a limit (Bemporad, Morari, Dua & Pistikopoulos,
+    Automatica 38(1), 2002).  A piece is built at the first bid no earlier
+    piece covers, by one :func:`clear_market` call that guesses the last
+    piece's held lines.  Its slopes are the held-set solve's answer to a
+    unit bid at bus ``i`` with zero targets; it holds exactly where every
+    free line stays within its limits and every held line with a nonzero
+    limit keeps a right-signed dual.  A start clearing that already violates
+    one of these beyond rounding, or a refused held solve, gives a piece of
+    one point.
     """
-    n, a = scenario.size, scenario.a
-    G = scenario.network.ptdf.T
-    F = scenario.network.limits
-    limited = np.isfinite(F)
+    net, a = scenario.network, scenario.a
+    F, bounded = net.limits, net.bounded
+    unit = np.eye(scenario.size)[i]
+    beta = np.full(scenario.size, a / 2.0)  # the clearing program's k / hess
     pieces = []  # (lo, hi, t0, lam_i(t0), d lam_i / dt)
-    guess = ()
+    guess = None
 
     def build(t0):
         nonlocal guess
         b = b_base.copy()
         b[i] = t0
         out = clear_market(scenario, b, active=guess)
-        guess = out.sides
-        held = np.flatnonzero(guess)
-        side = guess[held]
-        # rows {sum lam = S / a; held flows at their bounds}, rhs slope r1
-        A = np.vstack([np.ones(n), -a * G[held]])
-        r1 = np.concatenate([[1.0 / a], -G[held, i]])
-        y1 = np.linalg.lstsq(A @ A.T, r1, rcond=None)[0]
-        dlam = A.T @ y1
-        free = limited.copy()
-        free[held] = False
-        dflow = G[free, i] - a * (G[free] @ dlam)
-        # a held line's dual is -2 side y; with F = 0 it has no sign
-        signed = F[held] > 0.0
-        dual = np.where(side > 0, out.alpha_upper[held], out.alpha_lower[held])
-        ddual = -2.0 * side * y1[1:]
+        guess = side = out.sides
+        held = side != 0.0
+        lam0 = float(out.prices[i])
+        slopes = _held_solve(net, unit, beta, held, np.zeros(F.size))
+        if slopes is None:
+            return t0, t0, t0, lam0, 0.0
+        du, _, dflow, dpush = slopes
+        free = bounded & ~held
+        # a held line's dual is side push / a; with F = 0 it has no sign
+        signed = bounded & held
+        dual = np.where(side > 0, out.alpha_upper, out.alpha_lower)
         # every condition reads value + slope * (t - t0) >= 0
         value = np.concatenate([F[free] - out.flows[free],
                                 F[free] + out.flows[free], dual[signed]])
-        slope = np.concatenate([-dflow, dflow, ddual[signed]])
-        scale = 1.0 + np.abs(b).sum() + F[limited].max(initial=0.0)
-        lam0 = float(out.prices[i])
+        slope = np.concatenate([-dflow[free], dflow[free],
+                                (side * dpush / a)[signed]])
+        scale = 1.0 + np.abs(b).sum() + F[bounded].max(initial=0.0)
         if np.any(value < -1e-9 * scale):
             return t0, t0, t0, lam0, 0.0
         value = np.maximum(value, 0.0)
@@ -182,7 +180,7 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
                                initial=np.inf))
         hi = t0 + float(np.min(value[slope < 0] / -slope[slope < 0],
                                initial=np.inf))
-        return lo, hi, t0, lam0, float(dlam[i])
+        return lo, hi, t0, lam0, float(du[i] / 2.0)
 
     def prices(t):
         lam = np.empty(t.size)

@@ -368,9 +368,13 @@ def _output_dir(explicit: str | None, fallback: str) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:  # after a failed write or rename, leave no partial file
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def _cmd_gen(args, fmt: str) -> tuple:
@@ -420,7 +424,7 @@ def _cmd_batch(args, fmt: str) -> tuple:
                 out_dir, name[:-len(".json")] + ".report.json")
             _atomic_write(out_path, render_report(report, "json") + "\n")
             summary[name] = "ok"
-        except EsharingError as exc:
+        except (EsharingError, OSError) as exc:
             summary[name] = f"error: {exc}"
             failures += 1
     report = RunReport(command="batch", scenario=directory, digest=None,
@@ -432,13 +436,14 @@ def _cmd_batch(args, fmt: str) -> tuple:
 
 
 # (error type, stderr label, exit code), matched in order; the last row
-# takes FileError, NonFiniteResult, ContractBreach and every other error
+# takes FileError, NonFiniteResult, ContractBreach, every other error and
+# an output path that cannot be written
 _FAILURES = (
     (UsageError, "usage error", 1),
     (MaxIterExceeded, "did not converge", 3),
     (IterationLimit, "solver did not converge", 3),
     (Infeasible, "infeasible", 2),
-    (EsharingError, "error", 1),
+    ((EsharingError, OSError), "error", 1),
 )
 
 
@@ -477,7 +482,7 @@ def run_command(argv) -> tuple:
                                results=results, residuals=residuals,
                                fmt=args.format)
             return report, 0
-        except EsharingError as exc:
+        except (EsharingError, OSError) as exc:
             label, code = next((label, code) for kind, label, code in _FAILURES
                                if isinstance(exc, kind))
             print(f"{label}: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBaseline, NonRadialWarning, TooFewProsumers
+from .errors import DegenerateBaseline, NonRadialWarning
 from .market import (
     ClearingOutcome,
     Scenario,
@@ -90,13 +90,13 @@ class PriceTakingEquilibrium:
 
 
 def _production_program(scenario: Scenario, hessian_diag, linear,
-                        active=()) -> tuple:
+                        active=None) -> tuple:
     """Minimize ``sum (hessian_diag p^2 / 2 + linear p)`` over productions
     that keep total production and every line flow within its limit.
 
     Solved by :func:`esharing.market._solve_program` with ``active``, a
-    guess of the binding lines, as its hot start.  Returns ``(p, kappa,
-    tau_lower, tau_upper)``.
+    side vector guessing the binding lines or None, as its hot start.
+    Returns ``(p, kappa, tau_lower, tau_upper)``.
     """
     sol, _ = _solve_program(scenario.network, np.asarray(hessian_diag, dtype=float),
                             np.asarray(linear, dtype=float), scenario.D, 1.0,
@@ -109,13 +109,13 @@ def _binding_lines(tau_lower, tau_upper) -> np.ndarray:
     return (tau_upper > 0.0) - (tau_lower > 0.0).astype(float)
 
 
-def social_optimum(scenario: Scenario, active=()) -> SocialOptimum:
+def social_optimum(scenario: Scenario, active=None) -> SocialOptimum:
     """Minimize total disutility subject to balance and flow limits.
 
-    ``active`` is a guess of the binding lines, a side vector or ``(line,
-    "lower"|"upper")`` pairs.  The regulated equilibrium's binding lines
-    are usually the optimum's, and from them the solve takes one held-set
-    solve.
+    ``active`` is a guess of the binding lines, a side vector as in
+    ``ClearingOutcome.sides``, or None.  The regulated equilibrium's
+    binding lines are usually the optimum's, and from them the solve takes
+    one held-set solve.
     """
     p, kappa, tau_lo, tau_up = _production_program(
         scenario, 2.0 * scenario.c, scenario.d, active)
@@ -131,10 +131,7 @@ def central_solution(scenario: Scenario):
     Solved from the uniform-price guess, the empty set of binding lines.
     Returns ``(p_bar, kappa, tau_lower, tau_upper)``.
     """
-    n = scenario.size
-    if n < 2:
-        raise TooFewProsumers("the sharing penalty needs at least two prosumers")
-    w = 1.0 / (scenario.a * (n - 1))
+    w = 1.0 / (scenario.a * (scenario.size - 1))
     return _production_program(scenario, 2.0 * scenario.c + w,
                                scenario.d - w * scenario.D)
 

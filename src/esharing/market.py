@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooFewProsumers
 from .network import NetworkModel, is_radial
-from .qp import QuadraticProgram, QpSolution, _active_pairs, _side_vector, solve_qp
+from .qp import QuadraticProgram, QpSolution, solve_qp
 from .tree import _components as _tree_components, _exact_pass
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
@@ -111,8 +111,9 @@ class ClearingOutcome:
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
     of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``sides`` marks the
     lines the solver held at a limit, as :attr:`esharing.qp.QpSolution.sides`
-    does, every zero-limit line among them; ``active_set`` lists them as
-    pairs.  With no other line held the price is uniform.
+    does, every zero-limit line among them unless the mesh fallback skipped
+    it as dependent, as the twin of another zero-limit line is; that one is
+    reported free.  With no line held the price is uniform.
     """
 
     prices: np.ndarray
@@ -123,18 +124,14 @@ class ClearingOutcome:
     flows: np.ndarray
     sides: np.ndarray
 
-    @property
-    def active_set(self) -> tuple:
-        return _active_pairs(self.sides)
 
-
-def clear_market(scenario: Scenario, bids, active=()) -> ClearingOutcome:
+def clear_market(scenario: Scenario, bids, active=None) -> ClearingOutcome:
     """Clear the market for a bid vector.
 
     Solves the price-space program by :func:`_solve_program`, trying
-    ``active`` as its first guess: the ``sides`` or the ``active_set`` of a
-    related clearing.  With no line at a limit the price is uniform, the
-    mean bid over ``a I``, and that is the answer to the empty guess.
+    ``active`` as its first guess: the ``sides`` of a related clearing, or
+    None for none.  With no line at a limit the price is uniform, the mean
+    bid over ``a I``, and that is the answer to the empty guess.
     """
     return _clear(scenario, bids, None, active)
 
@@ -167,7 +164,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
 
 
 def _solve_program(net: NetworkModel, hess, linear, base, k: float,
-                   active=()) -> tuple:
+                   active=None) -> tuple:
     """Minimize ``sum (hess x^2 / 2 + linear x)`` over ``x`` whose purchases
     ``q = base - k x`` balance and keep every line flow within its limit.
 
@@ -176,15 +173,14 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     beta u`` with ``alpha = base + k linear / hess`` and ``beta = k /
     hess``.  One hot-start loop serves both topologies:
 
-    * Guess.  ``active``, a side vector as in ``QpSolution.sides`` or
-      pairs as in its ``active_set``, names the lines held at a limit;
-      zero-limit lines are always held, as their duals have no sign
-      condition.  The empty guess is the uniform-price point, the answer
-      when no line is at a limit.
-    * Held-set solve.  Prices, purchases and flows with the held lines at
-      their targets, and each held line's push ``k (mu_up - mu_lo)`` in
-      price units: the component solve of :mod:`esharing.tree` on a radial
-      network, :func:`_mesh_components` on a meshed one.
+    * Guess.  ``active``, a side vector as in ``QpSolution.sides`` or None
+      for the empty guess, names the lines held at a limit; zero-limit
+      lines are always held, as their duals have no sign condition.  The
+      empty guess is the uniform-price point, the answer when no line is at
+      a limit.
+    * Held-set solve by :func:`_held_solve`: prices, purchases and flows
+      with the held lines at their targets, and each held line's push
+      ``k (mu_up - mu_lo)`` in price units.
     * Check.  The program is strictly convex, so the result is its unique
       optimum when every free line is within its limit and every held line
       with a positive limit pushes its flow back (``push >= 0`` at ``+F``,
@@ -203,23 +199,27 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     Returns the solution and the flows of its purchases.  The solution
     reports the balance dual ``nu`` as its only equality dual, the line
     duals in the sign convention of ``solve_qp`` for rows ``-k G x``, the
-    held lines as its ``sides`` (a zero-limit line at its dual's side), as
+    held lines as its ``sides`` (a zero-limit line at its dual's side, or
+    free where the mesh fallback skipped it as dependent), as
     ``iterations`` the held solves made plus the exact pass's one or the
     QP's iterations and, as ``residual``, the worst balance error, flow
     excess or wrong-signed dual, which a held solve does not rule out.
     """
     limits, bounded, pinned = net.limits, net.bounded, net.pinned
     alpha, beta = base + k * linear / hess, k / hess
+    if active is None:
+        active = np.zeros(limits.size)
+    if np.shape(active) != limits.shape:
+        raise DimensionMismatch(f"active must be None or a side vector of "
+                                f"{limits.size} lines")
     # +1 or -1 on each held line with a positive limit, 0 elsewhere; a
     # zero-limit line is held with side 0 until its dual sides it
-    side = np.where(bounded, np.sign(_side_vector(active, limits.size)), 0.0)
+    side = np.where(bounded, np.sign(active), 0.0)
     held = side != 0.0
     held[pinned] = True
-    radial = is_radial(net)
-    components = _tree_components if radial else _mesh_components
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
-        step = components(net, alpha, beta, held, np.copysign(limits, side))
+        step = _held_solve(net, alpha, beta, held, np.copysign(limits, side))
         if step is None:  # dependent held rows on a mesh
             break
         u, q, flows, push = step
@@ -234,13 +234,13 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     else:  # the steps may cycle
         step = None
     if step is None:
-        if not radial:
+        if not is_radial(net):
             sol = _cold_qp(net, hess, linear, base, k)
             return (replace(sol, iterations=iterations + sol.iterations),
                     net.ptdf.T @ (base - k * sol.x))
         held, target = _exact_pass(net.tree, limits, alpha, beta)
         side = np.where(bounded, np.sign(target), 0.0)
-        u, q, flows, push = components(net, alpha, beta, held, target)
+        u, q, flows, push = _held_solve(net, alpha, beta, held, target)
         excess = np.abs(flows) - limits
         iterations += 1
 
@@ -259,6 +259,14 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     ), flows
 
 
+def _held_solve(net, alpha, beta, held, target):
+    """The held-set solve: the component solve of :mod:`esharing.tree` on a
+    radial network, :func:`_mesh_components` on a meshed one.  Its answer
+    is linear in ``(alpha, target)``."""
+    components = _tree_components if is_radial(net) else _mesh_components
+    return components(net, alpha, beta, held, target)
+
+
 def _mesh_components(net, alpha, beta, held, target):
     """Prices ``u``, purchases, flows and pushes on a meshed network with
     the ``held`` lines' flows at ``target``, or None when the held rows are
@@ -269,7 +277,11 @@ def _mesh_components(net, alpha, beta, held, target):
     on their targets ``t``; one refinement pass follows.  A near-singular
     system, such as all lines of a cycle or a line with its parallel twin,
     gives garbage that can pass the optimality check, so the balance and
-    every held flow must meet their targets afterwards.
+    every held flow must meet their targets afterwards.  Dependent rows
+    whose targets agree, as two held zero-limit lines may be, pass that
+    test with pushes split at random between them; so with two or more
+    held, each Cholesky pivot must keep the share of its row that
+    ``solve_qp`` asks of a row it holds.
     """
     G = net.ptdf.T
     rows = np.vstack([np.ones(alpha.size), G[held]])
@@ -277,6 +289,10 @@ def _mesh_components(net, alpha, beta, held, target):
     schur = (rows * beta) @ rows.T
     z, q = np.zeros(t.size), alpha
     try:
+        if np.count_nonzero(held[net.pinned]) > 1:
+            pivots = np.diagonal(np.linalg.cholesky(schur)) ** 2
+            if not (pivots > 1e-10 * np.diagonal(schur)).all():
+                return None
         for _ in range(2):
             z = z + np.linalg.solve(schur, rows @ q - t)
             u = z @ rows

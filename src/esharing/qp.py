@@ -112,10 +112,10 @@ class QuadraticProgram:
 class QpSolution:
     """Primal-dual solution.
 
-    ``sides`` holds one entry per inequality row: +1 at its upper bound, -1
-    at its lower one, 0 at neither.  ``active_set`` lists the rows at a
-    bound as ``(row, side)`` pairs with side ``'upper'`` or ``'lower'``,
-    sorted by row.
+    ``sides`` holds one entry per inequality row: +1 where the solver held
+    it at its upper bound, -1 at its lower one, 0 where it did not hold it.
+    An equal-bound row that depends on rows already held is skipped by the
+    solver, and is reported free, with side 0 and dual 0.
     """
 
     x: np.ndarray
@@ -125,28 +125,6 @@ class QpSolution:
     sides: np.ndarray
     iterations: int
     residual: float = field(default=0.0)
-
-    @property
-    def active_set(self) -> tuple:
-        return _active_pairs(self.sides)
-
-
-def _active_pairs(sides) -> tuple:
-    """A side vector's rows at a bound as ``QpSolution.active_set`` pairs."""
-    rows = np.flatnonzero(sides)
-    return tuple(zip(rows.tolist(),
-                     np.where(sides[rows] > 0.0, "upper", "lower").tolist()))
-
-
-def _side_vector(active, count: int) -> np.ndarray:
-    """``active``, pairs as in ``QpSolution.active_set`` or a side vector
-    already, as a side vector of ``count`` rows."""
-    if isinstance(active, np.ndarray):
-        return active
-    sides = np.zeros(count)
-    for row, side in active:
-        sides[row] = 1.0 if side == "upper" else -1.0
-    return sides
 
 
 def linprog(*args, **kwargs):
@@ -161,6 +139,9 @@ def linprog(*args, **kwargs):
 
 def solve_qp(qp: QuadraticProgram) -> QpSolution:
     """Solve the diagonal-Hessian ``qp`` to residuals at the 1e-9 (scaled) level.
+
+    ``sides`` marks the rows held at the end, which are independent: an
+    equal-bound row skipped as dependent on the held rows is reported free.
 
     Raises
     ------
@@ -269,15 +250,14 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
         y[idx] += dy
 
     mu = y[m_eq:]
-    # an equal-bound row is always at its bound, and is reported at the
-    # side its multiplier pushes from
+    # a held equal-bound row is reported at the side its multiplier pushes
+    # from; a skipped one is free, so that the reported rows are independent
     upper = np.where(pinned[m_eq:], mu >= 0.0, side[m_eq:] > 0.0)
-    at_bound = held[m_eq:] | pinned[m_eq:]
     sol = QpSolution(
         x=x, eq_duals=y[:m_eq],
         ineq_duals_lower=np.where(upper, 0.0, np.maximum(-mu, 0.0)),
         ineq_duals_upper=np.where(upper, np.maximum(mu, 0.0), 0.0),
-        sides=np.where(at_bound, np.where(upper, 1.0, -1.0), 0.0),
+        sides=np.where(held[m_eq:], np.where(upper, 1.0, -1.0), 0.0),
         iterations=iterations, residual=0.0)
     object.__setattr__(sol, "residual", kkt_residual(qp, sol))
     return sol

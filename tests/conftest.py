@@ -61,7 +61,8 @@ def limited_scenarios(draw, max_size=20, mesh=None):
     The network is a random tree of up to ``max_size`` buses or a mesh: the
     tree plus a few chords and a parallel copy of one line with a different
     weight.  ``mesh`` chooses; by default each is drawn half of the time.
-    One line may have a zero limit.
+    One line may have a zero limit, and on a mesh a parallel twin with a
+    zero limit too, so that their two rows are dependent.
     """
     size = draw(st.integers(3, max_size))
     if mesh is None:
@@ -78,7 +79,13 @@ def limited_scenarios(draw, max_size=20, mesh=None):
                               twin.weight * float(rng.uniform(0.2, 0.8))))
     limits = rng.uniform(0.05, 1.0, len(lines))
     if zero_limit:
-        limits[rng.integers(len(lines))] = 0.0
+        pinned = int(rng.integers(len(lines)))
+        limits[pinned] = 0.0
+        if mesh and draw(st.booleans()):
+            twin = lines[pinned]
+            lines.append(LineSpec(twin.from_bus, twin.to_bus,
+                                  twin.weight * float(rng.uniform(0.2, 0.8))))
+            limits = np.append(limits, 0.0)
     lines = [LineSpec(ln.from_bus, ln.to_bus, ln.weight, float(F))
              for ln, F in zip(lines, limits)]
     prosumers = [Prosumer(c=float(rng.uniform(0.5, 2.0)),

@@ -292,6 +292,33 @@ def test_scan_on_parallel_lines_matches_prosumer_cost():
                                      rel=1e-9, abs=1e-9), b
 
 
+def test_scan_on_parallel_zero_limit_lines_clears_a_few_times(monkeypatch):
+    # lines 1 and 4 join the same buses, both with a zero limit: their rows
+    # are dependent, the mesh fallback holds one of them, and every piece of
+    # the scan takes its slopes from that independent held set
+    net = build_network(4, [LineSpec(1, 2, 1.0, 0.0), LineSpec(2, 3, 1.0, 0.33),
+                            LineSpec(3, 4, 1.0, 0.54), LineSpec(1, 2, 0.5, 0.0)])
+    scenario = Scenario(network=net, a=1.0, prosumers=[
+        Prosumer(1.0, 0.0, D) for D in (0.2, 1.7, 0.6, 0.9)])
+    fixed = np.array([0.0, 1.0, 2.8])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return clear_market(*args, **kwargs)
+
+    monkeypatch.setattr(brlab, "clear_market", counted)
+    scan = best_response(scenario, 1, fixed)
+    assert 0 < len(calls) <= 20
+    bids = np.insert(fixed, 1, scan.best_bid)
+    assert scan.best_cost == pytest.approx(prosumer_cost(scenario, bids, 1),
+                                           rel=1e-9, abs=1e-9)
+    for b, cost in zip(scan.samples_b[::50], scan.samples_cost[::50]):
+        bids[1] = b
+        assert cost == pytest.approx(prosumer_cost(scenario, bids, 1),
+                                     rel=1e-9, abs=1e-9), b
+
+
 @pytest.mark.parametrize("size", [8, 12, 20])
 def test_scan_clears_once_per_piece(monkeypatch, size):
     # more than 6 limited lines; the clearing path is built from a handful

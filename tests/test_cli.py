@@ -559,3 +559,43 @@ def test_validate_probes_every_bus(row):
                    prosumers=scenario.prosumers, a=scenario.a)
     _, residuals = cli._cmd_validate(bad)
     assert residuals["ptdf_oracle_gap"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "1", "--size", "5", "-o", "{blocker}/x.json"],
+    ["batch", "--dir", "{scenarios}", "--out", "{blocker}/r"],
+    ["bid", "{scenario}", "--trace", "{blocker}/t.csv"],
+    ["brlab", "{chain}", "--prosumer", "2", "--fix-bids", "1.6,1.6,0.8",
+     "--csv", "{blocker}/s.csv"],
+], ids=["gen-output", "batch-out", "bid-trace", "brlab-csv"])
+def test_an_unwritable_output_path_exits_1_without_traceback(
+        argv, fixture_file, chain_file, tmp_path, capsys):
+    # the output's directory is a regular file
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    before = sorted(tmp_path.iterdir())
+    code = cli.main([arg.format(blocker=blocker, scenarios=tmp_path,
+                                scenario=fixture_file, chain=chain_file)
+                     for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == ""
+
+
+def test_batch_counts_a_failed_report_write_as_a_failure(fixture_file,
+                                                         tmp_path):
+    # a directory stands where the report of two_f5.json would go
+    out_dir = tmp_path / "reports"
+    (out_dir / "two_f5.report.json").mkdir(parents=True)
+    dump_scenario(cases.two_prosumer_line(10.0), tmp_path / "fine.json")
+    report, code = cli.run_command(["batch", "--dir", str(tmp_path),
+                                    "--out", str(out_dir)])
+    assert code == 1
+    assert report.results["failures"] == 1
+    assert report.results["files"]["fine.json"] == "ok"
+    assert report.results["files"]["two_f5.json"].startswith("error: [Errno")
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "fine.report.json", "two_f5.report.json"]

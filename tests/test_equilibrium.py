@@ -271,7 +271,7 @@ def test_uncongested_programs_on_a_mesh_build_no_qp(monkeypatch):
     bids = np.random.default_rng(0).uniform(0.0, 50.0, scenario.size)
     out = clear_market(scenario, bids)
     assert clearing_kkt_residual(scenario, bids, out) <= 1e-8
-    assert np.ptp(out.prices) == 0.0 and out.active_set == ()
+    assert np.ptp(out.prices) == 0.0 and not out.sides.any()
     p_bar, kappa, tau_lo, tau_up = equilibrium.central_solution(scenario)
     w = 1.0 / (scenario.a * (scenario.size - 1))
     marginal = (2.0 * scenario.c + w) * p_bar + scenario.d - w * scenario.D

@@ -293,32 +293,25 @@ def test_scenario_refuses_an_infinite_sensitivity(two_f5):
         Scenario(network=two_f5.network, prosumers=two_f5.prosumers, a=np.inf)
 
 
-def assert_pairs_follow_the_duals(out, limits):
-    """``active_set`` lists each held line once, sorted by line, as
-    ``(line, "upper"|"lower")``: every zero-limit line at the side of its
-    dual's sign, every line with a positive dual at that dual's side, and
-    each line with a positive limit at the limit of its side."""
-    pairs = out.active_set
-    lines = [line for line, _ in pairs]
-    assert all(type(line) is int for line in lines)
-    assert lines == sorted(set(lines))
-    held = dict(pairs)
+def assert_sides_follow_the_duals(out, limits):
+    """``sides`` holds +1, -1 or 0 for each line: every zero-limit line at
+    the side of its dual's sign, every line with a positive dual at that
+    dual's side, and each held line with a positive limit at the limit of
+    its side."""
+    sides = out.sides
+    assert sides.shape == limits.shape
+    assert set(sides.tolist()) <= {-1.0, 0.0, 1.0}
     dual = out.alpha_upper - out.alpha_lower
-    for line in np.flatnonzero(limits == 0.0):
-        assert held[int(line)] == ("upper" if dual[line] >= 0.0 else "lower")
-    for line in np.flatnonzero(out.alpha_upper > 0.0):
-        assert held[int(line)] == "upper"
-    for line in np.flatnonzero(out.alpha_lower > 0.0):
-        assert held[int(line)] == "lower"
-    for line, side in pairs:
-        at = limits[line] if side == "upper" else -limits[line]
-        assert out.flows[line] == pytest.approx(at, abs=1e-9)
-    assert np.array_equal(np.flatnonzero(out.sides), lines)
-    assert out.sides[lines].tolist() == [1.0 if held[line] == "upper" else -1.0
-                                         for line in lines]
+    zero = limits == 0.0
+    assert np.array_equal(sides[zero], np.where(dual[zero] >= 0.0, 1.0, -1.0))
+    assert (sides[out.alpha_upper > 0.0] == 1.0).all()
+    assert (sides[out.alpha_lower > 0.0] == -1.0).all()
+    held = sides != 0.0
+    assert out.flows[held] == pytest.approx(sides[held] * limits[held],
+                                            abs=1e-9)
 
 
-def test_active_set_pairs_on_a_small_tree():
+def test_sides_on_a_small_tree():
     # a chain 1-2-3-4-5 with bus 6 on the slack bus 3: line 0 is held at
     # its lower limit, line 2 at its upper one, and the zero-limit lines 1
     # and 4 at the sides their duals push from
@@ -328,24 +321,26 @@ def test_active_set_pairs_on_a_small_tree():
     net = build_network(6, lines, slack=3)
     scenario = Scenario(network=net, prosumers=[Prosumer(1.0, 0.0, 1.0)] * 6,
                         a=1.0)
-    out = clear_market(scenario, np.array([3.0, -1.0, 0.0, 3.0, 0.0, 1.0]))
-    assert out.active_set == ((0, "lower"), (1, "upper"), (2, "upper"),
-                              (4, "lower"))
-    assert_pairs_follow_the_duals(out, net.limits)
-    # as a guess, the pairs and the side vector are the same
-    assert clear_market(scenario, np.zeros(6), active=out.active_set).sides \
-        .tobytes() == clear_market(scenario, np.zeros(6), active=out.sides) \
-        .sides.tobytes()
+    bids = np.array([3.0, -1.0, 0.0, 3.0, 0.0, 1.0])
+    out = clear_market(scenario, bids)
+    assert out.sides.tolist() == [-1.0, 1.0, 1.0, 0.0, -1.0]
+    assert_sides_follow_the_duals(out, net.limits)
+    # a guess is a side vector of one entry per line, or None
+    again = clear_market(scenario, bids, active=out.sides)
+    assert again.sides.tobytes() == out.sides.tobytes()
+    for guess in ([(0, "lower"), (2, "upper")], (), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            clear_market(scenario, bids, active=guess)
 
 
-def test_active_set_pairs_on_the_bundled_mesh():
+def test_sides_on_the_bundled_mesh():
     scenario = load_scenario(str(Path(__file__).resolve().parents[1]
                                  / "scenarios" / "mesh38_chords.json"))
     net, n = scenario.network, scenario.size
     bids = 1.1 * improved_gne(scenario).b_bar
     out = clear_market(scenario, bids)
-    assert len(out.active_set) > 0
-    assert_pairs_follow_the_duals(out, net.limits)
-    # the dense QP's held rows, in its own format
+    assert out.sides.any()
+    assert_sides_follow_the_duals(out, net.limits)
+    # the dense QP's held rows
     cold = market._cold_qp(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
-    assert out.active_set == cold.active_set
+    assert np.array_equal(out.sides, cold.sides)

@@ -51,7 +51,7 @@ def test_unconstrained_interior():
                 [-10.0, -10.0], [10.0, 10.0])
     sol = solve_qp(qp)
     assert sol.x == pytest.approx([1.0, 2.0])
-    assert sol.active_set == ()
+    assert not sol.sides.any()
 
 
 def test_equality_only():
@@ -66,8 +66,7 @@ def test_equal_bounds_are_pinned():
     qp = box_qp([2.0, 2.0], [0.0, 0.0], [3.0, -1.0], [3.0, 1.0])
     sol = solve_qp(qp)
     assert sol.x == pytest.approx([3.0, 0.0])
-    rows = {row for row, _ in sol.active_set}
-    assert 0 in rows
+    assert sol.sides[0] != 0.0
 
 
 def test_redundant_duplicate_rows_do_not_cycle():
@@ -81,6 +80,24 @@ def test_redundant_duplicate_rows_do_not_cycle():
     )
     sol = solve_qp(qp)
     assert sol.x == pytest.approx([1.0, 1.0])
+    assert kkt_residual(qp, sol) <= 1e-8
+
+
+def test_a_dependent_equal_bound_row_is_reported_free():
+    # row 1 pins the same face as row 0, so the solver holds row 0 and skips
+    # row 1; the reported rows are the held ones, and stay independent
+    qp = QuadraticProgram(
+        hessian=np.full(2, 2.0),
+        linear=np.array([-10.0, -2.0]),
+        ineq_matrix=np.array([[1.0, 0.0], [2.0, 0.0]]),
+        ineq_lower=np.array([1.0, 2.0]),
+        ineq_upper=np.array([1.0, 2.0]),
+    )
+    sol = solve_qp(qp)
+    assert sol.x == pytest.approx([1.0, 1.0])
+    assert sol.sides.tolist() == [1.0, 0.0]
+    assert sol.ineq_duals_upper[1] == sol.ineq_duals_lower[1] == 0.0
+    assert sol.ineq_duals_upper[0] == pytest.approx(8.0)
     assert kkt_residual(qp, sol) <= 1e-8
 
 
@@ -138,7 +155,7 @@ def test_determinism_bit_identical():
     a = solve_qp(qp)
     b = solve_qp(qp)
     assert a.x.tobytes() == b.x.tobytes()
-    assert a.active_set == b.active_set
+    assert a.sides.tobytes() == b.sides.tobytes()
     assert a.iterations == b.iterations
 
 

@@ -1,21 +1,23 @@
-"""Best-response laboratory for the unregulated sharing game.
+"""Best-response laboratory for the sharing game, raw or regulated.
 
 Fixing all bids but one, a prosumer's cost as a function of its own bid is
 piecewise quadratic: each set of lines held at a limit by the clearing rule
-contributes one affine price segment.  The lab scans that curve on a grid
-with recursive refinement, reports every local minimum (so disqualified
+contributes one affine price piece.  The lab walks that curve piece by
+piece, finds every local minimum in closed form (so disqualified
 equilibrium candidates are visible, not just the best response), verifies
 equilibrium candidates by per-prosumer deviation gaps, and classifies the
 two-bus closed-form regimes.
 
-A scan evaluates one piecewise-affine clearing path: each piece is built
-from one :func:`clear_market` call at the first bid no earlier piece
-covers, and holds over an interval whose ends are found in closed form, so
-the coarse grid and every refinement window share a handful of clearings.
+A scan walks the piecewise-affine clearing path from the left end of its
+interval to the right, one :func:`clear_market` call per piece, each piece
+ending where a line's condition fails, in closed form.  The cost is
+minimized exactly on each piece; a grid of samples is kept only to
+report the curve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,6 @@ from .errors import NonFiniteResult, ScanIntervalEmpty, WrongTopology
 from .market import Scenario, _held_solve, clear_market, cost_at
 from .network import is_radial
 
-_REFINE_FACTOR = 10  # spacing shrink per refinement round
-_DISTINCT_TOL = 1e-5  # refined minima closer than this are one minimum
 _FIXED_POINT_TOL = 1e-5  # sweep step below which br_iteration verifies
 _CYCLE_TOL = 1e-5  # distance at which a sweep revisits an earlier state
 _VERIFY_TOL = 1e-6  # deviation gap a verified fixed point may leave
@@ -33,11 +33,13 @@ _VERIFY_TOL = 1e-6  # deviation gap a verified fixed point may leave
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Grid controls for :func:`best_response`.
+    """Scan controls for :func:`best_response`.
 
     ``interval=None`` auto-sizes around the marginal-cost-consistent bid
-    range (see ``_auto_interval``).  Each of the ``refine_rounds`` shrinks
-    the spacing tenfold around each local minimum.
+    range (see ``_auto_interval``).  ``coarse_points`` evenly spaced samples
+    report the cost curve (``--csv``), and their spacing is the walk's step
+    past a piece of one point.  ``refine_rounds`` is unused: the minima are
+    exact, so no sample window is refined.
     """
 
     interval: tuple | None = None
@@ -126,81 +128,96 @@ class Example2Region:
 # the clearing solution along a one-dimensional bid sweep
 
 
-def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray):
-    """Prosumer ``i``'s clearing price as a function of its own bid ``t``.
+def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
+                   grid: np.ndarray) -> tuple:
+    """Prosumer ``i``'s clearing price as a function of its own bid ``t``,
+    walked from ``grid[0]`` to ``grid[-1]``.
 
-    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns a
-    function mapping an array of bids to the prices ``lam_i(t)``.
+    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns the
+    piece table ``(starts, prices, slopes)``: piece ``k`` holds from
+    ``starts[k]`` to the next start (the last one to ``grid[-1]``), with
+    ``lam_i(t) = prices[k] + slopes[k] (t - starts[k])``.
 
     The clearing program is a strictly convex QP whose right-hand side is
     affine in ``t``, so its solution is piecewise affine in ``t``, one piece
     per set of lines held at a limit (Bemporad, Morari, Dua & Pistikopoulos,
-    Automatica 38(1), 2002).  A piece is built at the first bid no earlier
-    piece covers, by one :func:`clear_market` call that guesses the last
-    piece's held lines.  Its slopes are the held-set solve's answer to a
-    unit bid at bus ``i`` with zero targets; it holds exactly where every
-    free line stays within its limits and every held line with a nonzero
-    limit keeps a right-signed dual.  A start clearing that already violates
-    one of these beyond rounding, or a refused held solve, gives a piece of
-    one point.
+    Automatica 38(1), 2002), and this walk is the homotopy of parametric
+    active-set QP (Ferreau, Bock & Diehl, Int. J. Robust Nonlinear Control
+    18(8), 2008).  Each piece starts with one :func:`clear_market` call
+    where the last one ended, guessing the last
+    piece's held lines with the condition that ended it toggled: a free line
+    that reached its limit is held at that side, a held line whose dual
+    reached zero is released.  Its slopes are the held-set solve's answer to
+    a unit bid at bus ``i`` with zero targets; it holds until a free line
+    reaches a limit or a held line with a nonzero limit loses its dual's
+    sign.  At a breakpoint either side's held set is optimal, so a start
+    clearing may hold the left one; its piece then has zero length, and the
+    conditions that end it are toggled once more on the same clearing.  A
+    refused held solve, a start clearing that already violates a condition
+    beyond rounding, or a piece still of zero length steps to the next grid
+    point instead, and that piece is the chord to the next start (at the
+    scan's end, it keeps its own slope).
     """
     net, a = scenario.network, scenario.a
-    F, bounded = net.limits, net.bounded
+    F, lines = net.limits, np.flatnonzero(net.bounded)
     unit = np.eye(scenario.size)[i]
     beta = np.full(scenario.size, a / 2.0)  # the clearing program's k / hess
-    pieces = []  # (lo, hi, t0, lam_i(t0), d lam_i / dt)
-    guess = None
-
-    def build(t0):
-        nonlocal guess
+    zeros = np.zeros(F.size)
+    scale = 1.0 + np.abs(b_base).sum() + F[lines].max(initial=0.0)
+    end_of_scan = float(grid[-1])
+    starts, prices, slopes, stepped = [], [], [], []
+    t, guess = float(grid[0]), None
+    while True:
         b = b_base.copy()
-        b[i] = t0
+        b[i] = t
         out = clear_market(scenario, b, active=guess)
-        guess = side = out.sides
-        held = side != 0.0
-        lam0 = float(out.prices[i])
-        slopes = _held_solve(net, unit, beta, held, np.zeros(F.size))
-        if slopes is None:
-            return t0, t0, t0, lam0, 0.0
-        du, _, dflow, dpush = slopes
-        free = bounded & ~held
-        # a held line's dual is side push / a; with F = 0 it has no sign
-        signed = bounded & held
-        dual = np.where(side > 0, out.alpha_upper, out.alpha_lower)
-        # every condition reads value + slope * (t - t0) >= 0
-        value = np.concatenate([F[free] - out.flows[free],
-                                F[free] + out.flows[free], dual[signed]])
-        slope = np.concatenate([-dflow[free], dflow[free],
-                                (side * dpush / a)[signed]])
-        scale = 1.0 + np.abs(b).sum() + F[bounded].max(initial=0.0)
-        if np.any(value < -1e-9 * scale):
-            return t0, t0, t0, lam0, 0.0
-        value = np.maximum(value, 0.0)
-        lo = t0 - float(np.min(value[slope > 0] / slope[slope > 0],
-                               initial=np.inf))
-        hi = t0 + float(np.min(value[slope < 0] / -slope[slope < 0],
-                               initial=np.inf))
-        return lo, hi, t0, lam0, float(du[i] / 2.0)
-
-    def prices(t):
-        lam = np.empty(t.size)
-        todo = np.ones(t.size, dtype=bool)
-
-        def fill(piece):
-            lo, hi, t0, lam0, dlam_i = piece
-            hit = todo & (t >= lo) & (t <= hi)
-            lam[hit] = lam0 + dlam_i * (t[hit] - t0)
-            todo[hit] = False
-
-        for piece in pieces:
-            fill(piece)
-        for j in np.argsort(t, kind="stable"):
-            if todo[j]:
-                pieces.append(build(float(t[j])))
-                fill(pieces[-1])
-        return lam
-
-    return prices
+        starts.append(t)
+        prices.append(float(out.prices[i]))
+        side, end = out.sides, t
+        for _ in range(2):  # a breakpoint's clearing may hold either side's set
+            slope = np.nan
+            held = side != 0.0
+            solve = _held_solve(net, unit, beta, held, zeros)
+            if solve is None:
+                break
+            du, _, dflow, dpush = solve
+            slope = float(du[i] / 2.0)
+            # each line with a positive limit has one condition, value +
+            # rate (t' - t) >= 0: a free line stays within the limit its
+            # flow moves toward, a held line keeps its dual (side push / a)
+            # signed; past the condition's root, the line turns to ``turn``
+            toward = np.sign(dflow)
+            dual = np.where(side > 0, out.alpha_upper, out.alpha_lower)
+            now = np.where(held, dual, F - np.abs(out.flows))[lines]
+            if (now < -1e-9 * (scale + abs(t))).any():
+                break
+            value = np.where(held, dual, F - toward * out.flows)[lines]
+            rate = np.where(held, side * dpush / a, -np.abs(dflow))[lines]
+            turn = np.where(held, 0.0, toward)[lines]
+            falls = rate < 0.0
+            ahead = np.maximum(value[falls], 0.0) / -rate[falls]
+            first = ahead.min(initial=np.inf)
+            end = t + float(first)
+            hit = ahead == first
+            side = side.copy()
+            side[lines[falls][hit]] = turn[falls][hit]
+            if end > t:
+                break
+        slopes.append(slope)
+        stepped.append(not end > t)  # one point, or NaN
+        guess = side
+        if stepped[-1]:
+            guess = out.sides
+            end = float(grid[min(np.searchsorted(grid, t, side="right"),
+                                 grid.size - 1)])
+        if not end < end_of_scan:
+            break
+        t = end
+    if math.isnan(slopes[-1]):  # a refused held solve at the scan's end
+        slopes[-1] = 0.0
+    starts, prices, slopes = np.array(starts), np.array(prices), np.array(slopes)
+    chord = np.append(np.diff(prices) / np.diff(starts), slopes[-1])
+    return starts, prices, np.where(stepped, chord, slopes)
 
 
 def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
@@ -227,17 +244,72 @@ def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
     return (mid - 3.0 * half, mid + 3.0 * half)
 
 
-def _local_minima_indices(cost: np.ndarray) -> list:
-    """Indices of local minima, plateau runs collapsed to one representative."""
-    tie = 1e-12 * (1.0 + float(np.abs(cost).max()))
-    # runs of ties end where a step is not within the tie (NaN included)
-    step = np.flatnonzero(~(np.abs(np.diff(cost)) <= tie))
-    starts = np.concatenate([[0], step + 1])
-    ends = np.concatenate([step, [cost.size - 1]])
-    left_ok = cost[starts - 1] > cost[starts] + tie
-    right_ok = cost[np.minimum(ends + 1, cost.size - 1)] > cost[ends] + tie
-    left_ok[0] = right_ok[-1] = True
-    return ((starts + ends) // 2)[left_ok & right_ok].tolist()
+def _minimum_points(scenario: Scenario, i: int, regulated: bool,
+                    edges: np.ndarray, prices: np.ndarray,
+                    slopes: np.ndarray) -> list | None:
+    """Bids of the local minima of prosumer ``i``'s cost over the pieces
+    between consecutive ``edges``, in closed form.
+
+    On a piece, ``lam_i`` and the purchase ``q_i = t - a lam_i`` are affine
+    in ``t``, so the raw cost is one quadratic.  The regulated payment is
+    the larger of ``lam_i q_i`` and ``m_i q_i``, with ``m_i`` affine too, so
+    the piece splits at the roots of ``q_i`` and of ``lam_i - m_i`` into
+    quadratics.  Each quadratic splits at an inner vertex into monotone
+    runs, each of them falling, rising or flat (changing by no more than
+    rounding).  A minimum is where a fall meets a rise, or the middle of a
+    flat run between the two; the scan's ends count as a fall before its
+    start and a rise after its end.  None when the cost is infinite or NaN
+    on some stretch, which hides where the lowest point is.
+    """
+    a, n = scenario.a, scenario.size
+    c, d, D = float(scenario.c[i]), float(scenario.d[i]), float(scenario.D[i])
+    w = 1.0 / (a * (n - 1))  # the price privilege per unit purchase
+    runs = []  # (start, end, direction): -1 fall, 0 flat, 1 rise
+    edges = edges.tolist()
+    for x0, x1, lam0, s in zip(edges[:-1], edges[1:], prices.tolist(),
+                               slopes.tolist()):
+        # affine (value at x0, slope) of purchase, production and m_i
+        q0, dq = x0 - a * lam0, 1.0 - a * s
+        p0, dp = D - q0, -dq
+        m0, dm = 2.0 * c * p0 + d - w * q0, 2.0 * c * dp - w * dq
+        cuts = [0.0, x1 - x0]
+        if regulated:
+            for v, r in ((q0, dq), (lam0 - m0, s - dm)):
+                if r != 0.0 and 0.0 < -v / r < x1 - x0:
+                    cuts.append(-v / r)
+        cuts.sort()
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            # the larger payment on this stretch, as (value at x0, slope)
+            pay0, dpay = lam0, s
+            mid = 0.5 * (u0 + u1)
+            if regulated and (lam0 - m0 + (s - dm) * mid) * (q0 + dq * mid) < 0.0:
+                pay0, dpay = m0, dm
+            # cost = A + B u + C u^2 with u = t - x0
+            A = c * p0 * p0 + d * p0 + pay0 * q0
+            B = (2.0 * c * p0 + d) * dp + pay0 * dq + dpay * q0
+            C = c * dp * dp + dpay * dq
+            vertex = -B / (2.0 * C) if C != 0.0 else u0
+            for r0, r1 in ((u0, vertex), (vertex, u1)) if u0 < vertex < u1 \
+                    else ((u0, u1),):
+                f0, f1 = A + (B + C * r0) * r0, A + (B + C * r1) * r1
+                rise = (r1 - r0) * (B + C * (r0 + r1))
+                if not math.isfinite(f0 + f1 + rise):
+                    return None
+                tie = 1e-12 * (1.0 + abs(f0) + abs(f1))
+                direction = 1 if rise > tie else -1 if rise < -tie else 0
+                if runs and runs[-1][2] == direction:
+                    runs[-1] = (runs[-1][0], x0 + r1, direction)
+                else:
+                    runs.append((x0 + r0, x0 + r1, direction))
+    runs = [(edges[0], edges[0], -1), *runs, (edges[-1], edges[-1], 1)]
+    points = []
+    for k in range(1, len(runs)):
+        start, stop, here = runs[k]
+        if runs[k - 1][2] == -1 and here == 1:
+            points.append(start)
+        elif runs[k - 1][2] == -1 and here == 0 and runs[k + 1][2] == 1:
+            points.append(0.5 * (start + stop))
+    return points
 
 
 def best_response(scenario: Scenario, i: int, b_minus_i,
@@ -246,8 +318,10 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     """Scan prosumer ``i``'s cost over its own bid, opponents fixed.
 
     ``b_minus_i`` lists the other prosumers' bids in bus order (length I-1).
-    All local minima are reported after refinement; the global one is the
-    best response.
+    Every local minimum over the scan interval is reported, in closed form
+    on the walked pieces (a flat stretch at its middle); the lowest one is
+    the best response.  A cost that is infinite or NaN anywhere on the
+    interval raises :class:`NonFiniteResult`.
     """
     cfg = scan_config or ScanConfig()
     b_minus_i = np.asarray(b_minus_i, dtype=float)
@@ -261,46 +335,26 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     if not hi > lo:
         raise ScanIntervalEmpty(f"scan interval [{lo}, {hi}] is empty")
 
-    path = _clearing_path(scenario, i, b_base)
-
-    def evaluate(t):
-        lam_i = path(t)
-        return cost_at(scenario, lam_i, t - scenario.a * lam_i, regulated, i)
-
     t = np.linspace(lo, hi, cfg.coarse_points)
+    starts, prices, slopes = _clearing_path(scenario, i, b_base, t)
+
+    def evaluate(x):
+        k = np.searchsorted(starts, x, side="right") - 1
+        lam_i = prices[k] + slopes[k] * (x - starts[k])
+        return cost_at(scenario, lam_i, x - scenario.a * lam_i, regulated, i)
+
     cost = evaluate(t)
-    spacing = (hi - lo) / (cfg.coarse_points - 1)
-
-    minima = []
-    for j in _local_minima_indices(cost):
-        t_best, c_best = float(t[j]), float(cost[j])
-        h = spacing
-        for _ in range(cfg.refine_rounds):
-            wt = np.linspace(max(t_best - h, lo), min(t_best + h, hi),
-                             2 * _REFINE_FACTOR + 1)
-            wc = evaluate(wt)
-            j_best = int(np.argmin(wc))
-            t_best, c_best = float(wt[j_best]), float(wc[j_best])
-            h /= _REFINE_FACTOR
-        minima.append((t_best, c_best))
-
-    # merge refinements that collapsed onto the same point
-    minima.sort()
-    merged = []
-    for t_min, c_min in minima:
-        if merged and abs(t_min - merged[-1][0]) <= _DISTINCT_TOL:
-            if c_min < merged[-1][1]:
-                merged[-1] = (t_min, c_min)
-        else:
-            merged.append((t_min, c_min))
-    if not merged:  # every sample is NaN, as when the costs overflow
+    points = _minimum_points(scenario, i, regulated, np.append(starts, hi),
+                             prices, slopes)
+    if points is None or not np.isfinite(cost).all():
         raise NonFiniteResult(
-            f"the cost of prosumer {i + 1} is infinite or NaN at every scanned "
-            "bid; no best response")
-    best_bid, best_cost = min(merged, key=lambda mc: (mc[1], mc[0]))
+            f"the cost of prosumer {i + 1} is infinite or NaN on the scanned "
+            "interval; no best response")
+    minima = list(zip(points, evaluate(np.array(points)).tolist()))
+    best_bid, best_cost = min(minima, key=lambda mc: (mc[1], mc[0]))
     return BestResponseScan(
         prosumer=i, fixed_bids=b_minus_i, interval=(lo, hi), samples_b=t,
-        samples_cost=cost, local_minima=tuple(merged), best_bid=best_bid,
+        samples_cost=cost, local_minima=tuple(minima), best_bid=best_bid,
         best_cost=best_cost, regulated=regulated,
     )
 
@@ -311,8 +365,9 @@ def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
     """Check an equilibrium candidate by per-prosumer deviation gaps.
 
     ``gaps[i]`` is the cost saved by prosumer ``i``'s best unilateral
-    deviation (clipped at 0 up to scan noise); the candidate passes when
-    every gap is at most ``tol``.
+    deviation.  The incumbent bid lies in every scan, so a gap is negative
+    only by rounding; the candidate passes when every gap is at most
+    ``tol``.
     """
     b = np.asarray(b, dtype=float)
     incumbent = clear_market(scenario, b)

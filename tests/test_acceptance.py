@@ -79,14 +79,14 @@ def test_criterion_4_best_response_laboratory():
         tight = fixture("chain_f027.json")
         check = brlab.verify_gne(tight, np.array([1.6, 1.6, 0.8]))
         assert not check.is_gne
-        assert check.best_bids[1] == pytest.approx(1.535, abs=1e-3)
+        assert check.best_bids[1] == pytest.approx(1.535, abs=1e-9)
         scan = brlab.best_response(tight, 1, np.array([1.6, 0.8]),
                                    include=(1.6,))
         costs = dict(scan.local_minima)
         dev_cost = min(costs.values())
         incumbent = max(costs.values())
-        assert dev_cost == pytest.approx(0.8919, abs=5e-4)
-        assert incumbent == pytest.approx(0.8933, abs=5e-4)
+        assert dev_cost == pytest.approx(0.8918875, abs=1e-9)
+        assert incumbent == pytest.approx(67 / 75, abs=1e-9)
         assert dev_cost < incumbent
 
         # (iii) an interval of equilibria at the sellers' boundary

@@ -16,7 +16,13 @@ from esharing.brlab import (
     write_scan_csv,
 )
 from esharing.errors import ScanIntervalEmpty, WrongTopology
-from esharing.market import Prosumer, Scenario, clear_market, prosumer_cost
+from esharing.market import (
+    Prosumer,
+    Scenario,
+    clear_market,
+    cost_at,
+    prosumer_cost,
+)
 from esharing.network import LineSpec, build_network
 from esharing.scenario_io import gen_scenario
 
@@ -26,18 +32,19 @@ def test_two_local_minima_in_loose_chain(chain_f027):
     bids = [b for b, _ in scan.local_minima]
     costs = [v for _, v in scan.local_minima]
     assert len(bids) == 2
-    assert bids[0] == pytest.approx(1.535, abs=1e-3)
-    assert bids[1] == pytest.approx(1.6, abs=1e-3)
-    assert costs[0] == pytest.approx(0.8918875, abs=5e-4)
-    assert costs[1] == pytest.approx(0.89333333, abs=5e-4)
-    assert scan.best_bid == pytest.approx(1.535, abs=1e-3)
+    assert bids[0] == pytest.approx(1.535, abs=1e-9)
+    assert bids[1] == pytest.approx(1.6, abs=1e-9)
+    assert costs[0] == pytest.approx(0.8918875, abs=1e-9)
+    assert costs[1] == pytest.approx(67.0 / 75.0, abs=1e-9)
+    assert scan.best_bid == pytest.approx(1.535, abs=1e-9)
     assert costs[0] < costs[1]
 
 
 def test_single_minimum_when_capacity_ample(chain_f03):
     scan = best_response(chain_f03, 1, np.array([1.6, 0.8]), include=(1.6,))
     assert len(scan.local_minima) == 1
-    assert scan.best_bid == pytest.approx(1.6, abs=1e-3)
+    assert scan.best_bid == pytest.approx(1.6, abs=1e-9)
+    assert scan.best_cost == pytest.approx(67.0 / 75.0, abs=1e-9)
 
 
 def test_interior_best_response_formula():
@@ -47,7 +54,7 @@ def test_interior_best_response_formula():
     for b2 in (1.0, 4.0 / 3.0, 1.6):
         scan = best_response(scenario, 0, np.array([b2]))
         predicted = (c / (c + 1.0)) * (b2 + 2.0 * 1.0)
-        assert scan.best_bid == pytest.approx(predicted, abs=1e-4)
+        assert scan.best_bid == pytest.approx(predicted, abs=1e-9)
 
 
 def test_verify_accepts_equilibrium(chain_f03):
@@ -60,8 +67,18 @@ def test_verify_accepts_equilibrium(chain_f03):
 def test_verify_rejects_after_tightening(chain_f027):
     check = verify_gne(chain_f027, np.array([1.6, 1.6, 0.8]))
     assert not check.is_gne
-    assert check.gaps[1] == pytest.approx(0.8933333 - 0.8918875, abs=5e-4)
-    assert check.best_bids[1] == pytest.approx(1.535, abs=1e-3)
+    assert check.gaps[1] == pytest.approx(67.0 / 75.0 - 0.8918875, abs=1e-9)
+    assert check.best_bids[1] == pytest.approx(1.535, abs=1e-9)
+
+
+def test_regulated_gaps_at_the_equilibrium_are_not_negative():
+    # the true minimum of prosumers 4 and 8 is a kink at the incumbent bid,
+    # which a sampled scan misses by up to 4e-4
+    scenario = gen_scenario(1, 12, "tight")
+    eqm = equilibrium.improved_gne(scenario)
+    check = verify_gne(scenario, eqm.b_bar, regulated=True)
+    assert (check.gaps >= -1e-9 * (1.0 + np.abs(check.incumbent_costs))).all()
+    assert check.is_gne
 
 
 def test_multiple_equilibria_on_sellers_boundary():
@@ -226,46 +243,6 @@ def test_scan_csv_matches_a_row_by_row_writer(tmp_path, chain_f027):
         (tmp_path / "rows.csv").read_bytes()
 
 
-def local_minima_loop(cost):
-    """Reference for ``_local_minima_indices``: a walk over the runs."""
-    m = cost.size
-    tie = 1e-12 * (1.0 + float(np.abs(cost).max()))
-    mins = []
-    j = 0
-    while j < m:
-        k = j
-        while k + 1 < m and abs(cost[k + 1] - cost[k]) <= tie:
-            k += 1
-        left_ok = j == 0 or cost[j - 1] > cost[j] + tie
-        right_ok = k == m - 1 or cost[k + 1] > cost[k] + tie
-        if left_ok and right_ok:
-            mins.append((j + k) // 2)
-        j = k + 1
-    return mins
-
-
-@st.composite
-def cost_curves(draw):
-    """Rounded random curves, full of exact ties, and cumulative ones whose
-    flat stretches carry steps on both sides of the tie tolerance."""
-    size = draw(st.integers(1, 400))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    if draw(st.booleans()):
-        return scale * np.round(rng.normal(size=size), int(rng.integers(0, 3)))
-    steps = rng.normal(size=size) * (rng.random(size) < rng.random())
-    curve = scale * np.cumsum(steps)
-    tie = 1e-12 * (1.0 + np.abs(curve).max())
-    return curve + np.cumsum(rng.choice([0.0, 0.4, 0.9, 1.1], size)
-                             * rng.choice([-tie, tie], size))
-
-
-@settings(max_examples=300)
-@given(cost_curves())
-def test_local_minima_match_a_walk_over_the_runs(cost):
-    assert brlab._local_minima_indices(cost) == local_minima_loop(cost)
-
-
 def test_scan_interval_validation(chain_f03):
     with pytest.raises(ScanIntervalEmpty):
         best_response(chain_f03, 1, np.array([1.6, 0.8]),
@@ -340,6 +317,13 @@ def test_scan_clears_once_per_piece(monkeypatch, size):
                                            rel=1e-9)
 
 
+def price_on_path(path, t):
+    """Prosumer ``i``'s price at bids ``t`` from a ``_clearing_path`` table."""
+    starts, prices, slopes = path
+    k = np.searchsorted(starts, t, side="right") - 1
+    return prices[k] + slopes[k] * (t - starts[k])
+
+
 @settings(max_examples=40)
 @given(limited_scenarios(), st.integers(0, 2**32 - 1))
 def test_clearing_path_matches_clear_market(scenario, seed):
@@ -348,21 +332,44 @@ def test_clearing_path_matches_clear_market(scenario, seed):
     i = int(rng.integers(n))
     b_base = rng.uniform(-2.0, 3.0, n)
     b_base[i] = 0.0
-    path = brlab._clearing_path(scenario, i, b_base)
     grid = np.linspace(-6.0, 9.0, 201)
-    lam_grid = path(grid)
-    t = rng.uniform(-6.0, 9.0, 25)
-    lam = path(t)
-    for tj, lam_j in zip(t, lam):
+    path = brlab._clearing_path(scenario, i, b_base, grid)
+    starts = path[0]
+    assert starts[0] == grid[0] and starts[-1] < grid[-1]
+    assert (np.diff(starts) > 0.0).all()
+    # random bids and the middle of every piece
+    ends = np.append(starts[1:], grid[-1])
+    t = np.concatenate([rng.uniform(-6.0, 9.0, 25), 0.5 * (starts + ends)])
+    for tj, lam_j in zip(t, price_on_path(path, t)):
         bids = b_base.copy()
         bids[i] = tj
         ref = clear_market(scenario, bids).prices
         assert abs(lam_j - ref[i]) <= 1e-9 * (1.0 + np.abs(ref).max()), tj
-    # a fresh path asked for the same points one by one, in shuffled order
-    points = np.concatenate([grid, t])
-    order = rng.permutation(points.size)
-    fresh = brlab._clearing_path(scenario, i, b_base)
-    shuffled = np.array([fresh(points[[k]])[0] for k in order])
-    expected = np.concatenate([lam_grid, lam])[order]
-    assert np.abs(shuffled - expected).max() <= 1e-9 * (
-        1.0 + np.abs(expected).max())
+
+
+@settings(max_examples=40)
+@given(limited_scenarios(), st.integers(0, 2**32 - 1), st.booleans())
+def test_walked_pieces_meet_and_the_best_cost_is_lowest(scenario, seed,
+                                                        regulated):
+    rng = np.random.default_rng(seed)
+    n = scenario.size
+    i = int(rng.integers(n))
+    fixed = rng.uniform(-2.0, 3.0, n - 1)
+    scan = best_response(scenario, i, fixed, regulated=regulated)
+    b_base = np.insert(fixed, i, 0.0)
+    starts, prices, slopes = brlab._clearing_path(scenario, i, b_base,
+                                                  scan.samples_b)
+    rounding = 1e-9 * (1.0 + np.abs(prices).max())
+    reached = prices[:-1] + slopes[:-1] * np.diff(starts)
+    assert np.abs(reached - prices[1:]).max(initial=0.0) <= rounding
+    # every piece end: the starts and the scan's end
+    edges = np.append(starts, scan.interval[1])
+    lam = np.append(prices, prices[-1] + slopes[-1] * (edges[-1] - starts[-1]))
+    ends = cost_at(scenario, lam, edges - scenario.a * lam, regulated, i)
+    lowest = min(ends.min(), scan.samples_cost.min())
+    assert scan.best_cost <= lowest + 1e-9 * (1.0 + abs(lowest))
+    assert (scan.best_bid, scan.best_cost) in scan.local_minima
+    bids = b_base.copy()
+    bids[i] = scan.best_bid
+    assert scan.best_cost == pytest.approx(
+        prosumer_cost(scenario, bids, i, regulated), rel=1e-9, abs=1e-9)

@@ -35,7 +35,12 @@ from .errors import (
 )
 from .market import Scenario, clear_market, clearing_kkt_residual
 from .network import dc_flow_oracle, is_radial, line_flows
-from .scenario_io import dump_scenario, gen_scenario, load_scenario
+from .scenario_io import (
+    dump_scenario,
+    gen_scenario,
+    load_scenario,
+    read_scenario_file,
+)
 
 OUTPUT_DIR_ENV = "ESHARING_OUT"
 _RECLEAR_TOL = 1e-6  # README contract: re-clearing the equilibrium bids
@@ -136,9 +141,15 @@ def _check_report(results: dict, residuals: dict) -> None:
             f"bound {_RECLEAR_TOL:g}; no report written")
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _load(path: str) -> tuple:
+    """The scenario in the file at ``path`` and the digest of the bytes it
+    was parsed from, read once: a command may overwrite the file later."""
+    data = read_scenario_file(path)
+    return load_scenario(path, data), _digest(data)
 
 
 def _parse_vector(text: str, n: int, what: str, unread=()) -> np.ndarray:
@@ -387,7 +398,8 @@ def _cmd_gen(args, fmt: str) -> tuple:
         out_dir, f"generated_seed{args.seed}_size{args.size}.json")
     dump_scenario(scenario, path, units="unspecified",
                   labels={"name": scenario.label})
-    report = RunReport(command="gen", scenario=path, digest=_digest(path),
+    report = RunReport(command="gen", scenario=path,
+                       digest=_digest(read_scenario_file(path)),
                        elapsed_s=0.0,
                        results={"path": path, "size": args.size,
                                 "seed": args.seed, "style": args.style,
@@ -411,20 +423,20 @@ def _cmd_batch(args, fmt: str) -> tuple:
         path = os.path.join(directory, name)
         started = time.perf_counter()
         try:
-            scenario = load_scenario(path)
+            scenario, digest = _load(path)
             eqm = equilibrium.improved_gne(scenario)
             results, residuals = _cmd_gne(scenario, eqm=eqm)
             results["poa"] = equilibrium.poa(scenario, eqm)
             _check_report(results, residuals)
             report = RunReport(
-                command="batch/gne", scenario=path, digest=_digest(path),
+                command="batch/gne", scenario=path, digest=digest,
                 elapsed_s=time.perf_counter() - started, results=results,
                 residuals=residuals)
             out_path = os.path.join(
                 out_dir, name[:-len(".json")] + ".report.json")
             _atomic_write(out_path, render_report(report, "json") + "\n")
             summary[name] = "ok"
-        except (EsharingError, OSError) as exc:
+        except _ANY_FAILURE as exc:
             summary[name] = f"error: {exc}"
             failures += 1
     report = RunReport(command="batch", scenario=directory, digest=None,
@@ -435,15 +447,18 @@ def _cmd_batch(args, fmt: str) -> tuple:
     return report, (1 if failures else 0)
 
 
+# every failure a command reports: a package error, an output path that
+# cannot be written, or running out of memory
+_ANY_FAILURE = (EsharingError, OSError, MemoryError)
+
 # (error type, stderr label, exit code), matched in order; the last row
-# takes FileError, NonFiniteResult, ContractBreach, every other error and
-# an output path that cannot be written
+# takes FileError, NonFiniteResult, ContractBreach and the rest
 _FAILURES = (
     (UsageError, "usage error", 1),
     (MaxIterExceeded, "did not converge", 3),
     (IterationLimit, "solver did not converge", 3),
     (Infeasible, "infeasible", 2),
-    ((EsharingError, OSError), "error", 1),
+    (_ANY_FAILURE, "error", 1),
 )
 
 
@@ -472,20 +487,22 @@ def run_command(argv) -> tuple:
                 return _cmd_batch(args, args.format)
 
             path = args.scenario
-            scenario = load_scenario(path)
+            scenario, digest = _load(path)
             started = time.perf_counter()
             results, residuals = _COMMANDS[args.command](scenario, args)
             _check_report(results, residuals)
             report = RunReport(command=args.command, scenario=path,
-                               digest=_digest(path),
+                               digest=digest,
                                elapsed_s=time.perf_counter() - started,
                                results=results, residuals=residuals,
                                fmt=args.format)
             return report, 0
-        except (EsharingError, OSError) as exc:
+        except _ANY_FAILURE as exc:
             label, code = next((label, code) for kind, label, code in _FAILURES
                                if isinstance(exc, kind))
-            print(f"{label}: {exc}", file=sys.stderr)
+            # numpy names the allocation that failed; Python's own
+            # MemoryError has no message
+            print(f"{label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return None, code
 
 

@@ -216,7 +216,8 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     # zero-limit line is held with side 0 until its dual sides it
     side = np.where(bounded, np.sign(active), 0.0)
     held = side != 0.0
-    held[pinned] = True
+    if pinned.size:
+        held[pinned] = True
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
         step = _held_solve(net, alpha, beta, held, np.copysign(limits, side))
@@ -281,18 +282,21 @@ def _mesh_components(net, alpha, beta, held, target):
     whose targets agree, as two held zero-limit lines may be, pass that
     test with pushes split at random between them; so with two or more
     held, each Cholesky pivot must keep the share of its row that
-    ``solve_qp`` asks of a row it holds.
+    ``solve_qp`` asks of a row it holds.  The Schur matrix and that verdict
+    come from :func:`_mesh_factor`, kept on the network as the tree's
+    factor is (:func:`esharing.tree._components`); the rows are gathered
+    and the system solved on every call.
     """
     G = net.ptdf.T
     rows = np.vstack([np.ones(alpha.size), G[held]])
     t = np.concatenate([[0.0], target[held]])
-    schur = (rows * beta) @ rows.T
+    schur, dependent = net._held_factor(
+        held.tobytes() + t.tobytes() + beta.tobytes(),
+        lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
+    if dependent:
+        return None
     z, q = np.zeros(t.size), alpha
     try:
-        if np.count_nonzero(held[net.pinned]) > 1:
-            pivots = np.diagonal(np.linalg.cholesky(schur)) ** 2
-            if not (pivots > 1e-10 * np.diagonal(schur)).all():
-                return None
         for _ in range(2):
             z = z + np.linalg.solve(schur, rows @ q - t)
             u = z @ rows
@@ -306,6 +310,19 @@ def _mesh_components(net, alpha, beta, held, target):
     push = np.zeros(held.size)
     push[held] = z[1:]
     return u, q, flows, push
+
+
+def _mesh_factor(rows, beta, check_pivots: bool) -> tuple:
+    """The Schur matrix of the held ``rows``, and whether its Cholesky
+    pivots, checked only when ``check_pivots``, show a dependent row."""
+    schur = (rows * beta) @ rows.T
+    if not check_pivots:
+        return schur, False
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(schur)) ** 2
+    except np.linalg.LinAlgError:
+        return schur, True
+    return schur, not (pivots > 1e-10 * np.diagonal(schur)).all()
 
 
 def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:

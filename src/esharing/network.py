@@ -69,7 +69,8 @@ class TreeTopology:
     ``child[l]`` is the bus below line l; ``order`` lists the lines from the
     root down, so a line comes after the line above it; ``sign[l]`` is the
     PTDF entry of line l for every bus below it: +1 when the line points
-    away from the root, -1 otherwise.
+    away from the root, -1 otherwise; ``head[l]`` is the bus above line l,
+    ``parent[child[l]]``.
     """
 
     root: int
@@ -77,6 +78,7 @@ class TreeTopology:
     child: np.ndarray
     order: np.ndarray
     sign: np.ndarray
+    head: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +102,14 @@ class NetworkModel:
     bounded, pinned : np.ndarray
         Derived from ``limits``: the mask of lines with a positive finite
         limit, and the indices of the lines with a zero limit.
+
+    The network is immutable, but it keeps one private cache entry: the
+    factor of the last held set that :func:`esharing.market._held_solve`
+    solved on it, keyed on the held lines, their targets and the
+    curvature, so that a hot-started solve of the same held set reuses it
+    (:meth:`_held_factor`).  The slot is read once and replaced by one
+    assignment per solve, so threads sharing a network never mix entries,
+    and a reused factor gives the same bits as a fresh one.
     """
 
     bus_count: int
@@ -110,6 +120,7 @@ class NetworkModel:
     tree: TreeTopology | None = field(default=None, repr=False)
     bounded: np.ndarray = field(init=False, repr=False)
     pinned: np.ndarray = field(init=False, repr=False)
+    _factor: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         limits = self.limits
@@ -121,6 +132,14 @@ class NetworkModel:
     @property
     def line_count(self) -> int:
         return len(self.lines)
+
+    def _held_factor(self, key: bytes, build):
+        """The factor kept for ``key``, or ``build()``'s, kept in its place."""
+        factor = self._factor  # read once; replaced whole, never edited
+        if factor is None or factor[0] != key:
+            factor = key, build()
+            object.__setattr__(self, "_factor", factor)
+        return factor[1]
 
 
 def _incidence(bus_count: int, lines) -> np.ndarray:
@@ -162,7 +181,7 @@ def _tree_topology(bus_count: int, lines, slack: int) -> TreeTopology:
     if len(frontier) < bus_count:
         missing = (np.flatnonzero(parent < 0) + 1).tolist()
         raise DisconnectedGraph(f"buses unreachable from bus {slack}: {missing}")
-    arrays = (parent, child, np.asarray(order, dtype=int), sign)
+    arrays = (parent, child, np.asarray(order, dtype=int), sign, parent[child])
     for arr in arrays:
         arr.setflags(write=False)
     return TreeTopology(root, *arrays)

@@ -107,7 +107,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             label = doc["labels"].get("name")
         return Scenario(network=net, prosumers=prosumers, a=float(doc["a"]),
                         label=label)
-    except FileError:
+    except (FileError, MemoryError):  # out of memory is no fault of the file
         raise
     except Exception as exc:
         raise FileError(f"invalid scenario document: {exc}") from exc
@@ -125,13 +125,24 @@ def dump_scenario(scenario: Scenario, path, units: str = "",
         fh.write(text + "\n")
 
 
-def load_scenario(path) -> Scenario:
+def read_scenario_file(path) -> bytes:
+    """The bytes of the scenario file at ``path``."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise FileError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def load_scenario(path, data: bytes | None = None) -> Scenario:
+    """The scenario in the file at ``path``.  ``data``, when given, is the
+    file's content as :func:`read_scenario_file` read it; the file is then
+    not read again, and ``path`` only names it in messages."""
+    if data is None:
+        data = read_scenario_file(path)
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise FileError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileError(f"scenario file {path} must hold a JSON object")

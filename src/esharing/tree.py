@@ -32,7 +32,10 @@ component's purchases plus the held limits hanging below it must equal the
 held limit above it (0 for the root's component): one linear equation in
 its price, so one ``np.bincount`` pass prices every component.  The result
 meets stationarity, balance, the held limits and complementarity by
-construction, in O(n) numpy work.
+construction, in O(n) numpy work.  The components and every sum that does
+not involve ``alpha`` form the held set's factor, which the network keeps
+from one solve to the next, so that a settled bidding round only sums its
+purchases.
 
 Exact pass, the fallback.  Bottom-up, the purchase of the subtree below
 line l is a strictly decreasing piecewise-linear function of the price at
@@ -58,10 +61,31 @@ def _components(net, alpha, beta, held, target):
     flows at ``target``.
 
     A held line's push is its price jump signed by its direction, ``k
-    (mu_up - mu_lo)``.
+    (mu_up - mu_lo)``.  Only ``alpha`` enters after :func:`_factor`, whose
+    result the network keeps for the last held set, targets and ``beta`` it
+    saw; a hot-started solve that repeats them (a settled bidding round)
+    reuses it.  Both paths run the same float operations on the same
+    arrays, so reuse never changes a bit.
     """
     tree = net.tree
-    n = alpha.size
+    t = (tree.sign * target)[held]  # the net purchases of their subtrees
+    comp, below, above, weight = net._held_factor(
+        held.tobytes() + t.tobytes() + beta.tobytes(),
+        lambda: _factor(tree, beta, held, t))
+    # own purchases = held limit above - held limits below
+    rhs = (np.bincount(comp, alpha, alpha.size) - below) + above
+    u = rhs[comp] / weight
+    q = alpha - beta * u
+    jump = u[tree.child] - u[tree.head]
+    return u, q, net.ptdf.T @ q, tree.sign * jump
+
+
+def _factor(tree, beta, held, t):
+    """The parts of a component solve that ``alpha`` does not enter: each
+    bus's component (the bus at its top), the held targets ``t`` summed
+    into the component below and above each held line, and each bus's
+    component sum of ``beta``."""
+    n = beta.size
     cut = tree.child[held]
     comp = tree.parent.copy()
     comp[cut] = cut
@@ -70,14 +94,8 @@ def _components(net, alpha, beta, held, target):
         if (top == comp).all():
             break
         comp = top
-    t = (tree.sign * target)[held]  # the net purchases of their subtrees
-    # own purchases = held limit above - held limits below
-    rhs = (np.bincount(comp, alpha, n) - np.bincount(cut, t, n)
-           + np.bincount(comp[tree.parent[cut]], t, n))
-    u = rhs[comp] / np.bincount(comp, beta, n)[comp]
-    q = alpha - beta * u
-    jump = u[tree.child] - u[tree.parent[tree.child]]
-    return u, q, net.ptdf.T @ q, tree.sign * jump
+    return (comp, np.bincount(cut, t, n), np.bincount(comp[tree.head[held]], t, n),
+            np.bincount(comp, beta, n)[comp])
 
 
 # A curve is (knots, values, left slope, right slope): piecewise linear
@@ -133,7 +151,7 @@ def _exact_pass(tree, limits, alpha, beta):
     for l in tree.order[::-1]:
         c = tree.child[l]
         curves[l] = _subtree_curve(alpha[c], beta[c], below[c])
-        below[tree.parent[c]].append(_clip(curves[l], limits[l]))
+        below[tree.head[l]].append(_clip(curves[l], limits[l]))
     root = tree.root
     u = np.empty(alpha.size)
     u[root] = _inverse(_subtree_curve(alpha[root], beta[root], below[root]), 0.0)
@@ -141,7 +159,7 @@ def _exact_pass(tree, limits, alpha, beta):
     target = np.zeros(limits.size)
     for l in tree.order:
         c = tree.child[l]
-        up = u[tree.parent[c]]
+        up = u[tree.head[l]]
         purchase = _value(curves[l], up) if np.isfinite(limits[l]) else 0.0
         if abs(purchase) >= limits[l]:
             held[l] = True

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import with_chords
-from esharing import cases, equilibrium, market
+from esharing import cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
     BiddingTrace,
@@ -220,6 +220,41 @@ def test_settled_rounds_take_one_solver_iteration(monkeypatch):
                and np.array_equal(guess, found)]
     assert len(settled) > len(solves) // 2
     assert settled == [(1, 0)] * len(settled)
+
+
+@pytest.mark.parametrize("chords", [0, 3])
+def test_settled_rounds_build_no_factor(chords, monkeypatch):
+    # a round that guesses the held set the previous round ended with reuses
+    # that solve's factor; so once the set stops changing no round builds one
+    scenario = gen_scenario(7, 38, "tight")
+    if chords:
+        scenario = with_chords(scenario, chords)
+    solve, factors = market._solve_program, []
+    rounds = []  # per round: the held lines found, and the factors built
+
+    def recording(*args):
+        built = len(factors)
+        sol, flows = solve(*args)
+        rounds.append((sol.sides.tobytes(), len(factors) - built))
+        return sol, flows
+
+    def building(module, name):
+        build = getattr(module, name)
+
+        def counting(*args):
+            factors.append(args)
+            return build(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    building(tree, "_factor")
+    building(market, "_mesh_factor")
+    monkeypatch.setattr(market, "_solve_program", recording)
+    run_bidding(scenario)
+    changes = [k for k in range(1, len(rounds)) if rounds[k][0] != rounds[k - 1][0]]
+    settled = rounds[changes[-1] + 1:]
+    assert len(settled) > len(rounds) // 2
+    assert [built for _, built in settled] == [0] * len(settled)
+    assert factors  # the rounds before did build them
 
 
 def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):

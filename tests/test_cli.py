@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esharing import cases, cli
+from esharing import cases, cli, scenario_io
 from esharing.errors import (
     ContractBreach,
     FileError,
@@ -599,3 +600,68 @@ def test_batch_counts_a_failed_report_write_as_a_failure(fixture_file,
     assert report.results["files"]["two_f5.json"].startswith("error: [Errno")
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "fine.report.json", "two_f5.report.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bid", "{path}", "--eps", "1e-4", "--trace", "{path}"],
+    ["brlab", "{path}", "--prosumer", "1", "--fix-bids", "10.5,30.6",
+     "--csv", "{path}"],
+], ids=["bid", "brlab"])
+def test_the_digest_names_the_input_that_was_solved(argv, tmp_path):
+    # the command overwrites its own scenario file; the digest is still
+    # that of the bytes it parsed
+    original = Path(MESH).with_name("two_prosumer_f5.json").read_bytes()
+    path = tmp_path / "s.json"
+    path.write_bytes(original)
+    report, code = cli.run_command([a.format(path=path) for a in argv])
+    assert code == 0
+    assert path.read_bytes() != original
+    assert report.digest == hashlib.sha256(original).hexdigest()[:16]
+
+
+def test_batch_digests_the_bytes_it_parsed(fixture_file, tmp_path):
+    out_dir = tmp_path / "reports"
+    _, code = cli.run_command(["batch", "--dir", str(tmp_path),
+                               "--out", str(out_dir)])
+    assert code == 0
+    doc = json.loads((out_dir / "two_f5.report.json").read_text())
+    data = Path(fixture_file).read_bytes()
+    assert doc["digest"] == hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_a_file_that_is_not_utf8_exits_1_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"version": "\xff"}')
+    report, code = cli.run_command(["gne", str(bad)])
+    assert report is None and code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: scenario file {bad} is not valid JSON: ")
+
+
+NUMPY_OOM = ("Unable to allocate 298. GiB for an array with shape "
+             "(200000, 199999) and data type float64")
+
+
+@pytest.mark.parametrize("argv,patched", [
+    (["gen", "--seed", "1", "--size", "200000", "-o", "{tmp}/g.json"],
+     "gen_scenario"),
+    (["gne", "{file}"], "build_network"),
+], ids=["gen", "gne"])
+@pytest.mark.parametrize("message,line", [
+    (NUMPY_OOM, NUMPY_OOM),  # what numpy raises for 200,000 buses' PTDF
+    ("", "MemoryError"),     # Python's own has no message
+], ids=["numpy", "python"])
+def test_running_out_of_memory_exits_1_with_one_line(
+        argv, patched, message, line, fixture_file, tmp_path, monkeypatch,
+        capsys):
+    # raised, not provoked: whether a real 298 GiB request fails depends on
+    # the host's overcommit policy
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    module = cli if patched == "gen_scenario" else scenario_io
+    monkeypatch.setattr(module, patched, out_of_memory)
+    report, code = cli.run_command(
+        [a.format(tmp=tmp_path, file=fixture_file) for a in argv])
+    assert report is None and code == 1
+    assert capsys.readouterr().err == f"error: {line}\n"

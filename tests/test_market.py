@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import with_chords
+from conftest import limited_scenarios, with_chords
 from esharing.brlab import ScanConfig, verify_gne
 from esharing.equilibrium import improved_gne
 from esharing.errors import DimensionMismatch, TooFewProsumers
@@ -344,3 +344,38 @@ def test_sides_on_the_bundled_mesh():
     # the dense QP's held rows
     cold = market._cold_qp(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
     assert np.array_equal(out.sides, cold.sides)
+
+
+def _alone(scenario, bids, active):
+    """The clearing on a fresh copy of the network, which keeps no factor."""
+    fresh = dataclasses.replace(scenario.network)
+    assert fresh._factor is None
+    return clear_market(Scenario(network=fresh, prosumers=scenario.prosumers,
+                                 a=scenario.a), bids, active)
+
+
+@settings(max_examples=80)
+@given(limited_scenarios(max_size=12), limited_scenarios(max_size=12),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 1e-3, 1.0]),
+                          st.sampled_from([None, 1.0, -1.0])),
+                min_size=2, max_size=10),
+       st.integers(0, 2**32 - 1))
+def test_kept_factors_change_no_bit(first, second, steps, seed):
+    # two networks' clearings interleaved, each from the same bids again, a
+    # nudge or a jump away, guessing no line, the previous held set, or the
+    # same lines at their other limits: every clearing gives the bytes it
+    # gives alone, with nothing kept
+    rng = np.random.default_rng(seed)
+    scenarios = (first, second)
+    bids = [rng.uniform(-3.0, 3.0, sc.size) for sc in scenarios]
+    sides = [np.zeros(sc.network.line_count) for sc in scenarios]
+    for which, jump, guess in steps:
+        sc = scenarios[which]
+        bids[which] = bids[which] + jump * rng.uniform(-1.0, 1.0, sc.size)
+        active = None if guess is None else guess * sides[which]
+        out = clear_market(sc, bids[which], active)
+        ref = _alone(sc, bids[which], active)
+        for f in dataclasses.fields(out):
+            assert (np.asarray(getattr(out, f.name)).tobytes()
+                    == np.asarray(getattr(ref, f.name)).tobytes()), f.name
+        sides[which] = out.sides

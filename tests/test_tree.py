@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +247,28 @@ def test_meshes_have_no_tree_and_keep_the_qp(monkeypatch):
     monkeypatch.setattr(market, "_exact_pass", None)
     equilibrium.improved_gne(scenario)
 
+
+
+@pytest.mark.parametrize("change", ["alpha", "targets", "beta", "held"])
+def test_a_kept_factor_serves_only_its_own_held_set(change):
+    # after a solve of one held set, a solve that changes one input gives
+    # the bytes of the same solve on a network that kept nothing
+    net = gen_scenario(7, 38, "tight").network
+    rng = np.random.default_rng(3)
+    alpha, beta = rng.uniform(-50.0, 50.0, 38), rng.uniform(0.5, 2.0, 38)
+    held = rng.random(37) < 0.3
+    target = np.copysign(net.limits, rng.uniform(-1.0, 1.0, 37))
+    market._held_solve(net, alpha, beta, held, target)
+    if change == "alpha":
+        alpha = alpha + 1.0
+    elif change == "targets":
+        target = -target
+    elif change == "beta":
+        beta = 2.0 * beta
+    else:
+        held = held.copy()
+        held[np.flatnonzero(held)[0]] = False
+    kept = market._held_solve(net, alpha, beta, held, target)
+    alone = market._held_solve(dataclasses.replace(net), alpha, beta, held, target)
+    for a, b in zip(kept, alone):
+        assert a.tobytes() == b.tobytes()

@@ -30,7 +30,6 @@ from .brlab import (
     best_response,
     br_iteration,
     classify_gne_2bus,
-    example2_region,
     verify_gne,
     write_scan_csv,
 )
@@ -66,7 +65,6 @@ from .errors import (
     TooFewProsumers,
     UnbalancedInjection,
     WeakSensitivityWarning,
-    WrongTopology,
 )
 from .market import (
     ClearingOutcome,
@@ -74,9 +72,7 @@ from .market import (
     Scenario,
     clear_market,
     clearing_kkt_residual,
-    payment,
     prosumer_cost,
-    regulated_price,
 )
 from .network import (
     LineSpec,

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult, ScanIntervalEmpty, WrongTopology
-from .market import Scenario, _held_solve, clear_market, cost_at
-from .network import is_radial
+from .errors import DimensionMismatch, NonFiniteResult, ScanIntervalEmpty
+from .market import Scenario, clear_market, clearing_slopes, cost_at
 
 _FIXED_POINT_TOL = 1e-5  # sweep step below which br_iteration verifies
 _CYCLE_TOL = 1e-5  # distance at which a sweep revisits an earlier state
@@ -91,22 +90,6 @@ class GneClassification2Bus:
     lam_bar: np.ndarray | None = None
     b2_interval: tuple | None = None
 
-    def at(self, b2: float):
-        """Bid/price pair of the family member with second bid ``b2``."""
-        if self.regime == "unique":
-            return self.b_bar, self.lam_bar
-        lo, hi = self.b2_interval
-        if not lo - 1e-12 <= b2 <= hi + 1e-12:
-            raise ValueError(f"b2={b2} outside the equilibrium interval [{lo}, {hi}]")
-        F = self.limit
-        if self.regime == "multiple-upper":
-            b = np.array([b2 + 2.0 * F, b2])
-            lam = np.array([b[0] - F, b2 + F])
-        else:
-            b = np.array([b2 - 2.0 * F, b2])
-            lam = np.array([b[0] + F, b2 - F])
-        return b, lam
-
 
 @dataclass(frozen=True, eq=False)
 class BrTrajectory:
@@ -116,12 +99,6 @@ class BrTrajectory:
     termination: str  # fixed_point | cycling | max_iter
     fixed_point: bool
     verification: GneCheck | None
-
-
-@dataclass(frozen=True, eq=False)
-class Example2Region:
-    region: str  # M | L | U
-    prices: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +124,8 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
     where the last one ended, guessing the last
     piece's held lines with the condition that ended it toggled: a free line
     that reached its limit is held at that side, a held line whose dual
-    reached zero is released.  Its slopes are the held-set solve's answer to
-    a unit bid at bus ``i`` with zero targets; it holds until a free line
+    reached zero is released.  Its slopes come from
+    :func:`esharing.market.clearing_slopes`, and it holds until a free line
     reaches a limit or a held line with a nonzero limit loses its dual's
     sign.  At a breakpoint either side's held set is optimal, so a start
     clearing may hold the left one; its piece then has zero length, and the
@@ -158,11 +135,8 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
     point instead, and that piece is the chord to the next start (at the
     scan's end, it keeps its own slope).
     """
-    net, a = scenario.network, scenario.a
+    net = scenario.network
     F, lines = net.limits, np.flatnonzero(net.bounded)
-    unit = np.eye(scenario.size)[i]
-    beta = np.full(scenario.size, a / 2.0)  # the clearing program's k / hess
-    zeros = np.zeros(F.size)
     scale = 1.0 + np.abs(b_base).sum() + F[lines].max(initial=0.0)
     end_of_scan = float(grid[-1])
     starts, prices, slopes, stepped = [], [], [], []
@@ -177,22 +151,21 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
         for _ in range(2):  # a breakpoint's clearing may hold either side's set
             slope = np.nan
             held = side != 0.0
-            solve = _held_solve(net, unit, beta, held, zeros)
-            if solve is None:
+            rates = clearing_slopes(scenario, i, side)
+            if rates is None:
                 break
-            du, _, dflow, dpush = solve
-            slope = float(du[i] / 2.0)
+            slope, dflow, ddual = rates
             # each line with a positive limit has one condition, value +
             # rate (t' - t) >= 0: a free line stays within the limit its
-            # flow moves toward, a held line keeps its dual (side push / a)
-            # signed; past the condition's root, the line turns to ``turn``
+            # flow moves toward, a held line keeps its dual signed; past
+            # the condition's root, the line turns to ``turn``
             toward = np.sign(dflow)
             dual = np.where(side > 0, out.alpha_upper, out.alpha_lower)
             now = np.where(held, dual, F - np.abs(out.flows))[lines]
             if (now < -1e-9 * (scale + abs(t))).any():
                 break
             value = np.where(held, dual, F - toward * out.flows)[lines]
-            rate = np.where(held, side * dpush / a, -np.abs(dflow))[lines]
+            rate = np.where(held, ddual, -np.abs(dflow))[lines]
             turn = np.where(held, 0.0, toward)[lines]
             falls = rate < 0.0
             ahead = np.maximum(value[falls], 0.0) / -rate[falls]
@@ -326,7 +299,7 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     cfg = scan_config or ScanConfig()
     b_minus_i = np.asarray(b_minus_i, dtype=float)
     if b_minus_i.shape != (scenario.size - 1,):
-        raise ScanIntervalEmpty(
+        raise DimensionMismatch(
             f"expected {scenario.size - 1} opponent bids, got {b_minus_i.shape}"
         )
     b_base = np.insert(b_minus_i, i, 0.0)
@@ -457,50 +430,6 @@ def br_iteration(scenario: Scenario, b0, iters: int = 20,
     return BrTrajectory(states=tuple(states), termination=termination,
                         fixed_point=termination == "fixed_point",
                         verification=verification)
-
-
-def example2_region(scenario: Scenario, b) -> Example2Region:
-    """Region membership and closed-form prices for the three-bus chain case.
-
-    Requires: three buses, unit sensitivity, radial network whose single
-    finite-limit line hangs off bus 1 (bus 1 a leaf).  Regions are named by
-    where the swing bid sits relative to the congestion window: ``M`` (no
-    congestion, uniform price), ``L``/``U`` (leaf line at its lower/upper
-    purchase limit).
-    """
-    b = np.asarray(b, dtype=float)
-    net = scenario.network
-    if scenario.size != 3 or b.shape != (3,):
-        raise WrongTopology("closed form requires exactly three buses")
-    if abs(scenario.a - 1.0) > 1e-12:
-        raise WrongTopology("closed form requires unit market sensitivity")
-    if not is_radial(net):
-        raise WrongTopology("closed form requires a radial network")
-    finite = [l for l in range(net.line_count) if np.isfinite(net.limits[l])]
-    if len(finite) != 1:
-        raise WrongTopology("closed form requires exactly one limited line")
-    ln = net.lines[finite[0]]
-    if 1 not in (ln.from_bus, ln.to_bus):
-        raise WrongTopology("the limited line must be incident to bus 1")
-    degree = sum(1 in (l.from_bus, l.to_bus) for l in net.lines)
-    if degree != 1:
-        raise WrongTopology("bus 1 must be a leaf")
-    F = float(net.limits[finite[0]])
-
-    rest = b[1] + b[2]
-    if b[0] <= (rest - 3.0 * F) / 2.0:
-        lam1 = b[0] + F
-        lam_rest = (rest - F) / 2.0
-        region = "L"
-    elif b[0] >= (rest + 3.0 * F) / 2.0:
-        lam1 = b[0] - F
-        lam_rest = (rest + F) / 2.0
-        region = "U"
-    else:
-        lam1 = lam_rest = b.sum() / 3.0
-        region = "M"
-    return Example2Region(region=region,
-                          prices=np.array([lam1, lam_rest, lam_rest]))
 
 
 def write_scan_csv(scan: BestResponseScan, path) -> None:

@@ -18,23 +18,11 @@ def two_prosumer_line(limit: float, a: float = 10.0,
     return Scenario(network=net, prosumers=pros, a=a)
 
 
-def equal_pair(c: float, demands, limit: float, a: float = 1.0) -> Scenario:
-    """Two-bus game with equal quadratic coefficients and no linear term.
-
-    The setting whose equilibria :func:`esharing.brlab.classify_gne_2bus`
-    describes in closed form.
-    """
-    net = build_network(2, [LineSpec(1, 2, 1.0, limit)])
-    pros = [Prosumer(c=c, d=0.0, demand_reduction=float(demands[i]))
-            for i in range(2)]
-    return Scenario(network=net, prosumers=pros, a=a)
-
-
 def three_bus_chain(c: float, demands, limit: float, a: float = 1.0,
                     d: float = 0.0) -> Scenario:
     """Path 1-2-3 with the only finite limit on the leaf line at bus 1.
 
-    The setting of :func:`esharing.brlab.example2_region`: bus 1 can import
+    The three-bus counterexample of the best-response lab: bus 1 can import
     or export at most ``limit``; the line between buses 2 and 3 is free.
     """
     net = build_network(3, [LineSpec(1, 2, 1.0, limit),
@@ -43,11 +31,3 @@ def three_bus_chain(c: float, demands, limit: float, a: float = 1.0,
             for i in range(3)]
     return Scenario(network=net, prosumers=pros, a=a)
 
-
-def uniform_chain(size: int, c: float, d: float, demand: float,
-                  limit: float, a: float) -> Scenario:
-    """Path network of identical prosumers (symmetry checks)."""
-    lines = [LineSpec(i, i + 1, 1.0, limit) for i in range(1, size)]
-    net = build_network(size, lines)
-    pros = [Prosumer(c=c, d=d, demand_reduction=demand) for _ in range(size)]
-    return Scenario(network=net, prosumers=pros, a=a)

@@ -270,6 +270,14 @@ def _cmd_gne(scenario: Scenario, _args=None, eqm=None) -> tuple:
     return results, residuals
 
 
+def _batch_entry(scenario: Scenario, _args) -> tuple:
+    """``gne``'s report plus ``poa``, both from one equilibrium."""
+    eqm = equilibrium.improved_gne(scenario)
+    results, residuals = _cmd_gne(scenario, eqm=eqm)
+    results["poa"] = equilibrium.poa(scenario, eqm)
+    return results, residuals
+
+
 def _cmd_ve(scenario: Scenario, _args) -> tuple:
     ve = equilibrium.variational_equilibrium(scenario)
     return ({"p_bar": ve.p_bar, "b_bar": ve.b_bar, "prices": ve.prices,
@@ -373,6 +381,19 @@ _COMMANDS = {
 }
 
 
+def _run(command: str, path: str, compute, args=None,
+         fmt: str = "json") -> RunReport:
+    """Load the scenario at ``path``, run ``compute(scenario, args)`` on it
+    and check its figures; the clock starts after the load."""
+    scenario, digest = _load(path)
+    started = time.perf_counter()
+    results, residuals = compute(scenario, args)
+    _check_report(results, residuals)
+    return RunReport(command=command, scenario=path, digest=digest,
+                     elapsed_s=time.perf_counter() - started,
+                     results=results, residuals=residuals, fmt=fmt)
+
+
 def _output_dir(explicit: str | None, fallback: str) -> str:
     return explicit or os.environ.get(OUTPUT_DIR_ENV) or fallback
 
@@ -420,18 +441,9 @@ def _cmd_batch(args, fmt: str) -> tuple:
     summary = {}
     failures = 0
     for name in names:
-        path = os.path.join(directory, name)
-        started = time.perf_counter()
         try:
-            scenario, digest = _load(path)
-            eqm = equilibrium.improved_gne(scenario)
-            results, residuals = _cmd_gne(scenario, eqm=eqm)
-            results["poa"] = equilibrium.poa(scenario, eqm)
-            _check_report(results, residuals)
-            report = RunReport(
-                command="batch/gne", scenario=path, digest=digest,
-                elapsed_s=time.perf_counter() - started, results=results,
-                residuals=residuals)
+            report = _run("batch/gne", os.path.join(directory, name),
+                          _batch_entry)
             out_path = os.path.join(
                 out_dir, name[:-len(".json")] + ".report.json")
             _atomic_write(out_path, render_report(report, "json") + "\n")
@@ -485,18 +497,8 @@ def run_command(argv) -> tuple:
                 return _cmd_gen(args, args.format)
             if args.command == "batch":
                 return _cmd_batch(args, args.format)
-
-            path = args.scenario
-            scenario, digest = _load(path)
-            started = time.perf_counter()
-            results, residuals = _COMMANDS[args.command](scenario, args)
-            _check_report(results, residuals)
-            report = RunReport(command=args.command, scenario=path,
-                               digest=digest,
-                               elapsed_s=time.perf_counter() - started,
-                               results=results, residuals=residuals,
-                               fmt=args.format)
-            return report, 0
+            return _run(args.command, args.scenario, _COMMANDS[args.command],
+                        args, args.format), 0
         except _ANY_FAILURE as exc:
             label, code = next((label, code) for kind, label, code in _FAILURES
                                if isinstance(exc, kind))

@@ -78,10 +78,6 @@ class ScanIntervalEmpty(EsharingError):
     """A best-response scan was requested over an empty interval."""
 
 
-class WrongTopology(EsharingError):
-    """The scenario does not have the structure the closed form requires."""
-
-
 # --- file / CLI -----------------------------------------------------------
 
 class FileError(EsharingError):

@@ -23,6 +23,7 @@ from .tree import _components as _tree_components, _exact_pass
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
 _EXCHANGE_STEPS = 8  # exchange steps tried before the fallback
+_HESS = 2.0  # curvature of each lam_i^2 in the clearing program
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,9 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     net = scenario.network
     a = scenario.a
     if anchor is None:
-        h, g = 2.0, np.zeros(n)
+        h, g = _HESS, np.zeros(n)
     else:
-        h, g = 4.0, -2.0 * np.asarray(anchor, dtype=float)
+        h, g = 2.0 * _HESS, -_HESS * np.asarray(anchor, dtype=float)
     sol, flows = _solve_program(net, np.full(n, h), g, b, a, active)
     lam = sol.x
     return ClearingOutcome(
@@ -161,6 +162,25 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
         flows=flows, sides=sol.sides,
     )
+
+
+def clearing_slopes(scenario: Scenario, i: int, sides) -> tuple | None:
+    """Rates of change of :func:`clear_market`'s outcome per unit of bid
+    ``i``, while the lines marked in the side vector ``sides`` stay held.
+
+    Returns ``(price, flows, duals)``: the rate of ``prices[i]``, of every
+    line's flow, and of each held line's dual at its own side (0 on the
+    free lines); or None when the held-set solve refuses the held set.
+    """
+    k, n = scenario.a, scenario.size
+    unit = np.zeros(n)
+    unit[i] = 1.0
+    solve = _held_solve(scenario.network, unit, np.full(n, k / _HESS),
+                        sides != 0.0, np.zeros(sides.size))
+    if solve is None:
+        return None
+    du, _, dflow, dpush = solve
+    return float(du[i] / _HESS), dflow, sides * dpush / k
 
 
 def _solve_program(net: NetworkModel, hess, linear, base, k: float,
@@ -377,21 +397,6 @@ def marginal_term(scenario: Scenario, p, q, i=slice(None)):
     return 2.0 * scenario.c[i] * p + scenario.d[i] - q / (scenario.a * (n - 1))
 
 
-def regulated_price(scenario: Scenario, clearing: ClearingOutcome, p) -> np.ndarray:
-    """Cap/floor the cleared prices against the adjusted marginal disutility.
-
-    Buyers (q_i >= 0, including q_i = 0) pay at least the adjusted marginal
-    rate; sellers receive at most that rate.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (scenario.size,):
-        raise DimensionMismatch(f"expected {scenario.size} productions")
-    m = marginal_term(scenario, p, clearing.quantities)
-    lam = clearing.prices
-    return np.where(clearing.quantities >= 0.0, np.maximum(lam, m),
-                    np.minimum(lam, m))
-
-
 def _payment(scenario: Scenario, prices, purchases, p, i, regulated: bool):
     """Sharing payment ``lam q``; regulated, the max of ``lam q`` and
     ``m q`` with ``m`` the adjusted marginal disutility, which equals
@@ -400,14 +405,6 @@ def _payment(scenario: Scenario, prices, purchases, p, i, regulated: bool):
     if regulated:
         pay = np.maximum(pay, marginal_term(scenario, p, purchases, i) * purchases)
     return pay
-
-
-def payment(scenario: Scenario, bids, p_i: float, i: int) -> float:
-    """Regulated payment of prosumer ``i`` at production ``p_i`` under bid
-    vector ``bids``."""
-    out = clear_market(scenario, bids)
-    return float(_payment(scenario, out.prices[i], out.quantities[i], p_i, i,
-                          True))
 
 
 def prosumer_cost(scenario: Scenario, bids, i: int, regulated: bool = False) -> float:

@@ -44,6 +44,27 @@ def triangle_net():
     return build_network(3, [LineSpec(1, 2), LineSpec(2, 3), LineSpec(1, 3)])
 
 
+def equal_pair(c: float, demands, limit: float, a: float = 1.0) -> Scenario:
+    """Two-bus game with equal quadratic coefficients and no linear term.
+
+    The setting whose equilibria :func:`esharing.brlab.classify_gne_2bus`
+    describes in closed form.
+    """
+    net = build_network(2, [LineSpec(1, 2, 1.0, limit)])
+    pros = [Prosumer(c=c, d=0.0, demand_reduction=float(demands[i]))
+            for i in range(2)]
+    return Scenario(network=net, prosumers=pros, a=a)
+
+
+def uniform_chain(size: int, c: float, d: float, demand: float,
+                  limit: float, a: float) -> Scenario:
+    """Path network of identical prosumers (symmetry checks)."""
+    lines = [LineSpec(i, i + 1, 1.0, limit) for i in range(1, size)]
+    net = build_network(size, lines)
+    pros = [Prosumer(c=c, d=d, demand_reduction=demand) for _ in range(size)]
+    return Scenario(network=net, prosumers=pros, a=a)
+
+
 def random_tree(rng, size):
     """Random labelled tree on ``size`` buses with random positive weights."""
     lines = []

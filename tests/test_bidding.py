@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import with_chords
+from conftest import uniform_chain, with_chords
 from esharing import cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
@@ -61,8 +61,8 @@ def test_a_min_values():
     assert a_min(cases.two_prosumer_line(5.0)) == 0.0
     assert a_min(cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), 0.3)) == \
         pytest.approx(0.25)
-    ten = cases.uniform_chain(10, c=0.003, d=0.1, demand=10.0,
-                              limit=np.inf, a=200.0)
+    ten = uniform_chain(10, c=0.003, d=0.1, demand=10.0,
+                        limit=np.inf, a=200.0)
     assert a_min(ten) == pytest.approx(4000.0 / 27.0)
 
 

@@ -1,25 +1,26 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import limited_scenarios
+from conftest import equal_pair, limited_scenarios
 from esharing import brlab, cases, equilibrium
 from esharing.brlab import (
     ScanConfig,
     best_response,
     br_iteration,
     classify_gne_2bus,
-    example2_region,
     verify_gne,
     write_scan_csv,
 )
-from esharing.errors import ScanIntervalEmpty, WrongTopology
+from esharing.errors import DimensionMismatch, ScanIntervalEmpty
 from esharing.market import (
     Prosumer,
     Scenario,
     clear_market,
+    clearing_slopes,
     cost_at,
     prosumer_cost,
 )
@@ -50,7 +51,7 @@ def test_single_minimum_when_capacity_ample(chain_f03):
 def test_interior_best_response_formula():
     # two equal-cost prosumers, ample capacity: reply to b2 is affine in b2
     c = 1.0
-    scenario = cases.equal_pair(c, (1.0, 0.5), 5.0)
+    scenario = equal_pair(c, (1.0, 0.5), 5.0)
     for b2 in (1.0, 4.0 / 3.0, 1.6):
         scan = best_response(scenario, 0, np.array([b2]))
         predicted = (c / (c + 1.0)) * (b2 + 2.0 * 1.0)
@@ -93,13 +94,24 @@ def test_multiple_equilibria_on_sellers_boundary():
     assert verify_gne(scenario, third, tol=1e-5).is_gne
 
 
+def family_member(cls, b2):
+    """Bids and prices of the member of a congested two-bus equilibrium
+    family ``cls`` whose second bid is ``b2``."""
+    F = cls.limit
+    if cls.regime == "multiple-upper":
+        b = np.array([b2 + 2.0 * F, b2])
+        return b, np.array([b[0] - F, b2 + F])
+    b = np.array([b2 - 2.0 * F, b2])
+    return b, np.array([b[0] + F, b2 - F])
+
+
 def test_classify_unique_regime():
     cls = classify_gne_2bus(1.0, 1.0, 0.5, 1.0)
     assert cls.regime == "unique"
     assert cls.b_bar == pytest.approx([5.0 / 3.0, 4.0 / 3.0])
     assert cls.lam_bar == pytest.approx([1.5, 1.5])
     assert cls.p_bar == pytest.approx([5.0 / 6.0, 2.0 / 3.0])
-    scenario = cases.equal_pair(1.0, (1.0, 0.5), 1.0)
+    scenario = equal_pair(1.0, (1.0, 0.5), 1.0)
     assert verify_gne(scenario, np.asarray(cls.b_bar)).is_gne
 
 
@@ -108,9 +120,9 @@ def test_classify_congested_family():
     assert cls.regime == "multiple-upper"
     assert cls.b2_interval == pytest.approx([1.2, 1.6])
     assert cls.p_bar == pytest.approx([0.9, 0.6])
-    scenario = cases.equal_pair(1.0, (1.0, 0.5), 0.1)
+    scenario = equal_pair(1.0, (1.0, 0.5), 0.1)
     for b2 in (1.2, 1.4, 1.6):
-        bids, lam = cls.at(b2)
+        bids, lam = family_member(cls, b2)
         assert bids[0] == pytest.approx(b2 + 0.2)
         assert lam == pytest.approx([bids[0] - 0.1, b2 + 0.1])
         assert verify_gne(scenario, bids, tol=1e-5).is_gne, b2
@@ -123,9 +135,9 @@ def test_classify_mirror_regime():
     cls = classify_gne_2bus(1.0, 0.5, 1.0, 0.1)
     assert cls.regime == "multiple-lower"
     assert cls.p_bar == pytest.approx([0.6, 0.9])
-    scenario = cases.equal_pair(1.0, (0.5, 1.0), 0.1)
+    scenario = equal_pair(1.0, (0.5, 1.0), 0.1)
     mid = 0.5 * (cls.b2_interval[0] + cls.b2_interval[1])
-    bids, _ = cls.at(mid)
+    bids, _ = family_member(cls, mid)
     assert verify_gne(scenario, bids, tol=1e-5).is_gne
 
 
@@ -140,11 +152,32 @@ def test_random_unique_instances_verify():
         cls = classify_gne_2bus(c, d1, d2, 1.0)
         if cls.regime != "unique":
             continue
-        scenario = cases.equal_pair(c, (d1, d2), 1.0)
+        scenario = equal_pair(c, (d1, d2), 1.0)
         check = verify_gne(scenario, np.asarray(cls.b_bar), tol=1e-5)
         assert check.is_gne, (c, d1, d2)
         accepted += 1
     assert accepted >= 40
+
+
+def example2_region(scenario, b):
+    """Region and closed-form prices of the three-bus chain, unit ``a``,
+    whose leaf line at bus 1 is its only limited line: ``M`` (no
+    congestion, uniform price) or ``L``/``U`` (the leaf line at its
+    lower/upper purchase limit), by where bid 1 sits."""
+    F = float(scenario.network.limits[0])
+    rest = b[1] + b[2]
+    if b[0] <= (rest - 3.0 * F) / 2.0:
+        lam1 = b[0] + F
+        lam_rest = (rest - F) / 2.0
+        region = "L"
+    elif b[0] >= (rest + 3.0 * F) / 2.0:
+        lam1 = b[0] - F
+        lam_rest = (rest + F) / 2.0
+        region = "U"
+    else:
+        lam1 = lam_rest = b.sum() / 3.0
+        region = "M"
+    return region, np.array([lam1, lam_rest, lam_rest])
 
 
 def test_region_formulas_match_solver(chain_f03):
@@ -152,10 +185,10 @@ def test_region_formulas_match_solver(chain_f03):
     seen = set()
     for _ in range(100):
         b = rng.uniform(-1.0, 3.0, 3)
-        region = example2_region(chain_f03, b)
-        seen.add(region.region)
+        region, prices = example2_region(chain_f03, b)
+        seen.add(region)
         out = clear_market(chain_f03, b)
-        assert np.abs(region.prices - out.prices).max() <= 1e-8
+        assert np.abs(prices - out.prices).max() <= 1e-8
     assert seen == {"M", "L", "U"}
 
 
@@ -163,23 +196,9 @@ def test_region_boundary_is_continuous(chain_f03):
     b2, b3 = 1.6, 0.8
     f = 0.3
     upper_edge = (b2 + b3 + 3.0 * f) / 2.0
-    below = example2_region(chain_f03, np.array([upper_edge - 1e-9, b2, b3]))
-    above = example2_region(chain_f03, np.array([upper_edge + 1e-9, b2, b3]))
-    assert np.abs(below.prices - above.prices).max() <= 1e-8
-
-
-def test_region_topology_guards(two_f5, triangle_net):
-    with pytest.raises(WrongTopology):
-        example2_region(two_f5, np.zeros(2))
-    wrong_a = cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), 0.3, a=2.0)
-    with pytest.raises(WrongTopology):
-        example2_region(wrong_a, np.zeros(3))
-    from esharing.network import LineSpec, build_network
-    middle_limited = build_network(3, [LineSpec(1, 2), LineSpec(2, 3, 1.0, 0.3)])
-    pros = cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), 0.3).prosumers
-    scenario = Scenario(network=middle_limited, prosumers=pros, a=1.0)
-    with pytest.raises(WrongTopology):
-        example2_region(scenario, np.zeros(3))
+    _, below = example2_region(chain_f03, np.array([upper_edge - 1e-9, b2, b3]))
+    _, above = example2_region(chain_f03, np.array([upper_edge + 1e-9, b2, b3]))
+    assert np.abs(below - above).max() <= 1e-8
 
 
 def test_br_iteration_settles(chain_f03):
@@ -247,6 +266,75 @@ def test_scan_interval_validation(chain_f03):
     with pytest.raises(ScanIntervalEmpty):
         best_response(chain_f03, 1, np.array([1.6, 0.8]),
                       scan_config=ScanConfig(interval=(2.0, 1.0)))
+
+
+def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
+    with pytest.raises(DimensionMismatch):
+        best_response(chain_f03, 1, np.array([1.6]))
+
+
+@pytest.mark.parametrize("fault", ["refuse-inner", "refuse-last",
+                                   "start-past-limit"])
+def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
+    # a held solve that refuses, or a start clearing already past one of
+    # its conditions, makes a piece of one point: the walk steps to the
+    # next grid point, and the piece is the chord to it
+    scenario, i = gen_scenario(1, 7, "tight"), 2
+    fixed = np.delete(equilibrium.improved_gne(scenario).b_bar, i)
+    config = ScanConfig(coarse_points=401)
+    grid = best_response(scenario, i, fixed, scan_config=config).samples_b
+    b_base = np.insert(fixed, i, 0.0)
+    starts = brlab._clearing_path(scenario, i, b_base, grid)[0]
+    target = starts[-1] if fault == "refuse-last" else starts[len(starts) // 2]
+    at, faults = [], []  # bid i of each clearing; the faults made
+
+    def clear(scenario, bids, active=None):
+        out = clear_market(scenario, bids, active=active)
+        at.append(bids[i])
+        if fault == "start-past-limit" and bids[i] == target and not faults:
+            faults.append(bids[i])
+            line = np.flatnonzero(scenario.network.bounded & (out.sides == 0))[0]
+            flows = out.flows.copy()
+            # past the limit by far more than rounding at these bids
+            flows[line] = np.copysign(scenario.network.limits[line] + 1e-4,
+                                      flows[line])
+            out = dataclasses.replace(out, flows=flows)
+        return out
+
+    def slopes(scenario, i, sides):
+        refuse = at[-1] >= target if fault == "refuse-last" else \
+            fault == "refuse-inner" and at[-1] == target and not faults
+        if refuse:
+            faults.append(at[-1])
+            return None
+        return clearing_slopes(scenario, i, sides)
+
+    monkeypatch.setattr(brlab, "clear_market", clear)
+    monkeypatch.setattr(brlab, "clearing_slopes", slopes)
+    path = brlab._clearing_path(scenario, i, b_base, grid)
+    walked = path[0]
+    faults.clear()
+    scan = best_response(scenario, i, fixed, scan_config=config)
+    assert faults and faults[0] == target
+    # each stepped piece ends at the grid point after its start
+    k = np.searchsorted(walked, faults)
+    assert (walked[k] == faults).all()
+    after = np.append(walked, grid[-1])[k + 1]
+    assert (after == grid[np.searchsorted(grid, faults, side="right")]).all()
+    # the path is affine across each of them, so its chord is exact, but
+    # for the one at the scan's end, which keeps a flat slope
+    mids = 0.5 * (walked[k] + after)[after < grid[-1]]
+    for t, lam in zip(mids, price_on_path(path, mids)):
+        ref = clear_market(scenario, np.insert(fixed, i, t)).prices[i]
+        assert lam == pytest.approx(ref, rel=1e-9), t
+    # the samples off the last stepped piece, and the best bid, re-price
+    stepped = (grid >= faults[-1]) & (grid <= after[-1])
+    bids = np.insert(fixed, i, 0.0)
+    for b, cost in [*zip(grid[~stepped], scan.samples_cost[~stepped]),
+                    (scan.best_bid, scan.best_cost)]:
+        bids[i] = b
+        assert cost == pytest.approx(prosumer_cost(scenario, bids, i),
+                                     rel=1e-9), b
 
 
 def test_scan_on_parallel_lines_matches_prosumer_cost():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import equal_pair
 from esharing import cases, cli, scenario_io
 from esharing.errors import (
     ContractBreach,
@@ -125,7 +126,7 @@ def test_brlab_scan_csv(chain_file, tmp_path):
 
 def test_brlab_classify(tmp_path):
     path = tmp_path / "pair.json"
-    dump_scenario(cases.equal_pair(1.0, (1.0, 0.5), 0.1), path)
+    dump_scenario(equal_pair(1.0, (1.0, 0.5), 0.1), path)
     report, code = cli.run_command(["brlab", str(path), "--classify-2bus"])
     assert code == 0
     assert report.results["regime"] == "multiple-upper"

@@ -16,9 +16,8 @@ from esharing.market import (
     clear_market,
     clearing_kkt_residual,
     cost_at,
-    payment,
+    marginal_term,
     prosumer_cost,
-    regulated_price,
 )
 from esharing import market
 from esharing.network import LineSpec, build_network, is_radial, line_flows
@@ -186,6 +185,16 @@ def test_own_bid_slope_bounded(seed):
     assert -1e-6 <= slope <= top + 1e-6
 
 
+def regulated_price(scenario, clearing, p):
+    """Cleared prices capped/floored at the adjusted marginal disutility:
+    buyers (q_i >= 0, including q_i = 0) pay at least the adjusted marginal
+    rate; sellers receive at most that rate."""
+    m = marginal_term(scenario, p, clearing.quantities)
+    lam = clearing.prices
+    return np.where(clearing.quantities >= 0.0, np.maximum(lam, m),
+                    np.minimum(lam, m))
+
+
 def test_regulated_price_buyer_floor_seller_cap(two_f5):
     out = clear_market(two_f5, GNE_BIDS_F5)  # lam=(1.55, 2.56), q=(-5, 5)
     # production profile chosen to push the marginal term past the price
@@ -203,8 +212,28 @@ def test_regulated_price_buyer_floor_seller_cap(two_f5):
 
 def test_payment_at_equilibrium_point(two_f5):
     p_bar = np.array([105.0, 195.0])
-    assert payment(two_f5, GNE_BIDS_F5, p_bar[1], 1) == pytest.approx(12.8)
-    assert payment(two_f5, GNE_BIDS_F5, p_bar[0], 0) == pytest.approx(-7.75)
+    out = clear_market(two_f5, GNE_BIDS_F5)
+
+    def payment(i):
+        return market._payment(two_f5, out.prices[i], out.quantities[i],
+                               p_bar[i], i, True)
+
+    assert payment(1) == pytest.approx(12.8)
+    assert payment(0) == pytest.approx(-7.75)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_regulated_payment_is_the_regulated_price_times_the_purchase(seed):
+    scenario = gen_scenario(seed, 12, "tight")
+    rng = np.random.default_rng(seed)
+    out = clear_market(scenario, improved_gne(scenario).b_bar
+                       + rng.uniform(-2.0, 2.0, scenario.size))
+    p = scenario.D - out.quantities + rng.uniform(-20.0, 20.0, scenario.size)
+    pay = market._payment(scenario, out.prices, out.quantities, p,
+                          slice(None), True)
+    # multiplying by a purchase of fixed sign keeps the order of two
+    # products, rounding included, so the two agree bit for bit
+    assert (pay == regulated_price(scenario, out, p) * out.quantities).all()
 
 
 def test_prosumer_costs_at_equilibrium(two_f5):
@@ -286,6 +315,13 @@ def test_prosumer_refuses_non_finite_data(field, value):
     data = {"c": 1.0, "d": 0.5, "demand_reduction": 2.0, field: value}
     with pytest.raises(DimensionMismatch):
         Prosumer(**data)
+
+
+@pytest.mark.parametrize("bids", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0],
+                         ids=["one", "three", "row", "scalar"])
+def test_clearing_refuses_a_wrong_number_of_bids(two_f5, bids):
+    with pytest.raises(DimensionMismatch):
+        clear_market(two_f5, bids)
 
 
 def test_scenario_refuses_an_infinite_sensitivity(two_f5):

@@ -177,6 +177,14 @@ def test_bus_index_out_of_range():
         build_network(2, [LineSpec(1, 3)])
 
 
+@pytest.mark.parametrize("bus_count,lines,slack", [
+    (0, [], None), (2, [LineSpec(1, 2)], 0), (2, [LineSpec(1, 2)], 3)],
+    ids=["no-buses", "slack-0", "slack-past-n"])
+def test_bus_count_and_slack_range(bus_count, lines, slack):
+    with pytest.raises(DimensionMismatch):
+        build_network(bus_count, lines, slack)
+
+
 def test_flow_shape_check():
     net = build_network(2, [LineSpec(1, 2)])
     with pytest.raises(DimensionMismatch):

@@ -142,6 +142,23 @@ def test_shape_validation():
         QuadraticProgram(hessian=np.eye(2), linear=np.zeros(2))
 
 
+@pytest.mark.parametrize("blocks", [
+    {"eq_matrix": np.ones((1, 3)), "eq_rhs": np.zeros(1)},
+    {"eq_matrix": np.ones((1, 2)), "eq_rhs": np.zeros(2)},
+    {"eq_matrix": np.ones(2), "eq_rhs": np.zeros(1)},
+    {"ineq_matrix": np.ones((2, 3)), "ineq_lower": np.zeros(2),
+     "ineq_upper": np.ones(2)},
+    {"ineq_matrix": np.ones((2, 2)), "ineq_lower": np.zeros(1),
+     "ineq_upper": np.ones(2)},
+    {"ineq_matrix": np.ones((2, 2)), "ineq_lower": np.zeros(2),
+     "ineq_upper": np.ones(3)},
+], ids=["eq-columns", "eq-rhs", "eq-vector", "ineq-columns", "ineq-lower",
+        "ineq-upper"])
+def test_inconsistent_block_shapes(blocks):
+    with pytest.raises(DimensionMismatch):
+        QuadraticProgram(hessian=np.ones(2), linear=np.zeros(2), **blocks)
+
+
 def test_zero_dimensional_program():
     with pytest.raises(DimensionMismatch):
         QuadraticProgram(hessian=np.zeros(0), linear=np.zeros(0))

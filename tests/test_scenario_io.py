@@ -112,6 +112,12 @@ def test_generator_output_properties():
         assert np.all(scenario.network.limits > 0)
 
 
+@pytest.mark.parametrize("style", ["loose", "Tight", ""])
+def test_generator_refuses_an_unknown_style(style):
+    with pytest.raises(ValueError, match="unknown style"):
+        gen_scenario(1, 5, style=style)
+
+
 def test_generator_tight_style_congests_more():
     loose = gen_scenario(8, 6, style="default")
     tight = gen_scenario(8, 6, style="tight")

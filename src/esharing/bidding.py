@@ -122,9 +122,9 @@ def prosumer_update(scenario: Scenario, prices_next):
     Returns ``(production, bids)``.
     """
     lam = np.asarray(prices_next, dtype=float)
-    n = scenario.size
-    s = scenario.a * (n - 1)
-    p = (s * lam - s * scenario.d + scenario.D) / (2.0 * s * scenario.c + 1.0)
+    # s = a (I - 1); s d and 2 s c + 1 are kept with the scenario
+    s, sd, den = scenario._response
+    p = (s * lam - sd + scenario.D) / den
     b = scenario.D - p + scenario.a * lam
     return p, b
 

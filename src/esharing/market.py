@@ -90,11 +90,18 @@ class Scenario:
             v = np.asarray(arr, dtype=float)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        # the terms of bidding.prosumer_update that only the data enter
+        s = self.a * (len(self.prosumers) - 1)
+        sd, den = s * self.d, 2.0 * s * self.c + 1.0
+        sd.setflags(write=False)
+        den.setflags(write=False)
+        object.__setattr__(self, "_response", (s, sd, den))
 
     # arrays set in __post_init__; declared for introspection
     c: np.ndarray = field(init=False, repr=False, default=None)
     d: np.ndarray = field(init=False, repr=False, default=None)
     D: np.ndarray = field(init=False, repr=False, default=None)
+    _response: tuple = field(init=False, repr=False, default=None)
 
     @property
     def size(self) -> int:
@@ -155,7 +162,9 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         h, g = _HESS, np.zeros(n)
     else:
         h, g = 2.0 * _HESS, -_HESS * np.asarray(anchor, dtype=float)
-    sol, flows = _solve_program(net, np.full(n, h), g, b, a, active)
+    hess = np.empty(n)
+    hess.fill(h)  # np.full(n, h), at a third of its cost
+    sol, flows = _solve_program(net, hess, g, b, a, active)
     lam = sol.x
     return ClearingOutcome(
         prices=lam, quantities=b - a * lam, eta=float(sol.eq_duals[0]) / a,
@@ -197,14 +206,17 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       for the empty guess, names the lines held at a limit; zero-limit
       lines are always held, as their duals have no sign condition.  The
       empty guess is the uniform-price point, the answer when no line is at
-      a limit.
+      a limit.  The vectors made of the last guess are kept on the network
+      (:func:`_guess_vectors`), so a repeated guess rebuilds none of them.
     * Held-set solve by :func:`_held_solve`: prices, purchases and flows
       with the held lines at their targets, and each held line's push
       ``k (mu_up - mu_lo)`` in price units.
     * Check.  The program is strictly convex, so the result is its unique
       optimum when every free line is within its limit and every held line
       with a positive limit pushes its flow back (``push >= 0`` at ``+F``,
-      ``<= 0`` at ``-F``), to rounding level.
+      ``<= 0`` at ``-F``), to rounding level.  One masked comparison tests
+      both, a held line's push or a free line's flow; only a failed check
+      builds the masks of the exchange step.
     * Exchange step, when the check fails (Hintermueller, Ito & Kunisch,
       SIAM J. Optim. 13(3), 2002): release the held lines with a
       wrong-signed push, hold the free lines beyond their limit at the side
@@ -232,26 +244,32 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     if np.shape(active) != limits.shape:
         raise DimensionMismatch(f"active must be None or a side vector of "
                                 f"{limits.size} lines")
-    # +1 or -1 on each held line with a positive limit, 0 elsewhere; a
-    # zero-limit line is held with side 0 until its dual sides it
-    side = np.where(bounded, np.sign(active), 0.0)
-    held = side != 0.0
-    if pinned.size:
-        held[pinned] = True
+    guess = np.asarray(active, dtype=float)
+    side, held, target, at_limit = net._kept(
+        "_guess", guess.tobytes(), lambda: _guess_vectors(net, guess))
+    guessed = side
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
-        step = _held_solve(net, alpha, beta, held, np.copysign(limits, side))
+        step = _held_solve(net, alpha, beta, held, target)
         if step is None:  # dependent held rows on a mesh
             break
         u, q, flows, push = step
         excess = np.abs(flows) - limits
-        # written as "not within", so that a NaN counts as a violation
-        over = ~(excess <= _RTOL * (1.0 + np.abs(q).sum())) & bounded & ~held
-        wrong = ~(side * push >= -_RTOL * (1.0 + np.abs(u).max())) & (side != 0.0)
-        if not (over | wrong).any():
+        # written as "within", so that a NaN counts as a violation
+        within = np.where(
+            held, side * push >= -_RTOL * (1.0 + np.maximum.reduce(np.abs(u))),
+            excess <= _RTOL * (1.0 + np.add.reduce(np.abs(q))))
+        if np.count_nonzero(within) == within.size:
             break
-        held = (held & ~wrong) | over
-        side = np.where(over, np.copysign(1.0, flows), np.where(wrong, 0.0, side))
+        # a bounded line is held exactly where its side is not 0; a line
+        # that is not bounded has no limit to check
+        failed = ~within & bounded
+        if not failed.any():
+            break
+        # release the failed held lines, hold the failed free ones
+        side = np.where(failed, np.where(held, 0.0, np.copysign(1.0, flows)), side)
+        held = held ^ failed
+        target = np.copysign(limits, side)
     else:  # the steps may cycle
         step = None
     if step is None:
@@ -267,17 +285,44 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
 
     dual = push / k  # mu_up - mu_lo, zero on the free lines
     if pinned.size:
+        side = side.copy()
         side[pinned] = np.where(dual[pinned] >= 0.0, 1.0, -1.0)
+    if side is guessed:  # kept on the network; never hand it out
+        side = side.copy()
+    else:
+        at_limit = _at_limit(side)
     signed = side * dual  # each held line's dual at its own side
     mu = np.maximum(signed, 0.0)
-    residual = max(abs(float(q.sum())),
-                   float(np.maximum(excess, -signed).max(initial=0.0)))
+    lower, upper = np.zeros(limits.size), np.zeros(limits.size)
+    lower[at_limit[0]] = mu[at_limit[0]]
+    upper[at_limit[1]] = mu[at_limit[1]]
+    residual = max(abs(float(np.add.reduce(q))), float(
+        np.maximum.reduce(np.maximum(excess, -signed), initial=0.0)))
     return QpSolution(
         x=(u - linear) / hess, eq_duals=np.array([-u[net.slack - 1]]),
-        ineq_duals_lower=np.where(side < 0.0, mu, 0.0),
-        ineq_duals_upper=np.where(side > 0.0, mu, 0.0),
+        ineq_duals_lower=lower, ineq_duals_upper=upper,
         sides=side, iterations=iterations, residual=residual,
     ), flows
+
+
+def _guess_vectors(net: NetworkModel, guess) -> tuple:
+    """The side, held and target vectors of the side vector ``guess``, and
+    its lines at each limit, all read-only: +1 or -1 on each guessed line
+    with a positive limit and 0 elsewhere, every such line and every
+    zero-limit line held (a zero-limit line with side 0 until its dual
+    sides it), and each line's limit at its side as its flow's target."""
+    side = np.where(net.bounded, np.sign(guess), 0.0)
+    held = side != 0.0
+    held[net.pinned] = True
+    target, at_limit = np.copysign(net.limits, side), _at_limit(side)
+    for v in (side, held, target, *at_limit):
+        v.setflags(write=False)
+    return side, held, target, at_limit
+
+
+def _at_limit(side) -> tuple:
+    """The indices of the lines at their lower limits, and at their upper."""
+    return np.flatnonzero(side < 0.0), np.flatnonzero(side > 0.0)
 
 
 def _held_solve(net, alpha, beta, held, target):
@@ -310,8 +355,8 @@ def _mesh_components(net, alpha, beta, held, target):
     G = net.ptdf.T
     rows = np.vstack([np.ones(alpha.size), G[held]])
     t = np.concatenate([[0.0], target[held]])
-    schur, dependent = net._held_factor(
-        held.tobytes() + t.tobytes() + beta.tobytes(),
+    schur, dependent = net._kept(
+        "_factor", held.tobytes() + t.tobytes() + beta.tobytes(),
         lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
     if dependent:
         return None
@@ -336,6 +381,7 @@ def _mesh_factor(rows, beta, check_pivots: bool) -> tuple:
     """The Schur matrix of the held ``rows``, and whether its Cholesky
     pivots, checked only when ``check_pivots``, show a dependent row."""
     schur = (rows * beta) @ rows.T
+    schur.setflags(write=False)  # kept on the network
     if not check_pivots:
         return schur, False
     try:

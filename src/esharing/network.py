@@ -103,13 +103,17 @@ class NetworkModel:
         Derived from ``limits``: the mask of lines with a positive finite
         limit, and the indices of the lines with a zero limit.
 
-    The network is immutable, but it keeps one private cache entry: the
-    factor of the last held set that :func:`esharing.market._held_solve`
-    solved on it, keyed on the held lines, their targets and the
-    curvature, so that a hot-started solve of the same held set reuses it
-    (:meth:`_held_factor`).  The slot is read once and replaced by one
-    assignment per solve, so threads sharing a network never mix entries,
-    and a reused factor gives the same bits as a fresh one.
+    The network is immutable, but it keeps two private cache entries, each
+    one slot (:meth:`_kept`): ``_factor``, the factor of the last held set
+    that :func:`esharing.market._held_solve` solved on it, keyed on the
+    held lines, their targets and the curvature; and ``_guess``, what
+    :func:`esharing.market._solve_program` made of the last guess it was
+    given (its side, held and target vectors and the lines at each limit),
+    keyed on that guess.  So a hot-started solve that repeats its guess and
+    held set (a settled bidding round) rebuilds neither.  Each slot is read
+    once and replaced by one assignment, so threads sharing a network never
+    mix entries; a kept array is read-only, and a reused entry gives the
+    same bits as a fresh one.
     """
 
     bus_count: int
@@ -121,6 +125,7 @@ class NetworkModel:
     bounded: np.ndarray = field(init=False, repr=False)
     pinned: np.ndarray = field(init=False, repr=False)
     _factor: tuple | None = field(init=False, repr=False, default=None)
+    _guess: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         limits = self.limits
@@ -133,13 +138,14 @@ class NetworkModel:
     def line_count(self) -> int:
         return len(self.lines)
 
-    def _held_factor(self, key: bytes, build):
-        """The factor kept for ``key``, or ``build()``'s, kept in its place."""
-        factor = self._factor  # read once; replaced whole, never edited
-        if factor is None or factor[0] != key:
-            factor = key, build()
-            object.__setattr__(self, "_factor", factor)
-        return factor[1]
+    def _kept(self, slot: str, key: bytes, build):
+        """The value kept in ``slot`` for ``key``, or ``build()``'s, kept in
+        its place."""
+        entry = getattr(self, slot)  # read once; replaced whole, never edited
+        if entry is None or entry[0] != key:
+            entry = key, build()
+            object.__setattr__(self, slot, entry)
+        return entry[1]
 
 
 def _incidence(bus_count: int, lines) -> np.ndarray:

@@ -83,15 +83,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         netdoc = doc["network"]
         lines = [
             LineSpec(
-                from_bus=int(ld["from"]),
-                to_bus=int(ld["to"]),
+                from_bus=_whole(ld["from"], "from"),
+                to_bus=_whole(ld["to"], "to"),
                 weight=float(ld.get("weight", 1.0)),
                 limit=math.inf if ld.get("limit") is None else float(ld["limit"]),
             )
             for ld in netdoc["lines"]
         ]
-        net = build_network(int(netdoc["bus_count"]), lines,
-                            slack=netdoc.get("slack"))
+        slack = netdoc.get("slack")
+        net = build_network(_whole(netdoc["bus_count"], "bus_count"), lines,
+                            slack=None if slack is None else _whole(slack, "slack"))
         prosumers = [
             Prosumer(
                 c=float(pd["c"]), d=float(pd["d"]),
@@ -105,12 +106,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         label = None
         if isinstance(doc.get("labels"), dict):
             label = doc["labels"].get("name")
-        return Scenario(network=net, prosumers=prosumers, a=float(doc["a"]),
+        a = doc["a"]
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise ValueError(f"a must be a number, got {a!r}")
+        return Scenario(network=net, prosumers=prosumers, a=float(a),
                         label=label)
     except (FileError, MemoryError):  # out of memory is no fault of the file
         raise
     except Exception as exc:
         raise FileError(f"invalid scenario document: {exc}") from exc
+
+
+def _whole(value, what: str) -> int:
+    """A bus number or count: a number with a whole value, so that JSON's
+    ``2`` and ``2.0`` both pass; a fraction, a string or a boolean raises."""
+    if type(value) is int:  # not a bool, which is an int too
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 def _opt_float(v):

@@ -68,10 +68,9 @@ def _components(net, alpha, beta, held, target):
     arrays, so reuse never changes a bit.
     """
     tree = net.tree
-    t = (tree.sign * target)[held]  # the net purchases of their subtrees
-    comp, below, above, weight = net._held_factor(
-        held.tobytes() + t.tobytes() + beta.tobytes(),
-        lambda: _factor(tree, beta, held, t))
+    comp, below, above, weight = net._kept(
+        "_factor", held.tobytes() + target.tobytes() + beta.tobytes(),
+        lambda: _factor(tree, beta, held, target))
     # own purchases = held limit above - held limits below
     rhs = (np.bincount(comp, alpha, alpha.size) - below) + above
     u = rhs[comp] / weight
@@ -80,12 +79,13 @@ def _components(net, alpha, beta, held, target):
     return u, q, net.ptdf.T @ q, tree.sign * jump
 
 
-def _factor(tree, beta, held, t):
+def _factor(tree, beta, held, target):
     """The parts of a component solve that ``alpha`` does not enter: each
-    bus's component (the bus at its top), the held targets ``t`` summed
-    into the component below and above each held line, and each bus's
-    component sum of ``beta``."""
+    bus's component (the bus at its top), the held lines' targets as net
+    purchases of their subtrees, summed into the component below and above
+    each held line, and each bus's component sum of ``beta``."""
     n = beta.size
+    t = (tree.sign * target)[held]
     cut = tree.child[held]
     comp = tree.parent.copy()
     comp[cut] = cut
@@ -94,8 +94,11 @@ def _factor(tree, beta, held, t):
         if (top == comp).all():
             break
         comp = top
-    return (comp, np.bincount(cut, t, n), np.bincount(comp[tree.head[held]], t, n),
-            np.bincount(comp, beta, n)[comp])
+    factor = (comp, np.bincount(cut, t, n), np.bincount(comp[tree.head[held]], t, n),
+              np.bincount(comp, beta, n)[comp])
+    for part in factor:  # kept on the network
+        part.setflags(write=False)
+    return factor
 
 
 # A curve is (knots, values, left slope, right slope): piecewise linear

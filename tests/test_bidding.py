@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_prosumer_update_is_best_reply(two_f10):
             + lam[i] * (two_f10.D[i] - grid) \
             + 0.5 * w * (two_f10.D[i] - grid) ** 2
         assert p[i] == pytest.approx(grid[vals.argmin()], abs=0.01)
+
+
+def test_kept_response_terms_follow_their_scenario():
+    # the response terms kept with a scenario are its own: a copy with
+    # another ``a``, or prosumers with another ``c``, responds by the closed
+    # form of its own data, bit for bit
+    base = gen_scenario(3, 8, "tight")
+    lam = np.random.default_rng(5).uniform(-2.0, 4.0, base.size)
+    prosumer_update(base, lam)
+    other_c = Scenario(network=base.network, a=base.a, prosumers=[
+        dataclasses.replace(pr, c=1.7 * pr.c) for pr in base.prosumers])
+    for scenario in (base, dataclasses.replace(base, a=2.0 * base.a), other_c):
+        p, b = prosumer_update(scenario, lam)
+        s = scenario.a * (scenario.size - 1)
+        p_ref = (s * lam - s * scenario.d + scenario.D) / (2.0 * s * scenario.c + 1.0)
+        b_ref = scenario.D - p_ref + scenario.a * lam
+        assert p.tobytes() == p_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
 
 
 def test_a_min_values():

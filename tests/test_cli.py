@@ -430,6 +430,25 @@ def test_infinite_line_weight_exits_1_without_traceback(command, fixture_file,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value", [("from", 1.5), ("bus_count", 2.7),
+                                       ("slack", 1.5)])
+def test_a_fractional_bus_number_exits_1_without_traceback(key, value,
+                                                           fixture_file,
+                                                           tmp_path, capsys):
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    if key == "from":
+        doc["network"]["lines"][0][key] = value
+    else:
+        doc["network"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["gne", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid scenario document: {key} must be a whole number" in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def overflow_file(fixture_file, tmp_path):
     """The two-prosumer fixture with prosumer 2's demand at 1e307, where the

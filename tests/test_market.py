@@ -20,6 +20,7 @@ from esharing.market import (
     prosumer_cost,
 )
 from esharing import market
+from esharing.bidding import platform_update
 from esharing.network import LineSpec, build_network, is_radial, line_flows
 from esharing.qp import QuadraticProgram, solve_qp
 from esharing.scenario_io import gen_scenario, load_scenario
@@ -382,36 +383,96 @@ def test_sides_on_the_bundled_mesh():
     assert np.array_equal(out.sides, cold.sides)
 
 
-def _alone(scenario, bids, active):
-    """The clearing on a fresh copy of the network, which keeps no factor."""
+@pytest.mark.parametrize("chords", [0, 3])
+@pytest.mark.parametrize("where", ["free flow", "held push"])
+def test_a_nan_in_the_first_held_solve_is_not_accepted(chords, where,
+                                                        monkeypatch):
+    # the check is written as "within", so a NaN flow on a free bounded
+    # line, or a NaN push on a held one, fails a guess that is otherwise
+    # right, and the solver steps on
+    scenario = gen_scenario(7, 12, "tight")
+    if chords:
+        scenario = with_chords(scenario, chords)
+    net, n = scenario.network, scenario.size
+    bids = improved_gne(scenario).b_bar
+    active = clear_market(scenario, bids).sides
+    free = net.bounded & (active == 0.0)
+    assert free.any() and active.any()
+    line = int(np.flatnonzero(free if where == "free flow" else active)[0])
+    held_solve, solves = market._held_solve, []
+
+    def first_with_nan(*args):
+        step = held_solve(*args)
+        if not solves:
+            u, q, flows, push = step
+            flows, push = flows.copy(), push.copy()
+            (flows if where == "free flow" else push)[line] = np.nan
+            step = u, q, flows, push
+        solves.append(args)
+        return step
+
+    monkeypatch.setattr(market, "_held_solve", first_with_nan)
+    sol, _ = market._solve_program(net, np.full(n, 2.0), np.zeros(n), bids,
+                                   scenario.a, active)
+    assert sol.iterations >= 2
+    assert np.isfinite(sol.x).all()
+    monkeypatch.setattr(market, "_held_solve", held_solve)
+    assert market._solve_program(net, np.full(n, 2.0), np.zeros(n), bids,
+                                 scenario.a, active)[0].iterations == 1
+
+
+def _alone(scenario):
+    """The scenario on a fresh copy of its network, which keeps nothing."""
     fresh = dataclasses.replace(scenario.network)
-    assert fresh._factor is None
-    return clear_market(Scenario(network=fresh, prosumers=scenario.prosumers,
-                                 a=scenario.a), bids, active)
+    assert fresh._factor is None and fresh._guess is None
+    return Scenario(network=fresh, prosumers=scenario.prosumers, a=scenario.a)
+
+
+def _run(op, scenario, bids, prices, active, i):
+    """One of the calls that solve on a network and may keep its factor and
+    guess: a clearing, a proximal clearing from ``prices``, or the slopes of
+    bid ``i`` with the lines of ``active`` held at targets of zero."""
+    if op == "clear":
+        return clear_market(scenario, bids, active)
+    if op == "platform":
+        return platform_update(scenario, prices, bids, active)
+    sides = np.zeros(scenario.network.line_count) if active is None else active
+    return market.clearing_slopes(scenario, i, sides)
+
+
+def _fields(result):
+    if result is None or isinstance(result, tuple):  # clearing_slopes
+        return [None] if result is None else list(result)
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
 
 
 @settings(max_examples=80)
 @given(limited_scenarios(max_size=12), limited_scenarios(max_size=12),
        st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 1e-3, 1.0]),
-                          st.sampled_from([None, 1.0, -1.0])),
+                          st.sampled_from([None, 1.0, -1.0]),
+                          st.sampled_from(["clear", "platform", "slopes"])),
                 min_size=2, max_size=10),
        st.integers(0, 2**32 - 1))
 def test_kept_factors_change_no_bit(first, second, steps, seed):
-    # two networks' clearings interleaved, each from the same bids again, a
-    # nudge or a jump away, guessing no line, the previous held set, or the
-    # same lines at their other limits: every clearing gives the bytes it
-    # gives alone, with nothing kept
+    # two networks' solves interleaved: clearings, proximal clearings and
+    # slopes, each from the same bids again, a nudge or a jump away,
+    # guessing no line, the previous held set, or the same lines at their
+    # other limits; so one held set is solved at its limits and at zero
+    # targets in turn, as a best-response scan does.  Every call gives the
+    # bytes it gives alone, with nothing kept
     rng = np.random.default_rng(seed)
     scenarios = (first, second)
     bids = [rng.uniform(-3.0, 3.0, sc.size) for sc in scenarios]
+    prices = [np.zeros(sc.size) for sc in scenarios]
     sides = [np.zeros(sc.network.line_count) for sc in scenarios]
-    for which, jump, guess in steps:
+    for which, jump, guess, op in steps:
         sc = scenarios[which]
         bids[which] = bids[which] + jump * rng.uniform(-1.0, 1.0, sc.size)
         active = None if guess is None else guess * sides[which]
-        out = clear_market(sc, bids[which], active)
-        ref = _alone(sc, bids[which], active)
-        for f in dataclasses.fields(out):
-            assert (np.asarray(getattr(out, f.name)).tobytes()
-                    == np.asarray(getattr(ref, f.name)).tobytes()), f.name
-        sides[which] = out.sides
+        i = int(rng.integers(sc.size))
+        out = _run(op, sc, bids[which], prices[which], active, i)
+        ref = _run(op, _alone(sc), bids[which], prices[which], active, i)
+        for got, want in zip(_fields(out), _fields(ref), strict=True):
+            assert (np.asarray(got).tobytes() == np.asarray(want).tobytes()), op
+        if op != "slopes":
+            prices[which], sides[which] = out.prices, out.sides

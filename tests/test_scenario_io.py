@@ -84,6 +84,43 @@ def test_mismatched_counts_rejected(two_f5):
         scenario_from_dict(doc)
 
 
+def _set(doc, where, value):
+    """``doc`` with ``value`` at ``where``: a network key, a key of the
+    first line, or ``a``."""
+    if where == "a":
+        doc["a"] = value
+    elif where in ("from", "to"):
+        doc["network"]["lines"][0][where] = value
+    else:
+        doc["network"][where] = value
+    return doc
+
+
+@pytest.mark.parametrize("where,value", [
+    ("from", 1.5), ("to", 2.5), ("bus_count", 2.7), ("slack", 1.5),
+    ("from", "1"), ("bus_count", "2"), ("slack", "2"),
+    ("from", True), ("to", False), ("bus_count", True), ("slack", True),
+    ("from", float("inf")), ("bus_count", float("nan")),
+    ("a", True), ("a", "1.0")])
+def test_bus_numbers_must_be_whole_json_numbers(two_f5, where, value):
+    # a bus number or count that is not a whole number, and an ``a`` that
+    # is not a number, are refused rather than truncated or converted
+    doc = _set(scenario_to_dict(two_f5), where, value)
+    with pytest.raises(FileError, match="invalid scenario document"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("where,value", [
+    ("from", 1), ("to", 2), ("bus_count", 2), ("slack", 2), ("a", 3)])
+def test_whole_valued_floats_are_bus_numbers(two_f5, where, value):
+    # JSON's 2 and 2.0 are the same bus number, and the same ``a``
+    doc = scenario_to_dict(two_f5)
+    as_int = scenario_from_dict(_set(scenario_to_dict(two_f5), where, value))
+    as_float = scenario_from_dict(_set(doc, where, float(value)))
+    assert scenario_to_dict(as_float) == scenario_to_dict(as_int)
+    assert as_float.network.slack == as_int.network.slack
+
+
 def test_non_object_file_rejected(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2, 3]\n")

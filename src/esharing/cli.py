@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -97,10 +98,49 @@ def _flatten(prefix: str, value, rows: list):
         rows.append((prefix, value))
 
 
+# the types json.loads gives a number, a boolean or null
+_SCALARS = frozenset((int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder whose item separator breaks the line and indents the
+    next item ``depth`` levels, as ``json.dumps(indent=2)`` does there."""
+    pad = "\n" + "  " * depth
+    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that
+    starts ``depth`` levels in.  A list of numbers, booleans and nulls is
+    one call of the C encoder; keys must be strings."""
+    encode = _encoder(depth + 1)
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, not {key!r}")
+        items = [f"{encode(k)}: {_json(v, depth + 1)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if value and set(map(type, value)) <= _SCALARS:
+            items = [encode(value)[1:-1]]  # the items, separated and indented
+        else:
+            items = [_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:
+        return encode(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth
+            + brackets[1])
+
+
 def render_report(report: RunReport, fmt: str) -> str:
     doc = _plain(report.to_dict())
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json(doc)
     rows: list = []
     _flatten("", doc, rows)
     buf = io.StringIO()
@@ -118,7 +158,9 @@ def _nonfinite_key(value, key: str):
         items = ((f"{key}.{k}", v) for k, v in value.items())
     elif isinstance(value, (list, tuple)):
         items = ((key, v) for v in value)
-    elif isinstance(value, (float, np.floating, np.ndarray)):
+    elif isinstance(value, float):
+        return None if math.isfinite(value) else key
+    elif isinstance(value, (np.floating, np.ndarray)):
         return None if np.all(np.isfinite(value)) else key
     else:
         return None

@@ -44,21 +44,26 @@ class Prosumer:
     base_demand: float | None = None
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise DimensionMismatch(f"prosumer c must be > 0, got {self.c}")
-        for name, v in (("c", self.c), ("d", self.d), ("D", self.demand_reduction)):
-            if not math.isfinite(v):  # JSON files may hold NaN and Infinity
-                raise DimensionMismatch(f"prosumer {name} must be finite, got {v}")
+        # one test for the common case; written so that NaN fails it
+        if not (0.0 < self.c < math.inf and -math.inf < self.d < math.inf
+                and -math.inf < self.demand_reduction < math.inf):
+            if not self.c > 0.0:
+                raise DimensionMismatch(f"prosumer c must be > 0, got {self.c}")
+            for name, v in (("c", self.c), ("d", self.d),
+                            ("D", self.demand_reduction)):
+                if not math.isfinite(v):  # JSON files may hold NaN and Infinity
+                    raise DimensionMismatch(
+                        f"prosumer {name} must be finite, got {v}")
         base = (self.base_production, self.base_purchase, self.base_demand)
-        present = [v is not None for v in base]
-        if any(present) and not all(present):
+        if base[0] is None and base[1] is None and base[2] is None:
+            return
+        if any(v is None for v in base):
             raise DimensionMismatch("baseline fields must be given together")
-        if all(present):
-            p0, e0, d0 = base
-            if abs(p0 + e0 - d0) > 1e-9 * (1.0 + abs(d0)):
-                raise DimensionMismatch(
-                    f"baseline violates p0 + E0 = D0: {p0} + {e0} != {d0}"
-                )
+        p0, e0, d0 = base
+        if abs(p0 + e0 - d0) > 1e-9 * (1.0 + abs(d0)):
+            raise DimensionMismatch(
+                f"baseline violates p0 + E0 = D0: {p0} + {e0} != {d0}"
+            )
 
     def disutility(self, p: float) -> float:
         return self.c * p * p + self.d * p

@@ -164,30 +164,33 @@ def _tree_topology(bus_count: int, lines, slack: int) -> TreeTopology:
     :class:`DisconnectedGraph` when some bus is not reached.
     """
     root = slack - 1
+    ends = [(ln.from_bus - 1, ln.to_bus - 1) for ln in lines]
     adj = [[] for _ in range(bus_count)]
-    for l, ln in enumerate(lines):
-        adj[ln.from_bus - 1].append(l)
-        adj[ln.to_bus - 1].append(l)
-    parent = np.full(bus_count, -1)
+    for l, (f, t) in enumerate(ends):
+        adj[f].append(l)
+        adj[t].append(l)
+    parent = [-1] * bus_count
     parent[root] = root
-    child = np.full(len(lines), -1)
-    sign = np.empty(len(lines))
+    child = [-1] * len(lines)
+    sign = [0.0] * len(lines)  # a chord keeps 0
     order = []
     frontier = [root]
     for u in frontier:  # grows while it is walked: a breadth-first search
         for l in adj[u]:
-            ln = lines[l]
-            down = ln.from_bus - 1 == u
-            v = ln.to_bus - 1 if down else ln.from_bus - 1
+            f, t = ends[l]
+            down = f == u
+            v = t if down else f
             if parent[v] >= 0:  # the line up to u's parent, or a chord
                 continue
             parent[v], child[l], sign[l] = u, v, 1.0 if down else -1.0
             order.append(l)
             frontier.append(v)
     if len(frontier) < bus_count:
-        missing = (np.flatnonzero(parent < 0) + 1).tolist()
+        missing = [i + 1 for i, p in enumerate(parent) if p < 0]
         raise DisconnectedGraph(f"buses unreachable from bus {slack}: {missing}")
-    arrays = (parent, child, np.asarray(order, dtype=int), sign, parent[child])
+    parent, child = np.array(parent, dtype=int), np.array(child, dtype=int)
+    arrays = (parent, child, np.array(order, dtype=int),
+              np.array(sign, dtype=float), parent[child])
     for arr in arrays:
         arr.setflags(write=False)
     return TreeTopology(root, *arrays)

@@ -19,8 +19,10 @@ Schema, version "1"::
     }
 
 ``limit: null`` encodes an unlimited line (the in-memory value is infinity),
-keeping files standard JSON.  Serialization is canonical (sorted keys, fixed
-separators), so identical scenarios produce identical bytes.
+keeping files standard JSON.  Every other number field takes a JSON number,
+never a boolean, a string or null; bus numbers and counts must have whole
+values.  Serialization is canonical (sorted keys, fixed separators), so
+identical scenarios produce identical bytes.
 """
 
 from __future__ import annotations
@@ -81,40 +83,42 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if str(version) != SCHEMA_VERSION:
             raise FileError(f"unsupported scenario version {version!r}")
         netdoc = doc["network"]
-        lines = [
-            LineSpec(
-                from_bus=_whole(ld["from"], "from"),
-                to_bus=_whole(ld["to"], "to"),
-                weight=float(ld.get("weight", 1.0)),
-                limit=math.inf if ld.get("limit") is None else float(ld["limit"]),
-            )
-            for ld in netdoc["lines"]
-        ]
+        lines = []
+        for ld in netdoc["lines"]:
+            limit = ld.get("limit")
+            lines.append(LineSpec(
+                _whole(ld["from"], "from"), _whole(ld["to"], "to"),
+                _number(ld["weight"], "weight") if "weight" in ld else 1.0,
+                math.inf if limit is None else _number(limit, "limit")))
         slack = netdoc.get("slack")
         net = build_network(_whole(netdoc["bus_count"], "bus_count"), lines,
                             slack=None if slack is None else _whole(slack, "slack"))
-        prosumers = [
-            Prosumer(
-                c=float(pd["c"]), d=float(pd["d"]),
-                demand_reduction=float(pd["D"]),
-                base_production=_opt_float(pd.get("p0")),
-                base_purchase=_opt_float(pd.get("E0")),
-                base_demand=_opt_float(pd.get("D0")),
-            )
-            for pd in doc["prosumers"]
-        ]
+        prosumers = []
+        for pd in doc["prosumers"]:
+            base = (None, None, None)
+            if "p0" in pd or "E0" in pd or "D0" in pd:
+                base = [_number(pd[k], k) if k in pd else None
+                        for k in ("p0", "E0", "D0")]
+            prosumers.append(Prosumer(
+                _number(pd["c"], "c"), _number(pd["d"], "d"),
+                _number(pd["D"], "D"), *base))
         label = None
         if isinstance(doc.get("labels"), dict):
             label = doc["labels"].get("name")
-        a = doc["a"]
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise ValueError(f"a must be a number, got {a!r}")
-        return Scenario(network=net, prosumers=prosumers, a=float(a),
-                        label=label)
+        return Scenario(network=net, prosumers=prosumers,
+                        a=_number(doc["a"], "a"), label=label)
     except (FileError, MemoryError):  # out of memory is no fault of the file
         raise
     except Exception as exc:
         raise FileError(f"invalid scenario document: {exc}") from exc
+
+
+def _number(value, what: str) -> float:
+    """A number field as a float: a JSON number, never a bool or a string."""
+    if isinstance(value, float) or (isinstance(value, int)
+                                    and not isinstance(value, bool)):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _whole(value, what: str) -> int:
@@ -125,10 +129,6 @@ def _whole(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
-
-
-def _opt_float(v):
-    return None if v is None else float(v)
 
 
 def dump_scenario(scenario: Scenario, path, units: str = "",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import equal_pair
 from esharing import cases, cli, scenario_io
@@ -22,8 +23,8 @@ from esharing.errors import (
 from esharing.market import Scenario
 from esharing.scenario_io import dump_scenario, gen_scenario
 
-MESH = str(Path(__file__).resolve().parents[1] / "scenarios"
-           / "mesh38_chords.json")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+MESH = str(SCENARIOS / "mesh38_chords.json")
 
 
 @pytest.fixture
@@ -343,6 +344,84 @@ results.detail.b2_interval,\r
 residuals.kkt,1e-12\r"""
 
 
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+_NUMBERS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"),
+                     float("-inf"), True, False, 0, 1]))
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from([", ", '"', '", "', "a\nb", "\\", "é",
+                                   "日本語", "\u2028", ""]))
+
+
+def _documents(depth: int):
+    """JSON documents nested at most ``depth`` containers deep."""
+    leaves = st.one_of(_NUMBERS, _TEXT)
+    if depth == 0:
+        return leaves
+    inner = _documents(depth - 1)
+    return st.one_of(leaves, st.lists(_NUMBERS, max_size=6),
+                     st.lists(inner, max_size=4),
+                     st.dictionaries(_TEXT, inner, max_size=4))
+
+
+@given(_documents(4))
+@example([])
+@example({"a": [[], {}, [{}]], "b": [[1, 2], [3.5, None]]})
+@example([{"b": 1, "a": [True, 0, False]}, [-0.0, 1e16, 5e-324], [1, "1"]])
+@example({"tuple": (1, 2.5), "nested": [(0.5,), ()]})
+@settings(max_examples=300)
+def test_the_report_encoder_writes_what_json_dumps_writes(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_the_report_encoder_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError, match="report keys must be strings"):
+        cli._json({"results": {1: 2.0}})
+
+
+def _scenario_commands(path: str, bids: str) -> list:
+    return [["validate", path], ["clear", path, "--bids", bids],
+            ["gne", path], ["ve", path], ["social", path],
+            ["selfsuff", path], ["poa", path], ["bid", path],
+            ["brlab", path, "--prosumer", "1", "--fix-bids", bids],
+            ["brlab", path, "--verify", bids]]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_every_report_is_canonical_json(name, capsys):
+    # a JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
+    path = str(SCENARIOS / name)
+    gne, _ = cli.run_command(["gne", path])
+    bids = ",".join(map(repr, gne.results["b_bar"].tolist()))
+    for argv in _scenario_commands(path, bids):
+        assert cli.main(argv) == 0, argv
+        text = capsys.readouterr().out
+        assert text == _canonical(text) + "\n", argv
+
+
+def test_generated_classified_and_batch_reports_are_canonical_json(
+        tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    dump_scenario(equal_pair(1.0, (1.0, 0.5), 0.1), pair)
+    out_dir = tmp_path / "reports"
+    for argv in (["brlab", str(pair), "--classify-2bus"],
+                 ["gen", "--seed", "7", "--size", "12", "--style", "tight",
+                  "-o", str(tmp_path / "g12.json")],
+                 ["batch", "--dir", str(SCENARIOS), "--out", str(out_dir)]):
+        assert cli.main(argv) == 0, argv
+        text = capsys.readouterr().out
+        assert text == _canonical(text) + "\n", argv
+    files = sorted(out_dir.glob("*.report.json"))
+    assert len(files) == len(list(SCENARIOS.glob("*.json")))
+    for path in files:
+        text = path.read_text()
+        assert text == _canonical(text) + "\n", path.name
+
+
 def test_main_prints_report(fixture_file, capsys):
     code = cli.main(["selfsuff", fixture_file])
     assert code == 0
@@ -446,6 +525,24 @@ def test_a_fractional_bus_number_exits_1_without_traceback(key, value,
     assert cli.main(["gne", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"invalid scenario document: {key} must be a whole number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("record,key,value", [
+    ("lines", "limit", False), ("lines", "limit", "inf"),
+    ("prosumers", "c", "0.003"), ("prosumers", "d", True),
+    ("lines", "weight", "2"), ("prosumers", "D", " 100 ")])
+def test_a_number_field_that_is_no_number_exits_1(record, key, value,
+                                                   tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "two_prosumer_f5.json").read_text())
+    where = doc["network"]["lines"] if record == "lines" else doc["prosumers"]
+    where[0][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["gne", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invalid scenario document: {key} must be a number" in err
     assert "Traceback" not in err
 
 

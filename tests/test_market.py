@@ -296,6 +296,26 @@ def test_prosumer_validation():
     assert ok.disutility(2.0) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("data,message", [
+    # c > 0 comes first, then finiteness in the order c, d, D, then the
+    # baseline
+    ((0.0, np.nan, np.inf), "prosumer c must be > 0, got 0.0"),
+    ((np.nan, 0.0, 1.0), "prosumer c must be > 0, got nan"),
+    ((-np.inf, 0.0, 1.0), "prosumer c must be > 0, got -inf"),
+    ((np.inf, np.nan, 1.0), "prosumer c must be finite, got inf"),
+    ((1.0, np.nan, -np.inf), "prosumer d must be finite, got nan"),
+    ((1.0, 0.0, -np.inf), "prosumer D must be finite, got -inf"),
+    ((1.0, np.nan, 1.0, 1.0), "prosumer d must be finite, got nan"),
+    ((1.0, 0.0, 1.0, None, 1.0), "baseline fields must be given together"),
+    ((1.0, 0.0, 1.0, 1.0, 1.0, None), "baseline fields must be given together"),
+    ((1.0, 0.0, 1.0, 1.0, 1.0, 3.0),
+     "baseline violates p0 + E0 = D0: 1.0 + 1.0 != 3.0")])
+def test_prosumer_errors_come_in_a_fixed_order(data, message):
+    with pytest.raises(DimensionMismatch) as exc:
+        Prosumer(*data)
+    assert str(exc.value) == message
+
+
 def test_scenario_validation(two_f5):
     from esharing.network import build_network
 

@@ -157,6 +157,49 @@ def test_disconnected_graph_rejected():
         build_network(4, [LineSpec(1, 2), LineSpec(2, 3), LineSpec(3, 1)])
 
 
+def test_the_rooted_tree_pins_its_arrays():
+    # buses 1-2-3 in a path to the slack bus 4, line 2 pointing up, and a
+    # chord 1-3 that the spanning tree leaves out
+    lines = [LineSpec(3, 4), LineSpec(2, 3), LineSpec(1, 2), LineSpec(1, 3)]
+    tree = build_network(4, lines[:3]).tree
+    assert tree.root == 3
+    assert tree.parent.tolist() == [1, 2, 3, 3]
+    assert tree.child.tolist() == [2, 1, 0]
+    assert tree.order.tolist() == [0, 1, 2]
+    assert tree.sign.tolist() == [-1.0, -1.0, -1.0]
+    assert tree.head.tolist() == [3, 2, 1]
+    for arr in (tree.parent, tree.child, tree.order, tree.sign, tree.head):
+        assert not arr.flags.writeable
+    assert [arr.dtype.kind for arr in (tree.parent, tree.child, tree.order,
+                                       tree.sign, tree.head)] == list("iiifi")
+    mesh = build_network(4, lines)
+    assert mesh.tree is None
+    flipped = build_network(4, [LineSpec(4, 3), LineSpec(3, 2), LineSpec(1, 2)],
+                            slack=1)
+    assert flipped.tree.parent.tolist() == [0, 0, 1, 2]
+    assert flipped.tree.sign.tolist() == [-1.0, -1.0, 1.0]
+    assert flipped.tree.order.tolist() == [2, 1, 0]
+    single = build_network(1, []).tree
+    assert single.child.dtype.kind == single.order.dtype.kind == "i"
+    assert single.parent.tolist() == [0] and single.head.size == 0
+
+
+@pytest.mark.parametrize("line,kind,message", [
+    # the endpoint check comes first, then the weight's sign, its
+    # finiteness, and the limit
+    ((2, 2, -1.0, -1.0), DimensionMismatch, "line endpoints must differ, got 2->2"),
+    ((1, 2, 0.0, np.nan), NonpositiveWeight, "line weight must be > 0, got 0.0"),
+    ((1, 2, np.nan, -1.0), NonpositiveWeight, "line weight must be > 0, got nan"),
+    ((1, 2, np.inf, -1.0), DimensionMismatch, "line weight must be finite, got inf"),
+    ((1, 2, 1.0, -1.0), DimensionMismatch, "line limit must be >= 0, got -1.0"),
+    ((1, 2, 1.0, np.nan), DimensionMismatch, "line limit must be >= 0, got nan")])
+def test_line_errors_come_in_a_fixed_order(line, kind, message):
+    with pytest.raises(kind) as exc:
+        LineSpec(*line)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+
+
 def test_line_validation():
     with pytest.raises(DimensionMismatch):
         LineSpec(2, 2)

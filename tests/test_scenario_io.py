@@ -121,6 +121,50 @@ def test_whole_valued_floats_are_bus_numbers(two_f5, where, value):
     assert as_float.network.slack == as_int.network.slack
 
 
+def _with_baseline(doc):
+    """``doc`` with a valid baseline on its first prosumer."""
+    doc["prosumers"][0].update({"p0": 60.0, "E0": 40.0, "D0": 100.0})
+    return doc
+
+
+@pytest.mark.parametrize("record,key,value", [
+    ("lines", "limit", False), ("lines", "limit", True),
+    ("lines", "limit", "inf"), ("lines", "limit", "5"),
+    ("lines", "weight", "2"), ("lines", "weight", True),
+    ("lines", "weight", None), ("lines", "weight", [1.0]),
+    ("prosumers", "c", "0.003"), ("prosumers", "c", True),
+    ("prosumers", "d", True), ("prosumers", "d", None),
+    ("prosumers", "D", " 100 "), ("prosumers", "D", {"v": 1}),
+    ("prosumers", "p0", "60"), ("prosumers", "E0", False),
+    ("prosumers", "D0", "100.0")])
+def test_number_fields_must_be_json_numbers(two_f5, record, key, value):
+    # a string or a boolean in a number field is refused, not converted
+    doc = _with_baseline(scenario_to_dict(two_f5))
+    where = doc["network"]["lines"] if record == "lines" else doc["prosumers"]
+    where[0][key] = value
+    with pytest.raises(FileError, match=f"invalid scenario document: {key} "
+                                        f"must be a number, got "):
+        scenario_from_dict(doc)
+
+
+def test_number_fields_take_ints_a_null_limit_and_no_weight(two_f5):
+    doc = _with_baseline(scenario_to_dict(two_f5))
+    doc["prosumers"][1].update({"c": 1, "d": 0, "D": 200})
+    del doc["network"]["lines"][0]["weight"]
+    back = scenario_from_dict(doc)
+    assert back.prosumers[1] == Prosumer(1.0, 0.0, 200.0)
+    assert type(back.prosumers[1].c) is float
+    assert back.prosumers[0].base_production == 60.0
+    assert back.network.lines[0].weight == 1.0
+    assert back.network.limits[0] == 5.0
+    for limit in (None, 3):
+        doc["network"]["lines"][0]["limit"] = limit
+        line = scenario_from_dict(doc).network.lines[0]
+        assert line.limit == (np.inf if limit is None else 3.0)
+    del doc["network"]["lines"][0]["limit"]
+    assert scenario_from_dict(doc).network.lines[0].limit == np.inf
+
+
 def test_non_object_file_rejected(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2, 3]\n")

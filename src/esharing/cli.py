@@ -1,5 +1,7 @@
 """Command-line interface: scenario ingestion, analysis commands, batch runs.
 
+``_PARSERS`` maps each command to its help text and the function that adds
+its arguments, so that a run builds the parser of its own command alone;
 ``_COMMANDS`` maps each scenario command to its handler; ``_FAILURES`` maps
 each error to its stderr label and exit code (0 success, 1 usage, file or
 report problems, 2 infeasible model, 3 non-convergence).  Reports are JSON
@@ -207,32 +209,24 @@ def _parse_vector(text: str, n: int, what: str, unread=()) -> np.ndarray:
     return vals
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="esharing",
-                     description="Equilibrium engine for networked "
-                                 "energy-sharing markets")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format (default json)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _scenario_arg(p) -> None:
+    p.add_argument("scenario", help="scenario JSON file")
 
-    def scen_cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("scenario", help="scenario JSON file")
-        return p
 
-    scen_cmd("validate", "check scenario and network invariants")
-    p = scen_cmd("clear", "clear the market for a given bid vector")
+def _clear_args(p) -> None:
+    _scenario_arg(p)
     p.add_argument("--bids", required=True, help="comma-separated bids")
-    scen_cmd("gne", "regulated-mechanism equilibrium")
-    scen_cmd("ve", "variational equilibrium (radial closed form)")
-    scen_cmd("social", "social optimum")
-    scen_cmd("selfsuff", "self-sufficiency costs")
-    scen_cmd("poa", "efficiency ratio and its bound")
-    p = scen_cmd("bid", "run the iterative bidding protocol")
+
+
+def _bid_args(p) -> None:
+    _scenario_arg(p)
     p.add_argument("--eps", type=float, default=None, help="stop tolerance")
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    p = scen_cmd("brlab", "best-response analysis of the unregulated game")
+
+
+def _brlab_args(p) -> None:
+    _scenario_arg(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--prosumer", type=int, default=None,
                       help="1-based prosumer index to scan")
@@ -247,17 +241,63 @@ def build_parser() -> _Parser:
     p.add_argument("--regulated", action="store_true",
                    help="use regulated payments in scans")
     p.add_argument("--csv", default=None, help="write the scan curve here")
-    p = sub.add_parser("gen", help="generate a random radial scenario")
+
+
+def _gen_args(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--style", choices=("default", "tight"), default="default")
     p.add_argument("-o", "--output", default=None, help="output path")
-    p = sub.add_parser("batch", help="evaluate every scenario in a directory")
+
+
+def _batch_args(p) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--out", default=None,
                    help=f"report directory (default $" + OUTPUT_DIR_ENV +
                         " or the scenario directory)")
+
+
+# each command: (help text, function that adds its arguments), in the order
+# ``esharing --help`` lists them
+_PARSERS = {
+    "validate": ("check scenario and network invariants", _scenario_arg),
+    "clear": ("clear the market for a given bid vector", _clear_args),
+    "gne": ("regulated-mechanism equilibrium", _scenario_arg),
+    "ve": ("variational equilibrium (radial closed form)", _scenario_arg),
+    "social": ("social optimum", _scenario_arg),
+    "selfsuff": ("self-sufficiency costs", _scenario_arg),
+    "poa": ("efficiency ratio and its bound", _scenario_arg),
+    "bid": ("run the iterative bidding protocol", _bid_args),
+    "brlab": ("best-response analysis of the unregulated game", _brlab_args),
+    "gen": ("generate a random radial scenario", _gen_args),
+    "batch": ("evaluate every scenario in a directory", _batch_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone."""
+    parser = _Parser(prog="esharing",
+                     description="Equilibrium engine for networked "
+                                 "energy-sharing markets")
+    parser.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="report format (default json)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _PARSERS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _invoked(argv: list) -> str | None:
+    """The command ``argv`` runs when it is first or follows ``--format X``
+    or ``--format=X``; None for any other shape (no command, an unknown
+    name, ``-h`` first, an abbreviated ``--form``), which needs the parser
+    of every command to parse, list or refuse."""
+    if argv[:1] == ["--format"]:
+        argv = argv[2:]
+    elif argv and argv[0].startswith("--format="):
+        argv = argv[1:]
+    return argv[0] if argv and argv[0] in _PARSERS else None
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +394,10 @@ def _cmd_bid(scenario: Scenario, args) -> tuple:
         "gap_to_equilibrium": float(np.abs(result.bids - eqm.b_bar).max()),
     }
     residuals = {"fejer_violation": fejer.max_violation}
-    if args.trace:
-        _check_report(results, residuals)  # before the trace is written
-        bidding.write_trace_csv(result.trace, args.trace, eqm=eqm)
-    return results, residuals
+    if not args.trace:
+        return results, residuals
+    return results, residuals, functools.partial(
+        bidding.write_trace_csv, result.trace, args.trace, eqm=eqm)
 
 
 # each brlab flag that only some modes read, and those modes
@@ -415,6 +455,7 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
 
 
 # each scenario command: (scenario, parsed arguments) -> (results, residuals)
+# or (results, residuals, write), where write() writes the command's file
 _COMMANDS = {
     "validate": _cmd_validate, "clear": _cmd_clear, "gne": _cmd_gne,
     "ve": _cmd_ve, "social": _cmd_social, "selfsuff": _cmd_selfsuff,
@@ -425,12 +466,15 @@ _COMMANDS = {
 
 def _run(command: str, path: str, compute, args=None,
          fmt: str = "json") -> RunReport:
-    """Load the scenario at ``path``, run ``compute(scenario, args)`` on it
-    and check its figures; the clock starts after the load."""
+    """Load the scenario at ``path``, run ``compute(scenario, args)`` on it,
+    check its figures and only then write its file; the clock starts after
+    the load."""
     scenario, digest = _load(path)
     started = time.perf_counter()
-    results, residuals = compute(scenario, args)
+    results, residuals, *write = compute(scenario, args)
     _check_report(results, residuals)
+    for write_file in write:
+        write_file()
     return RunReport(command=command, scenario=path, digest=digest,
                      elapsed_s=time.perf_counter() - started,
                      results=results, residuals=residuals, fmt=fmt)
@@ -529,7 +573,8 @@ def _show_warning(fallback, message, category, *args, **kwargs):
 @np.errstate(over="ignore", invalid="ignore")
 def run_command(argv) -> tuple:
     """Execute one CLI invocation.  Returns ``(RunReport | None, exit_code)``."""
-    parser = build_parser()
+    argv = list(argv)
+    parser = build_parser(_invoked(argv))
     with warnings.catch_warnings():
         warnings.showwarning = functools.partial(_show_warning,
                                                  warnings.showwarning)

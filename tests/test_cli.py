@@ -466,6 +466,96 @@ def test_format_flag_with_equals_sign(fixture_file, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "key,value"
 
 
+# one argv per command, with the shapes the benchmark runs; "{f}" is a file
+_ONE_PER_COMMAND = [
+    ["validate", "{f}"],
+    ["clear", "{f}", "--bids", "10.5,30.6"],
+    ["gne", "{f}"],
+    ["ve", "{f}"],
+    ["social", "{f}"],
+    ["selfsuff", "{f}"],
+    ["--format", "csv", "poa", "{f}"],
+    ["bid", "{f}", "--eps", "1e-4", "--max-iter", "40", "--trace", "t.csv"],
+    ["brlab", "{f}", "--prosumer", "2", "--fix-bids", "1.6,1.6,0.8"],
+    ["brlab", "{f}", "--prosumer", "2", "--fix-bids", "1.6,1.6,0.8",
+     "--regulated"],
+    ["--format=csv", "brlab", "{f}", "--verify", "1,2,3", "--tol", "1e-3"],
+    ["gen", "--seed", "7", "--size", "12", "--style", "tight", "-o", "g.json"],
+    ["batch", "--dir", "{f}", "--out", "reports"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND,
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv
+                                                   if a != "{f}")[:40])
+def test_a_command_parses_alone_as_with_every_command(argv):
+    argv = [a.replace("{f}", "s.json") for a in argv]
+    command = cli._invoked(argv)
+    assert command == next(a for a in argv if a in cli._PARSERS)
+    alone = cli.build_parser(command)
+    assert alone.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_the_parser_table_covers_every_command():
+    runnable = set(cli._COMMANDS) | {"gen", "batch"}
+    assert set(cli._PARSERS) == runnable
+    assert {a for argv in _ONE_PER_COMMAND for a in argv} >= runnable
+
+
+def _help_text(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(cli._PARSERS))
+def test_a_command_alone_prints_the_same_help(command, capsys):
+    argv = [command, "--help"]
+    assert cli._invoked(argv) == command
+    alone = _help_text(cli.build_parser(command), argv, capsys)
+    assert alone == _help_text(cli.build_parser(), argv, capsys)
+    assert alone.startswith(f"usage: esharing {command} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h", "bid"], ["--help"], ["--form", "csv", "poa", "s.json"],
+    ["--form=csv", "poa", "s.json"], ["nosuch", "s.json"], ["brl", "s.json"],
+    ["--format", "csv", "nosuch"], ["--format", "csv", "-h", "bid"],
+    ["--format", "csv"], ["--format"], [],
+], ids=["h-bid", "help", "form-csv", "form=csv", "unknown", "prefix",
+        "format-unknown", "format-h-bid", "format-no-command", "format-alone",
+        "empty"])
+def test_other_shapes_build_every_command(argv):
+    assert cli._invoked(argv) is None
+
+
+def test_help_before_a_command_lists_every_command(capsys):
+    # a rule that took the first token naming a command would build the
+    # parser of bid alone here and list one command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h", "bid"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(cli._PARSERS) + "}" in out
+    assert out == _help_text(cli.build_parser(), ["-h"], capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    ([], "the following arguments are required: command"),
+    (["--format", "xml", "gne", "s.json"], "argument --format: invalid choice"),
+    (["bid"], "the following arguments are required: scenario"),
+])
+def test_usage_errors_read_as_with_every_command(argv, message, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + message)
+    with pytest.raises(cli.UsageError) as exc:
+        cli.build_parser().parse_args(argv)
+    assert err == f"usage error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--seed", "1", "--size", "1"],
     ["bid", "{scenario}", "--eps", "-1"],
@@ -575,6 +665,18 @@ def test_bid_writes_no_trace_for_non_finite_results(overflow_file, tmp_path):
         _, code = cli.run_command(["bid", overflow_file, "--trace", str(trace)])
     assert code == 1
     assert not trace.exists()
+
+
+def test_bid_checks_its_report_once(fixture_file, tmp_path, monkeypatch):
+    calls = []
+    check = cli._check_report
+    monkeypatch.setattr(cli, "_check_report",
+                        lambda *a: calls.append(a) or check(*a))
+    trace = tmp_path / "t.csv"
+    _, code = cli.run_command(["bid", fixture_file, "--trace", str(trace)])
+    assert code == 0
+    assert len(calls) == 1
+    assert trace.read_text().startswith("iter,i,lambda,")
 
 
 def test_batch_counts_non_finite_results_as_a_failure(overflow_file, tmp_path):

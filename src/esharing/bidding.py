@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MaxIterExceeded, WeakSensitivityWarning
+from .errors import DimensionMismatch, MaxIterExceeded, WeakSensitivityWarning
 from .market import ClearingOutcome, Scenario, _clear
 from .equilibrium import EquilibriumResult
 
@@ -110,6 +110,7 @@ def platform_update(scenario: Scenario, prices_k, bids_k,
     induced demands at ``bids_k`` balance and respect the flow limits, by
     :func:`esharing.market._solve_program`: with no line at a limit the
     answer is the stationary point ``lam_i = lam_i^k / 2 - a eta / 4``.
+    ``prices_k`` holds one price per prosumer, as ``bids_k`` one bid.
     ``active`` (the previous round's ``sides``, or None) is the solver's
     first guess.
     """
@@ -117,11 +118,15 @@ def platform_update(scenario: Scenario, prices_k, bids_k,
 
 
 def prosumer_update(scenario: Scenario, prices_next):
-    """Closed-form simultaneous response of all prosumers.
+    """Closed-form simultaneous response of all prosumers to the prices
+    ``prices_next``, one per prosumer.
 
     Returns ``(production, bids)``.
     """
     lam = np.asarray(prices_next, dtype=float)
+    if lam.shape != scenario.D.shape:
+        raise DimensionMismatch(
+            f"expected {scenario.size} prices, got shape {lam.shape}")
     # s = a (I - 1); s d and 2 s c + 1 are kept with the scenario
     s, sd, den = scenario._response
     p = (s * lam - sd + scenario.D) / den

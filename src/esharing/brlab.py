@@ -35,15 +35,20 @@ class ScanConfig:
     """Scan controls for :func:`best_response`.
 
     ``interval=None`` auto-sizes around the marginal-cost-consistent bid
-    range (see ``_auto_interval``).  ``coarse_points`` evenly spaced samples
-    report the cost curve (``--csv``), and their spacing is the walk's step
-    past a piece of one point.  ``refine_rounds`` is unused: the minima are
-    exact, so no sample window is refined.
+    range (see ``_auto_interval``).  ``coarse_points`` evenly spaced
+    samples, at least 1, report the cost curve (``--csv``), and their
+    spacing is the walk's step past a piece of one point.
+    ``refine_rounds`` is unused: the minima are exact, so no sample window
+    is refined.
     """
 
     interval: tuple | None = None
     coarse_points: int = 2001
     refine_rounds: int = 3
+
+    def __post_init__(self):
+        if self.coarse_points < 1:
+            raise ValueError(f"coarse_points must be >= 1, got {self.coarse_points}")
 
 
 @dataclass(frozen=True, eq=False)

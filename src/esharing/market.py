@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,15 +128,37 @@ class ClearingOutcome:
     does, every zero-limit line among them unless the mesh fallback skipped
     it as dependent, as the twin of another zero-limit line is; that one is
     reported free.  With no line held the price is uniform.
+
+    The clearing sets ``prices``, ``flows`` and ``sides``.  ``quantities``
+    (``bids - a prices``), ``eta`` and the ``alpha`` duals are derived when
+    first read, from ``solution`` (what :func:`_solve_program` returned),
+    ``bids`` (the clearing's own copy of them) and the sensitivity ``a``;
+    so a caller that reads only the prices, as the bidding loop does, pays
+    for none of them.
     """
 
     prices: np.ndarray
-    quantities: np.ndarray
-    eta: float
-    alpha_lower: np.ndarray
-    alpha_upper: np.ndarray
     flows: np.ndarray
     sides: np.ndarray
+    solution: object = field(repr=False)
+    bids: np.ndarray = field(repr=False)
+    a: float = field(repr=False)
+
+    @cached_property
+    def quantities(self) -> np.ndarray:
+        return self.bids - self.a * self.prices
+
+    @cached_property
+    def eta(self) -> float:
+        return float(self.solution.eq_duals[0]) / self.a
+
+    @property
+    def alpha_lower(self) -> np.ndarray:
+        return self.solution.ineq_duals_lower
+
+    @property
+    def alpha_upper(self) -> np.ndarray:
+        return self.solution.ineq_duals_upper
 
 
 def clear_market(scenario: Scenario, bids, active=None) -> ClearingOutcome:
@@ -157,7 +180,7 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     keep every line flow within its limit.  :func:`_solve_program` solves it
     with ``active`` as its hot start.
     """
-    b = np.asarray(bids, dtype=float)
+    b = np.array(bids, dtype=float)  # a copy: quantities are read off it later
     n = scenario.size
     if b.shape != (n,):
         raise DimensionMismatch(f"expected {n} bids, got shape {b.shape}")
@@ -166,16 +189,16 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
     if anchor is None:
         h, g = _HESS, np.zeros(n)
     else:
-        h, g = 2.0 * _HESS, -_HESS * np.asarray(anchor, dtype=float)
+        anchor = np.asarray(anchor, dtype=float)
+        if anchor.shape != (n,):
+            raise DimensionMismatch(
+                f"expected {n} anchor prices, got shape {anchor.shape}")
+        h, g = 2.0 * _HESS, -_HESS * anchor
     hess = np.empty(n)
     hess.fill(h)  # np.full(n, h), at a third of its cost
     sol, flows = _solve_program(net, hess, g, b, a, active)
-    lam = sol.x
-    return ClearingOutcome(
-        prices=lam, quantities=b - a * lam, eta=float(sol.eq_duals[0]) / a,
-        alpha_lower=sol.ineq_duals_lower, alpha_upper=sol.ineq_duals_upper,
-        flows=flows, sides=sol.sides,
-    )
+    return ClearingOutcome(prices=sol.x, flows=flows, sides=sol.sides,
+                           solution=sol, bids=b, a=a)
 
 
 def clearing_slopes(scenario: Scenario, i: int, sides) -> tuple | None:
@@ -233,7 +256,12 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       :func:`esharing.qp.solve_qp`, which starts from the unconstrained
       minimum, solves a meshed one.
 
-    Returns the solution and the flows of its purchases.  The solution
+    Returns the solution and the flows of its purchases.  The solution has
+    the attribute names of :class:`esharing.qp.QpSolution`; it is the QP's
+    own after the mesh fallback, and otherwise a :class:`_HeldSolution`,
+    which sets ``x``, ``sides`` and ``iterations`` and derives the duals
+    and the residual from the last held solve when they are first read,
+    so a caller that reads only ``x`` pays for neither.  It
     reports the balance dual ``nu`` as its only equality dual, the line
     duals in the sign convention of ``solve_qp`` for rows ``-k G x``, the
     held lines as its ``sides`` (a zero-limit line at its dual's side, or
@@ -250,9 +278,8 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
         raise DimensionMismatch(f"active must be None or a side vector of "
                                 f"{limits.size} lines")
     guess = np.asarray(active, dtype=float)
-    side, held, target, at_limit = net._kept(
+    side, held, target = net._kept(
         "_guess", guess.tobytes(), lambda: _guess_vectors(net, guess))
-    guessed = side
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
         step = _held_solve(net, alpha, beta, held, target)
@@ -288,46 +315,74 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
         excess = np.abs(flows) - limits
         iterations += 1
 
-    dual = push / k  # mu_up - mu_lo, zero on the free lines
-    if pinned.size:
+    if pinned.size:  # a held zero-limit line sits at its dual's side
         side = side.copy()
-        side[pinned] = np.where(dual[pinned] >= 0.0, 1.0, -1.0)
-    if side is guessed:  # kept on the network; never hand it out
-        side = side.copy()
-    else:
-        at_limit = _at_limit(side)
-    signed = side * dual  # each held line's dual at its own side
-    mu = np.maximum(signed, 0.0)
-    lower, upper = np.zeros(limits.size), np.zeros(limits.size)
-    lower[at_limit[0]] = mu[at_limit[0]]
-    upper[at_limit[1]] = mu[at_limit[1]]
-    residual = max(abs(float(np.add.reduce(q))), float(
-        np.maximum.reduce(np.maximum(excess, -signed), initial=0.0)))
-    return QpSolution(
-        x=(u - linear) / hess, eq_duals=np.array([-u[net.slack - 1]]),
-        ineq_duals_lower=lower, ineq_duals_upper=upper,
-        sides=side, iterations=iterations, residual=residual,
-    ), flows
+        side[pinned] = np.where(push[pinned] / k >= 0.0, 1.0, -1.0)
+    return _HeldSolution((u - linear) / hess, side, iterations, u[net.slack - 1],
+                         q, push, k, excess), flows
+
+
+class _HeldSolution:
+    """A solution of :func:`_solve_program` read off its last held solve,
+    under the attribute names of :class:`esharing.qp.QpSolution`.
+
+    ``x``, ``sides`` (a copy of the side vector, which stays private, as it
+    may be the one kept on the network) and ``iterations`` are set.  The
+    balance dual, the line duals and the residual are derived when first
+    read, from the held solve's arrays: the slack bus's price, the
+    purchases, the pushes and the flows' excess over their limits.  None
+    of those is handed out, so what a caller does to the fields it reads
+    changes nothing derived later.
+    """
+
+    def __init__(self, x, side, iterations, slack_price, q, push, k, excess):
+        self.x, self.sides, self.iterations = x, side.copy(), iterations
+        self._side, self._slack_price, self._q, self._push = side, slack_price, q, push
+        self._k, self._excess = k, excess
+
+    @cached_property
+    def eq_duals(self) -> np.ndarray:
+        return np.array([-self._slack_price])
+
+    @cached_property
+    def _signed(self) -> np.ndarray:
+        """Each held line's dual ``mu_up - mu_lo`` at its own side."""
+        return self._side * (self._push / self._k)
+
+    @cached_property
+    def _line_duals(self) -> tuple:
+        """Each line's duals at its lower and upper limit."""
+        side, mu = self._side, np.maximum(self._signed, 0.0)
+        return np.where(side < 0.0, mu, 0.0), np.where(side > 0.0, mu, 0.0)
+
+    @property
+    def ineq_duals_lower(self) -> np.ndarray:
+        return self._line_duals[0]
+
+    @property
+    def ineq_duals_upper(self) -> np.ndarray:
+        return self._line_duals[1]
+
+    @cached_property
+    def residual(self) -> float:
+        """The worst balance error, flow excess or wrong-signed dual."""
+        return max(abs(float(np.add.reduce(self._q))), float(
+            np.maximum.reduce(np.maximum(self._excess, -self._signed), initial=0.0)))
 
 
 def _guess_vectors(net: NetworkModel, guess) -> tuple:
-    """The side, held and target vectors of the side vector ``guess``, and
-    its lines at each limit, all read-only: +1 or -1 on each guessed line
-    with a positive limit and 0 elsewhere, every such line and every
-    zero-limit line held (a zero-limit line with side 0 until its dual
-    sides it), and each line's limit at its side as its flow's target."""
+    """The side, held and target vectors of the side vector ``guess``, all
+    read-only: +1 or -1 on each guessed line with a positive limit and 0
+    elsewhere, every such line and every zero-limit line held (a
+    zero-limit line with side 0 until its dual sides it), and each line's
+    limit at its side as its flow's target."""
     side = np.where(net.bounded, np.sign(guess), 0.0)
     held = side != 0.0
     held[net.pinned] = True
-    target, at_limit = np.copysign(net.limits, side), _at_limit(side)
-    for v in (side, held, target, *at_limit):
+    target = np.copysign(net.limits, side)
+    for v in (side, held, target):
         v.setflags(write=False)
-    return side, held, target, at_limit
-
-
-def _at_limit(side) -> tuple:
-    """The indices of the lines at their lower limits, and at their upper."""
-    return np.flatnonzero(side < 0.0), np.flatnonzero(side > 0.0)
+    return side, held, target
 
 
 def _held_solve(net, alpha, beta, held, target):

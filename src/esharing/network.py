@@ -108,9 +108,9 @@ class NetworkModel:
     that :func:`esharing.market._held_solve` solved on it, keyed on the
     held lines, their targets and the curvature; and ``_guess``, what
     :func:`esharing.market._solve_program` made of the last guess it was
-    given (its side, held and target vectors and the lines at each limit),
-    keyed on that guess.  So a hot-started solve that repeats its guess and
-    held set (a settled bidding round) rebuilds neither.  Each slot is read
+    given (its side, held and target vectors), keyed on that guess.  So a
+    hot-started solve that repeats its guess and held set (a settled
+    bidding round) rebuilds neither.  Each slot is read
     once and replaced by one assignment, so threads sharing a network never
     mix entries; a kept array is read-only, and a reused entry gives the
     same bits as a fresh one.

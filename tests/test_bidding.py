@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import uniform_chain, with_chords
-from esharing import cases, equilibrium, market, tree
+from esharing import bidding, cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
     BiddingTrace,
@@ -17,7 +17,7 @@ from esharing.bidding import (
     run_bidding,
     write_trace_csv,
 )
-from esharing.errors import MaxIterExceeded, WeakSensitivityWarning
+from esharing.errors import DimensionMismatch, MaxIterExceeded, WeakSensitivityWarning
 from esharing.market import Scenario, clear_market
 from esharing.qp import solve_qp
 from esharing.scenario_io import gen_scenario
@@ -298,3 +298,31 @@ def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
     assert result.iterations == len(iterations) == 124
     assert 0 < sum(its > 1 for its in iterations) <= 15
     assert passes == []
+
+
+def test_settled_rounds_build_no_duals(monkeypatch):
+    # the loop reads a clearing's prices and sides alone, so no clearing of
+    # the run derives its quantities, its duals or its residual
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(platform_update(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(bidding, "platform_update", recording)
+    result = run_bidding(gen_scenario(7, 38, "tight"))
+    assert len(outcomes) == result.iterations
+    for out in outcomes:
+        assert isinstance(out.solution, market._HeldSolution)
+        assert not {"quantities", "eta"} & vars(out).keys()
+        assert not {"eq_duals", "_signed", "_line_duals", "residual"} \
+            & vars(out.solution).keys()
+
+
+@pytest.mark.parametrize("prices", [0.0, [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                         ids=["scalar", "one", "three", "row"])
+def test_price_vectors_of_the_wrong_shape_are_refused(two_f5, prices):
+    with pytest.raises(DimensionMismatch, match="prices"):
+        platform_update(two_f5, prices, np.array([10.5, 30.6]))
+    with pytest.raises(DimensionMismatch, match="prices"):
+        prosumer_update(two_f5, prices)

@@ -268,6 +268,19 @@ def test_scan_interval_validation(chain_f03):
                       scan_config=ScanConfig(interval=(2.0, 1.0)))
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_scan_config_refuses_fewer_than_one_point(points):
+    with pytest.raises(ValueError, match="coarse_points"):
+        ScanConfig(coarse_points=points)
+
+
+def test_a_scan_of_one_point_reports_it(chain_f03):
+    scan = best_response(chain_f03, 1, np.array([1.6, 0.8]),
+                         scan_config=ScanConfig(coarse_points=1))
+    assert scan.samples_b.shape == scan.samples_cost.shape == (1,)
+    assert np.isfinite(scan.best_cost)
+
+
 def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
     with pytest.raises(DimensionMismatch):
         best_response(chain_f03, 1, np.array([1.6]))

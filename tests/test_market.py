@@ -22,7 +22,7 @@ from esharing.market import (
 from esharing import market
 from esharing.bidding import platform_update
 from esharing.network import LineSpec, build_network, is_radial, line_flows
-from esharing.qp import QuadraticProgram, solve_qp
+from esharing.qp import QpSolution, QuadraticProgram, solve_qp
 from esharing.scenario_io import gen_scenario, load_scenario
 
 
@@ -460,10 +460,16 @@ def _run(op, scenario, bids, prices, active, i):
     return market.clearing_slopes(scenario, i, sides)
 
 
+_OUTCOME = ("prices", "quantities", "eta", "alpha_lower", "alpha_upper",
+            "flows", "sides")
+
+
 def _fields(result):
+    """The public fields of a clearing, the derived ones read too, or the
+    rates of ``clearing_slopes``."""
     if result is None or isinstance(result, tuple):  # clearing_slopes
         return [None] if result is None else list(result)
-    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [getattr(result, name) for name in _OUTCOME]
 
 
 @settings(max_examples=80)
@@ -496,3 +502,90 @@ def test_kept_factors_change_no_bit(first, second, steps, seed):
             assert (np.asarray(got).tobytes() == np.asarray(want).tobytes()), op
         if op != "slopes":
             prices[which], sides[which] = out.prices, out.sides
+
+
+def _eager(net, a, bids, held_solve, x, sides):
+    """The derived fields of a clearing as the eager code computed them:
+    from the last held solve's ``(u, q, flows, push)``, the solution's
+    ``x`` and ``sides``; the solution's duals and residual, then the
+    outcome's quantities, ``eta`` and duals."""
+    u, q, flows, push = held_solve
+    limits = net.limits
+    dual = push / a
+    signed = sides * dual
+    mu = np.maximum(signed, 0.0)
+    lower, upper = np.zeros(limits.size), np.zeros(limits.size)
+    lower[sides < 0.0] = mu[sides < 0.0]
+    upper[sides > 0.0] = mu[sides > 0.0]
+    excess = np.abs(flows) - limits
+    residual = max(abs(float(np.add.reduce(q))), float(
+        np.maximum.reduce(np.maximum(excess, -signed), initial=0.0)))
+    eq_duals = np.array([-u[net.slack - 1]])
+    return {"eq_duals": eq_duals, "ineq_duals_lower": lower,
+            "ineq_duals_upper": upper, "residual": residual,
+            "quantities": bids - a * x, "eta": float(eq_duals[0]) / a,
+            "alpha_lower": lower, "alpha_upper": upper}
+
+
+@settings(max_examples=120)
+@given(limited_scenarios(max_size=12), st.sampled_from(["clear", "platform"]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_derived_fields_equal_the_eager_ones(scenario, op, cold, reverse, seed):
+    # trees, meshes and zero-limit twins, plain and proximal clearings, and
+    # on a mesh the QP fallback forced by refusing every held solve; each
+    # derived field, read in either order, has the bits of the expression
+    # that computed it eagerly
+    net = scenario.network
+    cold = cold and not is_radial(net)
+    rng = np.random.default_rng(seed)
+    bids = rng.uniform(-3.0, 3.0, scenario.size)
+    anchor = rng.uniform(-1.0, 1.0, scenario.size) if op == "platform" else None
+    held_solve, solves, qps = market._held_solve, [], []
+
+    def recording(*args):
+        solves.append(held_solve(*args))
+        return solves[-1]
+
+    def qp_recording(*args):
+        qps.append(solve_qp(*args))
+        return qps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_held_solve", recording)
+        patch.setattr(market, "solve_qp", qp_recording)
+        if cold:
+            patch.setattr(market, "_mesh_components", lambda *args: None)
+        out = market._clear(scenario, bids, anchor, None)
+    sol = out.solution
+    if qps:  # the QP's solution, whose fields were always set
+        assert isinstance(sol, QpSolution)
+        want = {"quantities": bids - scenario.a * sol.x,
+                "eta": float(qps[0].eq_duals[0]) / scenario.a,
+                "alpha_lower": qps[0].ineq_duals_lower,
+                "alpha_upper": qps[0].ineq_duals_upper}
+    else:
+        assert not cold and isinstance(sol, market._HeldSolution)
+        want = _eager(net, scenario.a, bids, solves[-1], sol.x, out.sides)
+    names = sorted(want, reverse=reverse)
+    got = {name: getattr(sol if name in ("eq_duals", "residual")
+                         or name.startswith("ineq") else out, name)
+           for name in names}
+    for name in names:
+        assert np.asarray(got[name]).tobytes() == \
+            np.asarray(want[name]).tobytes(), name
+    assert out.prices is sol.x
+
+
+def test_derived_fields_read_no_array_a_caller_holds(two_f5):
+    # the clearing derives its quantities from its own copy of the bids and
+    # its duals from its own side vector, so editing the bids, or the
+    # sides it handed out, after clearing changes neither
+    bids = GNE_BIDS_F5.copy()
+    ref = clear_market(two_f5, GNE_BIDS_F5)
+    out = clear_market(two_f5, bids)
+    assert out.sides.any()
+    bids[:] = 7.0
+    out.sides[:] = 0.0
+    for name in ("quantities", "alpha_lower", "alpha_upper"):
+        assert getattr(out, name).tobytes() == getattr(ref, name).tobytes()
+    assert out.eta == ref.eta

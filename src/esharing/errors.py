@@ -40,7 +40,8 @@ class NotPositiveDefinite(EsharingError):
 
 
 class IterationLimit(EsharingError):
-    """The active-set loop hit its iteration cap without converging."""
+    """The active-set loop hit its iteration cap without converging, or the
+    held-set solve refused a held set the loop's finish built."""
 
 
 # --- market / equilibrium -------------------------------------------------

@@ -12,18 +12,17 @@ bounds) match the stationarity system
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewProsumers
+from .errors import DimensionMismatch, Infeasible, IterationLimit, TooFewProsumers
 from .network import NetworkModel, is_radial
-from .qp import QuadraticProgram, QpSolution, solve_qp
-from .tree import _components as _tree_components, _exact_pass
+from .tree import _components as _tree_components
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
-_EXCHANGE_STEPS = 8  # exchange steps tried before the fallback
+_EXCHANGE_STEPS = 8  # exchange steps tried before the finish
 _HESS = 2.0  # curvature of each lam_i^2 in the clearing program
 
 
@@ -125,13 +124,13 @@ class ClearingOutcome:
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
     of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``sides`` marks the
     lines the solver held at a limit, as :attr:`esharing.qp.QpSolution.sides`
-    does, every zero-limit line among them unless the mesh fallback skipped
-    it as dependent, as the twin of another zero-limit line is; that one is
-    reported free.  With no line held the price is uniform.
+    does, every zero-limit line among them unless the solver's finish
+    skipped it as dependent, as the twin of another zero-limit line is;
+    that one is reported free.  With no line held the price is uniform.
 
     The clearing sets ``prices``, ``flows`` and ``sides``.  ``quantities``
     (``bids - a prices``), ``eta`` and the ``alpha`` duals are derived when
-    first read, from ``solution`` (what :func:`_solve_program` returned),
+    first read, from ``solution`` (the :class:`_HeldSolution` of the solve),
     ``bids`` (the clearing's own copy of them) and the sensitivity ``a``;
     so a caller that reads only the prices, as the bidding loop does, pays
     for none of them.
@@ -250,25 +249,23 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       wrong-signed push, hold the free lines beyond their limit at the side
       they exceed, and solve again.  A guess a few lines off settles in a
       few steps, but the steps can cycle.
-    * Fallback after ``_EXCHANGE_STEPS`` steps, or when a mesh's held rows
-      are dependent: the exact pass of :mod:`esharing.tree` finds the held
-      set on a radial network, and the dual active-set method of
-      :func:`esharing.qp.solve_qp`, which starts from the unconstrained
-      minimum, solves a meshed one.
+    * Finish after ``_EXCHANGE_STEPS`` steps, or when a mesh's held rows
+      are dependent: the dual active-set steps of :func:`_finish` start
+      from the last held set the held solve accepted.  They are finite, and
+      their only solver is the held-set solve.
 
-    Returns the solution and the flows of its purchases.  The solution has
-    the attribute names of :class:`esharing.qp.QpSolution`; it is the QP's
-    own after the mesh fallback, and otherwise a :class:`_HeldSolution`,
-    which sets ``x``, ``sides`` and ``iterations`` and derives the duals
-    and the residual from the last held solve when they are first read,
-    so a caller that reads only ``x`` pays for neither.  It
-    reports the balance dual ``nu`` as its only equality dual, the line
-    duals in the sign convention of ``solve_qp`` for rows ``-k G x``, the
-    held lines as its ``sides`` (a zero-limit line at its dual's side, or
-    free where the mesh fallback skipped it as dependent), as
-    ``iterations`` the held solves made plus the exact pass's one or the
-    QP's iterations and, as ``residual``, the worst balance error, flow
-    excess or wrong-signed dual, which a held solve does not rule out.
+    Returns the solution and the flows of its purchases.  The solution is
+    a :class:`_HeldSolution`, under the attribute names of
+    :class:`esharing.qp.QpSolution`: it sets ``x``, ``sides`` and
+    ``iterations`` and derives the duals and the residual from the last
+    held solve when they are first read, so a caller that reads only ``x``
+    pays for neither.  It reports the balance dual ``nu`` as its only
+    equality dual, the line duals in the sign convention of ``solve_qp``
+    for rows ``-k G x``, the held lines as its ``sides`` (a zero-limit line
+    at its dual's side, or free where the finish skipped it as dependent),
+    as ``iterations`` the held solves made, the finish's included, and as
+    ``residual`` the worst balance error, flow excess or wrong-signed
+    dual, which a held solve does not rule out.
     """
     limits, bounded, pinned = net.limits, net.bounded, net.pinned
     alpha, beta = base + k * linear / hess, k / hess
@@ -280,6 +277,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     guess = np.asarray(active, dtype=float)
     side, held, target = net._kept(
         "_guess", guess.tobytes(), lambda: _guess_vectors(net, guess))
+    accepted = None  # the last held set the held solve accepted, and its solve
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
         step = _held_solve(net, alpha, beta, held, target)
@@ -298,6 +296,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
         failed = ~within & bounded
         if not failed.any():
             break
+        accepted = side, held, step
         # release the failed held lines, hold the failed free ones
         side = np.where(failed, np.where(held, 0.0, np.copysign(1.0, flows)), side)
         held = held ^ failed
@@ -305,21 +304,114 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     else:  # the steps may cycle
         step = None
     if step is None:
-        if not is_radial(net):
-            sol = _cold_qp(net, hess, linear, base, k)
-            return (replace(sol, iterations=iterations + sol.iterations),
-                    net.ptdf.T @ (base - k * sol.x))
-        held, target = _exact_pass(net.tree, limits, alpha, beta)
-        side = np.where(bounded, np.sign(target), 0.0)
-        u, q, flows, push = _held_solve(net, alpha, beta, held, target)
+        side, held, step, solves = _finish(net, alpha, beta, accepted)
+        u, q, flows, push = step
         excess = np.abs(flows) - limits
-        iterations += 1
+        iterations += solves
 
     if pinned.size:  # a held zero-limit line sits at its dual's side
         side = side.copy()
-        side[pinned] = np.where(push[pinned] / k >= 0.0, 1.0, -1.0)
+        side[pinned] = np.where(held[pinned],
+                                np.where(push[pinned] / k >= 0.0, 1.0, -1.0), 0.0)
     return _HeldSolution((u - linear) / hess, side, iterations, u[net.slack - 1],
                          q, push, k, excess), flows
+
+
+def _finish(net, alpha, beta, start) -> tuple:
+    """Dual active-set steps (Goldfarb & Idnani, Math. Programming 27,
+    1983) whose only solver is the held-set solve, from ``start``: the side
+    and held vectors of the last held set the loop's held solve accepted,
+    and that solve, or None for no lines.
+
+    The held lines with a wrong-signed push are released first, until none
+    is left.  Then each free zero-limit line, an equality never released,
+    and after them the most violated free line (least index on ties) is
+    added: its push, signed to move its flow back, grows until the flow
+    reaches its limit, where the line is held, or until a held push
+    reaches 0, where that line is released (least index on ties) and the
+    push grows on.  The held solve is linear in ``(alpha, target)``, so one
+    solve with ``alpha = -beta G_p`` and zero targets gives the rate of
+    every flow and held push, and the state moves along it.  A line whose
+    row depends on the held rows (the fall ``sigma`` of its own flow is 0)
+    moves only the pushes; a zero-limit one is skipped and reported free,
+    as its flow is already 0.  One held solve of the final set gives the
+    answer.  The method is finite: ``solve_qp``'s cap of ``50 (n + lines)
+    + 10`` steps only guards it, and the tolerances are the loop's check.
+
+    Returns the side and held vectors, the final held solve and the number
+    of held solves made.
+    """
+    limits, bounded, ptdf = net.limits, net.bounded, net.ptdf
+    lines, cap = limits.size, 50 * (alpha.size + limits.size) + 10
+    solves = steps = 0
+
+    def solve(alpha, target):
+        nonlocal solves
+        solves += 1
+        step = _held_solve(net, alpha, beta, held, target)
+        if step is None:
+            raise IterationLimit("the held-set solve refused the held set "
+                                 "of a dual active-set step")
+        return step
+
+    if start is None:
+        side, held, step = np.zeros(lines), np.zeros(lines, dtype=bool), None
+    else:  # copies: the vectors of a guess are kept on the network
+        side, held, step = start[0].copy(), start[1].copy(), start[2]
+    while True:
+        if step is None:
+            step = solve(alpha, np.copysign(limits, side))
+        u, q, flows, push = step
+        # only a held line with a positive limit has a side
+        wrong = side * push < -_RTOL * (1.0 + np.abs(u).max())
+        if not wrong.any():
+            break
+        held[wrong], side[wrong], step = False, 0.0, None
+
+    def add(p):
+        """Move line ``p``'s flow to its limit and hold it there, or skip
+        a dependent zero-limit line."""
+        nonlocal q, flows, push, steps
+        g, zeros = ptdf[:, p], np.zeros(lines)
+        s, t, scale = np.copysign(1.0, flows[p]), 0.0, 1e-10 * (beta * g * g).sum()
+        while True:
+            steps += 1
+            if steps > cap:
+                raise IterationLimit(f"dual active-set steps exceeded {cap}")
+            _, dq, dflows, dpush = solve(-beta * g, zeros)
+            sigma, gap = -dflows[p], abs(flows[p]) - limits[p]
+            dependent = sigma <= scale
+            if dependent and limits[p] == 0.0:
+                if gap <= _RTOL * (1.0 + np.abs(q).sum()):
+                    return
+                raise Infeasible("zero-limit lines are inconsistent")
+            full = np.inf if dependent else gap / sigma
+            # the step at which each held push reaches 0
+            rate = s * side * dpush
+            stops = np.divide(np.maximum(side * push, 0.0), -rate,
+                              out=np.full(lines, np.inf), where=rate < 0.0)
+            l = int(np.argmin(stops))  # the least index wins ties
+            length = min(full, stops[l])
+            if length == np.inf:
+                raise Infeasible("constraint set is empty")
+            ds = s * length
+            if not dependent:
+                q, flows = q + ds * dq, flows + ds * dflows
+            push, t = push + ds * dpush, t + ds
+            if length == full:
+                held[p], side[p], push[p] = True, s if bounded[p] else 0.0, t
+                return
+            held[l], side[l], push[l] = False, 0.0, 0.0
+
+    for p in net.pinned[~held[net.pinned]]:
+        add(p)
+    while True:
+        excess = np.where(bounded & ~held, np.abs(flows) - limits, 0.0)
+        p = int(np.argmax(excess))
+        if not excess[p] > _RTOL * (1.0 + np.abs(q).sum()):
+            break
+        add(p)
+    return side, held, solve(alpha, np.copysign(limits, side)), solves
 
 
 class _HeldSolution:
@@ -407,16 +499,17 @@ def _mesh_components(net, alpha, beta, held, target):
     whose targets agree, as two held zero-limit lines may be, pass that
     test with pushes split at random between them; so with two or more
     held, each Cholesky pivot must keep the share of its row that
-    ``solve_qp`` asks of a row it holds.  The Schur matrix and that verdict
-    come from :func:`_mesh_factor`, kept on the network as the tree's
-    factor is (:func:`esharing.tree._components`); the rows are gathered
-    and the system solved on every call.
+    :func:`_finish` asks of a line it holds.  The Schur matrix and that
+    verdict come from :func:`_mesh_factor`, kept on the network as the
+    tree's factor is (:func:`esharing.tree._components`) but keyed on the
+    held lines and ``beta`` alone, as the targets do not enter it; the rows
+    are gathered and the system solved on every call.
     """
     G = net.ptdf.T
     rows = np.vstack([np.ones(alpha.size), G[held]])
     t = np.concatenate([[0.0], target[held]])
     schur, dependent = net._kept(
-        "_factor", held.tobytes() + t.tobytes() + beta.tobytes(),
+        "_factor", held.tobytes() + beta.tobytes(),
         lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
     if dependent:
         return None
@@ -449,23 +542,6 @@ def _mesh_factor(rows, beta, check_pivots: bool) -> tuple:
     except np.linalg.LinAlgError:
         return schur, True
     return schur, not (pivots > 1e-10 * np.diagonal(schur)).all()
-
-
-def _cold_qp(net, hess, linear, base, k: float) -> QpSolution:
-    """The program as a dense QP in ``x``, solved cold by
-    :func:`esharing.qp.solve_qp`."""
-    G = net.ptdf.T
-    Gb = G @ base
-    qp = QuadraticProgram(
-        hessian=hess,
-        linear=linear,
-        eq_matrix=np.ones((1, net.bus_count)),
-        eq_rhs=np.array([base.sum() / k]),
-        ineq_matrix=-k * G,
-        ineq_lower=-net.limits - Gb,
-        ineq_upper=net.limits - Gb,
-    )
-    return solve_qp(qp)
 
 
 def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) -> float:

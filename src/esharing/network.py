@@ -106,14 +106,14 @@ class NetworkModel:
     The network is immutable, but it keeps two private cache entries, each
     one slot (:meth:`_kept`): ``_factor``, the factor of the last held set
     that :func:`esharing.market._held_solve` solved on it, keyed on the
-    held lines, their targets and the curvature; and ``_guess``, what
-    :func:`esharing.market._solve_program` made of the last guess it was
-    given (its side, held and target vectors), keyed on that guess.  So a
-    hot-started solve that repeats its guess and held set (a settled
-    bidding round) rebuilds neither.  Each slot is read
-    once and replaced by one assignment, so threads sharing a network never
-    mix entries; a kept array is read-only, and a reused entry gives the
-    same bits as a fresh one.
+    held lines and the curvature, and on a tree on their targets too; and
+    ``_guess``, what :func:`esharing.market._solve_program` made of the
+    last guess it was given (its side, held and target vectors), keyed on
+    that guess.  So a hot-started solve that repeats its guess and held set
+    (a settled bidding round) rebuilds neither.  Each slot is read once and
+    replaced by one assignment, so threads sharing a network never mix
+    entries; a kept array is read-only, and a reused entry gives the same
+    bits as a fresh one.
     """
 
     bus_count: int

@@ -25,9 +25,10 @@ both when a row is added and when one is released, so identical inputs
 produce bit-identical outputs.  A Schur solve on the final held set,
 refined once against the rows themselves, gives the reported solution.
 
-The package's programs hot-start elsewhere, in
-:func:`esharing.market._solve_program`, and reach this solver only as the
-mesh fallback.
+No package program calls this solver.  They are solved by the hot-start
+loop of :func:`esharing.market._solve_program`, whose finish runs the same
+dual active-set steps on its held-set solve.  This dense solver stays
+public as the reference that the tests check those answers against.
 """
 from __future__ import annotations
 

@@ -10,8 +10,8 @@ are solved in prices with ``k = a`` and the bids as ``r``; the central and
 social programs in productions with ``k = 1`` and ``r = D``.
 :func:`esharing.market._solve_program` guesses the lines at a limit,
 solves with them held, checks the result and repairs a wrong guess by
-exchange steps; this module gives it the held-set solve and the fallback
-on a tree.
+exchange steps, or by the dual active-set steps of its finish; this
+module gives it the held-set solve on a tree.
 
 On a tree rooted at the slack bus, the flow on line l is ``sign_l`` times
 the net purchase ``Q_l`` of the subtree below it, so each limit bounds one
@@ -36,19 +36,6 @@ construction, in O(n) numpy work.  The components and every sum that does
 not involve ``alpha`` form the held set's factor, which the network keeps
 from one solve to the next, so that a settled bidding round only sums its
 purchases.
-
-Exact pass, the fallback.  Bottom-up, the purchase of the subtree below
-line l is a strictly decreasing piecewise-linear function of the price at
-its top,
-
-    P_l(u) = q_c(u) + sum_{lines m below bus c} clip(P_m(u), -F_m, F_m),
-
-with a knot wherever some line further down reaches a limit.  The root's
-sum solves ``P(u) = 0``; top-down, line l is held when ``P_l`` at its
-parent's price is at or beyond ``+-F_l``, and its subtree then takes the
-price at which it sits at that limit.  The pass only finds the held set;
-the answer is the component solve on it, which puts held flows on their
-limits to rounding.  Unlike the exchange steps, it cannot cycle.
 """
 
 from __future__ import annotations
@@ -99,76 +86,3 @@ def _factor(tree, beta, held, target):
     for part in factor:  # kept on the network
         part.setflags(write=False)
     return factor
-
-
-# A curve is (knots, values, left slope, right slope): piecewise linear
-# through the knots, extended linearly beyond them.
-
-def _value(curve, u):
-    knots, values, left, right = curve
-    return (np.interp(u, knots, values) + left * np.minimum(u - knots[0], 0.0)
-            + right * np.maximum(u - knots[-1], 0.0))
-
-
-def _inverse(curve, y: float) -> float:
-    """The price at which a strictly decreasing curve equals ``y``."""
-    knots, values, left, right = curve
-    if y >= values[0]:
-        return float(knots[0] + (y - values[0]) / left)
-    if y <= values[-1]:
-        return float(knots[-1] + (y - values[-1]) / right)
-    return float(np.interp(-y, -values, knots))
-
-
-def _subtree_curve(alpha: float, beta: float, below: list):
-    """Own purchase ``alpha - beta u`` plus the clipped curves hanging below."""
-    if not below:
-        return np.array([alpha / beta]), np.zeros(1), -beta, -beta
-    knots = np.unique(np.concatenate([c[0] for c in below]))
-    values = alpha - beta * knots
-    left = right = -beta
-    for c in below:
-        values += _value(c, knots)
-        left += c[2]
-        right += c[3]
-    return knots, values, left, right
-
-
-def _clip(curve, limit: float):
-    """``clip(curve, -limit, limit)``: what a line passes up to its parent."""
-    if not np.isfinite(limit):
-        return curve
-    knots, values, _, _ = curve
-    lo, hi = _inverse(curve, limit), _inverse(curve, -limit)
-    if hi <= lo:  # a zero limit
-        return np.array([lo]), np.zeros(1), 0.0, 0.0
-    inner = (knots > lo) & (knots < hi)
-    return (np.concatenate([[lo], knots[inner], [hi]]),
-            np.concatenate([[limit], values[inner], [-limit]]), 0.0, 0.0)
-
-
-def _exact_pass(tree, limits, alpha, beta):
-    """The optimal held lines and their flows."""
-    below = [[] for _ in range(alpha.size)]
-    curves = [None] * limits.size
-    for l in tree.order[::-1]:
-        c = tree.child[l]
-        curves[l] = _subtree_curve(alpha[c], beta[c], below[c])
-        below[tree.head[l]].append(_clip(curves[l], limits[l]))
-    root = tree.root
-    u = np.empty(alpha.size)
-    u[root] = _inverse(_subtree_curve(alpha[root], beta[root], below[root]), 0.0)
-    held = np.zeros(limits.size, dtype=bool)
-    target = np.zeros(limits.size)
-    for l in tree.order:
-        c = tree.child[l]
-        up = u[tree.head[l]]
-        purchase = _value(curves[l], up) if np.isfinite(limits[l]) else 0.0
-        if abs(purchase) >= limits[l]:
-            held[l] = True
-            at_limit = np.copysign(limits[l], purchase)
-            target[l] = tree.sign[l] * at_limit
-            u[c] = _inverse(curves[l], at_limit)
-        else:
-            u[c] = up
-    return held, target

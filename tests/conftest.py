@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from esharing import cases
 from esharing.market import Prosumer, Scenario
 from esharing.network import LineSpec, build_network
+from esharing.qp import QuadraticProgram, solve_qp
 
 settings.register_profile(
     "suite",
@@ -134,3 +135,15 @@ def with_chords(scenario, count, seed=0):
 def balanced_vector(rng, size, scale=10.0):
     q = rng.uniform(-scale, scale, size)
     return q - q.mean()
+
+
+def oracle(net, hess, linear, base, k):
+    """A package program ``(net, hess, linear, base, k)`` as a dense QP in
+    ``x``, and the dense solver's solution of it."""
+    G = net.ptdf.T
+    qp = QuadraticProgram(
+        hessian=hess, linear=linear,
+        eq_matrix=np.ones((1, net.bus_count)), eq_rhs=[base.sum() / k],
+        ineq_matrix=-k * G, ineq_lower=-net.limits - G @ base,
+        ineq_upper=net.limits - G @ base)
+    return qp, solve_qp(qp)

@@ -19,7 +19,6 @@ from esharing.bidding import (
 )
 from esharing.errors import DimensionMismatch, MaxIterExceeded, WeakSensitivityWarning
 from esharing.market import Scenario, clear_market
-from esharing.qp import solve_qp
 from esharing.scenario_io import gen_scenario
 
 
@@ -211,30 +210,31 @@ def test_trace_distance_helper(two_f5):
 def test_settled_rounds_take_one_solver_iteration(monkeypatch):
     # each round hot-starts from the previous round's active set, so once
     # the set stops changing a round's program is solved by one held solve
-    # of its guess; a mesh, whose fallback is the QP
+    # of its guess, on a mesh too, and never reaches the finish
     solve, mesh_components = market._solve_program, market._mesh_components
-    held_solves, qp_solves, solves = [], [], []
+    finish = market._finish
+    held_solves, finishes, solves = [], [], []
 
     def recording(*args):
-        held, qps = len(held_solves), len(qp_solves)
+        held, finished = len(held_solves), len(finishes)
         sol, flows = solve(*args)
         solves.append((args[5], sol.sides,
-                       len(held_solves) - held, len(qp_solves) - qps))
+                       len(held_solves) - held, len(finishes) - finished))
         return sol, flows
 
     def counting(*args):
         held_solves.append(args)
         return mesh_components(*args)
 
-    def qp_recording(*args, **kwargs):
-        qp_solves.append(args)
-        return solve_qp(*args, **kwargs)
+    def finish_recording(*args):
+        finishes.append(args)
+        return finish(*args)
 
     monkeypatch.setattr(market, "_solve_program", recording)
     monkeypatch.setattr(market, "_mesh_components", counting)
-    monkeypatch.setattr(market, "solve_qp", qp_recording)
+    monkeypatch.setattr(market, "_finish", finish_recording)
     run_bidding(with_chords(gen_scenario(7, 38, "tight"), 3))
-    settled = [(held, qps) for guess, found, held, qps in solves
+    settled = [(held, finished) for guess, found, held, finished in solves
                if guess is not None and guess.any()
                and np.array_equal(guess, found)]
     assert len(settled) > len(solves) // 2
@@ -276,12 +276,12 @@ def test_settled_rounds_build_no_factor(chords, monkeypatch):
     assert factors  # the rounds before did build them
 
 
-def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
+def test_settled_rounds_skip_the_finish(monkeypatch):
     # on a tree each round checks the previous round's held lines in closed
     # form; a round whose set changes repairs it by exchange steps, and no
-    # round falls back to the exact pass
-    solve, exact_pass = market._solve_program, market._exact_pass
-    iterations, passes = [], []
+    # round reaches the finish
+    solve, finish = market._solve_program, market._finish
+    iterations, finishes = [], []
 
     def recording(*args):
         sol, flows = solve(*args)
@@ -289,15 +289,15 @@ def test_settled_rounds_skip_the_exact_tree_pass(monkeypatch):
         return sol, flows
 
     def counting(*args):
-        passes.append(args)
-        return exact_pass(*args)
+        finishes.append(args)
+        return finish(*args)
 
     monkeypatch.setattr(market, "_solve_program", recording)
-    monkeypatch.setattr(market, "_exact_pass", counting)
+    monkeypatch.setattr(market, "_finish", counting)
     result = run_bidding(gen_scenario(7, 38, "tight"))
     assert result.iterations == len(iterations) == 124
     assert 0 < sum(its > 1 for its in iterations) <= 15
-    assert passes == []
+    assert finishes == []
 
 
 def test_settled_rounds_build_no_duals(monkeypatch):

@@ -237,12 +237,12 @@ def test_poa_hot_starts_the_social_solve_from_the_equilibrium(size, monkeypatch)
         held_solves.append(args)
         return mesh_components(*args)
 
-    def no_qp(*args, **kwargs):
-        raise AssertionError("a social solve reached the QP")
+    def no_finish(*args):
+        raise AssertionError("a social solve reached the finish")
 
     monkeypatch.setattr(equilibrium, "_solve_program", recording)
     monkeypatch.setattr(market, "_mesh_components", counting)
-    monkeypatch.setattr(market, "solve_qp", no_qp)
+    monkeypatch.setattr(market, "_finish", no_finish)
     report = equilibrium.poa(scenario, eqm)
     cold = equilibrium.social_optimum(scenario)
     (hot_solve, hot_held), (_, cold_held) = solves
@@ -264,10 +264,10 @@ def test_uncongested_programs_on_a_mesh_build_no_qp(monkeypatch):
     scenario = Scenario(network=build_network(net.bus_count, lines, net.slack),
                         prosumers=meshed.prosumers, a=meshed.a)
 
-    def no_qp(*args, **kwargs):
-        raise AssertionError("an uncongested program reached the QP")
+    def no_finish(*args):
+        raise AssertionError("an uncongested program reached the finish")
 
-    monkeypatch.setattr(market, "solve_qp", no_qp)
+    monkeypatch.setattr(market, "_finish", no_finish)
     bids = np.random.default_rng(0).uniform(0.0, 50.0, scenario.size)
     out = clear_market(scenario, bids)
     assert clearing_kkt_residual(scenario, bids, out) <= 1e-8
@@ -292,10 +292,10 @@ def test_poa_on_a_tree_takes_the_social_active_set_from_the_equilibrium(
     eqm = equilibrium.improved_gne(scenario)
     cold = equilibrium.social_optimum(scenario)
 
-    def no_exact_pass(*args):
+    def no_finish(*args):
         raise AssertionError("the equilibrium's binding lines were not optimal")
 
-    monkeypatch.setattr(market, "_exact_pass", no_exact_pass)
+    monkeypatch.setattr(market, "_finish", no_finish)
     report = equilibrium.poa(scenario, eqm)
     assert report["social_cost"] == pytest.approx(cold.total_cost, rel=1e-12, abs=0.0)
 

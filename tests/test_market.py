@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import limited_scenarios, with_chords
+from conftest import limited_scenarios, oracle, with_chords
 from esharing.brlab import ScanConfig, verify_gne
 from esharing.equilibrium import improved_gne
 from esharing.errors import DimensionMismatch, TooFewProsumers
@@ -22,7 +22,7 @@ from esharing.market import (
 from esharing import market
 from esharing.bidding import platform_update
 from esharing.network import LineSpec, build_network, is_radial, line_flows
-from esharing.qp import QpSolution, QuadraticProgram, solve_qp
+from esharing.qp import QuadraticProgram, solve_qp
 from esharing.scenario_io import gen_scenario, load_scenario
 
 
@@ -390,6 +390,25 @@ def test_sides_on_a_small_tree():
             clear_market(scenario, bids, active=guess)
 
 
+@pytest.mark.parametrize("guess", [None, [0.0, 0.0, 0.0, 1.0],
+                                   [1.0, 0.0, 1.0, 0.0]])
+def test_zero_limit_twins_report_one_line_held(guess):
+    # lines 0 and 3 are parallel with zero limits, so their rows are
+    # dependent: one of them is held at its dual's side and the other,
+    # whose flow is then 0 as well, is reported free with zero duals
+    lines = [LineSpec(1, 2, 1.0, 0.0), LineSpec(2, 3, 1.0, 2.0),
+             LineSpec(1, 3, 1.0, 0.3), LineSpec(1, 2, 0.5, 0.0)]
+    scenario = Scenario(network=build_network(3, lines),
+                        prosumers=[Prosumer(1.0, 0.0, 1.0)] * 3, a=1.0)
+    bids = np.array([3.0, -2.0, 0.5])
+    out = clear_market(scenario, bids,
+                       None if guess is None else np.array(guess))
+    assert out.sides.tolist() == [-1.0, 0.0, 0.0, 0.0]
+    assert out.alpha_lower == pytest.approx([20.0, 0.0, 0.0, 0.0], abs=1e-12)
+    assert not out.alpha_lower[1:].any() and not out.alpha_upper.any()
+    assert clearing_kkt_residual(scenario, bids, out) <= 1e-12
+
+
 def test_sides_on_the_bundled_mesh():
     scenario = load_scenario(str(Path(__file__).resolve().parents[1]
                                  / "scenarios" / "mesh38_chords.json"))
@@ -399,8 +418,8 @@ def test_sides_on_the_bundled_mesh():
     assert out.sides.any()
     assert_sides_follow_the_duals(out, net.limits)
     # the dense QP's held rows
-    cold = market._cold_qp(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
-    assert np.array_equal(out.sides, cold.sides)
+    _, dense = oracle(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
+    assert np.array_equal(out.sides, dense.sides)
 
 
 @pytest.mark.parametrize("chords", [0, 3])
@@ -530,42 +549,37 @@ def _eager(net, a, bids, held_solve, x, sides):
 @settings(max_examples=120)
 @given(limited_scenarios(max_size=12), st.sampled_from(["clear", "platform"]),
        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_derived_fields_equal_the_eager_ones(scenario, op, cold, reverse, seed):
+def test_derived_fields_equal_the_eager_ones(scenario, op, refuse, reverse, seed):
     # trees, meshes and zero-limit twins, plain and proximal clearings, and
-    # on a mesh the QP fallback forced by refusing every held solve; each
+    # the finish, forced by refusing the loop's first held solve; each
     # derived field, read in either order, has the bits of the expression
-    # that computed it eagerly
+    # that computed it eagerly from the last held solve
     net = scenario.network
-    cold = cold and not is_radial(net)
     rng = np.random.default_rng(seed)
     bids = rng.uniform(-3.0, 3.0, scenario.size)
     anchor = rng.uniform(-1.0, 1.0, scenario.size) if op == "platform" else None
-    held_solve, solves, qps = market._held_solve, [], []
+    held_solve, solves, finishes = market._held_solve, [], []
+    finish = market._finish
 
     def recording(*args):
+        if refuse and not solves:
+            solves.append(None)
+            return None
         solves.append(held_solve(*args))
         return solves[-1]
 
-    def qp_recording(*args):
-        qps.append(solve_qp(*args))
-        return qps[-1]
+    def finish_recording(*args):
+        finishes.append(args)
+        return finish(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(market, "_held_solve", recording)
-        patch.setattr(market, "solve_qp", qp_recording)
-        if cold:
-            patch.setattr(market, "_mesh_components", lambda *args: None)
+        patch.setattr(market, "_finish", finish_recording)
         out = market._clear(scenario, bids, anchor, None)
     sol = out.solution
-    if qps:  # the QP's solution, whose fields were always set
-        assert isinstance(sol, QpSolution)
-        want = {"quantities": bids - scenario.a * sol.x,
-                "eta": float(qps[0].eq_duals[0]) / scenario.a,
-                "alpha_lower": qps[0].ineq_duals_lower,
-                "alpha_upper": qps[0].ineq_duals_upper}
-    else:
-        assert not cold and isinstance(sol, market._HeldSolution)
-        want = _eager(net, scenario.a, bids, solves[-1], sol.x, out.sides)
+    assert isinstance(sol, market._HeldSolution)
+    assert len(finishes) >= refuse
+    want = _eager(net, scenario.a, bids, solves[-1], sol.x, out.sides)
     names = sorted(want, reverse=reverse)
     got = {name: getattr(sol if name in ("eq_duals", "residual")
                          or name.startswith("ineq") else out, name)

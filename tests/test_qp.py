@@ -288,7 +288,8 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n, dependent):
 
 
 def test_solver_and_mesh_fallback_need_no_scipy():
-    # the mesh fixture's central program falls back to a cold solve_qp
+    # the dense solver runs on numpy alone, and so does the mesh fixture's
+    # central program, which reaches the finish
     script = f"""
 import sys
 sys.modules["scipy"] = None
@@ -303,13 +304,13 @@ sol = solve_qp(QuadraticProgram(
     ineq_matrix=np.array([[1.0, 0.0]]),
     ineq_lower=np.array([0.55]), ineq_upper=np.array([1.55])))
 assert np.abs(sol.x - [1.55, 2.56]).max() <= 1e-10
-cold = []
-def counted(*args, solve=market._cold_qp):
-    cold.append(args)
-    return solve(*args)
-market._cold_qp = counted
+finished = []
+def counted(*args, finish=market._finish):
+    finished.append(args)
+    return finish(*args)
+market._finish = counted
 eqm = equilibrium.improved_gne(load_scenario({MESH!r}))
-assert cold and eqm.clearing_residual <= 1e-6
+assert finished and eqm.clearing_residual <= 1e-6
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)

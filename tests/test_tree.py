@@ -1,14 +1,18 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import limited_scenarios, random_tree, with_chords
-from esharing import equilibrium, market
+from conftest import limited_scenarios, oracle, random_tree, with_chords
+from esharing import cli, equilibrium, market, qp as dense, tree
+from esharing.market import clear_market, clearing_slopes
 from esharing.network import LineSpec, build_network
-from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
-from esharing.scenario_io import gen_scenario
+from esharing.qp import kkt_residual
+from esharing.scenario_io import gen_scenario, load_scenario
+
+MESH = str(Path(__file__).resolve().parents[1] / "scenarios" / "mesh38_chords.json")
 
 FORMS = ("clearing", "proximal", "central", "social")
 
@@ -86,23 +90,25 @@ def solve(program, active=None):
     return market._solve_program(*program, active)[0]
 
 
-def exact_pass_only(program, active):
+def finish_only(program, active):
     """``_solve_program`` with no exchange steps: a failed guess goes
-    straight to the exact pass."""
+    straight to the finish."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(market, "_EXCHANGE_STEPS", 0)
         return solve(program, active)
 
 
-def oracle(net, hess, linear, base, k):
-    """The program as a dense QP, and its active-set solution."""
-    G = net.ptdf.T
-    qp = QuadraticProgram(
-        hessian=hess, linear=linear,
-        eq_matrix=np.ones((1, net.bus_count)), eq_rhs=[base.sum() / k],
-        ineq_matrix=-k * G, ineq_lower=-net.limits - G @ base,
-        ineq_upper=net.limits - G @ base)
-    return qp, solve_qp(qp)
+def counting_finishes(monkeypatch):
+    """Patch ``market._finish`` to record the held solves of each call."""
+    finish, solves = market._finish, []
+
+    def counting(*args):
+        result = finish(*args)
+        solves.append(result[3])
+        return result
+
+    monkeypatch.setattr(market, "_finish", counting)
+    return solves
 
 
 def assert_same(sol, ref):
@@ -143,48 +149,49 @@ def test_any_hot_start_gives_the_same_answer(program, seed):
 
 
 @settings(max_examples=150)
-@given(tree_programs(), st.integers(0, 2**32 - 1))
-def test_the_exact_pass_alone_matches_the_qp(program, seed):
+@given(st.one_of(tree_programs(), mesh_programs()), st.integers(0, 2**32 - 1))
+def test_the_finish_alone_matches_the_qp(program, seed):
+    # trees and meshes alike; the bound on the held solves is loose, and
+    # far below the finish's cap of 50 (buses + lines) + 10 steps
     qp, ref = oracle(*program)
-    for active in (None, random_guess(program[0], seed)):
-        sol = exact_pass_only(program, active)
-        assert sol.iterations <= 2
+    net = program[0]
+    for active in (None, random_guess(net, seed)):
+        sol = finish_only(program, active)
+        assert sol.iterations <= 2 + 2 * (net.bus_count + net.line_count)
         assert_same(sol, ref)
         assert kkt_residual(qp, sol) <= 1e-8
+        assert sol.residual <= 1e-8
 
 
 @settings(max_examples=150)
 @given(tree_programs(), st.integers(0, 2**32 - 1))
-def test_exchange_steps_hold_the_lines_the_exact_pass_holds(program, seed):
+def test_exchange_steps_hold_the_lines_the_finish_holds(program, seed):
     for active in (None, random_guess(program[0], seed)):
         stepped = solve(program, active)
-        exact = exact_pass_only(program, active)
-        assert np.array_equal(stepped.sides, exact.sides)
-        assert np.array_equal(stepped.x, exact.x)
+        finished = finish_only(program, active)
+        assert np.array_equal(stepped.sides, finished.sides)
+        assert stepped.x.tobytes() == finished.x.tobytes()
 
 
-def test_exchange_steps_that_cycle_fall_back_to_the_exact_pass(monkeypatch):
+def test_exchange_steps_that_cycle_fall_back_to_the_finish(monkeypatch):
     # on this congested 40-bus tree the exchange steps from the empty guess
-    # come back to a held set every 4 steps; the exact pass settles it
+    # come back to a held set every 4 steps; the finish settles it from the
+    # last of them
     program = random_program(np.random.default_rng(4441), 40, "social")
-    components, exact_pass = market._tree_components, market._exact_pass
-    held_sets, passes = [], []
+    components = market._tree_components
+    held_sets = []
 
     def recording(net, alpha, beta, held, target):
         held_sets.append(held.tobytes())
         return components(net, alpha, beta, held, target)
 
-    def counting(*args):
-        passes.append(args)
-        return exact_pass(*args)
-
     monkeypatch.setattr(market, "_tree_components", recording)
-    monkeypatch.setattr(market, "_exact_pass", counting)
+    finishes = counting_finishes(monkeypatch)
     sol = solve(program)
-    stepped = held_sets[:-1]  # the last solve is on the exact pass's set
-    assert len(passes) == 1
-    assert len(set(stepped)) < len(stepped) == market._EXCHANGE_STEPS + 1
-    assert sol.iterations == market._EXCHANGE_STEPS + 2
+    stepped = held_sets[:market._EXCHANGE_STEPS + 1]
+    assert len(finishes) == 1
+    assert len(set(stepped)) < len(stepped)
+    assert sol.iterations == len(held_sets) == market._EXCHANGE_STEPS + 1 + finishes[0]
     qp, ref = oracle(*program)
     assert_same(sol, ref)
     assert kkt_residual(qp, sol) <= 1e-8
@@ -204,24 +211,25 @@ def test_a_singular_held_set_falls_back_to_the_qp(monkeypatch):
     # line 0 has a zero limit and line 3 is its parallel twin, so their
     # flows are one row up to scale and rounding: holding the twin at its
     # limit leaves no solution, and the held solve must refuse the garbage
-    # of the near-singular system at once
+    # of the near-singular system at once; the program then falls back to
+    # the finish, the dual active-set method on the held solve, from no lines
+    finishes = counting_finishes(monkeypatch)
+    program = singular_twins()
+    qp, ref = oracle(*program)
+    sol = solve(program, np.array([0.0, 0.0, 0.0, 1.0]))
+    assert len(finishes) == 1
+    assert sol.iterations == 1 + finishes[0]
+    assert_same(sol, ref)
+    assert kkt_residual(qp, sol) <= 1e-8
+
+
+def singular_twins():
+    """A 3-bus mesh whose zero-limit line 0 has a limited parallel twin,
+    line 3, and the clearing program on it."""
     lines = [LineSpec(1, 2, 1.0, 0.0), LineSpec(2, 3, 1.0, 0.5),
              LineSpec(1, 3, 1.0, 0.5), LineSpec(1, 2, 0.3, 0.4)]
     net = build_network(3, lines)
-    program = net, np.full(3, 2.0), np.zeros(3), np.array([3.0, -1.0, 0.5]), 1.0
-    qps = []
-
-    def recording(*args, **kwargs):
-        qps.append(solve_qp(*args, **kwargs))
-        return qps[-1]
-
-    monkeypatch.setattr(market, "solve_qp", recording)
-    qp, ref = oracle(*program)
-    sol = solve(program, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert len(qps) == 1
-    assert sol.iterations == 1 + qps[0].iterations
-    assert_same(sol, ref)
-    assert kkt_residual(qp, sol) <= 1e-8
+    return net, np.full(3, 2.0), np.zeros(3), np.array([3.0, -1.0, 0.5]), 1.0
 
 
 def test_topology_agrees_with_the_ptdf():
@@ -244,7 +252,6 @@ def test_meshes_have_no_tree_and_keep_the_qp(monkeypatch):
     scenario = with_chords(gen_scenario(3, 12, "tight"), 2)
     assert scenario.network.tree is None
     monkeypatch.setattr(market, "_tree_components", None)
-    monkeypatch.setattr(market, "_exact_pass", None)
     equilibrium.improved_gne(scenario)
 
 
@@ -272,3 +279,64 @@ def test_a_kept_factor_serves_only_its_own_held_set(change):
     alone = market._held_solve(dataclasses.replace(net), alpha, beta, held, target)
     for a, b in zip(kept, alone):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_mesh_factor_serves_any_targets_of_its_held_set(monkeypatch):
+    # the Schur matrix reads only the held rows and the curvature, so the
+    # slopes of a settled clearing, whose targets are zero, and that
+    # clearing again build no factor
+    scenario = with_chords(gen_scenario(7, 38, "tight"), 3)
+    bids = equilibrium.improved_gne(scenario).b_bar
+    out = clear_market(scenario, bids)
+    out = clear_market(scenario, bids, out.sides)
+    assert out.solution.iterations == 1 and out.sides.any()
+    build, builds = market._mesh_factor, []
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(market, "_mesh_factor", counting)
+    assert clearing_slopes(scenario, 0, out.sides) is not None
+    again = clear_market(scenario, bids, out.sides)
+    assert builds == []
+    assert again.prices.tobytes() == out.prices.tobytes()
+
+
+def refuse_the_dense_qp(patch):
+    """Make the dense solver raise, and check that no package module holds
+    a name of it or of the fallbacks the finish replaced."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a package program reached the dense QP")
+
+    patch.setattr(dense, "solve_qp", refused)
+    for module, name in ((market, "solve_qp"), (market, "_cold_qp"),
+                         (tree, "_exact_pass")):
+        assert not hasattr(module, name), name
+
+
+@settings(max_examples=100)
+@given(mesh_programs(), st.integers(0, 2**32 - 1), st.sampled_from([0, 8]))
+def test_mesh_programs_reach_no_dense_qp(program, seed, steps):
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_the_dense_qp(patch)
+        patch.setattr(market, "_EXCHANGE_STEPS", steps)
+        for active in (None, random_guess(program[0], seed)):
+            assert solve(program, active).residual <= 1e-8
+
+
+def test_no_package_program_reaches_the_dense_qp(monkeypatch):
+    # the singular twins, a mesh whose first held set holds a cycle, and
+    # the bundled mesh's equilibrium check all reach the finish
+    b_bar = equilibrium.improved_gne(load_scenario(MESH)).b_bar
+    refuse_the_dense_qp(monkeypatch)
+    finishes = counting_finishes(monkeypatch)
+    solve(singular_twins(), np.array([0.0, 0.0, 0.0, 1.0]))
+    assert len(finishes) == 1
+    scenario = with_chords(gen_scenario(7, 120, "tight"), 10)
+    equilibrium.poa(scenario, equilibrium.improved_gne(scenario))
+    assert len(finishes) > 1
+    report, code = cli.run_command(
+        ["brlab", MESH, "--verify", ",".join(map(repr, b_bar.tolist()))])
+    assert code == 0 and report is not None
+    assert len(finishes) > 2

@@ -348,11 +348,11 @@ def _finish(net, alpha, beta, start) -> tuple:
     def solve(alpha, target):
         nonlocal solves
         solves += 1
-        step = _held_solve(net, alpha, beta, held, target)
-        if step is None:
+        solved = _held_solve(net, alpha, beta, held, target)
+        if solved is None:
             raise IterationLimit("the held-set solve refused the held set "
                                  "of a dual active-set step")
-        return step
+        return solved
 
     if start is None:
         side, held, step = np.zeros(lines), np.zeros(lines, dtype=bool), None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 
 import numpy as np
 
@@ -59,6 +60,9 @@ class Prosumer:
             return
         if any(v is None for v in base):
             raise DimensionMismatch("baseline fields must be given together")
+        for name, v in zip(_BASELINE, base):
+            if not math.isfinite(v):
+                raise DimensionMismatch(f"prosumer {name} must be finite, got {v}")
         p0, e0, d0 = base
         if abs(p0 + e0 - d0) > 1e-9 * (1.0 + abs(d0)):
             raise DimensionMismatch(
@@ -69,48 +73,125 @@ class Prosumer:
         return self.c * p * p + self.d * p
 
 
-@dataclass(frozen=True, eq=False)
+_BASELINE = ("p0", "E0", "D0")  # the baseline columns of a scenario
+
+
+def _check_prosumers(data, base) -> None:
+    """Check prosumer columns as :class:`Prosumer` checks each record: the
+    first record it refuses raises its error.  ``data`` stacks ``c``, ``d``
+    and ``D``; ``base`` stacks ``p0``, ``E0`` and ``D0``, NaN where a
+    prosumer has no baseline, or is None for none."""
+    c, d, D = data.tolist()
+    # a finite sum has no NaN and no infinity in it, so min() is exact
+    fine = math.isfinite(sum(c) + sum(d) + sum(D)) and min(c, default=1.0) > 0.0
+    if fine and base is not None:
+        p0, e0, d0 = base
+        fine = bool(np.all((np.isnan(base).all(axis=0) | np.isfinite(base).all(axis=0))
+                           & ~(np.abs(p0 + e0 - d0) > 1e-9 * (1.0 + np.abs(d0)))))
+    if not fine:
+        for row in _prosumer_rows(data, base):
+            Prosumer(*row)
+
+
+def _prosumer_rows(data, base):
+    """The :class:`Prosumer` arguments of each column of ``data`` and
+    ``base``, as :func:`_check_prosumers` takes them."""
+    columns = data.tolist()
+    if base is not None:
+        columns += [[None if v != v else v for v in col] for col in base.tolist()]
+    return zip(*columns)
+
+
+def _check_count(count: int, bus_count: int) -> None:
+    if count != bus_count:
+        raise DimensionMismatch(f"{count} prosumers for {bus_count} buses")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Scenario:
-    """Immutable market instance: network, one prosumer per bus, sensitivity a."""
+    """Immutable market instance: network, one prosumer per bus, sensitivity a.
+
+    The prosumers are stored as columns, one entry per bus: ``c``, ``d``
+    and ``D`` (the demand reductions), and ``p0``, ``E0`` and ``D0``, the
+    baselines, NaN for a prosumer without one, or all three None when no
+    prosumer has one.  Build it from ``prosumers``, a sequence of
+    :class:`Prosumer`, or from the columns by keyword (a baseline column
+    left out is NaN throughout); the columns are checked as
+    :class:`Prosumer` checks each record, with its messages.
+    ``prosumers`` is the tuple of records, built from the columns when
+    first read (or the records the scenario was given).
+    """
 
     network: NetworkModel
-    prosumers: tuple
     a: float
-    label: str | None = None
+    label: str | None
+    c: np.ndarray = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    D: np.ndarray = field(repr=False)
+    p0: np.ndarray | None = field(repr=False)
+    E0: np.ndarray | None = field(repr=False)
+    D0: np.ndarray | None = field(repr=False)
+    _response: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "prosumers", tuple(self.prosumers))
-        if len(self.prosumers) != self.network.bus_count:
-            raise DimensionMismatch(
-                f"{len(self.prosumers)} prosumers for {self.network.bus_count} buses"
-            )
-        if len(self.prosumers) < 2:
+    def __init__(self, network: NetworkModel, prosumers=None, *, a: float,
+                 label: str | None = None, c=None, d=None, D=None,
+                 p0=None, E0=None, D0=None):
+        records = prosumers is not None
+        if records:
+            prosumers = tuple(prosumers)
+            c = [p.c for p in prosumers]
+            d = [p.d for p in prosumers]
+            D = [p.demand_reduction for p in prosumers]
+            if any(p.base_production is not None for p in prosumers):
+                p0, E0, D0 = np.array(  # a None becomes NaN
+                    [(p.base_production, p.base_purchase, p.base_demand)
+                     for p in prosumers], dtype=float).T
+        data = np.array((c, d, D), dtype=float)
+        if data.ndim != 2:
+            raise DimensionMismatch("prosumer columns must be one-dimensional")
+        base = None
+        if not (p0 is None and E0 is None and D0 is None):
+            base = np.array([np.full(data.shape[1], np.nan) if col is None else col
+                             for col in (p0, E0, D0)], dtype=float)
+            if base.shape != data.shape:
+                raise DimensionMismatch("baseline columns must match the others")
+        if not records:
+            _check_prosumers(data, base)
+        if base is not None and np.isnan(base).all():
+            base = None
+        n = data.shape[1]
+        _check_count(n, network.bus_count)
+        if n < 2:
             raise TooFewProsumers("a market needs at least two prosumers")
-        if not 0.0 < self.a < np.inf:
+        if not 0.0 < a < np.inf:
             raise DimensionMismatch(
-                f"market sensitivity a must be finite and > 0, got {self.a}")
-        for name, arr in (("c", [p.c for p in self.prosumers]),
-                          ("d", [p.d for p in self.prosumers]),
-                          ("D", [p.demand_reduction for p in self.prosumers])):
-            v = np.asarray(arr, dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+                f"market sensitivity a must be finite and > 0, got {a}")
+        data.setflags(write=False)
+        c, d, D = data
+        p0 = E0 = D0 = None
+        if base is not None:
+            base.setflags(write=False)
+            p0, E0, D0 = base
         # the terms of bidding.prosumer_update that only the data enter
-        s = self.a * (len(self.prosumers) - 1)
-        sd, den = s * self.d, 2.0 * s * self.c + 1.0
+        s = a * (n - 1)
+        sd, den = s * d, 2.0 * s * c + 1.0
         sd.setflags(write=False)
         den.setflags(write=False)
-        object.__setattr__(self, "_response", (s, sd, den))
+        vars(self).update(  # frozen: set through the instance dict
+            network=network, a=a, label=label, c=c, d=d, D=D, p0=p0, E0=E0,
+            D0=D0, _response=(s, sd, den))
+        if records:
+            vars(self)["prosumers"] = prosumers  # the view, as given
 
-    # arrays set in __post_init__; declared for introspection
-    c: np.ndarray = field(init=False, repr=False, default=None)
-    d: np.ndarray = field(init=False, repr=False, default=None)
-    D: np.ndarray = field(init=False, repr=False, default=None)
-    _response: tuple = field(init=False, repr=False, default=None)
+    @cached_property
+    def prosumers(self) -> tuple:
+        base = None if self.p0 is None else np.array((self.p0, self.E0, self.D0))
+        return tuple(starmap(Prosumer, _prosumer_rows(
+            np.array((self.c, self.d, self.D)), base)))
 
     @property
     def size(self) -> int:
-        return len(self.prosumers)
+        return len(self.c)
 
     def disutility(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)

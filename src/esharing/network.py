@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import eq
 
 import numpy as np
 
@@ -85,12 +87,16 @@ class TreeTopology:
 class NetworkModel:
     """Immutable DC network with a precomputed injection-to-flow map.
 
+    The lines are stored as columns, one entry per line.
+
     Attributes
     ----------
     bus_count : int
     slack : int
         Reference bus, 1-based.  The slack row of ``ptdf`` is zero.
-    lines : tuple[LineSpec, ...]
+    from_bus, to_bus : np.ndarray of int, shape (line_count,)
+        The 1-based end buses of each line.
+    weights : np.ndarray, shape (line_count,)
     ptdf : np.ndarray, shape (bus_count, line_count)
         ``ptdf[i, l]`` is the flow on line l per unit purchase at bus i+1.
         On a tree it is exact: ``tree.sign[l]`` when line l is on the path
@@ -102,6 +108,9 @@ class NetworkModel:
     bounded, pinned : np.ndarray
         Derived from ``limits``: the mask of lines with a positive finite
         limit, and the indices of the lines with a zero limit.
+    lines : tuple[LineSpec, ...]
+        The lines as records, built from the columns when first read (or
+        the records :func:`build_network` was given).
 
     The network is immutable, but it keeps two private cache entries, each
     one slot (:meth:`_kept`): ``_factor``, the factor of the last held set
@@ -118,7 +127,9 @@ class NetworkModel:
 
     bus_count: int
     slack: int
-    lines: tuple
+    from_bus: np.ndarray = field(repr=False)
+    to_bus: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     ptdf: np.ndarray = field(repr=False)
     limits: np.ndarray = field(repr=False)
     tree: TreeTopology | None = field(default=None, repr=False)
@@ -136,7 +147,12 @@ class NetworkModel:
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        return len(self.limits)
+
+    @cached_property
+    def lines(self) -> tuple:
+        return tuple(map(LineSpec, self.from_bus.tolist(), self.to_bus.tolist(),
+                         self.weights.tolist(), self.limits.tolist()))
 
     def _kept(self, slot: str, key: bytes, build):
         """The value kept in ``slot`` for ``key``, or ``build()``'s, kept in
@@ -148,55 +164,67 @@ class NetworkModel:
         return entry[1]
 
 
-def _incidence(bus_count: int, lines) -> np.ndarray:
+def _check_lines(from_bus, to_bus, weights, limits) -> None:
+    """Check line columns, sequences of Python numbers, as
+    :class:`LineSpec` checks each line: the first line it refuses raises
+    its error."""
+    # a finite sum has no NaN and no infinity in it, so min() is exact
+    weight_sum, limit_sum = sum(weights), sum(limits)
+    if any(map(eq, from_bus, to_bus)) or not (
+            math.isfinite(weight_sum) and min(weights, default=1.0) > 0.0
+            and limit_sum == limit_sum and min(limits, default=0.0) >= 0.0):
+        for row in zip(from_bus, to_bus, weights, limits):
+            LineSpec(*row)
+
+
+def _incidence(bus_count: int, from_bus, to_bus) -> np.ndarray:
     """Bus-by-line incidence: +1 at the from-bus, -1 at the to-bus."""
-    C = np.zeros((bus_count, len(lines)))
-    cols = np.arange(len(lines))
-    C[[ln.from_bus - 1 for ln in lines], cols] = 1.0
-    C[[ln.to_bus - 1 for ln in lines], cols] = -1.0
+    C = np.zeros((bus_count, len(from_bus)))
+    cols = np.arange(len(from_bus))
+    C[from_bus - 1, cols] = 1.0
+    C[to_bus - 1, cols] = -1.0
     return C
 
 
-def _tree_topology(bus_count: int, lines, slack: int) -> TreeTopology:
+def _tree_topology(bus_count: int, from_bus, to_bus, slack: int) -> TreeTopology:
     """Breadth-first search from ``slack``: the network rooted there.
 
     On a mesh the result is one spanning tree of it.  Raises
     :class:`DisconnectedGraph` when some bus is not reached.
     """
     root = slack - 1
-    ends = [(ln.from_bus - 1, ln.to_bus - 1) for ln in lines]
-    adj = [[] for _ in range(bus_count)]
-    for l, (f, t) in enumerate(ends):
-        adj[f].append(l)
-        adj[t].append(l)
+    links = [[] for _ in range(bus_count)]  # (neighbour, line, sign) per bus
+    for l, (f, t) in enumerate(zip(from_bus, to_bus)):
+        links[f - 1].append((t - 1, l, 1.0))
+        links[t - 1].append((f - 1, l, -1.0))
     parent = [-1] * bus_count
     parent[root] = root
-    child = [-1] * len(lines)
-    sign = [0.0] * len(lines)  # a chord keeps 0
+    child = [-1] * len(from_bus)
+    sign = [0.0] * len(from_bus)  # a chord keeps 0
     order = []
     frontier = [root]
     for u in frontier:  # grows while it is walked: a breadth-first search
-        for l in adj[u]:
-            f, t = ends[l]
-            down = f == u
-            v = t if down else f
-            if parent[v] >= 0:  # the line up to u's parent, or a chord
-                continue
-            parent[v], child[l], sign[l] = u, v, 1.0 if down else -1.0
-            order.append(l)
-            frontier.append(v)
+        for v, l, s in links[u]:
+            if parent[v] < 0:  # else the line up to u's parent, or a chord
+                parent[v], child[l], sign[l] = u, v, s
+                order.append(l)
+                frontier.append(v)
     if len(frontier) < bus_count:
         missing = [i + 1 for i, p in enumerate(parent) if p < 0]
         raise DisconnectedGraph(f"buses unreachable from bus {slack}: {missing}")
-    parent, child = np.array(parent, dtype=int), np.array(child, dtype=int)
-    arrays = (parent, child, np.array(order, dtype=int),
-              np.array(sign, dtype=float), parent[child])
-    for arr in arrays:
-        arr.setflags(write=False)
-    return TreeTopology(root, *arrays)
+    ints = np.array(parent + child + order, dtype=int)  # one buffer, three views
+    sign = np.array(sign, dtype=float)
+    ints.setflags(write=False)
+    sign.setflags(write=False)
+    end = bus_count + len(child)
+    parent, child, order = ints[:bus_count], ints[bus_count:end], ints[end:]
+    head = parent[child]
+    head.setflags(write=False)
+    return TreeTopology(root, parent, child, order, sign, head)
 
 
-def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkModel:
+def build_network(bus_count: int, lines=(), slack: int | None = None, *,
+                  columns=None) -> NetworkModel:
     """Assemble a :class:`NetworkModel` and precompute its PTDF matrix.
 
     Parameters
@@ -207,28 +235,48 @@ def build_network(bus_count: int, lines, slack: int | None = None) -> NetworkMod
         May be empty only when bus_count == 1.
     slack : int, optional
         Reference bus (1-based).  Defaults to the highest-index bus.
+    columns : tuple, optional
+        The lines as four sequences ``(from_bus, to_bus, weights, limits)``
+        in place of ``lines``, checked as :class:`LineSpec` checks a line.
     """
-    lines = tuple(lines)
+    records = columns is None
+    if records:
+        lines = tuple(lines)
+        columns = ([ln.from_bus for ln in lines], [ln.to_bus for ln in lines],
+                   [ln.weight for ln in lines], [ln.limit for ln in lines])
+    f, t, w, F = [col.tolist() if isinstance(col, np.ndarray) else col
+                  for col in columns]
+    if not len(f) == len(t) == len(w) == len(F):
+        raise DimensionMismatch("line columns must have one length")
+    if not records:
+        _check_lines(f, t, w, F)
     if bus_count < 1:
         raise DimensionMismatch(f"bus_count must be >= 1, got {bus_count}")
     if slack is None:
         slack = bus_count
     if not 1 <= slack <= bus_count:
         raise DimensionMismatch(f"slack bus {slack} outside 1..{bus_count}")
-    for ln in lines:
-        if not (1 <= ln.from_bus <= bus_count and 1 <= ln.to_bus <= bus_count):
-            raise DimensionMismatch(
-                f"line {ln.from_bus}->{ln.to_bus} references a bus outside 1..{bus_count}"
-            )
-    topology = _tree_topology(bus_count, lines, slack)
-    tree = topology if len(lines) == bus_count - 1 else None
+    if f and not (1 <= min(f) and max(f) <= bus_count
+                  and 1 <= min(t) and max(t) <= bus_count):
+        for ends in zip(f, t):
+            if not (1 <= ends[0] <= bus_count and 1 <= ends[1] <= bus_count):
+                raise DimensionMismatch(f"line {ends[0]}->{ends[1]} references "
+                                        f"a bus outside 1..{bus_count}")
+    topology = _tree_topology(bus_count, f, t, slack)
+    ends, values = np.array((f, t), dtype=int), np.array((w, F), dtype=float)
+    for arr in (ends, values):
+        arr.setflags(write=False)  # and so the rows taken from it
+    (from_bus, to_bus), (weights, limits) = ends, values
+    tree = topology if len(F) == bus_count - 1 else None
     ptdf = _tree_ptdf(tree) if tree is not None else _mesh_ptdf(
-        bus_count, lines, slack)
-    limits = np.asarray([ln.limit for ln in lines], dtype=float)
+        bus_count, from_bus, to_bus, weights, slack)
     ptdf.setflags(write=False)
-    limits.setflags(write=False)
-    return NetworkModel(bus_count=bus_count, slack=slack, lines=lines,
-                        ptdf=ptdf, limits=limits, tree=tree)
+    net = NetworkModel(bus_count=bus_count, slack=slack, from_bus=from_bus,
+                       to_bus=to_bus, weights=weights, ptdf=ptdf,
+                       limits=limits, tree=tree)
+    if records:
+        object.__setattr__(net, "lines", lines)  # the view, as given
+    return net
 
 
 def _tree_ptdf(tree: TreeTopology) -> np.ndarray:
@@ -238,7 +286,7 @@ def _tree_ptdf(tree: TreeTopology) -> np.ndarray:
     above = np.empty(bus_count, dtype=int)  # the line up from each bus
     above[tree.child] = np.arange(line_count)
     ptdf = np.zeros((bus_count, line_count))
-    rows = bus = np.delete(np.arange(bus_count), tree.root)
+    rows = bus = tree.child  # every bus but the root
     while rows.size:
         lines = above[bus]
         ptdf[rows, lines] = tree.sign[lines]
@@ -248,19 +296,19 @@ def _tree_ptdf(tree: TreeTopology) -> np.ndarray:
     return ptdf
 
 
-def _mesh_ptdf(bus_count: int, lines, slack: int) -> np.ndarray:
+def _mesh_ptdf(bus_count: int, from_bus, to_bus, weights,
+               slack: int) -> np.ndarray:
     """The PTDF from the reduced nodal Laplacian; the slack row is zero."""
-    C = _incidence(bus_count, lines)
-    B = np.asarray([ln.weight for ln in lines])
+    C = _incidence(bus_count, from_bus, to_bus)
     keep = np.arange(bus_count) != slack - 1
     Cr = C[keep, :]
-    lap = (Cr * B) @ Cr.T
+    lap = (Cr * weights) @ Cr.T
     try:
         np.linalg.cholesky(lap)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by checks above
         raise SingularLaplacian(str(exc)) from exc
-    ptdf = np.zeros((bus_count, len(lines)))
-    ptdf[keep, :] = -np.linalg.solve(lap, Cr * B)  # purchases are withdrawals
+    ptdf = np.zeros((bus_count, len(weights)))
+    ptdf[keep, :] = -np.linalg.solve(lap, Cr * weights)  # purchases are withdrawals
     return ptdf
 
 
@@ -301,8 +349,8 @@ def dc_flow_oracle(net: NetworkModel, injections: np.ndarray) -> np.ndarray:
     if np.any(unbalanced):
         raise UnbalancedInjection(
             f"injections sum to {np.extract(unbalanced, sums)[0]:.3e}, not 0")
-    C = _incidence(net.bus_count, net.lines)
-    B = np.asarray([ln.weight for ln in net.lines])
+    C = _incidence(net.bus_count, net.from_bus, net.to_bus)
+    B = net.weights
     keep = np.arange(net.bus_count) != net.slack - 1
     Cr = C[keep, :]
     lap = (Cr * B) @ Cr.T

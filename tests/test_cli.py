@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -583,6 +584,38 @@ def test_non_finite_prosumer_data_exits_1_without_traceback(
     path.write_text(json.dumps(doc))
     assert cli.main([command, str(path)]) == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gne", "validate"])
+def test_a_nan_baseline_exits_1_without_traceback(command, fixture_file,
+                                                  tmp_path, capsys):
+    # a NaN p0 was kept, and dumping the scenario wrote "p0": NaN
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    doc["prosumers"][0].update(p0=math.nan, E0=1.0, D0=2.0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: invalid scenario document: "
+                   "prosumer p0 must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("record,value", [
+    ("lines", {}), ("lines", [1]), ("prosumers", [1, 2]), ("prosumers", None)])
+def test_records_that_are_no_json_objects_exit_1(record, value, fixture_file,
+                                                 tmp_path, capsys):
+    with open(fixture_file) as fh:
+        doc = json.load(fh)
+    (doc["network"] if record == "lines" else doc)[record] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["gne", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: invalid scenario document: {record} must be a "
+                   "list of JSON objects\n")
 
 
 @pytest.mark.parametrize("command", ["gne", "bid", "poa"])

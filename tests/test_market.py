@@ -298,7 +298,7 @@ def test_prosumer_validation():
 
 @pytest.mark.parametrize("data,message", [
     # c > 0 comes first, then finiteness in the order c, d, D, then the
-    # baseline
+    # baseline: given together, finite in the order p0, E0, D0, balanced
     ((0.0, np.nan, np.inf), "prosumer c must be > 0, got 0.0"),
     ((np.nan, 0.0, 1.0), "prosumer c must be > 0, got nan"),
     ((-np.inf, 0.0, 1.0), "prosumer c must be > 0, got -inf"),
@@ -309,11 +309,56 @@ def test_prosumer_validation():
     ((1.0, 0.0, 1.0, None, 1.0), "baseline fields must be given together"),
     ((1.0, 0.0, 1.0, 1.0, 1.0, None), "baseline fields must be given together"),
     ((1.0, 0.0, 1.0, 1.0, 1.0, 3.0),
-     "baseline violates p0 + E0 = D0: 1.0 + 1.0 != 3.0")])
+     "baseline violates p0 + E0 = D0: 1.0 + 1.0 != 3.0"),
+    ((1.0, 0.0, 1.0, np.nan, None, 2.0), "baseline fields must be given together"),
+    ((0.0, 0.0, 1.0, np.nan, 1.0, 2.0), "prosumer c must be > 0, got 0.0"),
+    ((1.0, 0.0, 1.0, np.nan, 1.0, 2.0), "prosumer p0 must be finite, got nan"),
+    ((1.0, 0.0, 1.0, np.inf, -np.inf, 5.0), "prosumer p0 must be finite, got inf"),
+    ((1.0, 0.0, 1.0, 1.0, -np.inf, 5.0), "prosumer E0 must be finite, got -inf"),
+    ((1.0, 0.0, 1.0, 1.0, 1.0, np.inf), "prosumer D0 must be finite, got inf")])
 def test_prosumer_errors_come_in_a_fixed_order(data, message):
     with pytest.raises(DimensionMismatch) as exc:
         Prosumer(*data)
     assert str(exc.value) == message
+
+
+def test_scenario_columns_are_checked_as_records(two_f5):
+    # the first prosumer refused gives its record's message
+    net = two_f5.network
+    for columns, message in [
+            ({"c": [1.0, 0.0], "d": [np.nan, 0.0], "D": [1.0, 1.0]},
+             "prosumer d must be finite, got nan"),
+            ({"c": [1.0, 1.0], "d": [0.0, 0.0], "D": [1.0, np.inf],
+              "p0": [1.0, np.nan], "E0": [1.0, np.nan], "D0": [3.0, np.nan]},
+             "baseline violates p0 + E0 = D0: 1.0 + 1.0 != 3.0"),
+            ({"c": [1.0, 1.0], "d": [0.0, 0.0], "D": [1.0, 1.0],
+              "p0": [np.nan, 1.0]},
+             "baseline fields must be given together")]:
+        with pytest.raises(DimensionMismatch) as exc:
+            Scenario(net, a=1.0, **columns)
+        assert str(exc.value) == message
+
+
+def test_scenario_columns_and_records_agree(two_f5):
+    pros = [Prosumer(1.0, 0.1, 2.0, 1.5, 0.5, 2.0), Prosumer(2.0, 0.2, 1.0)]
+    by_records = Scenario(two_f5.network, pros, a=1.0, label="x")
+    assert by_records.prosumers == tuple(pros)
+    by_columns = Scenario(two_f5.network, a=1.0, label="x", c=[1, 2],
+                          d=[0.1, 0.2], D=[2, 1], p0=[1.5, np.nan],
+                          E0=[0.5, np.nan], D0=[2.0, np.nan])
+    for name in ("c", "d", "D", "p0", "E0", "D0"):
+        assert np.array_equal(getattr(by_columns, name),
+                              getattr(by_records, name), equal_nan=True)
+    assert by_columns.prosumers == tuple(pros)
+    assert type(by_columns.prosumers[0].c) is float
+    # a baseline no prosumer has is none at all
+    bare = Scenario(two_f5.network, a=1.0, c=[1, 2], d=[0, 0], D=[1, 1],
+                    p0=[np.nan] * 2)
+    assert bare.p0 is None and bare.E0 is None and bare.D0 is None
+    again = dataclasses.replace(by_columns, a=3.0)
+    assert again.a == 3.0 and again.prosumers == tuple(pros)
+    for name in ("c", "d", "D", "p0", "E0", "D0"):
+        assert not getattr(again, name).flags.writeable
 
 
 def test_scenario_validation(two_f5):

@@ -215,6 +215,32 @@ def test_line_validation():
         LineSpec(1, 2, weight=math.inf)
 
 
+def test_line_columns_are_checked_as_records():
+    # the first line refused gives its record's message
+    with pytest.raises(NonpositiveWeight) as exc:
+        build_network(3, columns=([1, 2], [2, 3], [1.0, -2.0], [1.0, np.nan]))
+    assert str(exc.value) == "line weight must be > 0, got -2.0"
+    with pytest.raises(DimensionMismatch) as exc:
+        build_network(3, columns=([1, 3], [2, 3], [1.0, 1.0], [1.0, 1.0]))
+    assert str(exc.value) == "line endpoints must differ, got 3->3"
+    with pytest.raises(DimensionMismatch, match="one length"):
+        build_network(3, columns=([1, 2], [2, 3], [1.0], [1.0, 1.0]))
+
+
+def test_columns_and_records_build_one_network():
+    lines = [LineSpec(1, 2, 1.5, 2.0), LineSpec(3, 2, 0.5), LineSpec(1, 3, 2, 0)]
+    by_records = build_network(3, lines, slack=2)
+    assert by_records.lines == tuple(lines)
+    by_columns = build_network(3, columns=(
+        np.array([1, 3, 1]), [2, 2, 3], (1.5, 0.5, 2.0), [2.0, math.inf, 0.0]),
+        slack=2)
+    assert by_columns.lines == tuple(lines)
+    for name in ("from_bus", "to_bus", "weights", "limits", "ptdf"):
+        got, want = getattr(by_columns, name), getattr(by_records, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 def test_bus_index_out_of_range():
     with pytest.raises(DimensionMismatch):
         build_network(2, [LineSpec(1, 3)])

@@ -60,7 +60,6 @@ from .errors import (
     MaxIterExceeded,
     NonpositiveWeight,
     NonRadialWarning,
-    NotPositiveDefinite,
     ScanIntervalEmpty,
     TooFewProsumers,
     UnbalancedInjection,
@@ -82,7 +81,6 @@ from .network import (
     is_radial,
     line_flows,
 )
-from .qp import QpSolution, QuadraticProgram, kkt_residual, solve_qp
 from .scenario_io import (
     dump_scenario,
     gen_scenario,

@@ -105,7 +105,8 @@ def _production_program(scenario: Scenario, hessian_diag, linear,
 
 
 def _binding_lines(tau_lower, tau_upper) -> np.ndarray:
-    """Lines with a positive flow dual, as a ``QpSolution.sides`` vector."""
+    """Lines with a positive flow dual, as a side vector: +1 where the
+    upper limit's dual is positive, -1 where the lower one's is, else 0."""
     return (tau_upper > 0.0) - (tau_lower > 0.0).astype(float)
 
 

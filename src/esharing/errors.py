@@ -29,14 +29,10 @@ class UnbalancedInjection(EsharingError):
     """Nodal injections do not sum to zero."""
 
 
-# --- quadratic programming ------------------------------------------------
+# --- program solves -------------------------------------------------------
 
 class Infeasible(EsharingError):
     """The constraint set is empty."""
-
-
-class NotPositiveDefinite(EsharingError):
-    """The quadratic term is not symmetric positive definite."""
 
 
 class IterationLimit(EsharingError):

@@ -204,10 +204,11 @@ class ClearingOutcome:
 
     ``alpha_lower[l]`` is the dual of ``flow_l >= -F_l``; ``alpha_upper[l]``
     of ``flow_l <= F_l``.  ``eta`` is the balance dual.  ``sides`` marks the
-    lines the solver held at a limit, as :attr:`esharing.qp.QpSolution.sides`
-    does, every zero-limit line among them unless the solver's finish
-    skipped it as dependent, as the twin of another zero-limit line is;
-    that one is reported free.  With no line held the price is uniform.
+    lines the solver held at a limit, one entry per line: +1 at ``+F_l``,
+    -1 at ``-F_l`` and 0 for a free line.  Every zero-limit line is among
+    them, at the side of its dual, unless the solver's finish skipped it as
+    dependent, as the twin of another zero-limit line is; that one is
+    reported free.  With no line held the price is uniform.
 
     The clearing sets ``prices``, ``flows`` and ``sides``.  ``quantities``
     (``bids - a prices``), ``eta`` and the ``alpha`` duals are derived when
@@ -310,12 +311,13 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     beta u`` with ``alpha = base + k linear / hess`` and ``beta = k /
     hess``.  One hot-start loop serves both topologies:
 
-    * Guess.  ``active``, a side vector as in ``QpSolution.sides`` or None
-      for the empty guess, names the lines held at a limit; zero-limit
-      lines are always held, as their duals have no sign condition.  The
-      empty guess is the uniform-price point, the answer when no line is at
-      a limit.  The vectors made of the last guess are kept on the network
-      (:func:`_guess_vectors`), so a repeated guess rebuilds none of them.
+    * Guess.  ``active``, a side vector (+1 for a line held at ``+F``, -1
+      at ``-F``, 0 free) or None for the empty guess, names the lines held
+      at a limit; zero-limit lines are always held, as their duals have no
+      sign condition.  The empty guess is the uniform-price point, the
+      answer when no line is at a limit.  The vectors made of the last
+      guess are kept on the network (:func:`_guess_vectors`), so a
+      repeated guess rebuilds none of them.
     * Held-set solve by :func:`_held_solve`: prices, purchases and flows
       with the held lines at their targets, and each held line's push
       ``k (mu_up - mu_lo)`` in price units.
@@ -336,17 +338,18 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       their only solver is the held-set solve.
 
     Returns the solution and the flows of its purchases.  The solution is
-    a :class:`_HeldSolution`, under the attribute names of
-    :class:`esharing.qp.QpSolution`: it sets ``x``, ``sides`` and
-    ``iterations`` and derives the duals and the residual from the last
-    held solve when they are first read, so a caller that reads only ``x``
-    pays for neither.  It reports the balance dual ``nu`` as its only
-    equality dual, the line duals in the sign convention of ``solve_qp``
-    for rows ``-k G x``, the held lines as its ``sides`` (a zero-limit line
-    at its dual's side, or free where the finish skipped it as dependent),
-    as ``iterations`` the held solves made, the finish's included, and as
-    ``residual`` the worst balance error, flow excess or wrong-signed
-    dual, which a held solve does not rule out.
+    a :class:`_HeldSolution`: it sets ``x``, ``sides`` and ``iterations``
+    and derives the duals and the residual from the last held solve when
+    they are first read, so a caller that reads only ``x`` pays for
+    neither.  It reports the balance dual ``nu`` as its only equality
+    dual (``eq_duals``), the duals ``mu_lo, mu_up >= 0`` of ``flow >= -F``
+    and ``flow <= F`` as they enter the stationarity above
+    (``ineq_duals_lower``, ``ineq_duals_upper``), the held lines as its
+    ``sides`` (a zero-limit line at its dual's side, or free where the
+    finish skipped it as dependent), as ``iterations`` the held solves
+    made, the finish's included, and as ``residual`` the worst balance
+    error, flow excess or wrong-signed dual, which a held solve does not
+    rule out.
     """
     limits, bounded, pinned = net.limits, net.bounded, net.pinned
     alpha, beta = base + k * linear / hess, k / hess
@@ -416,8 +419,9 @@ def _finish(net, alpha, beta, start) -> tuple:
     row depends on the held rows (the fall ``sigma`` of its own flow is 0)
     moves only the pushes; a zero-limit one is skipped and reported free,
     as its flow is already 0.  One held solve of the final set gives the
-    answer.  The method is finite: ``solve_qp``'s cap of ``50 (n + lines)
-    + 10`` steps only guards it, and the tolerances are the loop's check.
+    answer.  The method is finite: a cap of ``50 (n + lines) + 10`` steps,
+    ``n`` the buses, only guards it (:class:`IterationLimit` past it), and
+    the tolerances are the loop's check.
 
     Returns the side and held vectors, the final held solve and the number
     of held solves made.
@@ -496,8 +500,7 @@ def _finish(net, alpha, beta, start) -> tuple:
 
 
 class _HeldSolution:
-    """A solution of :func:`_solve_program` read off its last held solve,
-    under the attribute names of :class:`esharing.qp.QpSolution`.
+    """A solution of :func:`_solve_program` read off its last held solve.
 
     ``x``, ``sides`` (a copy of the side vector, which stays private, as it
     may be the one kept on the network) and ``iterations`` are set.  The

@@ -298,17 +298,26 @@ def _tree_ptdf(tree: TreeTopology) -> np.ndarray:
 
 def _mesh_ptdf(bus_count: int, from_bus, to_bus, weights,
                slack: int) -> np.ndarray:
-    """The PTDF from the reduced nodal Laplacian; the slack row is zero."""
+    """The PTDF from the reduced nodal Laplacian; the slack row is zero.
+
+    A connected mesh's Laplacian is positive definite, but in floating point
+    it can fail the Cholesky test, or pass it and fail the solve, once the
+    line weights span many orders of magnitude; either raises
+    :class:`SingularLaplacian`.
+    """
     C = _incidence(bus_count, from_bus, to_bus)
     keep = np.arange(bus_count) != slack - 1
     Cr = C[keep, :]
     lap = (Cr * weights) @ Cr.T
     try:
         np.linalg.cholesky(lap)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by checks above
-        raise SingularLaplacian(str(exc)) from exc
+        solved = np.linalg.solve(lap, Cr * weights)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLaplacian(
+            "the mesh's nodal equations are numerically singular: line "
+            f"weights span {weights.min():.6g} to {weights.max():.6g}") from exc
     ptdf = np.zeros((bus_count, len(weights)))
-    ptdf[keep, :] = -np.linalg.solve(lap, Cr * weights)  # purchases are withdrawals
+    ptdf[keep, :] = -solved  # purchases are withdrawals
     return ptdf
 
 

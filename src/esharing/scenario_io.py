@@ -27,6 +27,7 @@ identical scenarios produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import chain
@@ -296,8 +297,11 @@ def gen_scenario(seed: int, size: int, style: str = "default") -> Scenario:
     base_flows = np.abs(probe.ptdf.T @ q_base)
     floor = 1e-3 * (1.0 + float(base_flows.max()))
     limits = scales[style] * np.maximum(base_flows, floor)
+    limits.setflags(write=False)
 
-    net = build_network(size, columns=(from_bus, to_bus, weights, limits))
+    # the same lines with their real limits: the tree and the PTDF carry
+    # over, and the limit masks and empty cache slots are made anew
+    net = dataclasses.replace(probe, limits=limits)
     threshold = (size - 2) / (2.0 * (size - 1)) * float(np.max(1.0 / c))
     a = max(1.0, 1.05 * threshold)
     return Scenario(net, a=a, c=c, d=d, D=D,

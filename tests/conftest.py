@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from dense_qp import QuadraticProgram, solve_qp
 from esharing import cases
 from esharing.market import Prosumer, Scenario
 from esharing.network import LineSpec, build_network
-from esharing.qp import QuadraticProgram, solve_qp
 
 settings.register_profile(
     "suite",
@@ -130,6 +130,19 @@ def with_chords(scenario, count, seed=0):
         lines.append(LineSpec(int(u), int(v), float(rng.uniform(0.5, 2.0)), limit))
     return Scenario(network=build_network(net.bus_count, lines, net.slack),
                     prosumers=scenario.prosumers, a=scenario.a)
+
+
+# two valid meshes, as (bus_count, lines, slack, weight span), whose
+# weights span too widely for the nodal equations in floating point: the
+# first fails the Cholesky test, the second passes it and then fails the
+# solve
+WIDE_MESHES = {
+    "cholesky": (4, [(1, 2, 1.0), (2, 3, 1e30), (3, 4, 1.0), (1, 3, 1.0)], None,
+                 "span 1 to 1e+30"),
+    "solve": (3, [(1, 2, 3.83683640245578e-07), (2, 3, 5.893208938768794e+19),
+                  (2, 1, 12.051307241642382), (2, 1, 0.18286805715876592)], 1,
+              "span 3.83684e-07 to 5.89321e+19"),
+}
 
 
 def balanced_vector(rng, size, scale=10.0):

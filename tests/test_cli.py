@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import equal_pair
+from conftest import WIDE_MESHES, equal_pair
 from esharing import cases, cli, scenario_io
 from esharing.errors import (
     ContractBreach,
@@ -917,3 +917,24 @@ def test_running_out_of_memory_exits_1_with_one_line(
         [a.format(tmp=tmp_path, file=fixture_file) for a in argv])
     assert report is None and code == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("mesh", WIDE_MESHES.values(), ids=WIDE_MESHES)
+def test_a_singular_mesh_file_exits_1_with_one_line(mesh, tmp_path, capsys):
+    bus_count, lines, slack, span = mesh
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "version": "1", "a": 1.0,
+        "network": {"bus_count": bus_count, "slack": slack, "lines": [
+            {"from": f, "to": t, "weight": w, "limit": 1.0}
+            for f, t, w in lines]},
+        "prosumers": [{"c": 1.0, "d": 0.0, "D": 1.0}] * bus_count}))
+    code = cli.main(["gne", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid scenario document: the mesh's nodal "
+                          "equations are numerically singular: line weights "
+                          + span)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import limited_scenarios, oracle, with_chords
+from dense_qp import QuadraticProgram, solve_qp
 from esharing.brlab import ScanConfig, verify_gne
 from esharing.equilibrium import improved_gne
 from esharing.errors import DimensionMismatch, TooFewProsumers
@@ -22,7 +23,6 @@ from esharing.market import (
 from esharing import market
 from esharing.bidding import platform_update
 from esharing.network import LineSpec, build_network, is_radial, line_flows
-from esharing.qp import QuadraticProgram, solve_qp
 from esharing.scenario_io import gen_scenario, load_scenario
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from esharing.errors import (
     DimensionMismatch,
     DisconnectedGraph,
     NonpositiveWeight,
+    SingularLaplacian,
     UnbalancedInjection,
 )
 from esharing.network import (
@@ -18,7 +20,7 @@ from esharing.network import (
     line_flows,
 )
 
-from conftest import balanced_vector, random_tree
+from conftest import WIDE_MESHES, balanced_vector, random_tree
 
 
 @st.composite
@@ -308,6 +310,14 @@ def test_mesh_ptdf_keeps_the_laplacian_solve(seed):
     net = build_network(size, lines, slack)
     assert net.tree is None
     assert np.array_equal(net.ptdf, laplacian_ptdf(size, lines, slack)[0])
+
+
+@pytest.mark.parametrize("mesh", WIDE_MESHES.values(), ids=WIDE_MESHES)
+def test_a_singular_laplacian_says_why(mesh):
+    bus_count, lines, slack, span = mesh
+    with pytest.raises(SingularLaplacian, match=re.escape(
+            f"nodal equations are numerically singular: line weights {span}")):
+        build_network(bus_count, [LineSpec(*ln) for ln in lines], slack)
 
 
 def test_oracle_takes_one_injection_vector_per_column():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from esharing.errors import DimensionMismatch, Infeasible, NotPositiveDefinite
-from esharing.qp import QuadraticProgram, kkt_residual, solve_qp
+import esharing.qp
+from dense_qp import NotPositiveDefinite, QuadraticProgram, kkt_residual, solve_qp
+from esharing.errors import DimensionMismatch, Infeasible
 
 MESH = str(Path(__file__).resolve().parents[1] / "scenarios"
            / "mesh38_chords.json")
@@ -287,15 +288,29 @@ def test_random_qps_satisfy_kkt_and_scipy_agrees(seed, n, dependent):
         assert ours <= ref.fun + 1e-6
 
 
+def test_the_package_ships_no_dense_solver():
+    # the dense solver is this suite's oracle; the package keeps only the
+    # benchmark tracer's linprog in esharing.qp
+    moved = {"QpSolution", "QuadraticProgram", "kkt_residual", "solve_qp",
+             "NotPositiveDefinite"}
+    assert moved.isdisjoint(esharing.__all__)
+    defined = [name for name, value in vars(esharing.qp).items()
+               if not name.startswith("_") and callable(value)
+               and getattr(value, "__module__", None) == "esharing.qp"]
+    assert defined == ["linprog"]
+    assert not hasattr(esharing.errors, "NotPositiveDefinite")
+
+
 def test_solver_and_mesh_fallback_need_no_scipy():
     # the dense solver runs on numpy alone, and so does the mesh fixture's
     # central program, which reaches the finish
     script = f"""
 import sys
 sys.modules["scipy"] = None
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 import numpy as np
+from dense_qp import QuadraticProgram, solve_qp
 from esharing import equilibrium, market
-from esharing.qp import QuadraticProgram, solve_qp
 from esharing.scenario_io import load_scenario
 
 sol = solve_qp(QuadraticProgram(

@@ -13,7 +13,7 @@ from esharing import cases, cli, scenario_io
 from esharing.bidding import a_min
 from esharing.errors import FileError
 from esharing.market import Prosumer, Scenario
-from esharing.network import LineSpec, is_radial
+from esharing.network import LineSpec, build_network, is_radial
 from esharing.scenario_io import (
     dump_scenario,
     gen_scenario,
@@ -198,6 +198,28 @@ def test_generator_output_properties():
         assert scenario.a >= a_min(scenario)
         assert np.all(scenario.c > 0)
         assert np.all(scenario.network.limits > 0)
+
+
+@pytest.mark.parametrize("size", [2, 38])
+def test_generator_builds_its_network_once(size, monkeypatch):
+    # the limited network is the probe's with its limits replaced: the same
+    # tree and PTDF, and the masks of the new limits
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_network(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_io, "build_network", counting)
+    net = gen_scenario(3, size, "tight").network
+    assert len(builds) == 1
+    fresh = build_network(size, columns=(net.from_bus, net.to_bus, net.weights,
+                                         net.limits))
+    assert np.array_equal(net.ptdf, fresh.ptdf)
+    assert np.array_equal(net.bounded, fresh.bounded)
+    assert np.array_equal(net.pinned, fresh.pinned)
+    assert not net.limits.flags.writeable
+    assert net._factor is None and net._guess is None
 
 
 @pytest.mark.parametrize("style", ["loose", "Tight", ""])

@@ -1,15 +1,19 @@
 import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_qp
 from conftest import limited_scenarios, oracle, random_tree, with_chords
-from esharing import cli, equilibrium, market, qp as dense, tree
+from dense_qp import kkt_residual
+import esharing
+from esharing import cli, equilibrium, market, tree
 from esharing.market import clear_market, clearing_slopes
 from esharing.network import LineSpec, build_network
-from esharing.qp import kkt_residual
 from esharing.scenario_io import gen_scenario, load_scenario
 
 MESH = str(Path(__file__).resolve().parents[1] / "scenarios" / "mesh38_chords.json")
@@ -304,15 +308,18 @@ def test_a_mesh_factor_serves_any_targets_of_its_held_set(monkeypatch):
 
 
 def refuse_the_dense_qp(patch):
-    """Make the dense solver raise, and check that no package module holds
-    a name of it or of the fallbacks the finish replaced."""
+    """Make the tests' dense solver raise, and check that no package module
+    holds a name of it or of the fallbacks the finish replaced."""
     def refused(*args, **kwargs):
         raise AssertionError("a package program reached the dense QP")
 
-    patch.setattr(dense, "solve_qp", refused)
-    for module, name in ((market, "solve_qp"), (market, "_cold_qp"),
-                         (tree, "_exact_pass")):
-        assert not hasattr(module, name), name
+    patch.setattr(dense_qp, "solve_qp", refused)
+    for info in pkgutil.iter_modules(esharing.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"esharing.{info.name}")
+        for name in ("solve_qp", "QuadraticProgram", "_cold_qp", "_exact_pass"):
+            assert not hasattr(module, name), (info.name, name)
 
 
 @settings(max_examples=100)

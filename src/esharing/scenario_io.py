@@ -21,13 +21,14 @@ Schema, version "1"::
 ``limit: null`` encodes an unlimited line (the in-memory value is infinity),
 keeping files standard JSON.  Every other number field takes a JSON number,
 never a boolean, a string or null; bus numbers and counts must have whole
-values.  Serialization is canonical (sorted keys, fixed separators), so
-identical scenarios produce identical bytes.
+values.  A file holds the text ``json.dumps(doc, sort_keys=True, indent=2)``
+gives, and a newline, so identical scenarios produce identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from itertools import chain
@@ -43,6 +44,80 @@ SCHEMA_VERSION = "1"
 
 _NUMBER = {int, float}  # the types json gives a number; a bool is not one
 _ABSENT = float("nan")  # a baseline field left out, told from NaN by identity
+
+# the types json.loads gives a number, a boolean or null
+_SCALARS = frozenset((int, float, bool, type(None)))
+# the types of a flat record's values that ``%r`` writes as json does, once
+# ``None`` is made ``null`` and a non-finite float is ruled out
+_FLAT = frozenset((int, float, type(None)))
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder whose item separator breaks the line and indents the
+    next item ``depth`` levels, as ``json.dumps(indent=2)`` does there."""
+    pad = "\n" + "  " * depth
+    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that
+    starts ``depth`` levels in: the package's one writer of reports and
+    scenario files.  A list of numbers, booleans and nulls is one call of
+    the C encoder, and a list of flat records one ``%``-format; keys must
+    be strings."""
+    encode = _encoder(depth + 1)
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, not {key!r}")
+        items = [f"{encode(k)}: {_json(v, depth + 1)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if value and set(map(type, value)) <= _SCALARS:
+            items = [encode(value)[1:-1]]  # the items, separated and indented
+        else:
+            records = _flat_records(value, depth + 1)
+            items = [records] if records else [_json(v, depth + 1)
+                                               for v in value]
+        brackets = "[]"
+    else:
+        return encode(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth
+            + brackets[1])
+
+
+def _flat_records(records, depth: int) -> str | None:
+    """The items of ``records``, objects ``depth`` levels in, as ``_json``
+    writes them, or None unless they share one key set of strings and hold
+    only finite numbers and nulls.  The text is one ``%``-format of the
+    first record's template, repeated; no template holds ``None``, ``inf``
+    or ``nan``, so those words in the text are values."""
+    if set(map(type, records)) != {dict} or set(map(type, records[0])) != {str} \
+            or set(map(len, records)) != {len(records[0])}:
+        return None
+    keys = sorted(records[0])
+    rows = map(itemgetter(*keys), records)
+    try:  # records of one length, each holding every key, share the key set
+        values = tuple(chain.from_iterable(rows) if len(keys) > 1 else rows)
+    except KeyError:
+        return None
+    if not set(map(type, values)) <= _FLAT:
+        return None
+    pad = "\n" + "  " * (depth + 1)
+    template = ("{" + pad + ("," + pad).join(
+        json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": %r"
+        for key in keys) + "\n" + "  " * depth + "}")
+    if any(word in template for word in ("None", "inf", "nan")):
+        return None
+    text = (",\n" + "  " * depth).join([template] * len(records)) % values
+    if "inf" in text or "nan" in text:
+        return None
+    return text.replace("None", "null")
 
 
 def scenario_to_dict(scenario: Scenario, units: str = "",
@@ -233,8 +308,7 @@ def _whole(value, what: str) -> int:
 
 def dump_scenario(scenario: Scenario, path, units: str = "",
                   labels: dict | None = None) -> None:
-    text = json.dumps(scenario_to_dict(scenario, units=units, labels=labels),
-                      sort_keys=True, indent=2)
+    text = _json(scenario_to_dict(scenario, units=units, labels=labels))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -61,6 +61,12 @@ def test_validate_report(fixture_file):
     assert report.residuals["ptdf_oracle_gap"] <= 1e-12
 
 
+def test_validate_reports_these_keys(fixture_file):
+    report, _ = cli.run_command(["validate", fixture_file])
+    assert sorted(report.results) == ["ok", "prosumer_count", "radial", "slack"]
+    assert sorted(report.residuals) == ["ptdf_oracle_gap"]
+
+
 def test_clear_command(fixture_file):
     report, code = cli.run_command(["clear", fixture_file,
                                     "--bids", "10.5,30.6"])
@@ -376,6 +382,36 @@ def _documents(depth: int):
 @example({"tuple": (1, 2.5), "nested": [(0.5,), ()]})
 @settings(max_examples=300)
 def test_the_report_encoder_writes_what_json_dumps_writes(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@st.composite
+def _records(draw):
+    """Lists of flat records that share a key set, at times with one record
+    off it: keys that look like values or format fields, and values that
+    are not finite or not numbers."""
+    keys = draw(st.lists(st.one_of(_TEXT, st.sampled_from(
+        ["None", "inf", "nan", "%", "%r", "%%s", "limit"])), min_size=1,
+        max_size=4, unique=True))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10**20, 10**20), st.none())
+    records = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, values)),
+                            min_size=1, max_size=5))
+    if draw(st.booleans()):  # one record off the shared form
+        record = records[draw(st.integers(0, len(records) - 1))]
+        record[draw(st.sampled_from(keys))] = draw(_NUMBERS | _TEXT)
+        if draw(st.booleans()):
+            record[draw(_TEXT)] = 1.0
+    return draw(st.sampled_from([records, {"lines": records}, [records]]))
+
+
+@given(_records())
+@example([{"a": 1.0, "b": None}, {"a": -0.0, "b": 1e300}])
+@example([{"c": 1e-300, "d": 2}, {"c": float("inf"), "d": 2}])
+@example([{"None": 1.0}, {"None": None}])
+@example([{"a": 1.0}, {"a": True}])
+@settings(max_examples=300)
+def test_the_report_encoder_writes_records_as_json_dumps_does(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 

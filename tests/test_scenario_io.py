@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -465,3 +466,64 @@ def test_a_corrupted_document_fails_as_its_records_do(doc):
         assert (type(got), str(got)) == (type(want), str(want))
     else:  # some corruptions leave a valid document, such as a zero limit
         _assert_same_scenario(got, want)
+
+
+# positive magnitudes: ordinary, near 1e300 and 1e-300, and whole values
+_MAGNITUDES = st.one_of(st.floats(0.5, 2.0), st.floats(1e299, 1e300),
+                        st.floats(1e-300, 1e-299),
+                        st.integers(1, 10**6).map(float))
+_SIGNED = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v),
+                    st.sampled_from([0.0, -0.0]))
+_LIMITS = st.one_of(_MAGNITUDES, st.sampled_from([math.inf, 0.0, -0.0]))
+_FREE_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", 'k"W\\h', "é", "日本語", " ", "%r", "None", "inf"]))
+
+
+@st.composite
+def written_scenarios(draw):
+    """A tree of 2 to 60 buses, with unlimited, zero and ``-0.0`` limits,
+    baselines on some prosumers only, numbers near 1e±300 and whole ones,
+    and units and labels of free text; returns ``(scenario, units, labels)``."""
+    n = draw(st.integers(2, 60))
+    ends = [(draw(st.integers(1, bus - 1)), bus) for bus in range(2, n + 1)]
+    ends = [(t, f) if draw(st.booleans()) else (f, t) for f, t in ends]
+    columns = (np.array([f for f, _ in ends]), np.array([t for _, t in ends]),
+               np.array(draw(st.lists(_MAGNITUDES, min_size=n - 1,
+                                      max_size=n - 1))),
+               np.array(draw(st.lists(_LIMITS, min_size=n - 1,
+                                      max_size=n - 1))))
+    net = build_network(n, slack=draw(st.integers(1, n)), columns=columns)
+    c, d, D, p0, E0 = (draw(st.lists(values, min_size=n, max_size=n))
+                       for values in (_MAGNITUDES, _SIGNED, _SIGNED, _SIGNED,
+                                      _SIGNED))
+    held = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    base = np.array([(p, e, p + e) if keep else (math.nan,) * 3
+                     for p, e, keep in zip(p0, E0, held)]).T
+    labels = draw(st.one_of(st.none(), st.dictionaries(
+        _FREE_TEXT, _FREE_TEXT, max_size=3)))
+    scenario = Scenario(net, a=draw(st.one_of(st.floats(1e-3, 10.0),
+                                              st.integers(1, 10).map(float))),
+                        label=(labels or {}).get("name"), c=c, d=d, D=D,
+                        p0=base[0], E0=base[1], D0=base[2])
+    return scenario, draw(_FREE_TEXT), labels
+
+
+@settings(max_examples=150)
+@given(written_scenarios())
+def test_a_written_scenario_is_canonical_json_and_loads_back(case):
+    scenario, units, labels = case
+    want = json.dumps(scenario_to_dict(scenario, units, labels),
+                      sort_keys=True, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        dump_scenario(scenario, path, units=units, labels=labels)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == want
+        back = load_scenario(path)
+    _assert_same_scenario(back, scenario)
+    for name in ("c", "d", "D", "p0", "E0", "D0"):  # -0.0 stays -0.0
+        if getattr(scenario, name) is not None:
+            assert np.array_equal(np.signbit(getattr(back, name)),
+                                  np.signbit(getattr(scenario, name))), name
+    assert np.array_equal(np.signbit(back.network.limits),
+                          np.signbit(scenario.network.limits))

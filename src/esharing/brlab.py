@@ -9,10 +9,11 @@ equilibrium candidates by per-prosumer deviation gaps, and classifies the
 two-bus closed-form regimes.
 
 A scan walks the piecewise-affine clearing path from the left end of its
-interval to the right, one :func:`clear_market` call per piece, each piece
-ending where a line's condition fails, in closed form.  The cost is
-minimized exactly on each piece; a grid of samples is kept only to
-report the curve.
+interval to the right.  It clears the market once, at its first point.
+Each piece after that costs one held solve, which gives its rates; the
+piece ends where a line's condition fails, in closed form, and the
+clearing is carried there.  The cost is minimized exactly on each piece;
+a grid of samples is kept only to report the curve.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ _VERIFY_TOL = 1e-6  # deviation gap a verified fixed point may leave
 class ScanConfig:
     """Scan controls for :func:`best_response`.
 
-    ``interval=None`` auto-sizes around the marginal-cost-consistent bid
-    range (see ``_auto_interval``).  ``coarse_points`` evenly spaced
-    samples, at least 1, report the cost curve (``--csv``), and their
-    spacing is the walk's step past a piece of one point.
-    ``refine_rounds`` is unused: the minima are exact, so no sample window
-    is refined.
+    ``interval``, two finite bids, bounds the scan; None auto-sizes it
+    around the marginal-cost-consistent bid range (see
+    ``_auto_interval``).  ``coarse_points`` evenly spaced samples, at
+    least 1, report the cost curve (``--csv``), and their spacing is the
+    walk's step past a piece of one point.  ``refine_rounds`` is unused:
+    the minima are exact, so no sample window is refined.
     """
 
     interval: tuple | None = None
@@ -49,6 +50,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.coarse_points < 1:
             raise ValueError(f"coarse_points must be >= 1, got {self.coarse_points}")
+        if self.interval is not None and not (
+                len(self.interval) == 2 and all(map(math.isfinite, self.interval))):
+            raise ValueError(f"interval must be two finite bids, got {self.interval}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,91 +115,124 @@ class BrTrajectory:
 
 
 def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
-                   grid: np.ndarray) -> tuple:
+                   grid: np.ndarray, hi: float) -> tuple:
     """Prosumer ``i``'s clearing price as a function of its own bid ``t``,
-    walked from ``grid[0]`` to ``grid[-1]``.
+    walked from ``grid[0]`` to ``hi``.
 
-    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns the
-    piece table ``(starts, prices, slopes)``: piece ``k`` holds from
-    ``starts[k]`` to the next start (the last one to ``grid[-1]``), with
-    ``lam_i(t) = prices[k] + slopes[k] (t - starts[k])``.
+    ``b_base`` is the full bid vector with slot ``i`` zeroed, and ``grid``
+    the scan's samples, which start at ``grid[0]`` and end at or before
+    ``hi``.  Returns the piece table ``(starts, prices, slopes)``: piece
+    ``k`` holds from ``starts[k]`` to the next start (the last one to
+    ``hi``), with ``lam_i(t) = prices[k] + slopes[k] (t - starts[k])``.
 
     The clearing program is a strictly convex QP whose right-hand side is
     affine in ``t``, so its solution is piecewise affine in ``t``, one piece
     per set of lines held at a limit (Bemporad, Morari, Dua & Pistikopoulos,
     Automatica 38(1), 2002), and this walk is the homotopy of parametric
     active-set QP (Ferreau, Bock & Diehl, Int. J. Robust Nonlinear Control
-    18(8), 2008).  Each piece starts with one :func:`clear_market` call
-    where the last one ended, guessing the last
-    piece's held lines with the condition that ended it toggled: a free line
-    that reached its limit is held at that side, a held line whose dual
-    reached zero is released.  Its slopes come from
-    :func:`esharing.market.clearing_slopes`, and it holds until a free line
-    reaches a limit or a held line with a nonzero limit loses its dual's
-    sign.  At a breakpoint either side's held set is optimal, so a start
-    clearing may hold the left one; its piece then has zero length, and the
-    conditions that end it are toggled once more on the same clearing.  A
-    refused held solve, a start clearing that already violates a condition
-    beyond rounding, or a piece still of zero length steps to the next grid
-    point instead, and that piece is the chord to the next start (at the
-    scan's end, it keeps its own slope).
+    18(8), 2008).  It clears the market once, at ``grid[0]``; each piece
+    then costs one held solve (:func:`_piece`), and the clearing is carried
+    along it to the next start.  A carried start that makes a piece of one
+    point is cleared afresh at the same bid, guessing its held lines.  A
+    fresh one steps to the next grid point (past the last one, to ``hi``),
+    cleared there with the same guess, and that piece is the chord to the
+    next start (at the scan's end, it keeps its own slope, or a flat one
+    where the held solve refused).
     """
     net = scenario.network
-    F, lines = net.limits, np.flatnonzero(net.bounded)
-    scale = 1.0 + np.abs(b_base).sum() + F[lines].max(initial=0.0)
-    end_of_scan = float(grid[-1])
+    scale = 1.0 + np.abs(b_base).sum() + net.limits[net.bounded].max(initial=0.0)
     starts, prices, slopes, stepped = [], [], [], []
-    t, guess = float(grid[0]), None
+    t, guess, state = float(grid[0]), None, None
     while True:
-        b = b_base.copy()
-        b[i] = t
-        out = clear_market(scenario, b, active=guess)
+        fresh = state is None
+        if fresh:
+            b = b_base.copy()
+            b[i] = t
+            out = clear_market(scenario, b, active=guess)
+            state = (float(out.prices[i]), out.flows, out.sides,
+                     np.where(out.sides > 0, out.alpha_upper, out.alpha_lower))
+        slope, end, carried = _piece(scenario, i, t, state, scale, hi)
+        one_point = not end > t  # or NaN
+        if one_point:
+            guess = state[2]
+            if not fresh:
+                state = None
+                continue
+            k = np.searchsorted(grid, t, side="right")
+            end = float(grid[k]) if k < grid.size else hi
         starts.append(t)
-        prices.append(float(out.prices[i]))
-        side, end = out.sides, t
-        for _ in range(2):  # a breakpoint's clearing may hold either side's set
-            slope = np.nan
-            held = side != 0.0
-            rates = clearing_slopes(scenario, i, side)
-            if rates is None:
-                break
-            slope, dflow, ddual = rates
-            # each line with a positive limit has one condition, value +
-            # rate (t' - t) >= 0: a free line stays within the limit its
-            # flow moves toward, a held line keeps its dual signed; past
-            # the condition's root, the line turns to ``turn``
-            toward = np.sign(dflow)
-            dual = np.where(side > 0, out.alpha_upper, out.alpha_lower)
-            now = np.where(held, dual, F - np.abs(out.flows))[lines]
-            if (now < -1e-9 * (scale + abs(t))).any():
-                break
-            value = np.where(held, dual, F - toward * out.flows)[lines]
-            rate = np.where(held, ddual, -np.abs(dflow))[lines]
-            turn = np.where(held, 0.0, toward)[lines]
-            falls = rate < 0.0
-            ahead = np.maximum(value[falls], 0.0) / -rate[falls]
-            first = ahead.min(initial=np.inf)
-            end = t + float(first)
-            hit = ahead == first
-            side = side.copy()
-            side[lines[falls][hit]] = turn[falls][hit]
-            if end > t:
-                break
+        prices.append(state[0])
         slopes.append(slope)
-        stepped.append(not end > t)  # one point, or NaN
-        guess = side
-        if stepped[-1]:
-            guess = out.sides
-            end = float(grid[min(np.searchsorted(grid, t, side="right"),
-                                 grid.size - 1)])
-        if not end < end_of_scan:
+        stepped.append(one_point)
+        if not end < hi:
             break
-        t = end
+        t, state = end, carried
     if math.isnan(slopes[-1]):  # a refused held solve at the scan's end
         slopes[-1] = 0.0
     starts, prices, slopes = np.array(starts), np.array(prices), np.array(slopes)
     chord = np.append(np.diff(prices) / np.diff(starts), slopes[-1])
     return starts, prices, np.where(stepped, chord, slopes)
+
+
+def _piece(scenario: Scenario, i: int, t: float, state: tuple, scale: float,
+           hi: float) -> tuple:
+    """The piece of prosumer ``i``'s clearing path that starts at bid ``t``
+    in ``state``: ``(price, flows, side, dual)``, prosumer ``i``'s price,
+    the line flows, the side vector of the held lines and each held line's
+    dual at its own side (0 on the free lines).
+
+    Its rates come from :func:`esharing.market.clearing_slopes`, and it
+    holds until a free line reaches the limit its flow moves toward or a
+    held line with a positive limit loses its dual's sign.  At a
+    breakpoint either side's held set is optimal, so a start may hold the
+    left one; its piece then has zero length, and the lines that end it
+    are toggled once more in the same state.
+
+    Returns ``(slope, end, carried)``: the price's rate, the bid where the
+    piece ends, and the state carried there along the rates, with the
+    lines that end the piece toggled (a newly held line with dual 0, a
+    released one free); None past ``hi``, as the last piece may be
+    unbounded.  A piece of one point ends at ``t``: the held solve refuses
+    the set (slope NaN), the state violates a condition beyond rounding,
+    or the piece has zero length twice.
+    """
+    net = scenario.network
+    F, lines = net.limits, np.flatnonzero(net.bounded)
+    price, flows, side, dual = state
+    for _ in range(2):
+        slope, end = np.nan, t
+        rates = clearing_slopes(scenario, i, side)
+        if rates is None:
+            break
+        slope, dflow, ddual = rates
+        # each line with a positive limit has one condition, value + rate
+        # (t' - t) >= 0: a free line stays within the limit its flow moves
+        # toward, a held line keeps its dual signed; past the condition's
+        # root, the line turns to ``turn``
+        held = side != 0.0
+        toward = np.sign(dflow)
+        now = np.where(held, dual, F - np.abs(flows))[lines]
+        if (now < -1e-9 * (scale + abs(t))).any():
+            break
+        value = np.where(held, dual, F - toward * flows)[lines]
+        rate = np.where(held, ddual, -np.abs(dflow))[lines]
+        turn = np.where(held, 0.0, toward)[lines]
+        falls = rate < 0.0
+        ahead = np.maximum(value[falls], 0.0) / -rate[falls]
+        first = ahead.min(initial=np.inf)
+        end = t + float(first)
+        hit = ahead == first
+        turned = side.copy()
+        turned[lines[falls][hit]] = turn[falls][hit]
+        if end > t:
+            if not end < hi:
+                return slope, end, None
+            length = end - t
+            return slope, end, (
+                price + slope * length, flows + dflow * length, turned,
+                np.where(turned == side, dual + ddual * length, 0.0))
+        side, dual = turned, np.where(turned == side, dual, 0.0)
+    return slope, end, None
 
 
 def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
@@ -314,7 +351,7 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
         raise ScanIntervalEmpty(f"scan interval [{lo}, {hi}] is empty")
 
     t = np.linspace(lo, hi, cfg.coarse_points)
-    starts, prices, slopes = _clearing_path(scenario, i, b_base, t)
+    starts, prices, slopes = _clearing_path(scenario, i, b_base, t, hi)
 
     def evaluate(x):
         k = np.searchsorted(starts, x, side="right") - 1

@@ -382,7 +382,11 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
                 or np.any(scenario.d != 0.0) or scenario.c[0] != scenario.c[1]:
             raise UsageError(
                 "--classify-2bus needs 2 buses, a=1, d=0, equal c")
-        limit = float(scenario.network.limits[0])
+        # parallel lines share the transfer by weight, so the corridor
+        # carries up to min_l F_l W / w_l, W the total weight
+        net = scenario.network
+        limit = float((net.limits * (net.weights.sum() / net.weights)).min(
+            initial=np.inf))
         cls = brlab.classify_gne_2bus(float(scenario.c[0]),
                                       float(scenario.D[0]),
                                       float(scenario.D[1]), limit)

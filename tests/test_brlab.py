@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -274,6 +274,13 @@ def test_scan_config_refuses_fewer_than_one_point(points):
         ScanConfig(coarse_points=points)
 
 
+@pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.0, math.inf),
+                                      (-math.inf, 0.0), (1.0,), (0.0, 1.0, 2.0)])
+def test_scan_config_refuses_a_bad_interval(interval):
+    with pytest.raises(ValueError, match="interval"):
+        ScanConfig(interval=interval)
+
+
 def test_a_scan_of_one_point_reports_it(chain_f03):
     scan = best_response(chain_f03, 1, np.array([1.6, 0.8]),
                          scan_config=ScanConfig(coarse_points=1))
@@ -286,46 +293,73 @@ def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
         best_response(chain_f03, 1, np.array([1.6]))
 
 
-@pytest.mark.parametrize("fault", ["refuse-inner", "refuse-last",
-                                   "start-past-limit"])
-def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
-    # a held solve that refuses, or a start clearing already past one of
-    # its conditions, makes a piece of one point: the walk steps to the
-    # next grid point, and the piece is the chord to it
+def walk_setup():
+    """A 7-bus tight scan of prosumer 3 at the equilibrium bids: the
+    scenario, the prosumer, its opponents' bids, a 401-point grid, the bid
+    vector with its slot zeroed, and the clean walk's piece table."""
     scenario, i = gen_scenario(1, 7, "tight"), 2
     fixed = np.delete(equilibrium.improved_gne(scenario).b_bar, i)
     config = ScanConfig(coarse_points=401)
     grid = best_response(scenario, i, fixed, scan_config=config).samples_b
     b_base = np.insert(fixed, i, 0.0)
-    starts = brlab._clearing_path(scenario, i, b_base, grid)[0]
-    target = starts[-1] if fault == "refuse-last" else starts[len(starts) // 2]
-    at, faults = [], []  # bid i of each clearing; the faults made
+    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
+    return scenario, i, fixed, config, grid, b_base, path
 
-    def clear(scenario, bids, active=None):
-        out = clear_market(scenario, bids, active=active)
-        at.append(bids[i])
-        if fault == "start-past-limit" and bids[i] == target and not faults:
-            faults.append(bids[i])
-            line = np.flatnonzero(scenario.network.bounded & (out.sides == 0))[0]
-            flows = out.flows.copy()
-            # past the limit by far more than rounding at these bids
-            flows[line] = np.copysign(scenario.network.limits[line] + 1e-4,
-                                      flows[line])
-            out = dataclasses.replace(out, flows=flows)
-        return out
+
+def perturbed_start(scenario, state):
+    """``state`` with its first free line past its limit by far more than
+    rounding at the 7-bus scan's bids."""
+    price, flows, side, dual = state
+    net = scenario.network
+    line = np.flatnonzero(net.bounded & (side == 0))[0]
+    flows = flows.copy()
+    flows[line] = np.copysign(net.limits[line] + 1e-4, flows[line])
+    return price, flows, side, dual
+
+
+@pytest.mark.parametrize("fault", ["refuse-inner", "refuse-last",
+                                   "start-past-limit"])
+def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
+    # a held solve that refuses, or a start already past one of its
+    # conditions, makes a piece of one point, carried and cleared afresh
+    # alike: the walk steps to the next grid point, and the piece is the
+    # chord to it
+    scenario, i, fixed, config, grid, b_base, path = walk_setup()
+    starts = path[0]
+    target = starts[-1] if fault == "refuse-last" else starts[len(starts) // 2]
+    at, faults, cleared = [], [], []  # each piece's start; the faults; clearings
+    piece = brlab._piece
+
+    def note(t):
+        if not faults or faults[-1] != t:
+            faults.append(t)
+
+    def faulty_piece(scenario, i, t, state, scale, hi):
+        at.append(t)
+        if fault == "start-past-limit" and t == target:
+            note(t)
+            state = perturbed_start(scenario, state)
+        return piece(scenario, i, t, state, scale, hi)
 
     def slopes(scenario, i, sides):
         refuse = at[-1] >= target if fault == "refuse-last" else \
-            fault == "refuse-inner" and at[-1] == target and not faults
+            fault == "refuse-inner" and at[-1] == target
         if refuse:
-            faults.append(at[-1])
+            note(at[-1])
             return None
         return clearing_slopes(scenario, i, sides)
 
-    monkeypatch.setattr(brlab, "clear_market", clear)
+    def clear(scenario, bids, active=None):
+        cleared.append(bids[i])
+        return clear_market(scenario, bids, active=active)
+
+    monkeypatch.setattr(brlab, "_piece", faulty_piece)
     monkeypatch.setattr(brlab, "clearing_slopes", slopes)
-    path = brlab._clearing_path(scenario, i, b_base, grid)
+    monkeypatch.setattr(brlab, "clear_market", clear)
+    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
     walked = path[0]
+    # the target was a carried start; it was cleared afresh before the step
+    assert cleared[0] == grid[0] and cleared[1] == target
     faults.clear()
     scan = best_response(scenario, i, fixed, scan_config=config)
     assert faults and faults[0] == target
@@ -348,6 +382,34 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
         bids[i] = b
         assert cost == pytest.approx(prosumer_cost(scenario, bids, i),
                                      rel=1e-9), b
+
+
+def test_a_carried_start_past_a_limit_is_cleared_afresh(monkeypatch):
+    # the condition check guards the carried state: a start that fails it
+    # is cleared again at the same bid, guessing its held lines, and the
+    # walk goes on from that clearing with no step
+    scenario, i, fixed, config, grid, b_base, clean = walk_setup()
+    target = clean[0][len(clean[0]) // 2]
+    piece, calls = brlab._piece, []
+
+    def faulty_piece(scenario, i, t, state, scale, hi):
+        if t == target and not calls[1:]:
+            state = perturbed_start(scenario, state)
+            calls.append(("carried", state[2]))
+        return piece(scenario, i, t, state, scale, hi)
+
+    def clear(scenario, bids, active=None):
+        calls.append((bids[i], active))
+        return clear_market(scenario, bids, active=active)
+
+    monkeypatch.setattr(brlab, "_piece", faulty_piece)
+    monkeypatch.setattr(brlab, "clear_market", clear)
+    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
+    assert [c[0] for c in calls] == [grid[0], "carried", target]
+    assert (calls[2][1] == calls[1][1]).all()
+    assert [len(p) for p in path] == [len(p) for p in clean]
+    for got, want in zip(path, clean):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_scan_on_parallel_lines_matches_prosumer_cost():
@@ -399,19 +461,27 @@ def test_scan_on_parallel_zero_limit_lines_clears_a_few_times(monkeypatch):
 
 @pytest.mark.parametrize("size", [8, 12, 20])
 def test_scan_clears_once_per_piece(monkeypatch, size):
-    # more than 6 limited lines; the clearing path is built from a handful
-    # of clearings, not one per grid point
+    # more than 6 limited lines; the scan clears the market once, at its
+    # first point, and each piece costs one held solve of its own set
     scenario = gen_scenario(1, size, "tight")
     eqm = equilibrium.improved_gne(scenario)
-    calls = []
+    calls, sets = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return clear_market(*args, **kwargs)
 
+    def slopes(scenario, i, sides):
+        sets.append(sides)
+        return clearing_slopes(scenario, i, sides)
+
     monkeypatch.setattr(brlab, "clear_market", counted)
+    monkeypatch.setattr(brlab, "clearing_slopes", slopes)
     scan = best_response(scenario, 0, np.delete(eqm.b_bar, 0))
-    assert 0 < len(calls) <= 20
+    assert len(calls) == 1
+    assert len(sets) > 1
+    # no piece starts on the held set it ended with
+    assert not any((a == b).all() for a, b in zip(sets[:-1], sets[1:]))
     bids = eqm.b_bar.copy()
     bids[0] = scan.best_bid
     assert scan.best_cost == pytest.approx(prosumer_cost(scenario, bids, 0),
@@ -425,6 +495,45 @@ def price_on_path(path, t):
     return prices[k] + slopes[k] * (t - starts[k])
 
 
+def test_carried_starts_match_a_fresh_clearing(monkeypatch):
+    # a 200-bus tight tree: the walk clears once, then carries the clearing
+    # across every breakpoint; each carried start's price is a clearing's
+    scenario = gen_scenario(1, 200, "tight")
+    fixed = np.delete(equilibrium.improved_gne(scenario).b_bar, 0)
+    grid = best_response(scenario, 0, fixed).samples_b
+    b_base = np.insert(fixed, 0, 0.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return clear_market(*args, **kwargs)
+
+    monkeypatch.setattr(brlab, "clear_market", counted)
+    starts, prices, _ = brlab._clearing_path(scenario, 0, b_base, grid, grid[-1])
+    assert len(calls) == 1 and starts.size > 20
+    for t, lam in zip(starts, prices):
+        ref = clear_market(scenario, np.insert(fixed, 0, t)).prices[0]
+        assert lam == pytest.approx(ref, rel=1e-9), t
+
+
+def test_a_scan_walks_to_the_end_of_its_interval(chain_f027):
+    # one sample at the interval's left end: the walk still goes on to its
+    # right end, and finds the minima that two samples find
+    fixed = np.array([1.6, 0.8])
+    one, two = (best_response(chain_f027, 1, fixed,
+                              scan_config=ScanConfig(coarse_points=points))
+                for points in (1, 2))
+    assert one.interval == two.interval
+    assert len(one.local_minima) == 2
+    assert np.array(one.local_minima) == pytest.approx(
+        np.array(two.local_minima), rel=1e-12)
+    lo, hi = one.interval
+    path = brlab._clearing_path(chain_f027, 1, np.insert(fixed, 1, 0.0),
+                                np.array([lo]), hi)
+    ref = clear_market(chain_f027, np.array([1.6, hi, 0.8])).prices[1]
+    assert price_on_path(path, np.array([hi]))[0] == pytest.approx(ref, rel=1e-12)
+
+
 @settings(max_examples=40)
 @given(limited_scenarios(), st.integers(0, 2**32 - 1))
 def test_clearing_path_matches_clear_market(scenario, seed):
@@ -434,7 +543,7 @@ def test_clearing_path_matches_clear_market(scenario, seed):
     b_base = rng.uniform(-2.0, 3.0, n)
     b_base[i] = 0.0
     grid = np.linspace(-6.0, 9.0, 201)
-    path = brlab._clearing_path(scenario, i, b_base, grid)
+    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
     starts = path[0]
     assert starts[0] == grid[0] and starts[-1] < grid[-1]
     assert (np.diff(starts) > 0.0).all()
@@ -459,7 +568,7 @@ def test_walked_pieces_meet_and_the_best_cost_is_lowest(scenario, seed,
     scan = best_response(scenario, i, fixed, regulated=regulated)
     b_base = np.insert(fixed, i, 0.0)
     starts, prices, slopes = brlab._clearing_path(scenario, i, b_base,
-                                                  scan.samples_b)
+                                                  scan.samples_b, scan.interval[1])
     rounding = 1e-9 * (1.0 + np.abs(prices).max())
     reached = prices[:-1] + slopes[:-1] * np.diff(starts)
     assert np.abs(reached - prices[1:]).max(initial=0.0) <= rounding

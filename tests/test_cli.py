@@ -21,7 +21,8 @@ from esharing.errors import (
     MaxIterExceeded,
     NonFiniteResult,
 )
-from esharing.market import Scenario
+from esharing.market import Prosumer, Scenario
+from esharing.network import LineSpec, build_network
 from esharing.scenario_io import dump_scenario, gen_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -139,6 +140,35 @@ def test_brlab_classify(tmp_path):
     assert code == 0
     assert report.results["regime"] == "multiple-upper"
     assert report.results["b2_interval"] == pytest.approx([1.2, 1.6])
+
+
+@pytest.mark.parametrize("limits, single", [
+    ((2.0, 2.0), 4.0), ((2.0, math.inf), 4.0), ((0.0, 5.0), 0.0),
+    ((math.inf, math.inf), math.inf)])
+def test_brlab_classify_reads_every_parallel_line(tmp_path, limits, single):
+    # two parallel lines of equal weight share the transfer; the corridor is
+    # the one line of twice their weight whose limit is min_l F_l W / w_l
+    def pair(lines):
+        net = build_network(2, lines)
+        return Scenario(network=net, a=1.0, prosumers=[
+            Prosumer(1.0, 0.0, 10.0), Prosumer(1.0, 0.0, 0.0)])
+
+    reports = []
+    for name, lines in (("two", [LineSpec(1, 2, 1.0, F) for F in limits]),
+                        ("one", [LineSpec(1, 2, 2.0, single)])):
+        path = tmp_path / f"{name}.json"
+        dump_scenario(pair(lines), path)
+        report, code = cli.run_command(["brlab", str(path), "--classify-2bus"])
+        assert code == 0
+        reports.append(json.loads(cli.render_report(report, "json"))["results"])
+    assert reports[0] == reports[1]
+    if limits == (2.0, 2.0):
+        assert reports[0]["regime"] == "unique"
+        assert reports[0]["b_bar"] == pytest.approx([40.0 / 3.0, 20.0 / 3.0])
+        report, code = cli.run_command(["brlab", str(tmp_path / "two.json"),
+                                        "--verify", ",".join(
+                                            map(repr, reports[0]["b_bar"]))])
+        assert code == 0 and report.results["is_gne"]
 
 
 def test_brlab_mode_required(chain_file, capsys):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded, WeakSensitivityWarning
-from .market import ClearingOutcome, Scenario, _clear
+from .market import ClearingOutcome, Scenario, _clear, _sensitivity_threshold
 from .equilibrium import EquilibriumResult
 
 _FEJER_RTOL = 1e-10  # relative slack of one Fejer step, see fejer_check
@@ -136,8 +136,7 @@ def prosumer_update(scenario: Scenario, prices_next):
 
 def a_min(scenario: Scenario) -> float:
     """Sensitivity threshold sufficient for convergence of the protocol."""
-    n = scenario.size
-    return (n - 2) / (2.0 * (n - 1)) * float(np.max(1.0 / scenario.c))
+    return _sensitivity_threshold(scenario.c)
 
 
 def run_bidding(scenario: Scenario, config: BiddingConfig | None = None) -> BiddingResult:

@@ -245,8 +245,9 @@ def poa(scenario: Scenario, eqm: EquilibriumResult | None = None) -> dict:
 
 def price_structure_residual(scenario: Scenario, eqm: EquilibriumResult) -> float:
     """Deviation of the equilibrium prices from their locational form."""
-    pi = scenario.network.ptdf
-    rebuilt = -eqm.kappa - pi @ eqm.tau_lower + pi @ eqm.tau_upper
+    net = scenario.network
+    rebuilt = (-eqm.kappa - net.price_terms(eqm.tau_lower)
+               + net.price_terms(eqm.tau_upper))
     return float(np.abs(eqm.lambda_r - rebuilt).max())
 
 

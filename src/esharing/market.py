@@ -102,6 +102,30 @@ def _prosumer_rows(data, base):
     return zip(*columns)
 
 
+def _stack(columns, message: str) -> np.ndarray:
+    """``columns`` as the rows of one float array; columns of unequal
+    shapes, or a ragged column, raise :class:`DimensionMismatch` with
+    ``message``."""
+    try:
+        return np.array(columns, dtype=float)
+    except ValueError:  # numpy refuses a ragged stack, and a bad value
+        try:
+            shapes = {np.shape(col) for col in columns}
+        except ValueError:  # a ragged column
+            shapes = ()
+        if len(shapes) == 1:
+            raise
+        raise DimensionMismatch(message) from None
+
+
+def _sensitivity_threshold(c) -> float:
+    """The paper's sensitivity threshold for prosumers with quadratic cost
+    coefficients ``c``: (I-2)/(2(I-1)) max_i 1/c_i, I = len(c).  The
+    bidding protocol settles for every ``a`` at or above it."""
+    n = len(c)
+    return (n - 2) / (2.0 * (n - 1)) * float(np.max(1.0 / c))
+
+
 def _check_count(count: int, bus_count: int) -> None:
     if count != bus_count:
         raise DimensionMismatch(f"{count} prosumers for {bus_count} buses")
@@ -146,15 +170,16 @@ class Scenario:
                 p0, E0, D0 = np.array(  # a None becomes NaN
                     [(p.base_production, p.base_purchase, p.base_demand)
                      for p in prosumers], dtype=float).T
-        data = np.array((c, d, D), dtype=float)
+        data = _stack((c, d, D), "prosumer columns must have one length")
         if data.ndim != 2:
             raise DimensionMismatch("prosumer columns must be one-dimensional")
         base = None
         if not (p0 is None and E0 is None and D0 is None):
-            base = np.array([np.full(data.shape[1], np.nan) if col is None else col
-                             for col in (p0, E0, D0)], dtype=float)
+            message = "baseline columns must match the others"
+            base = _stack([np.full(data.shape[1], np.nan) if col is None else col
+                           for col in (p0, E0, D0)], message)
             if base.shape != data.shape:
-                raise DimensionMismatch("baseline columns must match the others")
+                raise DimensionMismatch(message)
         if not records:
             _check_prosumers(data, base)
         if base is not None and np.isnan(base).all():
@@ -426,7 +451,7 @@ def _finish(net, alpha, beta, start) -> tuple:
     Returns the side and held vectors, the final held solve and the number
     of held solves made.
     """
-    limits, bounded, ptdf = net.limits, net.bounded, net.ptdf
+    limits, bounded = net.limits, net.bounded
     lines, cap = limits.size, 50 * (alpha.size + limits.size) + 10
     solves = steps = 0
 
@@ -457,7 +482,7 @@ def _finish(net, alpha, beta, start) -> tuple:
         """Move line ``p``'s flow to its limit and hold it there, or skip
         a dependent zero-limit line."""
         nonlocal q, flows, push, steps
-        g, zeros = ptdf[:, p], np.zeros(lines)
+        g, zeros = net.rows(p), np.zeros(lines)
         s, t, scale = np.copysign(1.0, flows[p]), 0.0, 1e-10 * (beta * g * g).sum()
         while True:
             steps += 1
@@ -589,8 +614,7 @@ def _mesh_components(net, alpha, beta, held, target):
     held lines and ``beta`` alone, as the targets do not enter it; the rows
     are gathered and the system solved on every call.
     """
-    G = net.ptdf.T
-    rows = np.vstack([np.ones(alpha.size), G[held]])
+    rows = np.vstack([np.ones(alpha.size), net.rows(held)])
     t = np.concatenate([[0.0], target[held]])
     schur, dependent = net._kept(
         "_factor", held.tobytes() + beta.tobytes(),
@@ -605,7 +629,7 @@ def _mesh_components(net, alpha, beta, held, target):
             q = alpha - beta * u
     except np.linalg.LinAlgError:
         return None
-    flows = G @ q
+    flows = net.flows(q)
     gap = max(abs(q.sum()), np.abs(flows[held] - target[held]).max(initial=0.0))
     if not gap <= _RTOL * (1.0 + np.abs(alpha).sum()):
         return None
@@ -634,9 +658,8 @@ def clearing_kkt_residual(scenario: Scenario, bids, outcome: ClearingOutcome) ->
     net = scenario.network
     a = scenario.a
     lam, q = outcome.prices, outcome.quantities
-    G = net.ptdf.T
-    stat = (2.0 * lam + a * outcome.eta
-            + a * (G.T @ outcome.alpha_lower) - a * (G.T @ outcome.alpha_upper))
+    stat = (2.0 * lam + a * outcome.eta + a * net.price_terms(outcome.alpha_lower)
+            - a * net.price_terms(outcome.alpha_upper))
     parts = [
         float(np.abs(stat).max(initial=0.0)),
         float(np.abs(q - (b - a * lam)).max(initial=0.0)),

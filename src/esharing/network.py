@@ -85,9 +85,17 @@ class TreeTopology:
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Immutable DC network with a precomputed injection-to-flow map.
+    """Immutable DC network and its flow operations.
 
-    The lines are stored as columns, one entry per line.
+    The lines are stored as columns, one entry per line.  Three operations
+    carry every use of the network's flows, so that no other module knows
+    how they are computed (today from the dense ``ptdf``):
+
+    - :meth:`flows`: the line flows of purchases, one vector or the
+      columns of a (bus_count, k) matrix;
+    - :meth:`price_terms`: what line duals add to each bus's price, the
+      transpose of :meth:`flows`;
+    - :meth:`rows`: the flow rows of some lines, one entry per bus.
 
     Attributes
     ----------
@@ -101,7 +109,8 @@ class NetworkModel:
         ``ptdf[i, l]`` is the flow on line l per unit purchase at bus i+1.
         On a tree it is exact: ``tree.sign[l]`` when line l is on the path
         from bus i+1 up to the slack bus, else 0.  On a mesh it is solved
-        from the reduced nodal Laplacian.
+        from the reduced nodal Laplacian.  The rest of the package reads
+        it only through the three operations.
     limits : np.ndarray, shape (line_count,)
     tree : TreeTopology or None
         The network rooted at its slack bus when it is radial, else None.
@@ -148,6 +157,21 @@ class NetworkModel:
     @property
     def line_count(self) -> int:
         return len(self.limits)
+
+    def flows(self, q: np.ndarray) -> np.ndarray:
+        """The line flows of purchases ``q``, shape (bus_count,) or
+        (bus_count, k) for k purchase vectors, one per column."""
+        return self.ptdf.T @ q
+
+    def price_terms(self, mu: np.ndarray) -> np.ndarray:
+        """Per bus, the sum over lines of the flow per unit purchase there
+        times ``mu``, one value per line: the price terms of line duals."""
+        return self.ptdf @ mu
+
+    def rows(self, lines) -> np.ndarray:
+        """The flow rows of ``lines``, an index or a mask: a line's row holds
+        its flow per unit purchase at each bus (0 at the slack bus)."""
+        return self.ptdf.T[lines]
 
     @cached_property
     def lines(self) -> tuple:
@@ -339,7 +363,7 @@ def line_flows(net: NetworkModel, purchases: np.ndarray) -> np.ndarray:
     be evaluated, but only balanced vectors correspond to a physical
     operating point.
     """
-    return net.ptdf.T @ _per_bus(net, purchases, "purchases")
+    return net.flows(_per_bus(net, purchases, "purchases"))
 
 
 def dc_flow_oracle(net: NetworkModel, injections: np.ndarray) -> np.ndarray:

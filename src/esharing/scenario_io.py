@@ -37,7 +37,8 @@ from operator import itemgetter, methodcaller
 import numpy as np
 
 from .errors import FileError
-from .market import _BASELINE, Prosumer, Scenario, _check_count, _check_prosumers
+from .market import (_BASELINE, Prosumer, Scenario, _check_count, _check_prosumers,
+                     _sensitivity_threshold)
 from .network import LineSpec, _check_lines, build_network
 
 SCHEMA_VERSION = "1"
@@ -368,7 +369,7 @@ def gen_scenario(seed: int, size: int, style: str = "default") -> Scenario:
     from_bus, to_bus = np.array(parents) + 1, np.arange(2, size + 1)
     probe = build_network(size, columns=(from_bus, to_bus, weights,
                                          np.full(size - 1, np.inf)))
-    base_flows = np.abs(probe.ptdf.T @ q_base)
+    base_flows = np.abs(probe.flows(q_base))
     floor = 1e-3 * (1.0 + float(base_flows.max()))
     limits = scales[style] * np.maximum(base_flows, floor)
     limits.setflags(write=False)
@@ -376,7 +377,6 @@ def gen_scenario(seed: int, size: int, style: str = "default") -> Scenario:
     # the same lines with their real limits: the tree and the PTDF carry
     # over, and the limit masks and empty cache slots are made anew
     net = dataclasses.replace(probe, limits=limits)
-    threshold = (size - 2) / (2.0 * (size - 1)) * float(np.max(1.0 / c))
-    a = max(1.0, 1.05 * threshold)
+    a = max(1.0, 1.05 * _sensitivity_threshold(c))
     return Scenario(net, a=a, c=c, d=d, D=D,
                     label=f"generated seed={seed} size={size} style={style}")

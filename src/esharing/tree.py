@@ -63,7 +63,7 @@ def _components(net, alpha, beta, held, target):
     u = rhs[comp] / weight
     q = alpha - beta * u
     jump = u[tree.child] - u[tree.head]
-    return u, q, net.ptdf.T @ q, tree.sign * jump
+    return u, q, net.flows(q), tree.sign * jump
 
 
 def _factor(tree, beta, held, target):

@@ -374,6 +374,20 @@ def test_scenario_validation(two_f5):
         Scenario(network=build_network(1, []), prosumers=pros[:1], a=1.0)
 
 
+@pytest.mark.parametrize("columns,message", [
+    (dict(c=[1, 1], d=[0, 0, 0], D=[1, 1]), "prosumer columns must have one length"),
+    (dict(c=1.0, d=[0, 0], D=[1, 1]), "prosumer columns must have one length"),
+    (dict(c=[[1], [1, 2]], d=[0, 0], D=[1, 1]), "prosumer columns must have one length"),
+    (dict(c=[1, 1], d=[0, 0], D=[1, 1], p0=[0, 0, 0]),
+     "baseline columns must match the others"),
+], ids=["ragged", "scalar", "ragged-column", "ragged-baseline"])
+def test_scenario_refuses_columns_of_unequal_lengths(two_f5, columns, message):
+    # as build_network refuses line columns of unequal lengths
+    with pytest.raises(DimensionMismatch) as exc:
+        Scenario(two_f5.network, a=1.0, **columns)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("field,value", [
     ("c", np.inf), ("d", np.nan), ("d", -np.inf),
     ("demand_reduction", np.nan), ("demand_reduction", np.inf)])

@@ -1,10 +1,13 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import esharing
 from esharing.errors import (
     DimensionMismatch,
     DisconnectedGraph,
@@ -19,8 +22,9 @@ from esharing.network import (
     is_radial,
     line_flows,
 )
+from esharing.scenario_io import gen_scenario
 
-from conftest import WIDE_MESHES, balanced_vector, random_tree
+from conftest import WIDE_MESHES, balanced_vector, random_tree, with_chords
 
 
 @st.composite
@@ -336,3 +340,86 @@ def test_oracle_takes_one_injection_vector_per_column():
         dc_flow_oracle(net, inj)
     with pytest.raises(DimensionMismatch):
         dc_flow_oracle(net, np.zeros((3, 2)))
+
+
+# networks for the contract of the flow operations, built when a test asks:
+# generated trees, the same trees with chords, parallel lines and zero limits
+FLOW_NETWORKS = {
+    "tree-2": lambda: gen_scenario(1, 2, "tight").network,
+    "tree-20": lambda: gen_scenario(1, 20, "tight").network,
+    "tree-200": lambda: gen_scenario(7, 200).network,
+    "mesh-38-3": lambda: with_chords(gen_scenario(7, 38, "tight"), 3).network,
+    "mesh-120-10": lambda: with_chords(gen_scenario(7, 120, "tight"), 10).network,
+    "parallel": lambda: build_network(3, [
+        LineSpec(1, 2, 1.0, 0.3), LineSpec(2, 3, 1.0, 2.0),
+        LineSpec(1, 3, 1.0, 2.0), LineSpec(1, 2, 1.0, 0.3)]),
+    "double-circuit": lambda: build_network(4, [
+        LineSpec(1, 2, 1.5, 1.0), LineSpec(2, 1, 0.5, 1.0),
+        LineSpec(2, 3, 1.0), LineSpec(3, 4, 2.0, 0.5)], slack=2),
+    "zero-limit-tree": lambda: build_network(4, [
+        LineSpec(1, 2, 1.0, 0.0), LineSpec(2, 3, 0.5, 1.0),
+        LineSpec(4, 2, 2.0, 0.0)]),
+    "zero-limit-twins": lambda: build_network(4, [
+        LineSpec(1, 2, 1.0, 0.0), LineSpec(1, 2, 0.4, 0.0),
+        LineSpec(2, 3, 0.5, 1.0), LineSpec(3, 4, 2.0), LineSpec(4, 1, 1.0, 0.0)],
+        slack=3),
+}
+
+
+@pytest.fixture(params=list(FLOW_NETWORKS), ids=list(FLOW_NETWORKS))
+def flow_net(request):
+    return FLOW_NETWORKS[request.param]()
+
+
+def test_flows_follow_the_nodal_equations(flow_net):
+    # the contract of flows(), whatever computes it: the nodal equations'
+    # flows of -q, one vector or the columns of a matrix
+    net, rng = flow_net, np.random.default_rng(11)
+    batch = np.column_stack([balanced_vector(rng, net.bus_count, 100.0)
+                             for _ in range(4)])
+    flows = net.flows(batch)
+    assert flows.shape == (net.line_count, 4)
+    tol = 1e-10 * (1.0 + np.abs(batch).sum(axis=0).max())
+    np.testing.assert_allclose(flows, dc_flow_oracle(net, -batch), rtol=0, atol=tol)
+    for k in range(4):
+        single = net.flows(batch[:, k])
+        assert single.shape == (net.line_count,)
+        np.testing.assert_allclose(single, flows[:, k], rtol=0, atol=tol)
+
+
+def test_price_terms_are_the_transpose_of_flows(flow_net):
+    # q . price_terms(mu) = flows(q) . mu for every q and mu
+    net, rng = flow_net, np.random.default_rng(12)
+    for _ in range(3):
+        q = rng.uniform(-10.0, 10.0, net.bus_count)
+        mu = rng.uniform(0.0, 5.0, net.line_count)
+        terms = net.price_terms(mu)
+        assert terms.shape == (net.bus_count,)
+        scale = np.abs(q).sum() * np.abs(mu).sum()
+        assert q @ terms == pytest.approx(net.flows(q) @ mu, rel=0, abs=1e-13 * scale)
+
+
+def test_rows_are_the_flows_of_unit_purchases(flow_net):
+    # rows(p)[i] is line p's flow when bus i+1 buys one unit from the slack
+    net = flow_net
+    units = np.eye(net.bus_count)
+    units[net.slack - 1] -= 1.0
+    unit_flows = net.flows(units)  # column i: the purchase e_i - e_slack
+    for p in range(net.line_count):
+        np.testing.assert_allclose(net.rows(p), unit_flows[p], rtol=0, atol=1e-12)
+    mask = np.arange(net.line_count) % 2 == 0
+    rows = net.rows(mask)
+    assert rows.shape == (np.count_nonzero(mask), net.bus_count)
+    np.testing.assert_allclose(rows, unit_flows[mask], rtol=0, atol=1e-12)
+
+
+def test_only_the_network_module_reads_the_ptdf():
+    # every other module goes through flows, price_terms and rows, so that
+    # how the network computes its flows is known in one module
+    readers = set()
+    for path in sorted(Path(esharing.__file__).parent.rglob("*.py")):
+        if path.name != "network.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            readers.update(path.name for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute) and node.attr == "ptdf")
+    assert readers == set()

@@ -19,7 +19,7 @@ def main():
     for limit in (0.30, 0.27):
         scenario = cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), limit)
         scan = brlab.best_response(scenario, 1, fixed, scan_config=config,
-                                   include=(1.6,))
+                                   start=1.6)
         name = f"best_response_f{int(round(limit * 100)):03d}.csv"
         brlab.write_scan_csv(scan, name)
         minima = ", ".join(f"b={b:.4f} cost={c:.6f}"

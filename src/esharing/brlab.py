@@ -8,39 +8,51 @@ equilibrium candidates are visible, not just the best response), verifies
 equilibrium candidates by per-prosumer deviation gaps, and classifies the
 two-bus closed-form regimes.
 
-A scan walks the piecewise-affine clearing path from the left end of its
-interval to the right.  It clears the market once, at its first point.
-Each piece after that costs one held solve, which gives its rates; the
-piece ends where a line's condition fails, in closed form, and the
-clearing is carried there.  The cost is minimized exactly on each piece;
-a grid of samples is kept only to report the curve.
+A scan walks the piecewise-affine clearing path over the whole bid line,
+or over the interval it is given.  It clears the market once, at its start
+bid (the incumbent bid, when there is one), and walks right and then left
+from there.  Each piece costs one held solve, which gives its rates, and
+the start's rates serve both directions; a piece ends where a line's
+condition fails, in closed form, and the clearing is carried there.  The
+first and the last piece are unbounded and affine, so the cost is
+minimized exactly on every piece, the two ends included, with no window
+and no grid.  Samples of the curve are computed only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult, ScanIntervalEmpty
+from .errors import (
+    DimensionMismatch,
+    IterationLimit,
+    NonFiniteResult,
+    ScanIntervalEmpty,
+    UnboundedCost,
+)
 from .market import Scenario, clear_market, clearing_slopes, cost_at
 
 _FIXED_POINT_TOL = 1e-5  # sweep step below which br_iteration verifies
 _CYCLE_TOL = 1e-5  # distance at which a sweep revisits an earlier state
 _VERIFY_TOL = 1e-6  # deviation gap a verified fixed point may leave
+_STEP = 1e-6  # first step past a piece of one point, per unit of bid scale
+_MAX_STEPS = 64  # doubling steps in a row before a walk gives up
+_RATE_TOL = 1e-9  # a dimensionless rate at or below it is rounding
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     """Scan controls for :func:`best_response`.
 
-    ``interval``, two finite bids, bounds the scan; None auto-sizes it
-    around the marginal-cost-consistent bid range (see
-    ``_auto_interval``).  ``coarse_points`` evenly spaced samples, at
-    least 1, report the cost curve (``--csv``), and their spacing is the
-    walk's step past a piece of one point.  ``refine_rounds`` is unused:
-    the minima are exact, so no sample window is refined.
+    ``interval``, two finite bids, bounds the walk; None walks the whole
+    bid line.  ``coarse_points`` evenly spaced samples of the scan's
+    ``interval``, at least 1, report the cost curve (``--csv``); they are
+    computed only when read.  ``refine_rounds`` is unused, as the minima
+    are exact; it stays because ``bench/`` passes it.
     """
 
     interval: tuple | None = None
@@ -57,17 +69,34 @@ class ScanConfig:
 
 @dataclass(frozen=True, eq=False)
 class BestResponseScan:
-    """Scan result for one prosumer against fixed opponent bids."""
+    """Scan result for one prosumer against fixed opponent bids.
+
+    ``interval`` is the scan's bound when it was given one.  Otherwise it
+    is finite and holds the start bid, every breakpoint of the walked path
+    and every local minimum, with a margin of half their span on each side
+    (of 1 plus a tenth of its magnitude when the span is one point).
+    ``samples_b``, ``coarse_points`` evenly spaced bids over it, and
+    ``samples_cost`` report the cost curve; both are computed when first
+    read, by ``curve``, the cost at an array of bids.
+    """
 
     prosumer: int
     fixed_bids: np.ndarray
     interval: tuple
-    samples_b: np.ndarray
-    samples_cost: np.ndarray
     local_minima: tuple
     best_bid: float
     best_cost: float
     regulated: bool
+    coarse_points: int = field(repr=False)
+    curve: object = field(repr=False)
+
+    @cached_property
+    def samples_b(self) -> np.ndarray:
+        return np.linspace(*self.interval, self.coarse_points)
+
+    @cached_property
+    def samples_cost(self) -> np.ndarray:
+        return self.curve(self.samples_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,155 +144,188 @@ class BrTrajectory:
 
 
 def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
-                   grid: np.ndarray, hi: float) -> tuple:
-    """Prosumer ``i``'s clearing price as a function of its own bid ``t``,
-    walked from ``grid[0]`` to ``hi``.
+                   start: float, bounds=(-math.inf, math.inf),
+                   active=None) -> tuple:
+    """Prosumer ``i``'s clearing price as a function of its own bid ``t``
+    over ``bounds``, walked from ``start``.
 
-    ``b_base`` is the full bid vector with slot ``i`` zeroed, and ``grid``
-    the scan's samples, which start at ``grid[0]`` and end at or before
-    ``hi``.  Returns the piece table ``(starts, prices, slopes)``: piece
-    ``k`` holds from ``starts[k]`` to the next start (the last one to
-    ``hi``), with ``lam_i(t) = prices[k] + slopes[k] (t - starts[k])``.
+    ``b_base`` is the full bid vector with slot ``i`` zeroed, and ``start``
+    lies within ``bounds``, which may be infinite.  Returns the piece table
+    ``(edges, anchors, prices, slopes)``: piece ``k`` holds from
+    ``edges[k]`` to ``edges[k + 1]`` (the first from ``bounds[0]``, the
+    last to ``bounds[1]``), with ``lam_i(t) = prices[k] + slopes[k] (t -
+    anchors[k])``; its anchor is the end it was walked from.
 
     The clearing program is a strictly convex QP whose right-hand side is
     affine in ``t``, so its solution is piecewise affine in ``t``, one piece
-    per set of lines held at a limit (Bemporad, Morari, Dua & Pistikopoulos,
-    Automatica 38(1), 2002), and this walk is the homotopy of parametric
-    active-set QP (Ferreau, Bock & Diehl, Int. J. Robust Nonlinear Control
-    18(8), 2008).  It clears the market once, at ``grid[0]``; each piece
-    then costs one held solve (:func:`_piece`), and the clearing is carried
-    along it to the next start.  A carried start that makes a piece of one
-    point is cleared afresh at the same bid, guessing its held lines.  A
-    fresh one steps to the next grid point (past the last one, to ``hi``),
-    cleared there with the same guess, and that piece is the chord to the
-    next start (at the scan's end, it keeps its own slope, or a flat one
-    where the held solve refused).
+    per set of lines held at a limit, the first and the last of them
+    unbounded (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38(1),
+    2002), and this walk is the homotopy of parametric active-set QP
+    (Ferreau, Bock & Diehl, Int. J. Robust Nonlinear Control 18(8), 2008).
+    It clears the market once, at ``start``, trying the side vector
+    ``active`` as its guess, and walks right and then left from there
+    (:meth:`_Walk.run`), the start's rates serving both; the two pieces
+    that meet at ``start`` are one when their slopes agree.
     """
-    net = scenario.network
-    scale = 1.0 + np.abs(b_base).sum() + net.limits[net.bounded].max(initial=0.0)
-    starts, prices, slopes, stepped = [], [], [], []
-    t, guess, state = float(grid[0]), None, None
-    while True:
-        fresh = state is None
-        if fresh:
-            b = b_base.copy()
-            b[i] = t
-            out = clear_market(scenario, b, active=guess)
-            state = (float(out.prices[i]), out.flows, out.sides,
-                     np.where(out.sides > 0, out.alpha_upper, out.alpha_lower))
-        slope, end, carried = _piece(scenario, i, t, state, scale, hi)
-        one_point = not end > t  # or NaN
-        if one_point:
-            guess = state[2]
-            if not fresh:
-                state = None
-                continue
-            k = np.searchsorted(grid, t, side="right")
-            end = float(grid[k]) if k < grid.size else hi
-        starts.append(t)
-        prices.append(state[0])
-        slopes.append(slope)
-        stepped.append(one_point)
-        if not end < hi:
-            break
-        t, state = end, carried
-    if math.isnan(slopes[-1]):  # a refused held solve at the scan's end
-        slopes[-1] = 0.0
-    starts, prices, slopes = np.array(starts), np.array(prices), np.array(slopes)
-    chord = np.append(np.diff(prices) / np.diff(starts), slopes[-1])
-    return starts, prices, np.where(stepped, chord, slopes)
+    walk = _Walk(scenario, i, b_base)
+    state = walk.cleared(start, active)
+    rates = clearing_slopes(scenario, i, state[4])
+    lo, hi = bounds
+    right = walk.run(start, state, rates, 1.0, hi) if start < hi else []
+    left = walk.run(start, state, rates, -1.0, lo)[::-1] if start > lo else []
+    edges = [p[3] for p in left] + [start] + [p[3] for p in right]
+    if left and right and left[-1][2] == right[0][2]:  # one piece across start
+        del edges[len(left)], right[0]
+    anchors, prices, slopes, _ = map(np.array, zip(*left, *right))
+    return np.array(edges), anchors, prices, slopes
 
 
-def _piece(scenario: Scenario, i: int, t: float, state: tuple, scale: float,
-           hi: float) -> tuple:
-    """The piece of prosumer ``i``'s clearing path that starts at bid ``t``
-    in ``state``: ``(price, flows, side, dual)``, prosumer ``i``'s price,
-    the line flows, the side vector of the held lines and each held line's
-    dual at its own side (0 on the free lines).
+class _Walk:
+    """The walk along prosumer ``i``'s clearing path with the other bids of
+    ``b_base`` fixed: the bounded lines, their limits and the bid scale
+    of the walk's tolerances."""
 
-    Its rates come from :func:`esharing.market.clearing_slopes`, and it
-    holds until a free line reaches the limit its flow moves toward or a
-    held line with a positive limit loses its dual's sign.  At a
-    breakpoint either side's held set is optimal, so a start may hold the
-    left one; its piece then has zero length, and the lines that end it
-    are toggled once more in the same state.
+    def __init__(self, scenario: Scenario, i: int, b_base: np.ndarray):
+        net = scenario.network
+        self.scenario, self.i, self.b_base = scenario, i, b_base
+        self.lines = np.flatnonzero(net.bounded)
+        self.limits = net.limits[self.lines]
+        self.scale = float(1.0 + np.abs(b_base).sum()
+                           + self.limits.max(initial=0.0))
+        # the rates a condition must fall at to end a piece: a flow's rate
+        # is dimensionless, a dual's is once multiplied by a^2
+        self.falls = (-_RATE_TOL / scenario.a ** 2, -_RATE_TOL)
 
-    Returns ``(slope, end, carried)``: the price's rate, the bid where the
-    piece ends, and the state carried there along the rates, with the
-    lines that end the piece toggled (a newly held line with dual 0, a
-    released one free); None past ``hi``, as the last piece may be
-    unbounded.  A piece of one point ends at ``t``: the held solve refuses
-    the set (slope NaN), the state violates a condition beyond rounding,
-    or the piece has zero length twice.
-    """
-    net = scenario.network
-    F, lines = net.limits, np.flatnonzero(net.bounded)
-    price, flows, side, dual = state
-    for _ in range(2):
-        slope, end = np.nan, t
-        rates = clearing_slopes(scenario, i, side)
-        if rates is None:
-            break
-        slope, dflow, ddual = rates
-        # each line with a positive limit has one condition, value + rate
-        # (t' - t) >= 0: a free line stays within the limit its flow moves
-        # toward, a held line keeps its dual signed; past the condition's
-        # root, the line turns to ``turn``
-        held = side != 0.0
-        toward = np.sign(dflow)
-        now = np.where(held, dual, F - np.abs(flows))[lines]
-        if (now < -1e-9 * (scale + abs(t))).any():
-            break
-        value = np.where(held, dual, F - toward * flows)[lines]
-        rate = np.where(held, ddual, -np.abs(dflow))[lines]
-        turn = np.where(held, 0.0, toward)[lines]
-        falls = rate < 0.0
-        ahead = np.maximum(value[falls], 0.0) / -rate[falls]
-        first = ahead.min(initial=np.inf)
-        end = t + float(first)
-        hit = ahead == first
-        turned = side.copy()
-        turned[lines[falls][hit]] = turn[falls][hit]
-        if end > t:
-            if not end < hi:
-                return slope, end, None
-            length = end - t
-            return slope, end, (
-                price + slope * length, flows + dflow * length, turned,
-                np.where(turned == side, dual + ddual * length, 0.0))
-        side, dual = turned, np.where(turned == side, dual, 0.0)
-    return slope, end, None
+    def cleared(self, t: float, guess) -> tuple:
+        """The state at bid ``t`` from a fresh clearing that tries ``guess``
+        as its held lines: ``(price, flows, dual, side, sides)``, prosumer
+        ``i``'s price, each bounded line's flow, dual at its own side (0 on
+        a free line) and side, and the side vector of every line."""
+        b = self.b_base.copy()
+        b[self.i] = t
+        out = clear_market(self.scenario, b, active=guess)
+        sides, lines = out.sides, self.lines
+        dual = np.where(sides > 0.0, out.alpha_upper, out.alpha_lower)
+        return (float(out.prices[self.i]), out.flows[lines], dual[lines],
+                sides[lines], sides)
+
+    def piece(self, t: float, state: tuple, rates, direction: float,
+              bound: float) -> tuple:
+        """The piece that starts at bid ``t`` in ``state`` and runs in
+        ``direction``, +1 to the right and -1 to the left, toward
+        ``bound``.
+
+        ``rates`` are the held set's (:func:`esharing.market.clearing_slopes`),
+        or None to solve for them.  The piece holds until a free line
+        reaches the limit its flow moves toward or a held line with a
+        positive limit loses its dual's sign.  At a breakpoint either
+        side's held set is optimal, so a start may hold the set behind it;
+        its piece then has zero length, and the lines that end it are
+        toggled once more in the same state.
+
+        Returns ``(slope, end, carried)``: the price's rate, the bid where
+        the piece ends, and the state carried there along the rates, with
+        the lines that end the piece toggled (a newly held line with dual
+        0, a released one free); None at ``bound``, which may be infinite.
+        A piece of one point ends at ``t``: the held solve refuses the set
+        (slope NaN), the state violates a condition beyond rounding, or the
+        piece has zero length twice.
+        """
+        price, flows, dual, side, sides = state
+        limits, slope = self.limits, math.nan
+        for _ in range(2):
+            if rates is None:
+                rates = clearing_slopes(self.scenario, self.i, sides)
+                if rates is None:
+                    break
+            slope, dflow, ddual = rates
+            # every dual (0 on a free line) and every line's room to its
+            # limit must be signed, to rounding
+            now = np.minimum(dual, limits - np.abs(flows))
+            if np.minimum.reduce(now, initial=0.0) < -1e-9 * (self.scale + abs(t)):
+                break
+            # each bounded line has one condition, value + rate u >= 0 at
+            # the bid t + direction u: a free line stays within the limit
+            # its flow moves toward, a held line keeps its dual signed;
+            # past the condition's root, a free line is held at that limit
+            # and a held line is released
+            held = side != 0.0
+            toward = np.sign(dflow) if direction > 0.0 else -np.sign(dflow)
+            value = np.where(held, dual, limits - toward * flows)
+            rate = np.where(held, ddual if direction > 0.0 else -ddual,
+                            -np.abs(dflow))
+            falls = np.flatnonzero(rate < np.where(held, *self.falls))
+            ahead = np.maximum(value[falls], 0.0) / -rate[falls]
+            first = float(np.minimum.reduce(ahead, initial=np.inf))
+            end = t + direction * first
+            moved = direction * (end - t) > 0.0
+            if moved and not direction * (bound - end) > 0.0:
+                return slope, bound, None
+            hit = falls[ahead == first]
+            turn = np.where(held[hit], 0.0, toward[hit])
+            side, sides = side.copy(), sides.copy()
+            side[hit] = turn
+            sides[self.lines[hit]] = turn
+            if moved:
+                length = end - t
+                dual = dual + ddual * length
+                dual[hit] = 0.0
+                return slope, end, (price + slope * length,
+                                    flows + dflow * length, dual, side, sides)
+            dual = dual.copy()
+            dual[hit] = 0.0
+            rates = None
+        return slope, t, None
+
+    def run(self, t: float, state: tuple, rates, direction: float,
+            bound: float) -> list:
+        """The pieces from bid ``t`` in ``state``, whose held set has
+        ``rates`` (None to solve for them), to ``bound`` in ``direction``,
+        in walk order, each as ``(anchor, price, slope, end)``: the bid it
+        starts from, the price there, the price's rate and the bid where
+        it ends.
+
+        A carried start that makes a piece of one point
+        (:meth:`piece`) is cleared afresh at the same bid, guessing its
+        held lines.  A fresh one steps past it, by ``_STEP`` times the bid
+        scale plus ``|t|``, doubled for each fresh piece of one point in a
+        row, to a bid cleared afresh with the same guess; its piece is the
+        chord to there, exact when no breakpoint lies between.  After
+        ``_MAX_STEPS`` such steps in a row the walk raises
+        :class:`IterationLimit`.
+        """
+        pieces, fresh, steps = [], True, 0
+        while True:
+            slope, end, carried = self.piece(t, state, rates, direction, bound)
+            rates = None
+            if direction * (end - t) > 0.0:
+                pieces.append((t, state[0], slope, end))
+                if carried is None:
+                    return pieces
+                t, state, fresh, steps = end, carried, False, 0
+            elif not fresh:
+                state, fresh = self.cleared(t, state[4]), True
+            elif steps == _MAX_STEPS:
+                raise IterationLimit(
+                    f"the held-set solve refused prosumer {self.i + 1}'s "
+                    f"clearing path at every step past bid {t!r}")
+            else:
+                step = _STEP * (self.scale + abs(t)) * 2.0 ** steps
+                end = t + direction * step
+                if not direction * (bound - end) > 0.0:
+                    end = bound
+                steps += 1
+                ahead = self.cleared(end, state[4])
+                pieces.append((t, state[0], (ahead[0] - state[0]) / (end - t), end))
+                if end == bound:
+                    return pieces
+                t, state = end, ahead
 
 
-def _auto_interval(scenario: Scenario, i: int, b_base: np.ndarray,
-                   include=()) -> tuple:
-    """Heuristic bid window guaranteed wide enough in practice.
-
-    Anchors at the bids consistent with marginal-cost pricing over the full
-    plausible production range (own demand shifted by the system total),
-    takes the hull with zero, the opponents' mean bid, and any requested
-    points, then widens threefold.
-    """
-    a = scenario.a
-    c_i, d_i, D_i = scenario.c[i], scenario.d[i], scenario.D[i]
-    span = float(np.abs(scenario.D).sum()) + 1.0
-    p_ends = np.array([D_i - span, D_i + span])
-    anchors = D_i - p_ends + a * (2.0 * c_i * p_ends + d_i)
-    others = np.delete(b_base, i)
-    pts = [float(anchors.min()), float(anchors.max()), 0.0,
-           float(others.mean())]
-    pts.extend(float(v) for v in include)
-    lo, hi = min(pts), max(pts)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    half = max(half, 1.0 + 0.1 * abs(mid))
-    return (mid - 3.0 * half, mid + 3.0 * half)
-
-
-def _minimum_points(scenario: Scenario, i: int, regulated: bool,
-                    edges: np.ndarray, prices: np.ndarray,
-                    slopes: np.ndarray) -> list | None:
-    """Bids of the local minima of prosumer ``i``'s cost over the pieces
-    between consecutive ``edges``, in closed form.
+def _minimum_points(scenario: Scenario, i: int, regulated: bool, path: tuple,
+                    start: float) -> list | None:
+    """Bids of the local minima of prosumer ``i``'s cost along the piece
+    table ``path`` of :func:`_clearing_path`, in closed form.
 
     On a piece, ``lam_i`` and the purchase ``q_i = t - a lam_i`` are affine
     in ``t``, so the raw cost is one quadratic.  The regulated payment is
@@ -271,32 +333,44 @@ def _minimum_points(scenario: Scenario, i: int, regulated: bool,
     the piece splits at the roots of ``q_i`` and of ``lam_i - m_i`` into
     quadratics.  Each quadratic splits at an inner vertex into monotone
     runs, each of them falling, rising or flat (changing by no more than
-    rounding).  A minimum is where a fall meets a rise, or the middle of a
-    flat run between the two; the scan's ends count as a fall before its
-    start and a rise after its end.  None when the cost is infinite or NaN
-    on some stretch, which hides where the lowest point is.
+    rounding); an unbounded run moves as its quadratic's leading term.  A
+    minimum is where a fall meets a rise, or a flat run between the two: at
+    its middle, at its finite end when it is unbounded, or at ``start``
+    when it is the whole bid line.  The ends of a bounded walk count as a
+    fall before its start and a rise after its end.
+
+    The purchase rate ``1 - a slope`` lies in [0, 1], so on an unbounded
+    piece a rate within ``_RATE_TOL`` of 0 is rounding: the purchase is
+    fixed there, and the cost is flat when the purchase is within rounding
+    of 0.  Returns None when the cost is infinite or NaN on some stretch,
+    which hides where the lowest point is, and raises
+    :class:`UnboundedCost` when it falls toward an end of the bid line.
     """
     a, n = scenario.a, scenario.size
     c, d, D = float(scenario.c[i]), float(scenario.d[i]), float(scenario.D[i])
     w = 1.0 / (a * (n - 1))  # the price privilege per unit purchase
     runs = []  # (start, end, direction): -1 fall, 0 flat, 1 rise
-    edges = edges.tolist()
-    for x0, x1, lam0, s in zip(edges[:-1], edges[1:], prices.tolist(),
-                               slopes.tolist()):
+    edges, anchors, prices, slopes = (v.tolist() for v in path)
+    for x_lo, x_hi, x0, lam0, s in zip(edges[:-1], edges[1:], anchors, prices,
+                                       slopes):
         # affine (value at x0, slope) of purchase, production and m_i
         q0, dq = x0 - a * lam0, 1.0 - a * s
+        if math.isinf(x_hi - x_lo) and abs(dq) <= _RATE_TOL:
+            dq = 0.0
+            if abs(q0) <= 1e-12 * (abs(x0) + abs(a * lam0)):
+                q0 = 0.0
         p0, dp = D - q0, -dq
         m0, dm = 2.0 * c * p0 + d - w * q0, 2.0 * c * dp - w * dq
-        cuts = [0.0, x1 - x0]
+        cuts = [x_lo - x0, x_hi - x0]
         if regulated:
             for v, r in ((q0, dq), (lam0 - m0, s - dm)):
-                if r != 0.0 and 0.0 < -v / r < x1 - x0:
+                if r != 0.0 and cuts[0] < -v / r < cuts[1]:
                     cuts.append(-v / r)
         cuts.sort()
         for u0, u1 in zip(cuts[:-1], cuts[1:]):
             # the larger payment on this stretch, as (value at x0, slope)
             pay0, dpay = lam0, s
-            mid = 0.5 * (u0 + u1)
+            mid = _inner(u0, u1)
             if regulated and (lam0 - m0 + (s - dm) * mid) * (q0 + dq * mid) < 0.0:
                 pay0, dpay = m0, dm
             # cost = A + B u + C u^2 with u = t - x0
@@ -306,37 +380,106 @@ def _minimum_points(scenario: Scenario, i: int, regulated: bool,
             vertex = -B / (2.0 * C) if C != 0.0 else u0
             for r0, r1 in ((u0, vertex), (vertex, u1)) if u0 < vertex < u1 \
                     else ((u0, u1),):
-                f0, f1 = A + (B + C * r0) * r0, A + (B + C * r1) * r1
-                rise = (r1 - r0) * (B + C * (r0 + r1))
-                if not math.isfinite(f0 + f1 + rise):
+                direction = _direction(A, B, C, r0, r1)
+                if direction is None:
                     return None
-                tie = 1e-12 * (1.0 + abs(f0) + abs(f1))
-                direction = 1 if rise > tie else -1 if rise < -tie else 0
                 if runs and runs[-1][2] == direction:
                     runs[-1] = (runs[-1][0], x0 + r1, direction)
                 else:
                     runs.append((x0 + r0, x0 + r1, direction))
+    for end, falls, toward in ((runs[0][0], runs[0][2] == 1, "-"),
+                               (runs[-1][1], runs[-1][2] == -1, "+")):
+        if math.isinf(end) and falls:
+            raise UnboundedCost(
+                f"the cost of prosumer {i + 1} falls without bound as its "
+                f"bid goes to {toward}infinity; no best response")
     runs = [(edges[0], edges[0], -1), *runs, (edges[-1], edges[-1], 1)]
     points = []
     for k in range(1, len(runs)):
-        start, stop, here = runs[k]
+        begin, stop, here = runs[k]
         if runs[k - 1][2] == -1 and here == 1:
-            points.append(start)
+            points.append(begin)
         elif runs[k - 1][2] == -1 and here == 0 and runs[k + 1][2] == 1:
-            points.append(0.5 * (start + stop))
+            points.append(_middle(begin, stop, start))
     return points
+
+
+def _inner(u0: float, u1: float) -> float:
+    """A point strictly inside ``(u0, u1)``, either end possibly infinite:
+    the middle of a bounded stretch."""
+    if math.isinf(u0):
+        return 0.0 if math.isinf(u1) else u1 - 1.0 - abs(u1)
+    return u0 + 1.0 + abs(u0) if math.isinf(u1) else 0.5 * (u0 + u1)
+
+
+def _middle(begin: float, stop: float, start: float) -> float:
+    """Where a flat run from ``begin`` to ``stop`` has its minimum: its
+    middle, its finite end when it is unbounded, or ``start`` when it is
+    the whole bid line."""
+    if math.isinf(begin):
+        return start if math.isinf(stop) else stop
+    return begin if math.isinf(stop) else 0.5 * (begin + stop)
+
+
+def _direction(A: float, B: float, C: float, r0: float, r1: float) -> int | None:
+    """-1, 0 or 1 as ``A + B u + C u^2`` falls, stays flat (by no more than
+    rounding) or rises from ``u = r0`` to ``r1``, with no vertex between
+    them; None when it is infinite or NaN there.  Toward an infinite end it
+    moves as its leading term."""
+    if math.isinf(r0) or math.isinf(r1):
+        at = r0 if math.isfinite(r0) else r1 if math.isfinite(r1) else 0.0
+        if not math.isfinite(A + (B + C * at) * at + B + C):
+            return None
+        if C == 0.0:
+            return (B > 0.0) - (B < 0.0)
+        if math.isinf(r0) and math.isinf(r1):  # a vertex past the float range
+            return None
+        return (1 if C > 0.0 else -1) * (1 if math.isinf(r1) else -1)
+    f0, f1 = A + (B + C * r0) * r0, A + (B + C * r1) * r1
+    rise = (r1 - r0) * (B + C * (r0 + r1))
+    if not math.isfinite(f0 + f1 + rise):
+        return None
+    tie = 1e-12 * (1.0 + abs(f0) + abs(f1))
+    return 1 if rise > tie else -1 if rise < -tie else 0
+
+
+def _cost_on_path(scenario: Scenario, i: int, regulated: bool, path: tuple,
+                  x: np.ndarray) -> np.ndarray:
+    """Prosumer ``i``'s cost at the bids ``x`` on the piece table ``path``."""
+    edges, anchors, prices, slopes = path
+    k = np.searchsorted(edges, x, side="right").clip(1, anchors.size) - 1
+    lam_i = prices[k] + slopes[k] * (x - anchors[k])
+    return cost_at(scenario, lam_i, x - scenario.a * lam_i, regulated, i)
+
+
+def _span(start: float, edges: np.ndarray, points: list) -> tuple:
+    """The reported interval of a walk over the whole bid line: the span of
+    its start, its breakpoints and its minima, widened by half its width on
+    each side, or by 1 plus a tenth of its magnitude when it is one
+    point."""
+    marks = np.concatenate([[start], points, edges[1:-1]])
+    lo, hi = float(marks.min()), float(marks.max())
+    pad = 0.5 * (hi - lo) if hi > lo else 1.0 + 0.1 * abs(lo)
+    return lo - pad, hi + pad
 
 
 def best_response(scenario: Scenario, i: int, b_minus_i,
                   scan_config: ScanConfig | None = None,
-                  regulated: bool = False, include=()) -> BestResponseScan:
+                  regulated: bool = False, start: float | None = None,
+                  active=None) -> BestResponseScan:
     """Scan prosumer ``i``'s cost over its own bid, opponents fixed.
 
     ``b_minus_i`` lists the other prosumers' bids in bus order (length I-1).
-    Every local minimum over the scan interval is reported, in closed form
-    on the walked pieces (a flat stretch at its middle); the lowest one is
-    the best response.  A cost that is infinite or NaN anywhere on the
-    interval raises :class:`NonFiniteResult`.
+    The walk covers the whole bid line, or ``scan_config.interval`` when
+    one is given.  It starts at ``start``, a finite bid such as the
+    incumbent one (the opponents' mean bid when None), moved into the
+    interval, and its one clearing tries the side vector ``active``, such
+    as the incumbent clearing's ``sides``, as its guess; neither changes
+    the result beyond rounding.  Every local minimum is reported, in closed
+    form on the walked pieces (see :func:`_minimum_points`); the lowest one
+    is the best response.  A cost that is infinite or NaN on some piece
+    raises :class:`NonFiniteResult`; one that falls without bound toward an
+    end of the bid line raises :class:`UnboundedCost`.
     """
     cfg = scan_config or ScanConfig()
     b_minus_i = np.asarray(b_minus_i, dtype=float)
@@ -344,33 +487,31 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
         raise DimensionMismatch(
             f"expected {scenario.size - 1} opponent bids, got {b_minus_i.shape}"
         )
-    b_base = np.insert(b_minus_i, i, 0.0)
-    interval = cfg.interval or _auto_interval(scenario, i, b_base, include)
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = map(float, cfg.interval or (-math.inf, math.inf))
     if not hi > lo:
         raise ScanIntervalEmpty(f"scan interval [{lo}, {hi}] is empty")
+    if start is None:
+        start = float(b_minus_i.mean())
+    elif not math.isfinite(start):
+        raise ValueError(f"start must be a finite bid, got {start}")
+    start = min(max(float(start), lo), hi)
 
-    t = np.linspace(lo, hi, cfg.coarse_points)
-    starts, prices, slopes = _clearing_path(scenario, i, b_base, t, hi)
-
-    def evaluate(x):
-        k = np.searchsorted(starts, x, side="right") - 1
-        lam_i = prices[k] + slopes[k] * (x - starts[k])
-        return cost_at(scenario, lam_i, x - scenario.a * lam_i, regulated, i)
-
-    cost = evaluate(t)
-    points = _minimum_points(scenario, i, regulated, np.append(starts, hi),
-                             prices, slopes)
-    if points is None or not np.isfinite(cost).all():
+    b_base = np.insert(b_minus_i, i, 0.0)
+    path = _clearing_path(scenario, i, b_base, start, (lo, hi), active)
+    curve = partial(_cost_on_path, scenario, i, regulated, path)
+    points = _minimum_points(scenario, i, regulated, path, start)
+    costs = None if points is None else curve(np.array(points))
+    if costs is None or not np.isfinite(costs).all():
         raise NonFiniteResult(
             f"the cost of prosumer {i + 1} is infinite or NaN on the scanned "
-            "interval; no best response")
-    minima = list(zip(points, evaluate(np.array(points)).tolist()))
+            "bids; no best response")
+    minima = list(zip(points, costs.tolist()))
     best_bid, best_cost = min(minima, key=lambda mc: (mc[1], mc[0]))
+    interval = (lo, hi) if cfg.interval else _span(start, path[0], points)
     return BestResponseScan(
-        prosumer=i, fixed_bids=b_minus_i, interval=(lo, hi), samples_b=t,
-        samples_cost=cost, local_minima=tuple(minima), best_bid=best_bid,
-        best_cost=best_cost, regulated=regulated,
+        prosumer=i, fixed_bids=b_minus_i, interval=interval,
+        local_minima=tuple(minima), best_bid=best_bid, best_cost=best_cost,
+        regulated=regulated, coarse_points=cfg.coarse_points, curve=curve,
     )
 
 
@@ -380,9 +521,9 @@ def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
     """Check an equilibrium candidate by per-prosumer deviation gaps.
 
     ``gaps[i]`` is the cost saved by prosumer ``i``'s best unilateral
-    deviation.  The incumbent bid lies in every scan, so a gap is negative
-    only by rounding; the candidate passes when every gap is at most
-    ``tol``.
+    deviation.  Each scan starts at the incumbent bid, guessing the
+    incumbent clearing's held lines, so a gap is negative only by rounding;
+    the candidate passes when every gap is at most ``tol``.
     """
     b = np.asarray(b, dtype=float)
     incumbent = clear_market(scenario, b)
@@ -394,7 +535,7 @@ def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
     for i in range(n):
         scan = best_response(scenario, i, np.delete(b, i),
                              scan_config=scan_config, regulated=regulated,
-                             include=(float(b[i]),))
+                             start=float(b[i]), active=incumbent.sides)
         gaps[i] = incumbent_costs[i] - scan.best_cost
         best_bids[i] = scan.best_bid
     return GneCheck(is_gne=bool(np.all(gaps <= tol)), gaps=gaps,
@@ -452,7 +593,7 @@ def br_iteration(scenario: Scenario, b0, iters: int = 20,
         for i in range(n):
             scan = best_response(scenario, i, np.delete(b, i),
                                  scan_config=scan_config, regulated=regulated,
-                                 include=(float(b[i]),))
+                                 start=float(b[i]))
             b[i] = scan.best_bid
         states.append(b.copy())
         delta = float(np.abs(states[-1] - states[-2]).max())
@@ -475,7 +616,12 @@ def br_iteration(scenario: Scenario, b0, iters: int = 20,
 
 
 def write_scan_csv(scan: BestResponseScan, path) -> None:
-    """Write the coarse scan curve as two columns: bid, cost."""
+    """Write the scan's sampled cost curve as two columns: bid, cost.  A
+    curve that is infinite or NaN at some sample raises
+    :class:`NonFiniteResult` and writes nothing."""
+    if not np.isfinite(scan.samples_cost).all():
+        raise NonFiniteResult("the scan's cost curve is infinite or NaN at "
+                              "some sample; no CSV written")
     rows = zip(scan.samples_b.tolist(), scan.samples_cost.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("".join(["b,cost\r\n", *(f"{b!r},{c!r}\r\n" for b, c in rows)]))

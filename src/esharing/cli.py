@@ -33,6 +33,7 @@ from .errors import (
     MaxIterExceeded,
     NonFiniteResult,
     NonRadialWarning,
+    UnboundedCost,
     WeakSensitivityWarning,
 )
 from .market import Scenario, clear_market, clearing_kkt_residual
@@ -192,7 +193,8 @@ def _brlab_args(p) -> None:
     mode.add_argument("--prosumer", type=int, default=None,
                       help="1-based prosumer index to scan")
     p.add_argument("--fix-bids", default=None,
-                   help="full bid vector; the scanned slot is ignored")
+                   help="full bid vector; the scan starts at the scanned "
+                        "slot when it is finite")
     mode.add_argument("--classify-2bus", action="store_true",
                       help="closed-form regime of the symmetric two-bus game")
     mode.add_argument("--verify", default=None, metavar="BIDS",
@@ -411,7 +413,8 @@ def _cmd_brlab(scenario: Scenario, args) -> tuple:
     i = args.prosumer - 1
     b = _parse_vector(args.fix_bids, n, "--fix-bids", unread=i)
     scan = brlab.best_response(scenario, i, np.delete(b, i),
-                               regulated=args.regulated)
+                               regulated=args.regulated,
+                               start=b[i] if math.isfinite(b[i]) else None)
     if args.csv:
         brlab.write_scan_csv(scan, args.csv)
     return ({"prosumer": args.prosumer, "interval": list(scan.interval),
@@ -462,6 +465,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cmd_gen(args, fmt: str) -> tuple:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         scenario = gen_scenario(args.seed, args.size, style=args.style)
     except ValueError as exc:
@@ -519,6 +524,7 @@ _ANY_FAILURE = (EsharingError, OSError, MemoryError)
 # takes FileError, NonFiniteResult, ContractBreach and the rest
 _FAILURES = (
     (UsageError, "usage error", 1),
+    (UnboundedCost, "unbounded cost", 1),
     (MaxIterExceeded, "did not converge", 3),
     (IterationLimit, "solver did not converge", 3),
     (Infeasible, "infeasible", 2),

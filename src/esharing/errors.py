@@ -75,6 +75,13 @@ class ScanIntervalEmpty(EsharingError):
     """A best-response scan was requested over an empty interval."""
 
 
+class UnboundedCost(EsharingError):
+    """A best-response scan's cost falls without bound toward one end of the
+    bid line, so there is no best response.  With ``c > 0`` the exact cost
+    rises or stays flat toward both ends, so this reports end pieces whose
+    computed rates say otherwise."""
+
+
 # --- file / CLI -----------------------------------------------------------
 
 class FileError(EsharingError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import starmap
 
 import numpy as np
@@ -311,19 +311,32 @@ def clearing_slopes(scenario: Scenario, i: int, sides) -> tuple | None:
     """Rates of change of :func:`clear_market`'s outcome per unit of bid
     ``i``, while the lines marked in the side vector ``sides`` stay held.
 
-    Returns ``(price, flows, duals)``: the rate of ``prices[i]``, of every
-    line's flow, and of each held line's dual at its own side (0 on the
-    free lines); or None when the held-set solve refuses the held set.
+    Returns ``(price, flows, duals)``: the rate of ``prices[i]``, and of
+    each bounded line's flow and dual at its own side (0 on the free
+    lines), in line order; or None when the held-set solve refuses the
+    held set.  The lines without a positive finite limit, which a walk
+    along the rates never toggles, are left out.
     """
     k, n = scenario.a, scenario.size
+    net = scenario.network
     unit = np.zeros(n)
     unit[i] = 1.0
-    solve = _held_solve(scenario.network, unit, np.full(n, k / _HESS),
-                        sides != 0.0, np.zeros(sides.size))
+    solve = _held_solve(net, unit, _constant(n, k / _HESS), sides != 0.0,
+                        _constant(sides.size, 0.0))
     if solve is None:
         return None
     du, _, dflow, dpush = solve
-    return float(du[i] / _HESS), dflow, sides * dpush / k
+    bounded = net.bounded
+    return float(du[i] / _HESS), dflow[bounded], (sides * dpush)[bounded] / k
+
+
+@lru_cache(maxsize=8)
+def _constant(size: int, value: float) -> np.ndarray:
+    """A read-only vector of ``size`` copies of ``value``, built once for
+    the held solves of a walk."""
+    v = np.full(size, value)
+    v.setflags(write=False)
+    return v
 
 
 def _solve_program(net: NetworkModel, hess, linear, base, k: float,

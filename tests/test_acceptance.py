@@ -80,8 +80,7 @@ def test_criterion_4_best_response_laboratory():
         check = brlab.verify_gne(tight, np.array([1.6, 1.6, 0.8]))
         assert not check.is_gne
         assert check.best_bids[1] == pytest.approx(1.535, abs=1e-9)
-        scan = brlab.best_response(tight, 1, np.array([1.6, 0.8]),
-                                   include=(1.6,))
+        scan = brlab.best_response(tight, 1, np.array([1.6, 0.8]), start=1.6)
         costs = dict(scan.local_minima)
         dev_cost = min(costs.values())
         incumbent = max(costs.values())

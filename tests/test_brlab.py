@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import equal_pair, limited_scenarios
-from esharing import brlab, cases, equilibrium
+from esharing import brlab, cases, equilibrium, market
 from esharing.brlab import (
     ScanConfig,
     best_response,
@@ -15,7 +15,12 @@ from esharing.brlab import (
     verify_gne,
     write_scan_csv,
 )
-from esharing.errors import DimensionMismatch, ScanIntervalEmpty
+from esharing.errors import (
+    DimensionMismatch,
+    IterationLimit,
+    ScanIntervalEmpty,
+    UnboundedCost,
+)
 from esharing.market import (
     Prosumer,
     Scenario,
@@ -29,7 +34,7 @@ from esharing.scenario_io import gen_scenario
 
 
 def test_two_local_minima_in_loose_chain(chain_f027):
-    scan = best_response(chain_f027, 1, np.array([1.6, 0.8]), include=(1.6,))
+    scan = best_response(chain_f027, 1, np.array([1.6, 0.8]), start=1.6)
     bids = [b for b, _ in scan.local_minima]
     costs = [v for _, v in scan.local_minima]
     assert len(bids) == 2
@@ -42,7 +47,7 @@ def test_two_local_minima_in_loose_chain(chain_f027):
 
 
 def test_single_minimum_when_capacity_ample(chain_f03):
-    scan = best_response(chain_f03, 1, np.array([1.6, 0.8]), include=(1.6,))
+    scan = best_response(chain_f03, 1, np.array([1.6, 0.8]), start=1.6)
     assert len(scan.local_minima) == 1
     assert scan.best_bid == pytest.approx(1.6, abs=1e-9)
     assert scan.best_cost == pytest.approx(67.0 / 75.0, abs=1e-9)
@@ -293,57 +298,76 @@ def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
         best_response(chain_f03, 1, np.array([1.6]))
 
 
+@pytest.mark.parametrize("start", [math.nan, math.inf])
+def test_scan_refuses_a_start_that_is_not_a_bid(chain_f03, start):
+    with pytest.raises(ValueError, match="start must be a finite bid"):
+        best_response(chain_f03, 1, np.array([1.6, 0.8]), start=start)
+
+
+def test_a_start_outside_the_interval_moves_to_its_nearest_end(chain_f027):
+    config = ScanConfig(interval=(1.0, 2.0))
+    far, near = (best_response(chain_f027, 1, np.array([1.6, 0.8]),
+                               scan_config=config, start=s) for s in (50.0, 2.0))
+    assert far.interval == near.interval == (1.0, 2.0)
+    assert np.array(far.local_minima) == pytest.approx(
+        np.array(near.local_minima), rel=1e-12)
+
+
 def walk_setup():
     """A 7-bus tight scan of prosumer 3 at the equilibrium bids: the
-    scenario, the prosumer, its opponents' bids, a 401-point grid, the bid
-    vector with its slot zeroed, and the clean walk's piece table."""
+    scenario, the prosumer, its opponents' bids, its own bid (the walk's
+    start), the bid vector with its slot zeroed, and the clean walk's piece
+    table."""
     scenario, i = gen_scenario(1, 7, "tight"), 2
-    fixed = np.delete(equilibrium.improved_gne(scenario).b_bar, i)
-    config = ScanConfig(coarse_points=401)
-    grid = best_response(scenario, i, fixed, scan_config=config).samples_b
+    b_bar = equilibrium.improved_gne(scenario).b_bar
+    fixed, start = np.delete(b_bar, i), float(b_bar[i])
     b_base = np.insert(fixed, i, 0.0)
-    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
-    return scenario, i, fixed, config, grid, b_base, path
+    return (scenario, i, fixed, start, b_base,
+            brlab._clearing_path(scenario, i, b_base, start))
+
+
+def breakpoints_right_of(path, start):
+    """The finite piece edges of ``path`` right of ``start``: the carried
+    starts of the walk to the right."""
+    edges = path[0]
+    return edges[np.isfinite(edges) & (edges > start)]
 
 
 def perturbed_start(scenario, state):
     """``state`` with its first free line past its limit by far more than
     rounding at the 7-bus scan's bids."""
-    price, flows, side, dual = state
+    price, flows, dual, side, sides = state
     net = scenario.network
-    line = np.flatnonzero(net.bounded & (side == 0))[0]
+    line = np.flatnonzero(side == 0)[0]
     flows = flows.copy()
-    flows[line] = np.copysign(net.limits[line] + 1e-4, flows[line])
-    return price, flows, side, dual
+    flows[line] = np.copysign(net.limits[net.bounded][line] + 1e-4, flows[line])
+    return price, flows, dual, side, sides
 
 
-@pytest.mark.parametrize("fault", ["refuse-inner", "refuse-last",
-                                   "start-past-limit"])
-def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
-    # a held solve that refuses, or a start already past one of its
-    # conditions, makes a piece of one point, carried and cleared afresh
-    # alike: the walk steps to the next grid point, and the piece is the
-    # chord to it
-    scenario, i, fixed, config, grid, b_base, path = walk_setup()
-    starts = path[0]
-    target = starts[-1] if fault == "refuse-last" else starts[len(starts) // 2]
-    at, faults, cleared = [], [], []  # each piece's start; the faults; clearings
-    piece = brlab._piece
+def faulty_walk(monkeypatch, scenario, i, fault, target):
+    """Patch the walk so that the held solve refuses the set of the piece
+    at ``target`` (``refuse-inner``) or of every piece from ``target`` on
+    (``refuse-last``), or so that every state at ``target`` is past a
+    limit (``start-past-limit``).  Returns the lists that the walk fills:
+    each piece's start, the faulty starts in order, and each clearing's
+    bid."""
+    at, faults, cleared = [], [], []
+    piece = brlab._Walk.piece
 
     def note(t):
         if not faults or faults[-1] != t:
             faults.append(t)
 
-    def faulty_piece(scenario, i, t, state, scale, hi):
+    def faulty_piece(self, t, state, rates, direction, bound):
         at.append(t)
         if fault == "start-past-limit" and t == target:
             note(t)
             state = perturbed_start(scenario, state)
-        return piece(scenario, i, t, state, scale, hi)
+        return piece(self, t, state, rates, direction, bound)
 
     def slopes(scenario, i, sides):
-        refuse = at[-1] >= target if fault == "refuse-last" else \
-            fault == "refuse-inner" and at[-1] == target
+        refuse = at and (at[-1] >= target if fault == "refuse-last" else
+                         fault == "refuse-inner" and at[-1] == target)
         if refuse:
             note(at[-1])
             return None
@@ -353,59 +377,97 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
         cleared.append(bids[i])
         return clear_market(scenario, bids, active=active)
 
-    monkeypatch.setattr(brlab, "_piece", faulty_piece)
+    monkeypatch.setattr(brlab._Walk, "piece", faulty_piece)
     monkeypatch.setattr(brlab, "clearing_slopes", slopes)
     monkeypatch.setattr(brlab, "clear_market", clear)
-    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
-    walked = path[0]
+    return at, faults, cleared
+
+
+@pytest.mark.parametrize("fault", ["refuse-inner", "refuse-last",
+                                   "start-past-limit"])
+def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
+    # a held solve that refuses, or a start already past one of its
+    # conditions, makes a piece of one point, carried and cleared afresh
+    # alike: the walk steps past it, by a step that doubles while the
+    # fresh pieces stay of one point, and the piece is the chord to there.
+    # Past the last breakpoint every piece is refused, so that walk steps
+    # on to the bound it is given
+    scenario, i, fixed, start, b_base, clean = walk_setup()
+    ahead = breakpoints_right_of(clean, start)
+    target = ahead[-1] if fault == "refuse-last" else ahead[len(ahead) // 2]
+    hi = target + 40.0 if fault == "refuse-last" else math.inf
+    _, faults, cleared = faulty_walk(monkeypatch, scenario, i, fault, target)
+    path = brlab._clearing_path(scenario, i, b_base, start, (-math.inf, hi))
     # the target was a carried start; it was cleared afresh before the step
-    assert cleared[0] == grid[0] and cleared[1] == target
-    faults.clear()
-    scan = best_response(scenario, i, fixed, scan_config=config)
-    assert faults and faults[0] == target
-    # each stepped piece ends at the grid point after its start
+    assert cleared[:2] == [start, target]
+    assert faults[0] == target
+    walked = path[0]
     k = np.searchsorted(walked, faults)
     assert (walked[k] == faults).all()
-    after = np.append(walked, grid[-1])[k + 1]
-    assert (after == grid[np.searchsorted(grid, faults, side="right")]).all()
-    # the path is affine across each of them, so its chord is exact, but
-    # for the one at the scan's end, which keeps a flat slope
-    mids = 0.5 * (walked[k] + after)[after < grid[-1]]
+    after = walked[k + 1]
+    net = scenario.network
+    scale = 1.0 + np.abs(b_base).sum() + net.limits[net.bounded].max()
+    assert after[0] - target == pytest.approx(
+        brlab._STEP * (scale + abs(target)), rel=1e-9)
+    if fault == "refuse-last":
+        # each step doubles the last, but for the one cut at the bound
+        assert after[-1] == hi and (np.diff((after - walked[k])[:-1]) > 0.0).all()
+    else:
+        assert len(faults) == 1
+    # the path is affine across each stepped piece, so its chord is exact
+    mids = 0.5 * (walked[k] + after)
     for t, lam in zip(mids, price_on_path(path, mids)):
         ref = clear_market(scenario, np.insert(fixed, i, t)).prices[i]
         assert lam == pytest.approx(ref, rel=1e-9), t
-    # the samples off the last stepped piece, and the best bid, re-price
-    stepped = (grid >= faults[-1]) & (grid <= after[-1])
+    # and so are the samples and the best bid
+    config = ScanConfig(interval=(walked[1] - 10.0, hi) if fault == "refuse-last"
+                        else None, coarse_points=101)
+    scan = best_response(scenario, i, fixed, scan_config=config, start=start)
     bids = np.insert(fixed, i, 0.0)
-    for b, cost in [*zip(grid[~stepped], scan.samples_cost[~stepped]),
+    for b, cost in [*zip(scan.samples_b, scan.samples_cost),
                     (scan.best_bid, scan.best_cost)]:
         bids[i] = b
         assert cost == pytest.approx(prosumer_cost(scenario, bids, i),
                                      rel=1e-9), b
 
 
+def test_an_unbounded_walk_gives_up_on_an_end_piece_it_cannot_solve(
+        monkeypatch):
+    # every piece past the last breakpoint is refused: a walk with no bound
+    # doubles its step _MAX_STEPS times and then raises
+    scenario, i, fixed, start, b_base, clean = walk_setup()
+    target = breakpoints_right_of(clean, start)[-1]
+    _, faults, cleared = faulty_walk(monkeypatch, scenario, i, "refuse-last",
+                                     target)
+    with pytest.raises(IterationLimit, match="refused prosumer 3's"):
+        brlab._clearing_path(scenario, i, b_base, start)
+    assert len(faults) == brlab._MAX_STEPS + 1
+    assert cleared.index(target) == len(cleared) - brlab._MAX_STEPS - 1
+
+
 def test_a_carried_start_past_a_limit_is_cleared_afresh(monkeypatch):
     # the condition check guards the carried state: a start that fails it
     # is cleared again at the same bid, guessing its held lines, and the
     # walk goes on from that clearing with no step
-    scenario, i, fixed, config, grid, b_base, clean = walk_setup()
-    target = clean[0][len(clean[0]) // 2]
-    piece, calls = brlab._piece, []
+    scenario, i, fixed, start, b_base, clean = walk_setup()
+    ahead = breakpoints_right_of(clean, start)
+    target = ahead[len(ahead) // 2]
+    piece, calls = brlab._Walk.piece, []
 
-    def faulty_piece(scenario, i, t, state, scale, hi):
+    def faulty_piece(self, t, state, rates, direction, bound):
         if t == target and not calls[1:]:
             state = perturbed_start(scenario, state)
-            calls.append(("carried", state[2]))
-        return piece(scenario, i, t, state, scale, hi)
+            calls.append(("carried", state[4]))
+        return piece(self, t, state, rates, direction, bound)
 
     def clear(scenario, bids, active=None):
         calls.append((bids[i], active))
         return clear_market(scenario, bids, active=active)
 
-    monkeypatch.setattr(brlab, "_piece", faulty_piece)
+    monkeypatch.setattr(brlab._Walk, "piece", faulty_piece)
     monkeypatch.setattr(brlab, "clear_market", clear)
-    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
-    assert [c[0] for c in calls] == [grid[0], "carried", target]
+    path = brlab._clearing_path(scenario, i, b_base, start)
+    assert [c[0] for c in calls] == [start, "carried", target]
     assert (calls[2][1] == calls[1][1]).all()
     assert [len(p) for p in path] == [len(p) for p in clean]
     for got, want in zip(path, clean):
@@ -488,19 +550,13 @@ def test_scan_clears_once_per_piece(monkeypatch, size):
                                            rel=1e-9)
 
 
-def price_on_path(path, t):
-    """Prosumer ``i``'s price at bids ``t`` from a ``_clearing_path`` table."""
-    starts, prices, slopes = path
-    k = np.searchsorted(starts, t, side="right") - 1
-    return prices[k] + slopes[k] * (t - starts[k])
-
-
 def test_carried_starts_match_a_fresh_clearing(monkeypatch):
-    # a 200-bus tight tree: the walk clears once, then carries the clearing
-    # across every breakpoint; each carried start's price is a clearing's
+    # a 200-bus tight tree: the walk clears once, at the start, then
+    # carries the clearing across every breakpoint on both sides; each
+    # carried start's price is a clearing's
     scenario = gen_scenario(1, 200, "tight")
-    fixed = np.delete(equilibrium.improved_gne(scenario).b_bar, 0)
-    grid = best_response(scenario, 0, fixed).samples_b
+    b_bar = equilibrium.improved_gne(scenario).b_bar
+    fixed = np.delete(b_bar, 0)
     b_base = np.insert(fixed, 0, 0.0)
     calls = []
 
@@ -509,29 +565,44 @@ def test_carried_starts_match_a_fresh_clearing(monkeypatch):
         return clear_market(*args, **kwargs)
 
     monkeypatch.setattr(brlab, "clear_market", counted)
-    starts, prices, _ = brlab._clearing_path(scenario, 0, b_base, grid, grid[-1])
-    assert len(calls) == 1 and starts.size > 20
-    for t, lam in zip(starts, prices):
+    edges, anchors, prices, _ = brlab._clearing_path(scenario, 0, b_base,
+                                                     float(b_bar[0]))
+    assert len(calls) == 1 and anchors.size > 20
+    assert (anchors < b_bar[0]).any() and (anchors > b_bar[0]).any()
+    for t, lam in zip(anchors, prices):
         ref = clear_market(scenario, np.insert(fixed, 0, t)).prices[0]
         assert lam == pytest.approx(ref, rel=1e-9), t
 
 
+def price_on_path(path, t):
+    """Prosumer ``i``'s price at bids ``t`` from a ``_clearing_path`` table."""
+    edges, anchors, prices, slopes = path
+    k = np.searchsorted(edges, t, side="right").clip(1, anchors.size) - 1
+    return prices[k] + slopes[k] * (t - anchors[k])
+
+
 def test_a_scan_walks_to_the_end_of_its_interval(chain_f027):
-    # one sample at the interval's left end: the walk still goes on to its
-    # right end, and finds the minima that two samples find
+    # a scan given an interval walks from its start to both ends, whatever
+    # its sample count, and finds the minima of the walk over the whole
+    # bid line
     fixed = np.array([1.6, 0.8])
-    one, two = (best_response(chain_f027, 1, fixed,
-                              scan_config=ScanConfig(coarse_points=points))
+    whole = best_response(chain_f027, 1, fixed, start=1.6)
+    one, two = (best_response(chain_f027, 1, fixed, start=1.6,
+                              scan_config=ScanConfig(interval=(-7.0, 11.0),
+                                                     coarse_points=points))
                 for points in (1, 2))
-    assert one.interval == two.interval
+    assert one.interval == two.interval == (-7.0, 11.0)
     assert len(one.local_minima) == 2
-    assert np.array(one.local_minima) == pytest.approx(
-        np.array(two.local_minima), rel=1e-12)
-    lo, hi = one.interval
-    path = brlab._clearing_path(chain_f027, 1, np.insert(fixed, 1, 0.0),
-                                np.array([lo]), hi)
-    ref = clear_market(chain_f027, np.array([1.6, hi, 0.8])).prices[1]
-    assert price_on_path(path, np.array([hi]))[0] == pytest.approx(ref, rel=1e-12)
+    for scan in (two, whole):
+        assert np.array(one.local_minima) == pytest.approx(
+            np.array(scan.local_minima), rel=1e-12)
+    path = brlab._clearing_path(chain_f027, 1, np.insert(fixed, 1, 0.0), 1.6,
+                                one.interval)
+    assert (path[0][0], path[0][-1]) == one.interval
+    for end in one.interval:
+        ref = clear_market(chain_f027, np.array([1.6, end, 0.8])).prices[1]
+        assert price_on_path(path, np.array([end]))[0] == pytest.approx(
+            ref, rel=1e-12)
 
 
 @settings(max_examples=40)
@@ -542,14 +613,16 @@ def test_clearing_path_matches_clear_market(scenario, seed):
     i = int(rng.integers(n))
     b_base = rng.uniform(-2.0, 3.0, n)
     b_base[i] = 0.0
-    grid = np.linspace(-6.0, 9.0, 201)
-    path = brlab._clearing_path(scenario, i, b_base, grid, grid[-1])
-    starts = path[0]
-    assert starts[0] == grid[0] and starts[-1] < grid[-1]
-    assert (np.diff(starts) > 0.0).all()
-    # random bids and the middle of every piece
-    ends = np.append(starts[1:], grid[-1])
-    t = np.concatenate([rng.uniform(-6.0, 9.0, 25), 0.5 * (starts + ends)])
+    start = float(rng.uniform(-6.0, 9.0))
+    path = brlab._clearing_path(scenario, i, b_base, start)
+    edges = path[0]
+    assert edges[0] == -math.inf and edges[-1] == math.inf
+    assert (np.diff(edges) > 0.0).all()
+    # random bids, the middle of every bounded piece, and bids on the
+    # unbounded ones, near and far
+    inner = edges[1:-1] if edges.size > 2 else np.array([start])
+    t = np.concatenate([rng.uniform(-6.0, 9.0, 25), 0.5 * (inner[1:] + inner[:-1]),
+                        inner[0] - [1.0, 1e3], inner[-1] + [1.0, 1e3]])
     for tj, lam_j in zip(t, price_on_path(path, t)):
         bids = b_base.copy()
         bids[i] = tj
@@ -565,21 +638,92 @@ def test_walked_pieces_meet_and_the_best_cost_is_lowest(scenario, seed,
     n = scenario.size
     i = int(rng.integers(n))
     fixed = rng.uniform(-2.0, 3.0, n - 1)
-    scan = best_response(scenario, i, fixed, regulated=regulated)
+    start = float(rng.uniform(-2.0, 3.0))
+    scan = best_response(scenario, i, fixed, regulated=regulated, start=start)
     b_base = np.insert(fixed, i, 0.0)
-    starts, prices, slopes = brlab._clearing_path(scenario, i, b_base,
-                                                  scan.samples_b, scan.interval[1])
+    path = brlab._clearing_path(scenario, i, b_base, start)
+    edges, anchors, prices, slopes = path
+    inner = edges[1:-1]
     rounding = 1e-9 * (1.0 + np.abs(prices).max())
-    reached = prices[:-1] + slopes[:-1] * np.diff(starts)
-    assert np.abs(reached - prices[1:]).max(initial=0.0) <= rounding
-    # every piece end: the starts and the scan's end
-    edges = np.append(starts, scan.interval[1])
-    lam = np.append(prices, prices[-1] + slopes[-1] * (edges[-1] - starts[-1]))
-    ends = cost_at(scenario, lam, edges - scenario.a * lam, regulated, i)
-    lowest = min(ends.min(), scan.samples_cost.min())
+    reached = prices[:-1] + slopes[:-1] * (inner - anchors[:-1])
+    left = prices[1:] + slopes[1:] * (inner - anchors[1:])
+    assert np.abs(reached - left).max(initial=0.0) <= rounding
+    # the reported interval holds the start, every breakpoint and every
+    # minimum; no breakpoint and no sample costs less than the best
+    lo, hi = scan.interval
+    bids = np.array([start, *inner, *(b for b, _ in scan.local_minima)])
+    assert lo <= bids.min() and bids.max() <= hi
+    ends = cost_at(scenario, reached, inner - scenario.a * reached, regulated, i)
+    lowest = min(ends.min(initial=np.inf), scan.samples_cost.min())
     assert scan.best_cost <= lowest + 1e-9 * (1.0 + abs(lowest))
     assert (scan.best_bid, scan.best_cost) in scan.local_minima
     bids = b_base.copy()
     bids[i] = scan.best_bid
     assert scan.best_cost == pytest.approx(
         prosumer_cost(scenario, bids, i, regulated), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=40)
+@given(limited_scenarios(), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_scan_finds_the_same_minima_from_any_start(scenario, seed,
+                                                     regulated):
+    # started at the incumbent bid, left of every breakpoint or right of
+    # them all, the walk crosses the same pieces; only a cost flat over the
+    # whole bid line, whose minimum is the start, tells them apart
+    rng = np.random.default_rng(seed)
+    n = scenario.size
+    i = int(rng.integers(n))
+    b = rng.uniform(-2.0, 3.0, n)
+    fixed = np.delete(b, i)
+    edges = brlab._clearing_path(scenario, i, np.insert(fixed, i, 0.0),
+                                 float(b[i]))[0]
+    marks = np.append(edges[1:-1], b[i])
+    starts = (float(b[i]), marks.min() - 10.0, marks.max() + 10.0)
+    scans = [best_response(scenario, i, fixed, regulated=regulated, start=s)
+             for s in starts]
+    first = np.array(scans[0].local_minima)
+    for start, scan in zip(starts[1:], scans[1:]):
+        minima = np.array(scan.local_minima)
+        assert minima.shape == first.shape
+        if edges.size == 2 and minima[0, 0] == start:
+            minima[0, 0] = first[0, 0]
+        assert minima == pytest.approx(first, rel=1e-9, abs=1e-9)
+
+
+def test_a_cost_that_falls_without_bound_is_refused(chain_f027):
+    # a path whose purchase stays at -1 on both end pieces while the price
+    # rises at 1/a: the payment falls toward the right end without bound.
+    # No clearing path does this; the scan refuses it rather than report a
+    # minimum
+    a = chain_f027.a
+    path = (np.array([-math.inf, 0.0, math.inf]), np.zeros(2), np.full(2, 1.0 / a),
+            np.full(2, 1.0 / a))
+    with pytest.raises(UnboundedCost, match=r"prosumer 2 .* to \+infinity"):
+        brlab._minimum_points(chain_f027, 1, False, path, 0.0)
+    mirror = (path[0], path[1], -path[2], path[3])
+    with pytest.raises(UnboundedCost, match=r"to -infinity"):
+        brlab._minimum_points(chain_f027, 1, False, mirror, 0.0)
+
+
+def test_verify_clears_each_scan_start_in_one_held_solve(monkeypatch):
+    # each scan starts at the incumbent bid and guesses the incumbent
+    # clearing's held lines, which are right there
+    scenario = gen_scenario(7, 38, "tight")
+    b_bar = equilibrium.improved_gne(scenario).b_bar
+    held, solves, clears = market._held_solve, [0], []
+
+    def counted_solve(*args):
+        solves[0] += 1
+        return held(*args)
+
+    def counted_clear(*args, **kwargs):
+        before = solves[0]
+        out = clear_market(*args, **kwargs)
+        clears.append(solves[0] - before)
+        return out
+
+    monkeypatch.setattr(market, "_held_solve", counted_solve)
+    monkeypatch.setattr(brlab, "clear_market", counted_clear)
+    verify_gne(scenario, b_bar)
+    assert len(clears) == 1 + scenario.size  # the incumbent's, then each scan's
+    assert clears[1:] == [1] * scenario.size

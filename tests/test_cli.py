@@ -21,9 +21,9 @@ from esharing.errors import (
     MaxIterExceeded,
     NonFiniteResult,
 )
-from esharing.market import Prosumer, Scenario
+from esharing.market import Prosumer, Scenario, prosumer_cost
 from esharing.network import LineSpec, build_network
-from esharing.scenario_io import dump_scenario, gen_scenario
+from esharing.scenario_io import dump_scenario, gen_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 MESH = str(SCENARIOS / "mesh38_chords.json")
@@ -218,6 +218,24 @@ def test_non_finite_bid_vectors_are_usage_errors(argv, flag, fixture_file,
     err = capsys.readouterr().err
     assert report is None and code == 1
     assert err.startswith("usage error: ") and flag in err and "finite" in err
+
+
+def test_brlab_reports_an_unbounded_cost_with_its_own_label(
+        chain_file, monkeypatch, capsys):
+    # no clearing path makes a cost fall without bound; one patched to do
+    # so, its purchase at -1 while its price rises, is refused with its own
+    # label and exit code 1
+    from esharing import brlab
+
+    path = (np.array([-math.inf, 0.0, math.inf]), np.zeros(2), np.ones(2),
+            np.ones(2))
+    monkeypatch.setattr(brlab, "_clearing_path", lambda *args: path)
+    assert cli.main(["brlab", chain_file, "--prosumer", "2",
+                     "--fix-bids", BIDS]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("unbounded cost: the cost of prosumer 2 falls without "
+                   "bound as its bid goes to +infinity; no best response\n")
 
 
 def test_the_scanned_slot_of_fixed_bids_is_not_read(chain_file):
@@ -637,6 +655,16 @@ def test_bad_arguments_exit_1_without_traceback(argv, fixture_file, tmp_path,
     assert "usage error" in capsys.readouterr().err
 
 
+def test_a_negative_gen_seed_is_a_usage_error_naming_the_flag(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    assert cli.main(["gen", "--seed", "-1", "--size", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --seed must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["gne", "bid", "poa"])
 @pytest.mark.parametrize("key,value", [("D", "NaN"), ("d", "NaN"),
                                        ("c", "Infinity")])
@@ -797,7 +825,8 @@ def test_batch_counts_non_finite_results_as_a_failure(overflow_file, tmp_path):
 
 def test_brlab_on_an_all_nan_scan_exits_1_without_traceback(overflow_file,
                                                             capsys):
-    code = cli.main(["brlab", overflow_file, "--prosumer", "1",
+    # prosumer 2's own cost overflows at every bid, as its demand is 1e307
+    code = cli.main(["brlab", overflow_file, "--prosumer", "2",
                      "--fix-bids", "1,2"])
     out, err = capsys.readouterr()
     assert code == 1
@@ -807,8 +836,26 @@ def test_brlab_on_an_all_nan_scan_exits_1_without_traceback(overflow_file,
     assert len(err.splitlines()) == 1
 
 
+def test_brlab_on_the_overflow_fixture_finds_the_lowest_cost(overflow_file):
+    # prosumer 1's cost does not involve prosumer 2's demand of 1e307: the
+    # walk over the whole bid line finds the minimum of a sweep of
+    # prosumer_cost, at a bid near 9.961, with no window that overflows
+    report, code = cli.run_command(["brlab", overflow_file, "--prosumer", "1",
+                                    "--fix-bids", "1,2"])
+    assert code == 0
+    results = report.results
+    scenario = load_scenario(overflow_file)
+    sweep = [prosumer_cost(scenario, np.array([b, 2.0]), 0)
+             for b in np.linspace(9.9, 10.02, 1201)]
+    assert results["best_bid"] == pytest.approx(9.961, abs=1e-3)
+    assert results["best_cost"] == pytest.approx(70.368, abs=1e-3)
+    assert min(sweep) - 1e-9 <= results["best_cost"] <= min(sweep)
+    lo, hi = results["interval"]
+    assert lo <= 1.0 and lo <= results["best_bid"] <= hi
+
+
 @pytest.mark.parametrize("argv", [
-    ["gne"], ["poa"], ["bid"], ["brlab", "--prosumer", "1", "--fix-bids", "1,2"],
+    ["gne"], ["poa"], ["bid"], ["brlab", "--prosumer", "2", "--fix-bids", "1,2"],
 ], ids=["gne", "poa", "bid", "brlab"])
 def test_overflow_prints_no_runtime_warnings(argv, overflow_file):
     # a subprocess, so that no warning filter of the test run hides them

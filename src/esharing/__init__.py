@@ -41,7 +41,6 @@ from .errors import (
     MaxIterExceeded,
     NonpositiveWeight,
     NonRadialWarning,
-    ScanIntervalEmpty,
     TooFewProsumers,
     UnbalancedInjection,
     WeakSensitivityWarning,
@@ -100,8 +99,7 @@ __all__ = [
     "DegenerateBaseline", "DimensionMismatch", "DisconnectedGraph",
     "EsharingError", "FileError", "Infeasible", "IterationLimit",
     "MaxIterExceeded", "NonpositiveWeight", "NonRadialWarning",
-    "ScanIntervalEmpty", "TooFewProsumers", "UnbalancedInjection",
-    "WeakSensitivityWarning",
+    "TooFewProsumers", "UnbalancedInjection", "WeakSensitivityWarning",
     # market
     "ClearingOutcome", "Prosumer", "Scenario", "clear_market",
     "clearing_kkt_residual", "prosumer_cost",

@@ -8,15 +8,14 @@ equilibrium candidates are visible, not just the best response), verifies
 equilibrium candidates by per-prosumer deviation gaps, and classifies the
 two-bus closed-form regimes.
 
-A scan walks the piecewise-affine clearing path over the whole bid line,
-or over the interval it is given.  It clears the market once, at its start
-bid (the incumbent bid, when there is one), and walks right and then left
-from there.  Each piece costs one held solve, which gives its rates, and
-the start's rates serve both directions; a piece ends where a line's
-condition fails, in closed form, and the clearing is carried there.  The
-first and the last piece are unbounded and affine, so the cost is
-minimized exactly on every piece, the two ends included, with no window
-and no grid.  Samples of the curve are computed only when read.
+A scan walks the piecewise-affine clearing path over the whole bid line.
+It clears the market once, at its start bid (the incumbent bid, when there
+is one), and walks right and then left from there.  Each piece costs one
+held solve, which gives its rates, and the start's rates serve both
+directions; a piece ends where a line's condition fails, in closed form,
+and the clearing is carried there.  The first and the last piece are
+unbounded and affine, so the cost is minimized exactly on every piece, the
+two ends included, with no window and no grid.  Samples of the curve are computed only when read.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     IterationLimit,
     NonFiniteResult,
-    ScanIntervalEmpty,
     UnboundedCost,
 )
 from .market import Scenario, clear_market, clearing_slopes, cost_at
@@ -48,34 +46,28 @@ _RATE_TOL = 1e-9  # a dimensionless rate at or below it is rounding
 class ScanConfig:
     """Scan controls for :func:`best_response`.
 
-    ``interval``, two finite bids, bounds the walk; None walks the whole
-    bid line.  ``coarse_points`` evenly spaced samples of the scan's
-    ``interval``, at least 1, report the cost curve (``--csv``); they are
-    computed only when read.  ``refine_rounds`` is unused, as the minima
-    are exact; it stays because ``bench/`` passes it.
+    ``coarse_points`` evenly spaced samples of the scan's ``interval``, at
+    least 1, report the cost curve (``--csv``); they are computed only when
+    read.  ``refine_rounds`` is unused, as the minima are exact; it stays
+    because ``bench/`` passes it.
     """
 
-    interval: tuple | None = None
     coarse_points: int = 2001
     refine_rounds: int = 3
 
     def __post_init__(self):
         if self.coarse_points < 1:
             raise ValueError(f"coarse_points must be >= 1, got {self.coarse_points}")
-        if self.interval is not None and not (
-                len(self.interval) == 2 and all(map(math.isfinite, self.interval))):
-            raise ValueError(f"interval must be two finite bids, got {self.interval}")
 
 
 @dataclass(frozen=True, eq=False)
 class BestResponseScan:
     """Scan result for one prosumer against fixed opponent bids.
 
-    ``interval`` is the scan's bound when it was given one.  Otherwise it
-    is finite and holds the start bid, every breakpoint of the walked path
-    and every local minimum, with a margin of half their span on each side
-    (of 1 plus a tenth of its magnitude when the span is one point).
-    ``samples_b``, ``coarse_points`` evenly spaced bids over it, and
+    ``interval`` is finite and holds the start bid, every breakpoint of the
+    walked path and every local minimum, with a margin of half their span
+    on each side (of 1 plus a tenth of its magnitude when the span is one
+    point).  ``samples_b``, ``coarse_points`` evenly spaced bids over it, and
     ``samples_cost`` report the cost curve; both are computed when first
     read, by ``curve``, the cost at an array of bids.
     """
@@ -144,17 +136,15 @@ class BrTrajectory:
 
 
 def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
-                   start: float, bounds=(-math.inf, math.inf),
-                   active=None) -> tuple:
+                   start: float, active=None) -> tuple:
     """Prosumer ``i``'s clearing price as a function of its own bid ``t``
-    over ``bounds``, walked from ``start``.
+    over the whole bid line, walked from ``start``.
 
-    ``b_base`` is the full bid vector with slot ``i`` zeroed, and ``start``
-    lies within ``bounds``, which may be infinite.  Returns the piece table
-    ``(edges, anchors, prices, slopes)``: piece ``k`` holds from
-    ``edges[k]`` to ``edges[k + 1]`` (the first from ``bounds[0]``, the
-    last to ``bounds[1]``), with ``lam_i(t) = prices[k] + slopes[k] (t -
-    anchors[k])``; its anchor is the end it was walked from.
+    ``b_base`` is the full bid vector with slot ``i`` zeroed.  Returns the
+    piece table ``(edges, anchors, prices, slopes)``: piece ``k`` holds
+    from ``edges[k]`` to ``edges[k + 1]`` (the first from -inf, the last
+    to +inf), with ``lam_i(t) = prices[k] + slopes[k] (t - anchors[k])``;
+    its anchor is the end it was walked from.
 
     The clearing program is a strictly convex QP whose right-hand side is
     affine in ``t``, so its solution is piecewise affine in ``t``, one piece
@@ -170,11 +160,10 @@ def _clearing_path(scenario: Scenario, i: int, b_base: np.ndarray,
     walk = _Walk(scenario, i, b_base)
     state = walk.cleared(start, active)
     rates = clearing_slopes(scenario, i, state[4])
-    lo, hi = bounds
-    right = walk.run(start, state, rates, 1.0, hi) if start < hi else []
-    left = walk.run(start, state, rates, -1.0, lo)[::-1] if start > lo else []
+    right = walk.run(start, state, rates, 1.0)
+    left = walk.run(start, state, rates, -1.0)[::-1]
     edges = [p[3] for p in left] + [start] + [p[3] for p in right]
-    if left and right and left[-1][2] == right[0][2]:  # one piece across start
+    if left[-1][2] == right[0][2]:  # one piece across start
         del edges[len(left)], right[0]
     anchors, prices, slopes, _ = map(np.array, zip(*left, *right))
     return np.array(edges), anchors, prices, slopes
@@ -209,11 +198,9 @@ class _Walk:
         return (float(out.prices[self.i]), out.flows[lines], dual[lines],
                 sides[lines], sides)
 
-    def piece(self, t: float, state: tuple, rates, direction: float,
-              bound: float) -> tuple:
+    def piece(self, t: float, state: tuple, rates, direction: float) -> tuple:
         """The piece that starts at bid ``t`` in ``state`` and runs in
-        ``direction``, +1 to the right and -1 to the left, toward
-        ``bound``.
+        ``direction``, +1 to the right and -1 to the left.
 
         ``rates`` are the held set's (:func:`esharing.market.clearing_slopes`),
         or None to solve for them.  The piece holds until a free line
@@ -226,7 +213,8 @@ class _Walk:
         Returns ``(slope, end, carried)``: the price's rate, the bid where
         the piece ends, and the state carried there along the rates, with
         the lines that end the piece toggled (a newly held line with dual
-        0, a released one free); None at ``bound``, which may be infinite.
+        0, a released one free); None when the piece is unbounded, its end
+        infinite.
         A piece of one point ends at ``t``: the held solve refuses the set
         (slope NaN), the state violates a condition beyond rounding, or the
         piece has zero length twice.
@@ -258,9 +246,9 @@ class _Walk:
             ahead = np.maximum(value[falls], 0.0) / -rate[falls]
             first = float(np.minimum.reduce(ahead, initial=np.inf))
             end = t + direction * first
+            if math.isinf(end):
+                return slope, end, None
             moved = direction * (end - t) > 0.0
-            if moved and not direction * (bound - end) > 0.0:
-                return slope, bound, None
             hit = falls[ahead == first]
             turn = np.where(held[hit], 0.0, toward[hit])
             side, sides = side.copy(), sides.copy()
@@ -277,13 +265,12 @@ class _Walk:
             rates = None
         return slope, t, None
 
-    def run(self, t: float, state: tuple, rates, direction: float,
-            bound: float) -> list:
+    def run(self, t: float, state: tuple, rates, direction: float) -> list:
         """The pieces from bid ``t`` in ``state``, whose held set has
-        ``rates`` (None to solve for them), to ``bound`` in ``direction``,
-        in walk order, each as ``(anchor, price, slope, end)``: the bid it
-        starts from, the price there, the price's rate and the bid where
-        it ends.
+        ``rates`` (None to solve for them), to the end of the bid line in
+        ``direction``, in walk order, each as ``(anchor, price, slope,
+        end)``: the bid it starts from, the price there, the price's rate
+        and the bid where it ends.
 
         A carried start that makes a piece of one point
         (:meth:`piece`) is cleared afresh at the same bid, guessing its
@@ -296,7 +283,7 @@ class _Walk:
         """
         pieces, fresh, steps = [], True, 0
         while True:
-            slope, end, carried = self.piece(t, state, rates, direction, bound)
+            slope, end, carried = self.piece(t, state, rates, direction)
             rates = None
             if direction * (end - t) > 0.0:
                 pieces.append((t, state[0], slope, end))
@@ -312,12 +299,10 @@ class _Walk:
             else:
                 step = _STEP * (self.scale + abs(t)) * 2.0 ** steps
                 end = t + direction * step
-                if not direction * (bound - end) > 0.0:
-                    end = bound
                 steps += 1
                 ahead = self.cleared(end, state[4])
                 pieces.append((t, state[0], (ahead[0] - state[0]) / (end - t), end))
-                if end == bound:
+                if math.isinf(end):
                     return pieces
                 t, state = end, ahead
 
@@ -336,8 +321,8 @@ def _minimum_points(scenario: Scenario, i: int, regulated: bool, path: tuple,
     rounding); an unbounded run moves as its quadratic's leading term.  A
     minimum is where a fall meets a rise, or a flat run between the two: at
     its middle, at its finite end when it is unbounded, or at ``start``
-    when it is the whole bid line.  The ends of a bounded walk count as a
-    fall before its start and a rise after its end.
+    when it is the whole bid line.  The two infinite ends count as a fall
+    before the first run and a rise after the last.
 
     The purchase rate ``1 - a slope`` lies in [0, 1], so on an unbounded
     piece a rate within ``_RATE_TOL`` of 0 is rounding: the purchase is
@@ -470,12 +455,11 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     """Scan prosumer ``i``'s cost over its own bid, opponents fixed.
 
     ``b_minus_i`` lists the other prosumers' bids in bus order (length I-1).
-    The walk covers the whole bid line, or ``scan_config.interval`` when
-    one is given.  It starts at ``start``, a finite bid such as the
-    incumbent one (the opponents' mean bid when None), moved into the
-    interval, and its one clearing tries the side vector ``active``, such
-    as the incumbent clearing's ``sides``, as its guess; neither changes
-    the result beyond rounding.  Every local minimum is reported, in closed
+    The walk covers the whole bid line.  It starts at ``start``, a finite
+    bid such as the incumbent one (the opponents' mean bid when None), and
+    its one clearing tries the side vector ``active``, such as the
+    incumbent clearing's ``sides``, as its guess; neither changes the
+    result beyond rounding.  Every local minimum is reported, in closed
     form on the walked pieces (see :func:`_minimum_points`); the lowest one
     is the best response.  A cost that is infinite or NaN on some piece
     raises :class:`NonFiniteResult`; one that falls without bound toward an
@@ -487,17 +471,14 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
         raise DimensionMismatch(
             f"expected {scenario.size - 1} opponent bids, got {b_minus_i.shape}"
         )
-    lo, hi = map(float, cfg.interval or (-math.inf, math.inf))
-    if not hi > lo:
-        raise ScanIntervalEmpty(f"scan interval [{lo}, {hi}] is empty")
     if start is None:
-        start = float(b_minus_i.mean())
+        start = b_minus_i.mean()
     elif not math.isfinite(start):
         raise ValueError(f"start must be a finite bid, got {start}")
-    start = min(max(float(start), lo), hi)
+    start = float(start)
 
     b_base = np.insert(b_minus_i, i, 0.0)
-    path = _clearing_path(scenario, i, b_base, start, (lo, hi), active)
+    path = _clearing_path(scenario, i, b_base, start, active)
     curve = partial(_cost_on_path, scenario, i, regulated, path)
     points = _minimum_points(scenario, i, regulated, path, start)
     costs = None if points is None else curve(np.array(points))
@@ -507,17 +488,16 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
             "bids; no best response")
     minima = list(zip(points, costs.tolist()))
     best_bid, best_cost = min(minima, key=lambda mc: (mc[1], mc[0]))
-    interval = (lo, hi) if cfg.interval else _span(start, path[0], points)
     return BestResponseScan(
-        prosumer=i, fixed_bids=b_minus_i, interval=interval,
+        prosumer=i, fixed_bids=b_minus_i,
+        interval=_span(start, path[0], points),
         local_minima=tuple(minima), best_bid=best_bid, best_cost=best_cost,
         regulated=regulated, coarse_points=cfg.coarse_points, curve=curve,
     )
 
 
 def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
-               regulated: bool = False,
-               scan_config: ScanConfig | None = None) -> GneCheck:
+               regulated: bool = False) -> GneCheck:
     """Check an equilibrium candidate by per-prosumer deviation gaps.
 
     ``gaps[i]`` is the cost saved by prosumer ``i``'s best unilateral
@@ -533,8 +513,7 @@ def verify_gne(scenario: Scenario, b, tol: float = 1e-6,
     gaps = np.empty(n)
     best_bids = np.empty(n)
     for i in range(n):
-        scan = best_response(scenario, i, np.delete(b, i),
-                             scan_config=scan_config, regulated=regulated,
+        scan = best_response(scenario, i, np.delete(b, i), regulated=regulated,
                              start=float(b[i]), active=incumbent.sides)
         gaps[i] = incumbent_costs[i] - scan.best_cost
         best_bids[i] = scan.best_bid
@@ -576,8 +555,7 @@ def classify_gne_2bus(c: float, D1: float, D2: float, F: float) -> GneClassifica
 
 
 def br_iteration(scenario: Scenario, b0, iters: int = 20,
-                 regulated: bool = False,
-                 scan_config: ScanConfig | None = None) -> BrTrajectory:
+                 regulated: bool = False) -> BrTrajectory:
     """Sequential best-response sweeps from ``b0``.
 
     Terminates on a verified fixed point, on a revisited state (cycling), or
@@ -592,15 +570,13 @@ def br_iteration(scenario: Scenario, b0, iters: int = 20,
     for _ in range(iters):
         for i in range(n):
             scan = best_response(scenario, i, np.delete(b, i),
-                                 scan_config=scan_config, regulated=regulated,
-                                 start=float(b[i]))
+                                 regulated=regulated, start=float(b[i]))
             b[i] = scan.best_bid
         states.append(b.copy())
         delta = float(np.abs(states[-1] - states[-2]).max())
         if delta <= _FIXED_POINT_TOL:
             verification = verify_gne(scenario, b, tol=_VERIFY_TOL,
-                                      regulated=regulated,
-                                      scan_config=scan_config)
+                                      regulated=regulated)
             if verification.is_gne:
                 termination = "fixed_point"
                 break

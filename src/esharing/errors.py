@@ -71,10 +71,6 @@ class MaxIterExceeded(EsharingError):
 
 # --- best-response lab ----------------------------------------------------
 
-class ScanIntervalEmpty(EsharingError):
-    """A best-response scan was requested over an empty interval."""
-
-
 class UnboundedCost(EsharingError):
     """A best-response scan's cost falls without bound toward one end of the
     bid line, so there is no best response.  With ``c > 0`` the exact cost

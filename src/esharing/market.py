@@ -140,10 +140,10 @@ class Scenario:
     baselines, NaN for a prosumer without one, or all three None when no
     prosumer has one.  Build it from ``prosumers``, a sequence of
     :class:`Prosumer`, or from the columns by keyword (a baseline column
-    left out is NaN throughout); the columns are checked as
-    :class:`Prosumer` checks each record, with its messages.
+    left out is NaN throughout); records become columns, and the columns
+    are checked as :class:`Prosumer` checks each record, with its messages.
     ``prosumers`` is the tuple of records, built from the columns when
-    first read (or the records the scenario was given).
+    first read.
     """
 
     network: NetworkModel
@@ -160,8 +160,7 @@ class Scenario:
     def __init__(self, network: NetworkModel, prosumers=None, *, a: float,
                  label: str | None = None, c=None, d=None, D=None,
                  p0=None, E0=None, D0=None):
-        records = prosumers is not None
-        if records:
+        if prosumers is not None:
             prosumers = tuple(prosumers)
             c = [p.c for p in prosumers]
             d = [p.d for p in prosumers]
@@ -180,8 +179,7 @@ class Scenario:
                            for col in (p0, E0, D0)], message)
             if base.shape != data.shape:
                 raise DimensionMismatch(message)
-        if not records:
-            _check_prosumers(data, base)
+        _check_prosumers(data, base)
         if base is not None and np.isnan(base).all():
             base = None
         n = data.shape[1]
@@ -205,8 +203,6 @@ class Scenario:
         vars(self).update(  # frozen: set through the instance dict
             network=network, a=a, label=label, c=c, d=d, D=D, p0=p0, E0=E0,
             D0=D0, _response=(s, sd, den))
-        if records:
-            vars(self)["prosumers"] = prosumers  # the view, as given
 
     @cached_property
     def prosumers(self) -> tuple:

@@ -118,8 +118,7 @@ class NetworkModel:
         Derived from ``limits``: the mask of lines with a positive finite
         limit, and the indices of the lines with a zero limit.
     lines : tuple[LineSpec, ...]
-        The lines as records, built from the columns when first read (or
-        the records :func:`build_network` was given).
+        The lines as records, built from the columns when first read.
 
     The network is immutable, but it keeps two private cache entries, each
     one slot (:meth:`_kept`): ``_factor``, the factor of the last held set
@@ -261,10 +260,10 @@ def build_network(bus_count: int, lines=(), slack: int | None = None, *,
         Reference bus (1-based).  Defaults to the highest-index bus.
     columns : tuple, optional
         The lines as four sequences ``(from_bus, to_bus, weights, limits)``
-        in place of ``lines``, checked as :class:`LineSpec` checks a line.
+        in place of ``lines``.  Records become columns, and the columns are
+        checked as :class:`LineSpec` checks a line.
     """
-    records = columns is None
-    if records:
+    if columns is None:
         lines = tuple(lines)
         columns = ([ln.from_bus for ln in lines], [ln.to_bus for ln in lines],
                    [ln.weight for ln in lines], [ln.limit for ln in lines])
@@ -272,8 +271,7 @@ def build_network(bus_count: int, lines=(), slack: int | None = None, *,
                   for col in columns]
     if not len(f) == len(t) == len(w) == len(F):
         raise DimensionMismatch("line columns must have one length")
-    if not records:
-        _check_lines(f, t, w, F)
+    _check_lines(f, t, w, F)
     if bus_count < 1:
         raise DimensionMismatch(f"bus_count must be >= 1, got {bus_count}")
     if slack is None:
@@ -295,12 +293,9 @@ def build_network(bus_count: int, lines=(), slack: int | None = None, *,
     ptdf = _tree_ptdf(tree) if tree is not None else _mesh_ptdf(
         bus_count, from_bus, to_bus, weights, slack)
     ptdf.setflags(write=False)
-    net = NetworkModel(bus_count=bus_count, slack=slack, from_bus=from_bus,
-                       to_bus=to_bus, weights=weights, ptdf=ptdf,
-                       limits=limits, tree=tree)
-    if records:
-        object.__setattr__(net, "lines", lines)  # the view, as given
-    return net
+    return NetworkModel(bus_count=bus_count, slack=slack, from_bus=from_bus,
+                        to_bus=to_bus, weights=weights, ptdf=ptdf,
+                        limits=limits, tree=tree)
 
 
 def _tree_ptdf(tree: TreeTopology) -> np.ndarray:

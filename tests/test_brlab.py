@@ -18,7 +18,6 @@ from esharing.brlab import (
 from esharing.errors import (
     DimensionMismatch,
     IterationLimit,
-    ScanIntervalEmpty,
     UnboundedCost,
 )
 from esharing.market import (
@@ -267,23 +266,10 @@ def test_scan_csv_matches_a_row_by_row_writer(tmp_path, chain_f027):
         (tmp_path / "rows.csv").read_bytes()
 
 
-def test_scan_interval_validation(chain_f03):
-    with pytest.raises(ScanIntervalEmpty):
-        best_response(chain_f03, 1, np.array([1.6, 0.8]),
-                      scan_config=ScanConfig(interval=(2.0, 1.0)))
-
-
 @pytest.mark.parametrize("points", [0, -1])
 def test_scan_config_refuses_fewer_than_one_point(points):
     with pytest.raises(ValueError, match="coarse_points"):
         ScanConfig(coarse_points=points)
-
-
-@pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.0, math.inf),
-                                      (-math.inf, 0.0), (1.0,), (0.0, 1.0, 2.0)])
-def test_scan_config_refuses_a_bad_interval(interval):
-    with pytest.raises(ValueError, match="interval"):
-        ScanConfig(interval=interval)
 
 
 def test_a_scan_of_one_point_reports_it(chain_f03):
@@ -302,15 +288,6 @@ def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
 def test_scan_refuses_a_start_that_is_not_a_bid(chain_f03, start):
     with pytest.raises(ValueError, match="start must be a finite bid"):
         best_response(chain_f03, 1, np.array([1.6, 0.8]), start=start)
-
-
-def test_a_start_outside_the_interval_moves_to_its_nearest_end(chain_f027):
-    config = ScanConfig(interval=(1.0, 2.0))
-    far, near = (best_response(chain_f027, 1, np.array([1.6, 0.8]),
-                               scan_config=config, start=s) for s in (50.0, 2.0))
-    assert far.interval == near.interval == (1.0, 2.0)
-    assert np.array(far.local_minima) == pytest.approx(
-        np.array(near.local_minima), rel=1e-12)
 
 
 def walk_setup():
@@ -344,13 +321,13 @@ def perturbed_start(scenario, state):
     return price, flows, dual, side, sides
 
 
-def faulty_walk(monkeypatch, scenario, i, fault, target):
+def faulty_walk(monkeypatch, scenario, i, fault, target, stretch=math.inf):
     """Patch the walk so that the held solve refuses the set of the piece
-    at ``target`` (``refuse-inner``) or of every piece from ``target`` on
-    (``refuse-last``), or so that every state at ``target`` is past a
-    limit (``start-past-limit``).  Returns the lists that the walk fills:
-    each piece's start, the faulty starts in order, and each clearing's
-    bid."""
+    at ``target`` (``refuse-inner``) or of every piece that starts less
+    than ``stretch`` past ``target`` (``refuse-last``), or so that every
+    state at ``target`` is past a limit (``start-past-limit``).  Returns
+    the lists that the walk fills: each piece's start, the faulty starts
+    in order, and each clearing's bid."""
     at, faults, cleared = [], [], []
     piece = brlab._Walk.piece
 
@@ -358,15 +335,16 @@ def faulty_walk(monkeypatch, scenario, i, fault, target):
         if not faults or faults[-1] != t:
             faults.append(t)
 
-    def faulty_piece(self, t, state, rates, direction, bound):
+    def faulty_piece(self, t, state, rates, direction):
         at.append(t)
         if fault == "start-past-limit" and t == target:
             note(t)
             state = perturbed_start(scenario, state)
-        return piece(self, t, state, rates, direction, bound)
+        return piece(self, t, state, rates, direction)
 
     def slopes(scenario, i, sides):
-        refuse = at and (at[-1] >= target if fault == "refuse-last" else
+        refuse = at and (0.0 <= at[-1] - target < stretch
+                         if fault == "refuse-last" else
                          fault == "refuse-inner" and at[-1] == target)
         if refuse:
             note(at[-1])
@@ -390,14 +368,14 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
     # conditions, makes a piece of one point, carried and cleared afresh
     # alike: the walk steps past it, by a step that doubles while the
     # fresh pieces stay of one point, and the piece is the chord to there.
-    # Past the last breakpoint every piece is refused, so that walk steps
-    # on to the bound it is given
+    # Past the last breakpoint every piece that starts within 40 of it is
+    # refused, so that walk steps across those 40 and on to the end piece
     scenario, i, fixed, start, b_base, clean = walk_setup()
     ahead = breakpoints_right_of(clean, start)
     target = ahead[-1] if fault == "refuse-last" else ahead[len(ahead) // 2]
-    hi = target + 40.0 if fault == "refuse-last" else math.inf
-    _, faults, cleared = faulty_walk(monkeypatch, scenario, i, fault, target)
-    path = brlab._clearing_path(scenario, i, b_base, start, (-math.inf, hi))
+    _, faults, cleared = faulty_walk(monkeypatch, scenario, i, fault, target,
+                                     stretch=40.0)
+    path = brlab._clearing_path(scenario, i, b_base, start)
     # the target was a carried start; it was cleared afresh before the step
     assert cleared[:2] == [start, target]
     assert faults[0] == target
@@ -410,8 +388,10 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
     assert after[0] - target == pytest.approx(
         brlab._STEP * (scale + abs(target)), rel=1e-9)
     if fault == "refuse-last":
-        # each step doubles the last, but for the one cut at the bound
-        assert after[-1] == hi and (np.diff((after - walked[k])[:-1]) > 0.0).all()
+        # each step doubles the last, and the last one leaves the stretch
+        assert (np.diff(after - walked[k]) > 0.0).all()
+        assert walked[k][-1] < target + 40.0 <= after[-1]
+        assert walked[-1] == math.inf
     else:
         assert len(faults) == 1
     # the path is affine across each stepped piece, so its chord is exact
@@ -420,9 +400,8 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
         ref = clear_market(scenario, np.insert(fixed, i, t)).prices[i]
         assert lam == pytest.approx(ref, rel=1e-9), t
     # and so are the samples and the best bid
-    config = ScanConfig(interval=(walked[1] - 10.0, hi) if fault == "refuse-last"
-                        else None, coarse_points=101)
-    scan = best_response(scenario, i, fixed, scan_config=config, start=start)
+    scan = best_response(scenario, i, fixed, start=start,
+                         scan_config=ScanConfig(coarse_points=101))
     bids = np.insert(fixed, i, 0.0)
     for b, cost in [*zip(scan.samples_b, scan.samples_cost),
                     (scan.best_bid, scan.best_cost)]:
@@ -454,11 +433,11 @@ def test_a_carried_start_past_a_limit_is_cleared_afresh(monkeypatch):
     target = ahead[len(ahead) // 2]
     piece, calls = brlab._Walk.piece, []
 
-    def faulty_piece(self, t, state, rates, direction, bound):
+    def faulty_piece(self, t, state, rates, direction):
         if t == target and not calls[1:]:
             state = perturbed_start(scenario, state)
             calls.append(("carried", state[4]))
-        return piece(self, t, state, rates, direction, bound)
+        return piece(self, t, state, rates, direction)
 
     def clear(scenario, bids, active=None):
         calls.append((bids[i], active))
@@ -579,30 +558,6 @@ def price_on_path(path, t):
     edges, anchors, prices, slopes = path
     k = np.searchsorted(edges, t, side="right").clip(1, anchors.size) - 1
     return prices[k] + slopes[k] * (t - anchors[k])
-
-
-def test_a_scan_walks_to_the_end_of_its_interval(chain_f027):
-    # a scan given an interval walks from its start to both ends, whatever
-    # its sample count, and finds the minima of the walk over the whole
-    # bid line
-    fixed = np.array([1.6, 0.8])
-    whole = best_response(chain_f027, 1, fixed, start=1.6)
-    one, two = (best_response(chain_f027, 1, fixed, start=1.6,
-                              scan_config=ScanConfig(interval=(-7.0, 11.0),
-                                                     coarse_points=points))
-                for points in (1, 2))
-    assert one.interval == two.interval == (-7.0, 11.0)
-    assert len(one.local_minima) == 2
-    for scan in (two, whole):
-        assert np.array(one.local_minima) == pytest.approx(
-            np.array(scan.local_minima), rel=1e-12)
-    path = brlab._clearing_path(chain_f027, 1, np.insert(fixed, 1, 0.0), 1.6,
-                                one.interval)
-    assert (path[0][0], path[0][-1]) == one.interval
-    for end in one.interval:
-        ref = clear_market(chain_f027, np.array([1.6, end, 0.8])).prices[1]
-        assert price_on_path(path, np.array([end]))[0] == pytest.approx(
-            ref, rel=1e-12)
 
 
 @settings(max_examples=40)

@@ -245,6 +245,30 @@ def test_the_scanned_slot_of_fixed_bids_is_not_read(chain_file):
     assert len(report.results["local_minima"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["clear", "{two}", "--bids", "1,x"], "usage error: cannot parse --bids "
+     "'1,x': could not convert string to float: 'x'"),
+    (["clear", "{two}", "--bids", "1,2,3"],
+     "usage error: expected 2 values for --bids, got 3"),
+    (["brlab", "{two}", "--prosumer", "1"],
+     "usage error: --prosumer requires --fix-bids"),
+    (["brlab", "{two}", "--prosumer", "3", "--fix-bids", "1,2"],
+     "usage error: --prosumer must be in 1..2"),
+    (["brlab", "{chain}", "--classify-2bus"],
+     "usage error: --classify-2bus needs 2 buses, a=1, d=0, equal c"),
+    (["batch", "--dir", "{missing}"], "error: not a directory: {missing}"),
+], ids=["unparsed-bids", "bid-count", "prosumer-without-bids",
+        "prosumer-out-of-range", "classify-chain", "batch-missing-dir"])
+def test_refused_arguments_exit_1_with_one_line(argv, message, fixture_file,
+                                                chain_file, tmp_path, capsys):
+    fill = {"two": fixture_file, "chain": chain_file,
+            "missing": str(tmp_path / "missing")}
+    assert cli.main([arg.format(**fill) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(**fill) + "\n"
+
+
 def test_bad_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

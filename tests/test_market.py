@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import limited_scenarios, oracle, with_chords
 from dense_qp import QuadraticProgram, solve_qp
-from esharing.brlab import ScanConfig, verify_gne
+from esharing.brlab import verify_gne
 from esharing.equilibrium import improved_gne
 from esharing.errors import DimensionMismatch, TooFewProsumers
 from esharing.market import (
@@ -262,7 +262,6 @@ def test_cost_from_outcome_matches(two_f5, two_f10, chain_f03, chain_f027):
                                         regulated=True))
     tree = gen_scenario(3, 12, "tight")
     rng = np.random.default_rng(0)
-    scan = ScanConfig(coarse_points=41, refine_rounds=1)
     for scenario in (two_f5, two_f10, chain_f03, chain_f027, tree,
                      with_chords(tree, 3)):
         eqm = improved_gne(scenario)
@@ -276,8 +275,7 @@ def test_cost_from_outcome_matches(two_f5, two_f10, chain_f03, chain_f027):
                 tol = 1e-12 * np.abs(each).max()
                 assert np.abs(cost_at(scenario, out.prices, out.quantities,
                                       regulated) - each).max() <= tol
-                check = verify_gne(scenario, bids, regulated=regulated,
-                                   scan_config=scan)
+                check = verify_gne(scenario, bids, regulated=regulated)
                 assert np.abs(check.incumbent_costs - each).max() <= tol
                 if regulated and bids is eqm.b_bar:
                     assert np.abs(eqm.costs - each).max() <= tol
@@ -342,6 +340,8 @@ def test_scenario_columns_are_checked_as_records(two_f5):
 def test_scenario_columns_and_records_agree(two_f5):
     pros = [Prosumer(1.0, 0.1, 2.0, 1.5, 0.5, 2.0), Prosumer(2.0, 0.2, 1.0)]
     by_records = Scenario(two_f5.network, pros, a=1.0, label="x")
+    # records become columns; the records view is built on first read
+    assert "prosumers" not in vars(by_records)
     assert by_records.prosumers == tuple(pros)
     by_columns = Scenario(two_f5.network, a=1.0, label="x", c=[1, 2],
                           d=[0.1, 0.2], D=[2, 1], p0=[1.5, np.nan],
@@ -380,7 +380,12 @@ def test_scenario_validation(two_f5):
     (dict(c=[[1], [1, 2]], d=[0, 0], D=[1, 1]), "prosumer columns must have one length"),
     (dict(c=[1, 1], d=[0, 0], D=[1, 1], p0=[0, 0, 0]),
      "baseline columns must match the others"),
-], ids=["ragged", "scalar", "ragged-column", "ragged-baseline"])
+    (dict(c=[[1, 1]] * 2, d=[[0, 0]] * 2, D=[[1, 1]] * 2),
+     "prosumer columns must be one-dimensional"),
+    (dict(c=[1, 1], d=[0, 0], D=[1, 1], p0=[0, 0, 0], E0=[1, 1, 1],
+          D0=[1, 1, 1]), "baseline columns must match the others"),
+], ids=["ragged", "scalar", "ragged-column", "ragged-baseline",
+        "two-dimensional", "baseline-length"])
 def test_scenario_refuses_columns_of_unequal_lengths(two_f5, columns, message):
     # as build_network refuses line columns of unequal lengths
     with pytest.raises(DimensionMismatch) as exc:

@@ -236,7 +236,10 @@ def test_line_columns_are_checked_as_records():
 def test_columns_and_records_build_one_network():
     lines = [LineSpec(1, 2, 1.5, 2.0), LineSpec(3, 2, 0.5), LineSpec(1, 3, 2, 0)]
     by_records = build_network(3, lines, slack=2)
+    # records become columns; the records view is built on first read
+    assert "lines" not in vars(by_records)
     assert by_records.lines == tuple(lines)
+    assert type(by_records.lines[2].weight) is float
     by_columns = build_network(3, columns=(
         np.array([1, 3, 1]), [2, 2, 3], (1.5, 0.5, 2.0), [2.0, math.inf, 0.0]),
         slack=2)

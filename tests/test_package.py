@@ -10,7 +10,8 @@ import esharing
 from esharing import cases
 from esharing.scenario_io import dump_scenario
 
-# ``esharing.__all__`` as it was when every module loaded with the package
+# ``esharing.__all__``, the names that bidding and brlab load on first use
+# among them
 ALL = [
     "BestResponseScan", "BiddingConfig", "BiddingResult", "BiddingTrace",
     "BrTrajectory", "ClearingOutcome", "DegenerateBaseline",
@@ -18,8 +19,8 @@ ALL = [
     "EsharingError", "FejerReport", "FileError", "GneCheck",
     "GneClassification2Bus", "Infeasible", "IterationLimit", "LineSpec",
     "MaxIterExceeded", "NetworkModel", "NonRadialWarning", "NonpositiveWeight",
-    "PriceTakingEquilibrium", "Prosumer", "ScanConfig", "ScanIntervalEmpty",
-    "Scenario", "SocialOptimum", "TooFewProsumers", "UnbalancedInjection",
+    "PriceTakingEquilibrium", "Prosumer", "ScanConfig", "Scenario",
+    "SocialOptimum", "TooFewProsumers", "UnbalancedInjection",
     "VariationalEquilibrium", "WeakSensitivityWarning", "a_min",
     "best_response", "bidding", "br_iteration", "brlab", "build_network",
     "central_solution", "classify_gne_2bus", "clear_market",

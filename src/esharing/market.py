@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, Infeasible, IterationLimit, TooFewProsumers
 from .network import NetworkModel, is_radial
 from .tree import _components as _tree_components
+from .tree import _price_map as _tree_price_map
 
 _RTOL = 1e-12  # rounding-level slack of the optimality check
 _EXCHANGE_STEPS = 8  # exchange steps tried before the finish
@@ -295,12 +296,18 @@ def _clear(scenario: Scenario, bids, anchor, active) -> ClearingOutcome:
         if anchor.shape != (n,):
             raise DimensionMismatch(
                 f"expected {n} anchor prices, got shape {anchor.shape}")
-        h, g = 2.0 * _HESS, -_HESS * anchor
+        h, g = _proximal_terms(anchor)
     hess = np.empty(n)
     hess.fill(h)  # np.full(n, h), at a third of its cost
     sol, flows = _solve_program(net, hess, g, b, a, active)
     return ClearingOutcome(prices=sol.x, flows=flows, sides=sol.sides,
                            solution=sol, bids=b, a=a)
+
+
+def _proximal_terms(anchor):
+    """The curvature and the linear term of the proximal clearing anchored
+    at the prices ``anchor``, one vector of them or several rows."""
+    return 2.0 * _HESS, -_HESS * anchor
 
 
 def clearing_slopes(scenario: Scenario, i: int, sides) -> tuple | None:
@@ -386,7 +393,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     rule out.
     """
     limits, bounded, pinned = net.limits, net.bounded, net.pinned
-    alpha, beta = base + k * linear / hess, k / hess
+    alpha, beta = _purchase_terms(base, linear, hess, k)
     if active is None:
         active = np.zeros(limits.size)
     if np.shape(active) != limits.shape:
@@ -402,11 +409,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
         if step is None:  # dependent held rows on a mesh
             break
         u, q, flows, push = step
-        excess = np.abs(flows) - limits
-        # written as "within", so that a NaN counts as a violation
-        within = np.where(
-            held, side * push >= -_RTOL * (1.0 + np.maximum.reduce(np.abs(u))),
-            excess <= _RTOL * (1.0 + np.add.reduce(np.abs(q))))
+        excess, within = _check(limits, side, held, u, q, flows, push)
         if np.count_nonzero(within) == within.size:
             break
         # a bounded line is held exactly where its side is not 0; a line
@@ -433,6 +436,26 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
                                 np.where(push[pinned] / k >= 0.0, 1.0, -1.0), 0.0)
     return _HeldSolution((u - linear) / hess, side, iterations, u[net.slack - 1],
                          q, push, k, excess), flows
+
+
+def _purchase_terms(base, linear, hess, k):
+    """``alpha`` and ``beta`` of a program's purchases ``q = alpha - beta
+    u`` at its local prices ``u = hess x + linear``."""
+    return base + k * linear / hess, k / hess
+
+
+def _check(limits, side, held, u, q, flows, push) -> tuple:
+    """The optimality check of held solves, one row per solve or one
+    solve: each line's flow excess over its limit, and whether each line
+    passes, a held line by its push and a free line by its flow."""
+    excess = np.abs(flows) - limits
+    scale_u = np.maximum.reduce(np.abs(u), axis=-1)
+    scale_q = np.add.reduce(np.abs(q), axis=-1)
+    if u.ndim == 2:  # one scale per row
+        scale_u, scale_q = scale_u[:, None], scale_q[:, None]
+    # written as "within", so that a NaN counts as a violation
+    return excess, np.where(held, side * push >= -_RTOL * (1.0 + scale_u),
+                            excess <= _RTOL * (1.0 + scale_q))
 
 
 def _finish(net, alpha, beta, start) -> tuple:
@@ -603,6 +626,16 @@ def _held_solve(net, alpha, beta, held, target):
     return components(net, alpha, beta, held, target)
 
 
+def _price_map(net, beta, held, target, line, step):
+    """For rounds that solve with the ``held`` lines at ``target`` again
+    and again, a function that runs them and one that gives the pushes of
+    their rows, as :func:`esharing.tree._price_map` describes: that one on
+    a radial network, :func:`_mesh_price_map` on a meshed one.  The held
+    set must be one the held solve has accepted."""
+    price_map = _tree_price_map if is_radial(net) else _mesh_price_map
+    return price_map(net, beta, held, target, line, step)
+
+
 def _mesh_components(net, alpha, beta, held, target):
     """Prices ``u``, purchases, flows and pushes on a meshed network with
     the ``held`` lines' flows at ``target``, or None when the held rows are
@@ -621,15 +654,12 @@ def _mesh_components(net, alpha, beta, held, target):
     verdict come from :func:`_mesh_factor`, kept on the network as the
     tree's factor is (:func:`esharing.tree._components`) but keyed on the
     held lines and ``beta`` alone, as the targets do not enter it; the rows
-    are gathered and the system solved on every call.
+    are gathered and the system solved on every call (:func:`_mesh_system`).
     """
-    rows = np.vstack([np.ones(alpha.size), net.rows(held)])
-    t = np.concatenate([[0.0], target[held]])
-    schur, dependent = net._kept(
-        "_factor", held.tobytes() + beta.tobytes(),
-        lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
-    if dependent:
+    system = _mesh_system(net, beta, held, target)
+    if system is None:
         return None
+    rows, t, schur = system
     z, q = np.zeros(t.size), alpha
     try:
         for _ in range(2):
@@ -645,6 +675,50 @@ def _mesh_components(net, alpha, beta, held, target):
     push = np.zeros(held.size)
     push[held] = z[1:]
     return u, q, flows, push
+
+
+def _mesh_system(net, beta, held, target):
+    """The rows ``R`` of the balance and the ``held`` lines' flows, their
+    targets ``t`` and the Schur matrix, kept on the network; None when its
+    Cholesky pivots show a dependent row."""
+    rows = np.vstack([np.ones(beta.size), net.rows(held)])
+    t = np.concatenate([[0.0], target[held]])
+    schur, dependent = net._kept(
+        "_factor", held.tobytes() + beta.tobytes(),
+        lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
+    return None if dependent else (rows, t, schur)
+
+
+def _mesh_price_map(net, beta, held, target, line, step):
+    """:func:`_price_map` on a meshed network: each round is the solve and
+    the refinement pass of :func:`_mesh_components`, on the kept Schur
+    matrix inverted once, and a pushes' row is the round's ``z`` but its
+    first entry.  The held solve accepted the held set, so its rows are
+    independent and the matrix, which that solve factored, inverts."""
+    rows, t, schur = _mesh_system(net, beta, held, target)
+    inverse = np.linalg.inv(schur)
+    (offset, slope), (cu, cl) = line, step
+
+    def rounds(anchor, count):
+        lams, us, zs, lam = [anchor], [], [], anchor
+        for _ in range(count):
+            alpha = offset + slope * lam
+            z, q = np.zeros(t.size), alpha
+            for _ in range(2):
+                z = z + inverse @ (rows @ q - t)
+                u = z @ rows
+                q = alpha - beta * u
+            lam = cu * u + cl * lam
+            lams.append(lam)
+            us.append(u)
+            zs.append(z)
+        return np.array(lams), np.array(us), np.array(zs)
+
+    def pushes(z):
+        push = np.zeros((len(z), held.size))
+        push[:, held] = z[:, 1:]
+        return push
+    return rounds, pushes
 
 
 def _mesh_factor(rows, beta, check_pivots: bool) -> tuple:

@@ -55,15 +55,64 @@ def _components(net, alpha, beta, held, target):
     arrays, so reuse never changes a bit.
     """
     tree = net.tree
-    comp, below, above, weight = net._kept(
-        "_factor", held.tobytes() + target.tobytes() + beta.tobytes(),
-        lambda: _factor(tree, beta, held, target))
+    comp, below, above, weight = _kept_factor(net, beta, held, target)
     # own purchases = held limit above - held limits below
     rhs = (np.bincount(comp, alpha, alpha.size) - below) + above
     u = rhs[comp] / weight
     q = alpha - beta * u
     jump = u[tree.child] - u[tree.head]
     return u, q, net.flows(q), tree.sign * jump
+
+
+def _price_map(net, beta, held, target, line, step):
+    """For rounds that solve with the ``held`` lines at ``target`` again
+    and again: a function that runs them, and one that gives the pushes of
+    rows of prices (read off the prices alone).
+
+    A round at prices ``lam`` solves with ``alpha = offset + slope lam``,
+    ``(offset, slope) = line``, and moves on to the prices ``cu u + cl
+    lam``, ``(cu, cl) = step``.  ``rounds(anchor, count)`` runs ``count``
+    rounds from the prices ``anchor`` and returns the prices of the rounds
+    (the anchor first), the solves' prices ``u``, and ``u`` again, one row
+    per round.  The components' sums of ``alpha`` follow one affine map
+    from round to round, elementwise on the components, so a round costs
+    O(components); the buses' prices follow at once, by a scaled running
+    sum.
+    """
+    comp, below, above, weight = _kept_factor(net, beta, held, target)
+    tops = np.flatnonzero(comp == np.arange(comp.size))
+    index = np.searchsorted(tops, comp)  # each bus's component, from 0
+    # each component's own purchases: the held limit above, less those below
+    held_net = below[tops] - above[tops]
+    weight = weight[tops]
+    (offset, slope), (cu, cl) = line, step
+    # sums' = cl sums + cu E z + (1 - cl) A, with A and E the components'
+    # sums of offset and slope, and z = (sums - held_net) / weight the
+    # components' prices
+    rate = cu * np.bincount(index, slope) / weight
+    scale = rate + cl
+    shift = (1.0 - cl) * np.bincount(index, offset) - rate * held_net
+
+    def rounds(anchor, count):
+        sums = np.empty((count, tops.size))
+        y = np.bincount(index, offset + slope * anchor)
+        for row in sums:
+            row[:] = y
+            y = scale * y + shift
+        u = ((sums - held_net) / weight)[:, index]
+        # lam_j = cl^j (anchor + sum_{i<j} cu u_i / cl^(i+1))
+        power = cl ** np.arange(count + 1.0)[:, None]
+        lams = np.cumsum(np.concatenate((anchor[None], cu * u / power[1:])),
+                         axis=0) * power
+        return lams, u, u
+    tree = net.tree  # the pushes of _components, one row per round
+    return rounds, lambda u: tree.sign * (u[:, tree.child] - u[:, tree.head])
+
+
+def _kept_factor(net, beta, held, target):
+    """:func:`_factor`'s result for these arguments, kept on the network."""
+    return net._kept("_factor", held.tobytes() + target.tobytes() + beta.tobytes(),
+                     lambda: _factor(net.tree, beta, held, target))
 
 
 def _factor(tree, beta, held, target):

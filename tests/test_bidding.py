@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import uniform_chain, with_chords
+from conftest import limited_scenarios, uniform_chain, with_chords
 from esharing import bidding, cases, equilibrium, market, tree
 from esharing.bidding import (
     BiddingConfig,
@@ -127,6 +129,17 @@ def test_iteration_cap_raises_with_trace(two_f5):
     assert err.residual > 1e-14
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "3", None])
+def test_config_refuses_a_max_iter_that_is_not_an_integer(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        BiddingConfig(max_iter=max_iter)
+
+
+def test_config_takes_a_numpy_integer_max_iter(two_f5):
+    result = run_bidding(two_f5, BiddingConfig(epsilon=1e-4, max_iter=np.int64(50)))
+    assert result.iterations <= 50
+
+
 def test_config_refuses_a_non_finite_epsilon():
     for eps in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
@@ -207,10 +220,32 @@ def test_trace_distance_helper(two_f5):
     assert dist[-1] <= 1e-3
 
 
+def record_stretches(monkeypatch, *counters):
+    """Wrap the settled stretches; returns a list that gets, for each
+    block a stretch computes (and for its end), the rounds in it and how
+    much each of the ``counters`` lists grew while it was computed."""
+    stretch, blocks = bidding._settled_rounds, []
+
+    def recording(*args):
+        run = stretch(*args)
+        while True:
+            sizes = [len(c) for c in counters]
+            block = next(run, None)
+            blocks.append((0 if block is None else len(block[0]),
+                           *(len(c) - size for c, size in zip(counters, sizes))))
+            if block is None:
+                return
+            yield block
+
+    monkeypatch.setattr(bidding, "_settled_rounds", recording)
+    return blocks
+
+
 def test_settled_rounds_take_one_solver_iteration(monkeypatch):
     # each round hot-starts from the previous round's active set, so once
     # the set stops changing a round's program is solved by one held solve
-    # of its guess, on a mesh too, and never reaches the finish
+    # of its guess, on a mesh too, and never reaches the finish; the rounds
+    # after it follow that held set and make no held solve at all
     solve, mesh_components = market._solve_program, market._mesh_components
     finish = market._finish
     held_solves, finishes, solves = [], [], []
@@ -233,23 +268,28 @@ def test_settled_rounds_take_one_solver_iteration(monkeypatch):
     monkeypatch.setattr(market, "_solve_program", recording)
     monkeypatch.setattr(market, "_mesh_components", counting)
     monkeypatch.setattr(market, "_finish", finish_recording)
-    run_bidding(with_chords(gen_scenario(7, 38, "tight"), 3))
+    blocks = record_stretches(monkeypatch, solves, held_solves, finishes)
+    result = run_bidding(with_chords(gen_scenario(7, 38, "tight"), 3))
     settled = [(held, finished) for guess, found, held, finished in solves
                if guess is not None and guess.any()
                and np.array_equal(guess, found)]
-    assert len(settled) > len(solves) // 2
-    assert settled == [(1, 0)] * len(settled)
+    stretched = sum(rows for rows, *_ in blocks)
+    assert len(settled) + stretched > result.iterations // 2
+    assert len(solves) + stretched == result.iterations
+    assert settled and settled == [(1, 0)] * len(settled)
+    assert [tuple(grown) for _, *grown in blocks] == [(0, 0, 0)] * len(blocks)
 
 
 @pytest.mark.parametrize("chords", [0, 3])
 def test_settled_rounds_build_no_factor(chords, monkeypatch):
     # a round that guesses the held set the previous round ended with reuses
-    # that solve's factor; so once the set stops changing no round builds one
+    # that solve's factor, and the rounds after it follow that factor; so
+    # once the set stops changing no round builds one
     scenario = gen_scenario(7, 38, "tight")
     if chords:
         scenario = with_chords(scenario, chords)
     solve, factors = market._solve_program, []
-    rounds = []  # per round: the held lines found, and the factors built
+    rounds = []  # per clearing: the held lines found, and the factors built
 
     def recording(*args):
         built = len(factors)
@@ -268,18 +308,22 @@ def test_settled_rounds_build_no_factor(chords, monkeypatch):
     building(tree, "_factor")
     building(market, "_mesh_factor")
     monkeypatch.setattr(market, "_solve_program", recording)
-    run_bidding(scenario)
+    blocks = record_stretches(monkeypatch, factors)
+    result = run_bidding(scenario)
     changes = [k for k in range(1, len(rounds)) if rounds[k][0] != rounds[k - 1][0]]
     settled = rounds[changes[-1] + 1:]
-    assert len(settled) > len(rounds) // 2
+    stretched = sum(rows for rows, _ in blocks)
+    assert settled and len(settled) + stretched > result.iterations // 2
     assert [built for _, built in settled] == [0] * len(settled)
+    assert [built for _, built in blocks] == [0] * len(blocks)
     assert factors  # the rounds before did build them
 
 
 def test_settled_rounds_skip_the_finish(monkeypatch):
     # on a tree each round checks the previous round's held lines in closed
-    # form; a round whose set changes repairs it by exchange steps, and no
-    # round reaches the finish
+    # form; a round whose set changes repairs it by exchange steps, the
+    # rounds that keep it follow it without a clearing, and no round
+    # reaches the finish
     solve, finish = market._solve_program, market._finish
     iterations, finishes = [], []
 
@@ -294,15 +338,20 @@ def test_settled_rounds_skip_the_finish(monkeypatch):
 
     monkeypatch.setattr(market, "_solve_program", recording)
     monkeypatch.setattr(market, "_finish", counting)
+    blocks = record_stretches(monkeypatch, iterations)
     result = run_bidding(gen_scenario(7, 38, "tight"))
-    assert result.iterations == len(iterations) == 124
+    stretched = sum(rows for rows, _ in blocks)
+    assert result.iterations == len(iterations) + stretched == 124
+    assert stretched > 0
+    assert [solved for _, solved in blocks] == [0] * len(blocks)
     assert 0 < sum(its > 1 for its in iterations) <= 15
     assert finishes == []
 
 
 def test_settled_rounds_build_no_duals(monkeypatch):
     # the loop reads a clearing's prices and sides alone, so no clearing of
-    # the run derives its quantities, its duals or its residual
+    # the run derives its quantities, its duals or its residual; the rounds
+    # that follow a settled held set make no clearing at all
     outcomes = []
 
     def recording(*args):
@@ -310,13 +359,135 @@ def test_settled_rounds_build_no_duals(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(bidding, "platform_update", recording)
+    blocks = record_stretches(monkeypatch, outcomes)
     result = run_bidding(gen_scenario(7, 38, "tight"))
-    assert len(outcomes) == result.iterations
+    stretched = sum(rows for rows, _ in blocks)
+    assert stretched > 0
+    assert len(outcomes) + stretched == result.iterations
+    assert [cleared for _, cleared in blocks] == [0] * len(blocks)
     for out in outcomes:
         assert isinstance(out.solution, market._HeldSolution)
         assert not {"quantities", "eta"} & vars(out).keys()
         assert not {"eq_duals", "_signed", "_line_duals", "residual"} \
             & vars(out.solution).keys()
+
+
+def run_traces(scenario, config=None):
+    """The traces of ``run_bidding`` with its settled stretches, and with
+    every round cleared by ``platform_update``."""
+    traces = []
+    for stretched in (True, False):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakSensitivityWarning)
+            if not stretched:
+                mp.setattr(bidding, "_settled_rounds", lambda *args: iter(()))
+            try:
+                traces.append(run_bidding(scenario, config).trace)
+            except MaxIterExceeded as exc:
+                traces.append(exc.trace)
+    return traces
+
+
+def assert_traces_agree(fast, slow):
+    # the stretches carry the prices along an affine map in place of the
+    # clearing's held solve, so the iterates agree to rounding level
+    assert (fast.termination, len(fast)) == (slow.termination, len(slow))
+    for name in ("prices", "bids", "production", "delta_b"):
+        x, y = np.array(getattr(slow, name)), np.array(getattr(fast, name))
+        assert np.allclose(y, x, rtol=1e-12, atol=1e-12, equal_nan=True), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(limited_scenarios(max_size=14))
+def test_settled_stretches_follow_the_rounds_they_replace(scenario):
+    # over trees and meshes, zero-limit lines among them, the run ends at
+    # the same round and the same way as when every round is cleared, with
+    # its iterates within 1e-12 (1 + |x|) of theirs; a sensitivity below
+    # the threshold may not settle, and then rounding is not damped
+    assume(scenario.a >= a_min(scenario))
+    assert_traces_agree(*run_traces(scenario))
+
+
+def record_rounds(monkeypatch):
+    """Log, in order, each clearing ``("clear", guess, outcome)``, each
+    stretch's start ``("stretch", sides)``, each run of its price map
+    ``("run", rounds asked)``, each block it yields ``("block", rounds)``
+    and its end ``("end",)``, unless the run stops within it."""
+    events = []
+    update, stretch, price_map = (bidding.platform_update, bidding._settled_rounds,
+                                  bidding._price_map)
+
+    def clearing(scenario, lam, b, active):
+        out = update(scenario, lam, b, active)
+        events.append(("clear", active, out))
+        return out
+
+    def mapping(*args):
+        run, pushes = price_map(*args)
+
+        def counting(anchor, count):
+            events.append(("run", count))
+            return run(anchor, count)
+        return counting, pushes
+
+    def stretching(scenario, prices, bids, sides, *rest):
+        events.append(("stretch", sides))
+        for block in stretch(scenario, prices, bids, sides, *rest):
+            events.append(("block", len(block[0])))
+            yield block
+        events.append(("end",))
+
+    monkeypatch.setattr(bidding, "platform_update", clearing)
+    monkeypatch.setattr(bidding, "_price_map", mapping)
+    monkeypatch.setattr(bidding, "_settled_rounds", stretching)
+    return events
+
+
+def test_a_held_set_change_inside_a_block_hands_back(monkeypatch):
+    # the second block of the first stretch meets a round whose held set
+    # changes; the stretch keeps the rounds before it and ends, and that
+    # round is cleared by platform_update from the stretch's held set, which
+    # its exchange steps change; the run goes on to settle again
+    scenario = gen_scenario(1, 12, "tight")
+    events = record_rounds(monkeypatch)
+    run_bidding(scenario)
+    k = next(k for k in range(len(events) - 1) if events[k][0] == "run"
+             and events[k + 1][0] == "block" and 0 < events[k + 1][1] < events[k][1])
+    sides = next(e[1] for e in reversed(events[:k]) if e[0] == "stretch")
+    assert events[k + 2] == ("end",)
+    kind, guess, out = events[k + 3]
+    assert kind == "clear" and np.array_equal(guess, sides)
+    assert not np.array_equal(out.sides, guess) and out.solution.iterations > 1
+    assert any(e[0] == "block" for e in events[k + 3:])
+    monkeypatch.undo()
+    assert_traces_agree(*run_traces(scenario))
+
+
+def test_the_cap_inside_a_settled_stretch(monkeypatch):
+    # the cap stops the run within a stretch: the trace holds the start and
+    # exactly max_iter rounds, the last of them from the stretch's last
+    # block, which ran every round it was asked for
+    events = record_rounds(monkeypatch)
+    with pytest.raises(MaxIterExceeded) as excinfo:
+        run_bidding(gen_scenario(7, 38, "tight"), BiddingConfig(max_iter=60))
+    err = excinfo.value
+    assert len(err.trace) == 61
+    assert err.trace.termination == "max_iter"
+    assert err.residual == err.trace.delta_b[-1]
+    kinds = [e[0] for e in events]
+    assert kinds.count("clear") + sum(e[1] for e in events if e[0] == "block") == 60
+    assert kinds[-3:] == ["run", "block", "end"] and events[-3][1] == events[-2][1]
+
+
+def test_fejer_check_of_a_one_row_trace(two_f5):
+    eqm = equilibrium.improved_gne(two_f5)
+    trace = BiddingTrace()
+    trace.record(np.zeros(2), np.zeros(2), two_f5.D.copy(), float("nan"))
+    report = fejer_check(trace, eqm)
+    assert report.monotone and report.max_violation == 0.0
+    assert report.distances.shape == (1,)
+    assert report.distances[0] == pytest.approx(
+        np.sqrt(((two_f5.D - eqm.p_bar) ** 2).sum() + (eqm.b_bar ** 2).sum()))
 
 
 @pytest.mark.parametrize("prices", [0.0, [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],

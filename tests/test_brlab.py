@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from esharing.brlab import (
 from esharing.errors import (
     DimensionMismatch,
     IterationLimit,
+    NonFiniteResult,
     UnboundedCost,
 )
 from esharing.market import (
@@ -254,6 +256,16 @@ def test_scan_csv_export(tmp_path, chain_f027):
     assert len(lines) == 1 + len(scan.samples_b)
 
 
+def test_scan_csv_refuses_a_curve_that_is_not_finite(tmp_path, chain_f027):
+    scan = best_response(chain_f027, 1, np.array([1.6, 0.8]))
+    curve = scan.curve
+    broken = dataclasses.replace(
+        scan, curve=lambda b: np.where(b == b.max(), math.inf, curve(b)))
+    with pytest.raises(NonFiniteResult, match="no CSV written"):
+        write_scan_csv(broken, tmp_path / "scan.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_csv_matches_a_row_by_row_writer(tmp_path, chain_f027):
     scan = best_response(chain_f027, 1, np.array([1.6, 0.8]))
     write_scan_csv(scan, tmp_path / "scan.csv")
@@ -408,6 +420,28 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
         bids[i] = b
         assert cost == pytest.approx(prosumer_cost(scenario, bids, i),
                                      rel=1e-9), b
+
+
+def test_a_step_walk_that_reaches_an_infinite_bid_ends_there(monkeypatch):
+    # every piece from the last breakpoint on is refused, and the steps are
+    # so long that the second one overflows: the walk ends at +inf, its
+    # last piece the chord to there, rather than step on from an infinite
+    # bid.  The chord's price rate is NaN, so the scan has no best response
+    scenario, i, fixed, start, b_base, clean = walk_setup()
+    target = breakpoints_right_of(clean, start)[-1]
+    monkeypatch.setattr(brlab, "_STEP", 1e300)
+    _, faults, cleared = faulty_walk(monkeypatch, scenario, i, "refuse-last",
+                                     target)
+    with np.errstate(invalid="ignore"):  # the clearing at an infinite bid
+        edges, _, _, slopes = brlab._clearing_path(scenario, i, b_base, start)
+    first = target + 1e300 * (brlab._Walk(scenario, i, b_base).scale + target)
+    assert faults == [target, first]
+    assert cleared[-2:] == [first, math.inf]
+    assert edges[-3:].tolist() == [target, first, math.inf]
+    assert math.isnan(slopes[-1])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFiniteResult, match="prosumer 3 is infinite"):
+        best_response(scenario, i, fixed, start=start)
 
 
 def test_an_unbounded_walk_gives_up_on_an_end_piece_it_cannot_solve(
@@ -658,6 +692,29 @@ def test_a_cost_that_falls_without_bound_is_refused(chain_f027):
     mirror = (path[0], path[1], -path[2], path[3])
     with pytest.raises(UnboundedCost, match=r"to -infinity"):
         brlab._minimum_points(chain_f027, 1, False, mirror, 0.0)
+
+
+@pytest.mark.parametrize("A, B, C, r0, r1", [
+    (0.0, 1e308, 1e-10, -math.inf, math.inf),  # vertex at -5e317
+    (1e308, 1e308, 0.0, 0.0, 1.0),  # 2e308 at u = 1
+], ids=["vertex-past-the-float-range", "overflow-on-a-stretch"])
+def test_a_quadratic_past_the_float_range_has_no_direction(A, B, C, r0, r1):
+    assert brlab._direction(A, B, C, r0, r1) is None
+
+
+def test_a_cost_that_overflows_inside_the_path_is_refused(chain_f027,
+                                                          monkeypatch):
+    # a path whose price stays 0 up to bid 1e200, where the cost (1 -
+    # 1e200)^2 overflows, and then jumps to hold the purchase at 0, where
+    # the cost is finite.  No clearing path does this; read as a flat run,
+    # the overflow would hide the minimum
+    path = (np.array([-math.inf, 0.0, 1e200, math.inf]),
+            np.array([0.0, 0.0, 1e200]), np.array([0.0, 0.0, 1e200]),
+            np.array([0.0, 0.0, 1.0 / chain_f027.a]))
+    assert brlab._minimum_points(chain_f027, 1, False, path, 0.0) is None
+    monkeypatch.setattr(brlab, "_clearing_path", lambda *args: path)
+    with pytest.raises(NonFiniteResult, match="prosumer 2 is infinite"):
+        best_response(chain_f027, 1, np.array([1.6, 0.8]))
 
 
 def test_verify_clears_each_scan_start_in_one_held_solve(monkeypatch):

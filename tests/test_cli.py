@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +564,56 @@ def test_closed_stdout_exits_one_without_a_traceback(fixture_file):
     assert proc.stderr == ""
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_in_process_points_it_at_the_null_device(
+        fixture_file, monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+        assert cli.main(["gne", fixture_file]) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(write_end)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_foreign_warning_goes_to_the_handler_in_place_before_the_run(
+        fixture_file, monkeypatch, capsys):
+    # a package warning prints one labelled line; any other warning goes to
+    # whatever handled warnings when the command started
+    seen = []
+
+    def handler(message, category, *args, **kwargs):
+        seen.append((str(message), category))
+
+    def gne(scenario, args):
+        warnings.warn("not the package's", UserWarning)
+        return {}, {}
+
+    monkeypatch.setitem(cli._COMMANDS, "gne", gne)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = handler
+        _, code = cli.run_command(["gne", fixture_file])
+        assert warnings.showwarning is handler
+    assert code == 0
+    assert seen == [("not the package's", UserWarning)]
+    assert capsys.readouterr().err == ""
+
+
 def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, esharing.cli; print(sorted("
@@ -594,15 +647,20 @@ _ONE_PER_COMMAND = [
 ]
 
 
+def _unbuilt():
+    raise AssertionError("the parser of every command was built")
+
+
 @pytest.mark.parametrize("argv", _ONE_PER_COMMAND,
                          ids=lambda argv: "-".join(a.lstrip("-") for a in argv
                                                    if a != "{f}")[:40])
-def test_a_command_parses_alone_as_with_every_command(argv):
+def test_a_command_parses_alone_as_with_every_command(argv, monkeypatch):
     argv = [a.replace("{f}", "s.json") for a in argv]
-    command = cli._invoked(argv)
+    _, command, _ = cli._invoked(argv)
     assert command == next(a for a in argv if a in cli._PARSERS)
-    alone = cli.build_parser(command)
-    assert alone.parse_args(argv) == cli.build_parser().parse_args(argv)
+    every = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "build_parser", _unbuilt)
+    assert cli._parse(argv) == every
 
 
 def test_the_parser_table_covers_every_command():
@@ -611,30 +669,96 @@ def test_the_parser_table_covers_every_command():
     assert {a for argv in _ONE_PER_COMMAND for a in argv} >= runnable
 
 
-def _help_text(parser, argv, capsys) -> str:
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
+def _help_text(parse, argv) -> str:
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+        parse(argv)
     assert exc.value.code == 0
-    return capsys.readouterr().out
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("command", list(cli._PARSERS))
-def test_a_command_alone_prints_the_same_help(command, capsys):
+def test_a_command_alone_prints_the_same_help(command, monkeypatch):
     argv = [command, "--help"]
-    assert cli._invoked(argv) == command
-    alone = _help_text(cli.build_parser(command), argv, capsys)
-    assert alone == _help_text(cli.build_parser(), argv, capsys)
+    every = _help_text(cli.build_parser().parse_args, argv)
+    monkeypatch.setattr(cli, "build_parser", _unbuilt)
+    alone = _help_text(cli._parse, argv)
+    assert alone == every
     assert alone.startswith(f"usage: esharing {command} ")
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """What ``parse(argv)`` gives: its namespace, its usage error's text, or
+    the help it prints and its exit code."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "args", parse(argv)
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "help", exc.code, out.getvalue()
+
+
+def _flags(command: str) -> list:
+    return [flag for action in cli._command_parser(command)._actions
+            for flag in action.option_strings]
+
+
+# command names and a prefix of one, format flags and values, help, each
+# command's flags alone and with a value, a scenario file and bid values
+_TOKENS = sorted({
+    *cli._PARSERS, "brl", "--format", "--format=csv", "--form", "json", "xml",
+    "--=json", "-h", "s.json", "2", "1.6,1.6,0.8",
+    *(token for name in cli._PARSERS for flag in _flags(name)
+      for token in (flag, f"{flag}=2"))})
+
+
+@st.composite
+def _argvs(draw):
+    """A list of ``_TOKENS``, or, so that many of them parse,
+    ``[HEAD] COMMAND [s.json] CHUNK...``, most chunks one of the command's
+    own flags, alone or with a value."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=7))
+    head = draw(st.sampled_from([[], ["--format", "csv"], ["--format=json"],
+                                 ["--format", "xml"], ["--form", "csv"],
+                                 ["-h"], ["--format"]]))
+    command = draw(st.sampled_from([*cli._PARSERS, "brl"]))
+    own = _flags(command) if command in cli._PARSERS else ["-h"]
+    chunk = st.one_of(
+        st.tuples(st.sampled_from(own),
+                  st.sampled_from(["2", "1,2", "tight"])).map(list),
+        st.sampled_from(own).map(lambda t: [t]),
+        st.sampled_from(_TOKENS).map(lambda t: [t]))
+    scenario = draw(st.sampled_from([[], ["s.json"], ["s.json"]]))
+    chunks = draw(st.lists(chunk, max_size=3))
+    return [*head, command, *scenario, *(t for c in chunks for t in c)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["gne", "s.json", "--format", "csv"])
+@example(["--format", "xml", "gne", "s.json"])
+@example(["--format=csv", "brlab", "s.json", "-h"])
+@example(["gne", "s.json", "--=json"])
+@example(["--format", "json", "brlab", "s.json", "--prosumer=2", "--csv"])
+def test_every_argv_parses_as_with_every_command(argv):
+    # the path a run takes, the command's parser alone or that of every
+    # command, gives what the parser of every command gives
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+        cli.build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [
     ["-h", "bid"], ["--help"], ["--form", "csv", "poa", "s.json"],
     ["--form=csv", "poa", "s.json"], ["nosuch", "s.json"], ["brl", "s.json"],
     ["--format", "csv", "nosuch"], ["--format", "csv", "-h", "bid"],
-    ["--format", "csv"], ["--format"], [],
+    ["--format", "csv"], ["--format"], [], ["--format", "xml", "gne", "s.json"],
+    ["gne", "s.json", "--=csv"],
 ], ids=["h-bid", "help", "form-csv", "form=csv", "unknown", "prefix",
         "format-unknown", "format-h-bid", "format-no-command", "format-alone",
-        "empty"])
+        "empty", "format-invalid", "equals-abbreviation"])
 def test_other_shapes_build_every_command(argv):
     assert cli._invoked(argv) is None
 
@@ -647,7 +771,7 @@ def test_help_before_a_command_lists_every_command(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "{" + ",".join(cli._PARSERS) + "}" in out
-    assert out == _help_text(cli.build_parser(), ["-h"], capsys)
+    assert out == _help_text(cli.build_parser().parse_args, ["-h"])
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -36,7 +36,6 @@ from .errors import (
     DisconnectedGraph,
     EsharingError,
     FileError,
-    Infeasible,
     IterationLimit,
     MaxIterExceeded,
     NonpositiveWeight,
@@ -97,9 +96,9 @@ __all__ = [
     "variational_equilibrium",
     # errors
     "DegenerateBaseline", "DimensionMismatch", "DisconnectedGraph",
-    "EsharingError", "FileError", "Infeasible", "IterationLimit",
-    "MaxIterExceeded", "NonpositiveWeight", "NonRadialWarning",
-    "TooFewProsumers", "UnbalancedInjection", "WeakSensitivityWarning",
+    "EsharingError", "FileError", "IterationLimit", "MaxIterExceeded",
+    "NonpositiveWeight", "NonRadialWarning", "TooFewProsumers",
+    "UnbalancedInjection", "WeakSensitivityWarning",
     # market
     "ClearingOutcome", "Prosumer", "Scenario", "clear_market",
     "clearing_kkt_residual", "prosumer_cost",

@@ -277,9 +277,10 @@ class _Walk:
         held lines.  A fresh one steps past it, by ``_STEP`` times the bid
         scale plus ``|t|``, doubled for each fresh piece of one point in a
         row, to a bid cleared afresh with the same guess; its piece is the
-        chord to there, exact when no breakpoint lies between.  After
-        ``_MAX_STEPS`` such steps in a row the walk raises
-        :class:`IterationLimit`.
+        chord to there, exact when no breakpoint lies between.  A step
+        that overflows to an infinite bid ends the walk there, uncleared,
+        with a NaN rate.  After ``_MAX_STEPS`` such steps in a row the walk
+        raises :class:`IterationLimit`.
         """
         pieces, fresh, steps = [], True, 0
         while True:
@@ -300,10 +301,11 @@ class _Walk:
                 step = _STEP * (self.scale + abs(t)) * 2.0 ** steps
                 end = t + direction * step
                 steps += 1
+                if math.isinf(end):
+                    pieces.append((t, state[0], math.nan, end))
+                    return pieces
                 ahead = self.cleared(end, state[4])
                 pieces.append((t, state[0], (ahead[0] - state[0]) / (end - t), end))
-                if math.isinf(end):
-                    return pieces
                 t, state = end, ahead
 
 

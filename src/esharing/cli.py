@@ -1,15 +1,12 @@
 """Command-line interface: scenario ingestion, analysis commands, batch runs.
 
 ``_PARSERS`` maps each command to its help text and the function that adds
-its arguments.  An argv of the shape ``[--format X] COMMAND ...``, X a format
-and COMMAND a command's full name, is parsed after COMMAND by that command's
-parser alone; every other shape (help first, no command, an unknown or
-abbreviated one, an abbreviated or unknown ``--format``) builds the parser
-of every command, whose help and errors are argparse's own.  ``_COMMANDS``
-maps each scenario command to its handler; ``_FAILURES`` maps each error to
-its stderr label and exit code (0 success, 1 usage, file or report problems,
-2 infeasible model, 3 non-convergence).  Reports are JSON (default) or flat
-CSV key/value rows.
+its arguments; one parser of every command, built on first use, parses
+each invocation of the process, and its help takes the terminal's width
+when it prints.  ``_COMMANDS`` maps each scenario command to its handler;
+``_FAILURES`` maps each error to its stderr label and exit code (0 success,
+1 usage, file or report problems, 3 non-convergence or a solver fault).
+Reports are JSON (default) or flat CSV key/value rows.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import hashlib
 import io
 import math
 import os
-import shutil
 import sys
 import time
 import warnings
@@ -33,7 +29,6 @@ from .errors import (
     ContractBreach,
     EsharingError,
     FileError,
-    Infeasible,
     IterationLimit,
     MaxIterExceeded,
     NonFiniteResult,
@@ -242,67 +237,22 @@ _PARSERS = {
 }
 
 
-_FORMATS = ("json", "csv")
-
-
-def _formatter():
-    """argparse's help formatter at the terminal's width, read once here;
-    left to itself, argparse reads the width again for every argument."""
-    return functools.partial(argparse.HelpFormatter,
-                             width=shutil.get_terminal_size().columns - 2)
-
-
 def build_parser() -> _Parser:
     """The parser of every command."""
-    formatter = _formatter()
-    parser = _Parser(prog="esharing", formatter_class=formatter,
+    parser = _Parser(prog="esharing",
                      description="Equilibrium engine for networked "
                                  "energy-sharing markets")
-    parser.add_argument("--format", choices=_FORMATS, default="json",
+    parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in _PARSERS.items():
-        add_args(sub.add_parser(name, help=help_text, formatter_class=formatter))
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _command_parser(command: str) -> _Parser:
-    """The parser of ``command`` alone: ``build_parser``'s subparser of it."""
-    parser = _Parser(prog=f"esharing {command}", formatter_class=_formatter())
-    _PARSERS[command][1](parser)
-    return parser
-
-
-def _invoked(argv: list) -> tuple | None:
-    """``(format, command, rest)`` when ``argv`` is ``[--format X] COMMAND
-    REST...``, with X a format (also as ``--format=X``) and COMMAND a
-    command's full name; None for any other shape (no command, an unknown
-    or abbreviated name, ``-h`` first, ``--form``, an unknown format),
-    which needs the parser of every command to parse, list or refuse."""
-    fmt = "json"
-    if argv[:1] == ["--format"] and len(argv) > 1:
-        fmt, argv = argv[1], argv[2:]
-    elif argv and argv[0].startswith("--format="):
-        fmt, argv = argv[0][len("--format="):], argv[1:]
-    if fmt not in _FORMATS or not argv or argv[0] not in _PARSERS:
-        return None
-    # the top-level parser reads "--=X" (and, on some Python versions,
-    # "-=X") anywhere as an ambiguous abbreviation of its own options
-    if any(a.startswith(("-=", "--=")) for a in argv):
-        return None
-    return fmt, argv[0], argv[1:]
-
-
-def _parse(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the parser of the command
-    alone when ``argv`` has a shape :func:`_invoked` recognises."""
-    invoked = _invoked(argv)
-    if invoked is None:
-        return build_parser().parse_args(argv)
-    fmt, command, rest = invoked
-    args = _command_parser(command).parse_args(rest)
-    args.command, args.format = command, fmt
-    return args
+# the parser of every invocation, built on first use and kept: a parse
+# leaves it as it was
+_parser = functools.cache(build_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +519,6 @@ _FAILURES = (
     (UnboundedCost, "unbounded cost", 1),
     (MaxIterExceeded, "did not converge", 3),
     (IterationLimit, "solver did not converge", 3),
-    (Infeasible, "infeasible", 2),
     (_ANY_FAILURE, "error", 1),
 )
 
@@ -591,7 +540,7 @@ def run_command(argv) -> tuple:
         warnings.showwarning = functools.partial(_show_warning,
                                                  warnings.showwarning)
         try:
-            args = _parse(list(argv))
+            args = _parser().parse_args(argv)
             if args.command == "gen":
                 return _cmd_gen(args, args.format)
             if args.command == "batch":

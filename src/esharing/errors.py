@@ -31,13 +31,10 @@ class UnbalancedInjection(EsharingError):
 
 # --- program solves -------------------------------------------------------
 
-class Infeasible(EsharingError):
-    """The constraint set is empty."""
-
-
 class IterationLimit(EsharingError):
-    """The active-set loop hit its iteration cap without converging, or the
-    held-set solve refused a held set the loop's finish built."""
+    """The active-set loop hit its iteration cap without converging, the
+    held-set solve refused a held set the loop's finish built, or the
+    finish met a rounding fault, as no program is infeasible."""
 
 
 # --- market / equilibrium -------------------------------------------------

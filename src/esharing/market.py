@@ -18,7 +18,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, IterationLimit, TooFewProsumers
+from .errors import DimensionMismatch, IterationLimit, TooFewProsumers
 from .network import NetworkModel, is_radial
 from .tree import _components as _tree_components
 from .tree import _price_map as _tree_price_map
@@ -478,7 +478,10 @@ def _finish(net, alpha, beta, start) -> tuple:
     as its flow is already 0.  One held solve of the final set gives the
     answer.  The method is finite: a cap of ``50 (n + lines) + 10`` steps,
     ``n`` the buses, only guards it (:class:`IterationLimit` past it), and
-    the tolerances are the loop's check.
+    the tolerances are the loop's check.  Every program is feasible (zero
+    purchases balance and meet every limit), so a line that no step
+    brings to its limit shows a rounding fault, and raises
+    :class:`IterationLimit` too.
 
     Returns the side and held vectors, the final held solve and the number
     of held solves made.
@@ -526,7 +529,8 @@ def _finish(net, alpha, beta, start) -> tuple:
             if dependent and limits[p] == 0.0:
                 if gap <= _RTOL * (1.0 + np.abs(q).sum()):
                     return
-                raise Infeasible("zero-limit lines are inconsistent")
+                raise IterationLimit("rounding: the finish cannot bring "
+                                     f"zero-limit line {p + 1}'s flow to 0")
             full = np.inf if dependent else gap / sigma
             # the step at which each held push reaches 0
             rate = s * side * dpush
@@ -535,7 +539,8 @@ def _finish(net, alpha, beta, start) -> tuple:
             l = int(np.argmin(stops))  # the least index wins ties
             length = min(full, stops[l])
             if length == np.inf:
-                raise Infeasible("constraint set is empty")
+                raise IterationLimit("rounding: the finish cannot bring line "
+                                     f"{p + 1}'s flow to its limit")
             ds = s * length
             if not dependent:
                 q, flows = q + ds * dq, flows + ds * dflows

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from esharing.errors import (
-    DimensionMismatch,
-    EsharingError,
-    Infeasible,
-    IterationLimit,
-)
+from esharing.errors import DimensionMismatch, EsharingError, IterationLimit
 
 _FEAS_RTOL = 1e-9
+
+
+class Infeasible(EsharingError):
+    """The constraint set is empty."""
 
 
 class NotPositiveDefinite(EsharingError):

@@ -424,23 +424,21 @@ def test_walk_steps_over_a_refused_or_violated_piece(monkeypatch, fault):
 
 def test_a_step_walk_that_reaches_an_infinite_bid_ends_there(monkeypatch):
     # every piece from the last breakpoint on is refused, and the steps are
-    # so long that the second one overflows: the walk ends at +inf, its
-    # last piece the chord to there, rather than step on from an infinite
-    # bid.  The chord's price rate is NaN, so the scan has no best response
+    # so long that the second one overflows: the walk ends at +inf with no
+    # clearing there, rather than step on from an infinite bid.  The last
+    # piece's price rate is NaN, so the scan has no best response
     scenario, i, fixed, start, b_base, clean = walk_setup()
     target = breakpoints_right_of(clean, start)[-1]
     monkeypatch.setattr(brlab, "_STEP", 1e300)
     _, faults, cleared = faulty_walk(monkeypatch, scenario, i, "refuse-last",
                                      target)
-    with np.errstate(invalid="ignore"):  # the clearing at an infinite bid
-        edges, _, _, slopes = brlab._clearing_path(scenario, i, b_base, start)
+    edges, _, _, slopes = brlab._clearing_path(scenario, i, b_base, start)
     first = target + 1e300 * (brlab._Walk(scenario, i, b_base).scale + target)
     assert faults == [target, first]
-    assert cleared[-2:] == [first, math.inf]
+    assert cleared[-1] == first
     assert edges[-3:].tolist() == [target, first, math.inf]
     assert math.isnan(slopes[-1])
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NonFiniteResult, match="prosumer 3 is infinite"):
+    with pytest.raises(NonFiniteResult, match="prosumer 3 is infinite"):
         best_response(scenario, i, fixed, start=start)
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import WIDE_MESHES, equal_pair
-from esharing import cases, cli, scenario_io
+from esharing import cases, cli, market, scenario_io
 from esharing.errors import (
     ContractBreach,
     FileError,
-    Infeasible,
     IterationLimit,
     MaxIterExceeded,
     NonFiniteResult,
@@ -292,12 +292,12 @@ def test_usage_error_exit_code(capsys):
     (cli.UsageError, "usage error", 1),
     (MaxIterExceeded, "did not converge", 3),
     (IterationLimit, "solver did not converge", 3),
-    (Infeasible, "infeasible", 2),
     (FileError, "error", 1),
     (NonFiniteResult, "error", 1),
     (ContractBreach, "error", 1),
 ], ids=lambda row: row[0].__name__)
-def test_infeasible_maps_to_exit_2(row, fixture_file, monkeypatch, capsys):
+def test_each_failure_exits_with_its_label_and_code(row, fixture_file,
+                                                     monkeypatch, capsys):
     error, label, code = row
 
     def boom(scenario):
@@ -307,6 +307,48 @@ def test_infeasible_maps_to_exit_2(row, fixture_file, monkeypatch, capsys):
     report, got = cli.run_command(["gne", fixture_file])
     assert report is None and got == code
     assert capsys.readouterr().err == f"{label}: forced\n"
+
+
+def _faulty_finish(monkeypatch, refuse: bool):
+    """Patch the held-set solve so that a program goes to the finish with
+    nothing held, and every solve after the finish's first refuses its held
+    set (``refuse``) or reports flows and pushes that do not move, so that
+    each line the finish adds looks dependent on the held rows, as only a
+    rounding fault could make it."""
+    held_solve, calls = market._held_solve, []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == 1:  # the loop's first held rows are dependent
+            return None
+        if len(calls) > 2 and refuse:
+            return None
+        u, q, flows, push = held_solve(*args)
+        if len(calls) > 2:
+            flows, push = np.zeros_like(flows), np.zeros_like(push)
+        return u, q, flows, push
+
+    monkeypatch.setattr(market, "_held_solve", faulty)
+
+
+@pytest.mark.parametrize("limit, refuse, message", [
+    (0.27, False, "rounding: the finish cannot bring line 1's flow to its limit"),
+    (0.0, False, "rounding: the finish cannot bring zero-limit line 1's flow to 0"),
+    (0.27, True, "the held-set solve refused the held set of a dual active-set step"),
+], ids=["positive-limit", "zero-limit", "refused"])
+def test_a_fault_in_the_finish_exits_3(limit, refuse, message, tmp_path,
+                                       monkeypatch, capsys):
+    # every program is feasible, so a finish that can move neither the
+    # flow of the line it adds nor a held push has met a rounding fault:
+    # past a positive limit no step reaches the limit, and a zero-limit
+    # line's flow cannot reach 0.  Each fault, and a held set the held
+    # solve refuses, is a solver that did not converge
+    path = tmp_path / "chain.json"
+    dump_scenario(cases.three_bus_chain(1.0, (1.0, 1.0, 0.0), limit), path)
+    _faulty_finish(monkeypatch, refuse)
+    report, code = cli.run_command(["clear", str(path), "--bids", "2.1,1.1,0.6"])
+    assert report is None and code == 3
+    assert capsys.readouterr().err == f"solver did not converge: {message}\n"
 
 
 def test_gen_command_is_deterministic(tmp_path):
@@ -647,20 +689,26 @@ _ONE_PER_COMMAND = [
 ]
 
 
-def _unbuilt():
-    raise AssertionError("the parser of every command was built")
+def _kept(argv):
+    """``argv`` parsed as a run parses it, by the parser the process keeps."""
+    return cli._parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", _ONE_PER_COMMAND,
                          ids=lambda argv: "-".join(a.lstrip("-") for a in argv
                                                    if a != "{f}")[:40])
-def test_a_command_parses_alone_as_with_every_command(argv, monkeypatch):
+def test_a_command_parses_alone_as_with_every_command(argv):
+    # the kept parser gives a command's argv the namespace of a new parser
+    # of every command, before and after a usage error and a help page in
+    # the same process
     argv = [a.replace("{f}", "s.json") for a in argv]
-    _, command, _ = cli._invoked(argv)
-    assert command == next(a for a in argv if a in cli._PARSERS)
-    every = cli.build_parser().parse_args(argv)
-    monkeypatch.setattr(cli, "build_parser", _unbuilt)
-    assert cli._parse(argv) == every
+    command = next(a for a in argv if a in cli._PARSERS)
+    kept = cli._parser()
+    assert _kept(argv) == cli.build_parser().parse_args(argv)
+    assert cli.run_command([*argv, "--nosuch"]) == (None, 1)
+    _help_text(cli.main, [command, "--help"])
+    assert cli._parser() is kept
+    assert _kept(argv) == cli.build_parser().parse_args(argv)
 
 
 def test_the_parser_table_covers_every_command():
@@ -678,13 +726,25 @@ def _help_text(parse, argv) -> str:
 
 
 @pytest.mark.parametrize("command", list(cli._PARSERS))
-def test_a_command_alone_prints_the_same_help(command, monkeypatch):
+def test_a_command_alone_prints_the_same_help(command):
+    # a command's help, printed by a run, is a new parser's
     argv = [command, "--help"]
-    every = _help_text(cli.build_parser().parse_args, argv)
-    monkeypatch.setattr(cli, "build_parser", _unbuilt)
-    alone = _help_text(cli._parse, argv)
-    assert alone == every
-    assert alone.startswith(f"usage: esharing {command} ")
+    text = _help_text(cli.main, argv)
+    assert text == _help_text(cli.build_parser().parse_args, argv)
+    assert text.startswith(f"usage: esharing {command} ")
+
+
+def test_help_follows_columns_between_two_runs(monkeypatch):
+    # the kept parser, built at the first width, prints its help at the
+    # width of the moment, as a parser built then does
+    cli._parser.cache_clear()
+    argv, widest = ["brlab", "--help"], []
+    for columns in (50, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        text = _help_text(cli.main, argv)
+        assert text == _help_text(cli.build_parser().parse_args, argv)
+        widest.append(max(map(len, text.splitlines())))
+    assert widest[0] <= 48 < widest[1]
 
 
 def _parse_outcome(parse, argv) -> tuple:
@@ -701,8 +761,9 @@ def _parse_outcome(parse, argv) -> tuple:
 
 
 def _flags(command: str) -> list:
-    return [flag for action in cli._command_parser(command)._actions
-            for flag in action.option_strings]
+    parser = cli._Parser()
+    cli._PARSERS[command][1](parser)
+    return [flag for action in parser._actions for flag in action.option_strings]
 
 
 # command names and a prefix of one, format flags and values, help, each
@@ -744,23 +805,53 @@ def _argvs(draw):
 @example(["gne", "s.json", "--=json"])
 @example(["--format", "json", "brlab", "s.json", "--prosumer=2", "--csv"])
 def test_every_argv_parses_as_with_every_command(argv):
-    # the path a run takes, the command's parser alone or that of every
-    # command, gives what the parser of every command gives
-    assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+    # the kept parser, after every argv drawn before this one in the same
+    # process, gives what a new parser of every command gives
+    assert _parse_outcome(_kept, argv) == _parse_outcome(
         cli.build_parser().parse_args, argv)
 
 
-@pytest.mark.parametrize("argv", [
+_OTHER_SHAPES = [
     ["-h", "bid"], ["--help"], ["--form", "csv", "poa", "s.json"],
     ["--form=csv", "poa", "s.json"], ["nosuch", "s.json"], ["brl", "s.json"],
     ["--format", "csv", "nosuch"], ["--format", "csv", "-h", "bid"],
     ["--format", "csv"], ["--format"], [], ["--format", "xml", "gne", "s.json"],
     ["gne", "s.json", "--=csv"],
-], ids=["h-bid", "help", "form-csv", "form=csv", "unknown", "prefix",
-        "format-unknown", "format-h-bid", "format-no-command", "format-alone",
-        "empty", "format-invalid", "equals-abbreviation"])
+]
+
+
+@pytest.mark.parametrize("argv", _OTHER_SHAPES, ids=[
+    "h-bid", "help", "form-csv", "form=csv", "unknown", "prefix",
+    "format-unknown", "format-h-bid", "format-no-command", "format-alone",
+    "empty", "format-invalid", "equals-abbreviation"])
 def test_other_shapes_build_every_command(argv):
-    assert cli._invoked(argv) is None
+    # help first, no command, an unknown or abbreviated one, an abbreviated
+    # or unknown format: the kept parser gives the help or the usage error
+    # of a new parser of every command
+    assert _parse_outcome(_kept, argv) == _parse_outcome(
+        cli.build_parser().parse_args, argv)
+
+
+def _args_or_error(parse, argv):
+    """``parse(argv)``, or its usage error's text; unlike
+    :func:`_parse_outcome`, it leaves ``sys.stdout`` alone, so threads may
+    call it."""
+    try:
+        return parse(argv)
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def test_the_kept_parser_parses_from_four_threads_at_once():
+    argvs = [[a.replace("{f}", "s.json") for a in argv]
+             for argv in _ONE_PER_COMMAND] * 8
+    argvs += [argv for argv in _OTHER_SHAPES if "-h" not in argv
+              and "--help" not in argv] * 8
+    new = [_args_or_error(cli.build_parser().parse_args, argv) for argv in argvs]
+    cli._parser.cache_clear()  # the threads race to build it, too
+    with ThreadPoolExecutor(4) as pool:
+        kept = list(pool.map(lambda argv: _args_or_error(_kept, argv), argvs))
+    assert kept == new
 
 
 def test_help_before_a_command_lists_every_command(capsys):

@@ -393,6 +393,13 @@ def test_scenario_refuses_columns_of_unequal_lengths(two_f5, columns, message):
     assert str(exc.value) == message
 
 
+def test_scenario_columns_pass_on_a_value_that_is_no_number(two_f5):
+    # columns of one length whose values numpy cannot read: numpy's error,
+    # not a shape mismatch
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        Scenario(two_f5.network, a=1.0, c=["x", 1.0], d=[0, 0], D=[1, 1])
+
+
 @pytest.mark.parametrize("field,value", [
     ("c", np.inf), ("d", np.nan), ("d", -np.inf),
     ("demand_reduction", np.nan), ("demand_reduction", np.inf)])
@@ -484,6 +491,18 @@ def test_sides_on_the_bundled_mesh():
     # the dense QP's held rows
     _, dense = oracle(net, np.full(n, 2.0), np.zeros(n), bids, scenario.a)
     assert np.array_equal(out.sides, dense.sides)
+
+
+def test_a_nan_bid_with_no_line_limited_takes_one_held_solve(chain_f027):
+    # its flows are NaN, so no free line passes the check, but a line with
+    # no limit has nothing to fail: the first held solve is the answer
+    net = chain_f027.network
+    lines = [LineSpec(ln.from_bus, ln.to_bus, ln.weight) for ln in net.lines]
+    free = Scenario(build_network(net.bus_count, lines, net.slack),
+                    chain_f027.prosumers, a=chain_f027.a)
+    out = clear_market(free, [np.nan, 1.0, 1.0])
+    assert out.solution.iterations == 1
+    assert np.isnan(out.prices).all() and not out.sides.any()
 
 
 @pytest.mark.parametrize("chords", [0, 3])

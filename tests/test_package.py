@@ -17,7 +17,7 @@ ALL = [
     "BrTrajectory", "ClearingOutcome", "DegenerateBaseline",
     "DimensionMismatch", "DisconnectedGraph", "EquilibriumResult",
     "EsharingError", "FejerReport", "FileError", "GneCheck",
-    "GneClassification2Bus", "Infeasible", "IterationLimit", "LineSpec",
+    "GneClassification2Bus", "IterationLimit", "LineSpec",
     "MaxIterExceeded", "NetworkModel", "NonRadialWarning", "NonpositiveWeight",
     "PriceTakingEquilibrium", "Prosumer", "ScanConfig", "Scenario",
     "SocialOptimum", "TooFewProsumers", "UnbalancedInjection",

@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 import esharing.qp
-from dense_qp import NotPositiveDefinite, QuadraticProgram, kkt_residual, solve_qp
-from esharing.errors import DimensionMismatch, Infeasible
+from dense_qp import (
+    Infeasible,
+    NotPositiveDefinite,
+    QuadraticProgram,
+    kkt_residual,
+    solve_qp,
+)
+from esharing.errors import DimensionMismatch
 
 MESH = str(Path(__file__).resolve().parents[1] / "scenarios"
            / "mesh38_chords.json")

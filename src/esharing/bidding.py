@@ -33,12 +33,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded, WeakSensitivityWarning
 from .market import (
-    _RTOL,
     ClearingOutcome,
     Scenario,
     _check,
     _clear,
     _guess_vectors,
+    _on_target,
     _price_map,
     _proximal_terms,
     _purchase_terms,
@@ -248,8 +248,8 @@ def _settled_rounds(scenario: Scenario, prices, bids, sides, rounds: int, eps: f
     closed form by linearity.  The rounds' responses, flows (one flow
     operation), pushes, checks and stop-norm values then run at once, each
     round checked on its own anchor and bids by the clearing's check, and
-    on a mesh by the balance and target test of
-    :func:`esharing.market._mesh_components` as well.
+    on a mesh by the balance and target test of its held solve,
+    :func:`esharing.market._on_target`, as well.
 
     Yields blocks of rounds: their prices, productions and bids, one row
     per round, and their stop-norm values.  Ends with the first round whose
@@ -260,8 +260,7 @@ def _settled_rounds(scenario: Scenario, prices, bids, sides, rounds: int, eps: f
     long one runs many rounds for nothing.
     """
     net, a, n = scenario.network, scenario.a, scenario.size
-    side, held, target = net._kept(
-        "_guess", sides.tobytes(), lambda: _guess_vectors(net, sides))
+    side, held, target = _guess_vectors(net, sides)
     h, g = _proximal_terms(prices)
     hess = np.empty(n)
     hess.fill(h)
@@ -283,10 +282,8 @@ def _settled_rounds(scenario: Scenario, prices, bids, sides, rounds: int, eps: f
         flows = net.flows(q.T).T
         _, within = _check(net.limits, side, held, u, q, flows, pushes(basis))
         passed = within.all(axis=1)
-        if not is_radial(net):  # the target test of _mesh_components, by rows
-            gap = np.maximum(np.abs(q.sum(axis=1)), np.abs(
-                flows[:, held] - target[held]).max(axis=1, initial=0.0))
-            passed &= gap <= _RTOL * (1.0 + np.abs(alphas).sum(axis=1))
+        if not is_radial(net):
+            passed &= _on_target(alphas, q, flows, held, target)
         done = count if passed.all() else int(passed.argmin())
         deltas = np.abs(after[:done] - standing[:done]).max(axis=1)
         met = np.flatnonzero(deltas <= eps)

@@ -469,6 +469,9 @@ def best_response(scenario: Scenario, i: int, b_minus_i,
     """
     cfg = scan_config or ScanConfig()
     b_minus_i = np.asarray(b_minus_i, dtype=float)
+    if not 0 <= i < scenario.size:
+        raise DimensionMismatch(
+            f"prosumer index {i} is outside 0..{scenario.size - 1}")
     if b_minus_i.shape != (scenario.size - 1,):
         raise DimensionMismatch(
             f"expected {scenario.size - 1} opponent bids, got {b_minus_i.shape}"

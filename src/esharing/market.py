@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import starmap
 
 import numpy as np
@@ -356,9 +356,8 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
       at ``-F``, 0 free) or None for the empty guess, names the lines held
       at a limit; zero-limit lines are always held, as their duals have no
       sign condition.  The empty guess is the uniform-price point, the
-      answer when no line is at a limit.  The vectors made of the last
-      guess are kept on the network (:func:`_guess_vectors`), so a
-      repeated guess rebuilds none of them.
+      answer when no line is at a limit.  Its vectors are made on every
+      call; the network keeps only the held set's factor.
     * Held-set solve by :func:`_held_solve`: prices, purchases and flows
       with the held lines at their targets, and each held line's push
       ``k (mu_up - mu_lo)`` in price units.
@@ -399,9 +398,7 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
     if np.shape(active) != limits.shape:
         raise DimensionMismatch(f"active must be None or a side vector of "
                                 f"{limits.size} lines")
-    guess = np.asarray(active, dtype=float)
-    side, held, target = net._kept(
-        "_guess", guess.tobytes(), lambda: _guess_vectors(net, guess))
+    side, held, target = _guess_vectors(net, np.asarray(active, dtype=float))
     accepted = None  # the last held set the held solve accepted, and its solve
     for iterations in range(1, _EXCHANGE_STEPS + 2):
         # the held lines' flows; the rest are not read
@@ -431,7 +428,6 @@ def _solve_program(net: NetworkModel, hess, linear, base, k: float,
         iterations += solves
 
     if pinned.size:  # a held zero-limit line sits at its dual's side
-        side = side.copy()
         side[pinned] = np.where(held[pinned],
                                 np.where(push[pinned] / k >= 0.0, 1.0, -1.0), 0.0)
     return _HeldSolution((u - linear) / hess, side, iterations, u[net.slack - 1],
@@ -501,8 +497,8 @@ def _finish(net, alpha, beta, start) -> tuple:
 
     if start is None:
         side, held, step = np.zeros(lines), np.zeros(lines, dtype=bool), None
-    else:  # copies: the vectors of a guess are kept on the network
-        side, held, step = start[0].copy(), start[1].copy(), start[2]
+    else:
+        side, held, step = start
     while True:
         if step is None:
             step = solve(alpha, np.copysign(limits, side))
@@ -564,13 +560,12 @@ def _finish(net, alpha, beta, start) -> tuple:
 class _HeldSolution:
     """A solution of :func:`_solve_program` read off its last held solve.
 
-    ``x``, ``sides`` (a copy of the side vector, which stays private, as it
-    may be the one kept on the network) and ``iterations`` are set.  The
-    balance dual, the line duals and the residual are derived when first
-    read, from the held solve's arrays: the slack bus's price, the
-    purchases, the pushes and the flows' excess over their limits.  None
-    of those is handed out, so what a caller does to the fields it reads
-    changes nothing derived later.
+    ``x``, ``sides`` and ``iterations`` are set.  The balance dual, the
+    line duals and the residual are derived when first read, from the held
+    solve's arrays: the side vector, the slack bus's price, the purchases,
+    the pushes and the flows' excess over their limits.  None of those is
+    handed out (``sides`` is a copy of the side vector), so what a caller
+    does to the fields it reads changes nothing derived later.
     """
 
     def __init__(self, x, side, iterations, slack_price, q, push, k, excess):
@@ -609,18 +604,15 @@ class _HeldSolution:
 
 
 def _guess_vectors(net: NetworkModel, guess) -> tuple:
-    """The side, held and target vectors of the side vector ``guess``, all
-    read-only: +1 or -1 on each guessed line with a positive limit and 0
-    elsewhere, every such line and every zero-limit line held (a
-    zero-limit line with side 0 until its dual sides it), and each line's
-    limit at its side as its flow's target."""
+    """The side, held and target vectors of the side vector ``guess``: +1
+    or -1 on each guessed line with a positive limit and 0 elsewhere, every
+    such line and every zero-limit line held (a zero-limit line with side 0
+    until its dual sides it), and each line's limit at its side as its
+    flow's target."""
     side = np.where(net.bounded, np.sign(guess), 0.0)
     held = side != 0.0
     held[net.pinned] = True
-    target = np.copysign(net.limits, side)
-    for v in (side, held, target):
-        v.setflags(write=False)
-    return side, held, target
+    return side, held, np.copysign(net.limits, side)
 
 
 def _held_solve(net, alpha, beta, held, target):
@@ -648,34 +640,31 @@ def _mesh_components(net, alpha, beta, held, target):
 
     The price is ``u = R' z`` on the rows ``R`` of the balance and the held
     lines' flows, so ``R diag(beta) R' z = R alpha - t`` puts the purchases
-    on their targets ``t``; one refinement pass follows.  A near-singular
-    system, such as all lines of a cycle or a line with its parallel twin,
-    gives garbage that can pass the optimality check, so the balance and
-    every held flow must meet their targets afterwards.  Dependent rows
-    whose targets agree, as two held zero-limit lines may be, pass that
-    test with pushes split at random between them; so with two or more
-    held, each Cholesky pivot must keep the share of its row that
-    :func:`_finish` asks of a line it holds.  The Schur matrix and that
-    verdict come from :func:`_mesh_factor`, kept on the network as the
-    tree's factor is (:func:`esharing.tree._components`) but keyed on the
-    held lines and ``beta`` alone, as the targets do not enter it; the rows
-    are gathered and the system solved on every call (:func:`_mesh_system`).
+    on their targets ``t``, refined once (:func:`_mesh_solve`).  A
+    near-singular system, such as all lines of a cycle or a line with its
+    parallel twin, gives garbage that can pass the optimality check, so the
+    balance and every held flow must meet their targets afterwards
+    (:func:`_on_target`).  Dependent rows whose targets agree, as two held
+    zero-limit lines may be, pass that test with pushes split at random
+    between them; so with two or more held, each Cholesky pivot must keep
+    the share of its row that :func:`_finish` asks of a line it holds.
+    The Schur matrix and that verdict come from :func:`_mesh_factor`, kept
+    on the network as the tree's factor is (:func:`esharing.tree._components`)
+    but keyed on the held lines and ``beta`` alone, as the targets do not
+    enter it; the rows are gathered and the system solved on every call
+    (:func:`_mesh_system`).
     """
     system = _mesh_system(net, beta, held, target)
     if system is None:
         return None
     rows, t, schur = system
-    z, q = np.zeros(t.size), alpha
     try:
-        for _ in range(2):
-            z = z + np.linalg.solve(schur, rows @ q - t)
-            u = z @ rows
-            q = alpha - beta * u
+        z, u, q = _mesh_solve(partial(np.linalg.solve, schur), rows, t,
+                              alpha, beta)
     except np.linalg.LinAlgError:
         return None
     flows = net.flows(q)
-    gap = max(abs(q.sum()), np.abs(flows[held] - target[held]).max(initial=0.0))
-    if not gap <= _RTOL * (1.0 + np.abs(alpha).sum()):
+    if not _on_target(alpha, q, flows, held, target):
         return None
     push = np.zeros(held.size)
     push[held] = z[1:]
@@ -689,17 +678,36 @@ def _mesh_system(net, beta, held, target):
     rows = np.vstack([np.ones(beta.size), net.rows(held)])
     t = np.concatenate([[0.0], target[held]])
     schur, dependent = net._kept(
-        "_factor", held.tobytes() + beta.tobytes(),
+        held.tobytes() + beta.tobytes(),
         lambda: _mesh_factor(rows, beta, np.count_nonzero(held[net.pinned]) > 1))
     return None if dependent else (rows, t, schur)
 
 
+def _mesh_solve(solve, rows, t, alpha, beta) -> tuple:
+    """The Schur solve of :func:`_mesh_components` and its refinement pass,
+    each system solved by ``solve``: ``z``, the prices and the purchases."""
+    z, q = np.zeros(t.size), alpha
+    for _ in range(2):
+        z = z + solve(rows @ q - t)
+        u = z @ rows
+        q = alpha - beta * u
+    return z, u, q
+
+
+def _on_target(alpha, q, flows, held, target):
+    """Whether the purchases ``q`` balance and the ``held`` lines' flows
+    meet their targets, as a mesh's held solve must; one per row of ``q``."""
+    gap = np.maximum(np.abs(q.sum(axis=-1)), np.abs(
+        flows[..., held] - target[held]).max(axis=-1, initial=0.0))
+    return gap <= _RTOL * (1.0 + np.abs(alpha).sum(axis=-1))
+
+
 def _mesh_price_map(net, beta, held, target, line, step):
-    """:func:`_price_map` on a meshed network: each round is the solve and
-    the refinement pass of :func:`_mesh_components`, on the kept Schur
-    matrix inverted once, and a pushes' row is the round's ``z`` but its
-    first entry.  The held solve accepted the held set, so its rows are
-    independent and the matrix, which that solve factored, inverts."""
+    """:func:`_price_map` on a meshed network: each round is
+    :func:`_mesh_solve` on the kept Schur matrix inverted once, and a
+    pushes' row is the round's ``z`` but its first entry.  The held solve
+    accepted the held set, so its rows are independent and the matrix,
+    which that solve factored, inverts."""
     rows, t, schur = _mesh_system(net, beta, held, target)
     inverse = np.linalg.inv(schur)
     (offset, slope), (cu, cl) = line, step
@@ -707,12 +715,8 @@ def _mesh_price_map(net, beta, held, target, line, step):
     def rounds(anchor, count):
         lams, us, zs, lam = [anchor], [], [], anchor
         for _ in range(count):
-            alpha = offset + slope * lam
-            z, q = np.zeros(t.size), alpha
-            for _ in range(2):
-                z = z + inverse @ (rows @ q - t)
-                u = z @ rows
-                q = alpha - beta * u
+            z, u, _ = _mesh_solve(inverse.__matmul__, rows, t,
+                                  offset + slope * lam, beta)
             lam = cu * u + cl * lam
             lams.append(lam)
             us.append(u)

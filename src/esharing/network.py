@@ -120,17 +120,14 @@ class NetworkModel:
     lines : tuple[LineSpec, ...]
         The lines as records, built from the columns when first read.
 
-    The network is immutable, but it keeps two private cache entries, each
-    one slot (:meth:`_kept`): ``_factor``, the factor of the last held set
-    that :func:`esharing.market._held_solve` solved on it, keyed on the
-    held lines and the curvature, and on a tree on their targets too; and
-    ``_guess``, what :func:`esharing.market._solve_program` made of the
-    last guess it was given (its side, held and target vectors), keyed on
-    that guess.  So a hot-started solve that repeats its guess and held set
-    (a settled bidding round) rebuilds neither.  Each slot is read once and
-    replaced by one assignment, so threads sharing a network never mix
-    entries; a kept array is read-only, and a reused entry gives the same
-    bits as a fresh one.
+    The network is immutable, but it keeps one private cache slot
+    (:meth:`_kept`): ``_factor``, the factor of the last held set that
+    :func:`esharing.market._held_solve` solved on it, keyed on the held
+    lines and the curvature, and on a tree on their targets too, so a
+    solve that repeats the held set does not rebuild it.  The slot is read
+    once and replaced by one assignment, so threads sharing a network
+    never mix entries; a kept array is read-only, and a reused entry gives
+    the same bits as a fresh one.
     """
 
     bus_count: int
@@ -144,7 +141,6 @@ class NetworkModel:
     bounded: np.ndarray = field(init=False, repr=False)
     pinned: np.ndarray = field(init=False, repr=False)
     _factor: tuple | None = field(init=False, repr=False, default=None)
-    _guess: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         limits = self.limits
@@ -177,13 +173,12 @@ class NetworkModel:
         return tuple(map(LineSpec, self.from_bus.tolist(), self.to_bus.tolist(),
                          self.weights.tolist(), self.limits.tolist()))
 
-    def _kept(self, slot: str, key: bytes, build):
-        """The value kept in ``slot`` for ``key``, or ``build()``'s, kept in
-        its place."""
-        entry = getattr(self, slot)  # read once; replaced whole, never edited
+    def _kept(self, key: bytes, build):
+        """The factor kept for ``key``, or ``build()``'s, kept instead."""
+        entry = self._factor  # read once; replaced whole, never edited
         if entry is None or entry[0] != key:
             entry = key, build()
-            object.__setattr__(self, slot, entry)
+            object.__setattr__(self, "_factor", entry)
         return entry[1]
 
 

@@ -375,7 +375,7 @@ def gen_scenario(seed: int, size: int, style: str = "default") -> Scenario:
     limits.setflags(write=False)
 
     # the same lines with their real limits: the tree and the PTDF carry
-    # over, and the limit masks and empty cache slots are made anew
+    # over, and the limit masks and an empty factor slot are made anew
     net = dataclasses.replace(probe, limits=limits)
     a = max(1.0, 1.05 * _sensitivity_threshold(c))
     return Scenario(net, a=a, c=c, d=d, D=D,

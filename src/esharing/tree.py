@@ -111,7 +111,7 @@ def _price_map(net, beta, held, target, line, step):
 
 def _kept_factor(net, beta, held, target):
     """:func:`_factor`'s result for these arguments, kept on the network."""
-    return net._kept("_factor", held.tobytes() + target.tobytes() + beta.tobytes(),
+    return net._kept(held.tobytes() + target.tobytes() + beta.tobytes(),
                      lambda: _factor(net.tree, beta, held, target))
 
 

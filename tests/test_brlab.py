@@ -296,6 +296,21 @@ def test_scan_refuses_a_wrong_number_of_opponent_bids(chain_f03):
         best_response(chain_f03, 1, np.array([1.6]))
 
 
+@pytest.mark.parametrize("i", [-1, -3, 3, 7])
+def test_scan_refuses_a_prosumer_index_outside_the_network(chain_f027, i,
+                                                           monkeypatch):
+    # -1 once put the opponent bid 0.8 in the scanned slot and a 0 in slot
+    # 1, and scanned a market nobody bid in (best bid 0.135, not 0.535)
+    assert best_response(chain_f027, 2, [1.6, 0.8], start=1.0).best_bid == \
+        pytest.approx(0.535)
+    clears = []
+    monkeypatch.setattr(brlab, "clear_market",
+                        lambda *args, **kw: clears.append(args))
+    with pytest.raises(DimensionMismatch, match="prosumer index"):
+        best_response(chain_f027, i, [1.6, 0.8], start=1.0)
+    assert clears == []
+
+
 @pytest.mark.parametrize("start", [math.nan, math.inf])
 def test_scan_refuses_a_start_that_is_not_a_bid(chain_f03, start):
     with pytest.raises(ValueError, match="start must be a finite bid"):

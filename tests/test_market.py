@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -546,14 +548,14 @@ def test_a_nan_in_the_first_held_solve_is_not_accepted(chords, where,
 def _alone(scenario):
     """The scenario on a fresh copy of its network, which keeps nothing."""
     fresh = dataclasses.replace(scenario.network)
-    assert fresh._factor is None and fresh._guess is None
+    assert fresh._factor is None
     return Scenario(network=fresh, prosumers=scenario.prosumers, a=scenario.a)
 
 
 def _run(op, scenario, bids, prices, active, i):
-    """One of the calls that solve on a network and may keep its factor and
-    guess: a clearing, a proximal clearing from ``prices``, or the slopes of
-    bid ``i`` with the lines of ``active`` held at targets of zero."""
+    """One of the calls that solve on a network and may keep its factor: a
+    clearing, a proximal clearing from ``prices``, or the slopes of bid
+    ``i`` with the lines of ``active`` held at targets of zero."""
     if op == "clear":
         return clear_market(scenario, bids, active)
     if op == "platform":
@@ -604,6 +606,39 @@ def test_kept_factors_change_no_bit(first, second, steps, seed):
             assert (np.asarray(got).tobytes() == np.asarray(want).tobytes()), op
         if op != "slopes":
             prices[which], sides[which] = out.prices, out.sides
+
+
+@pytest.mark.parametrize("mesh", [False, True])
+def test_threads_sharing_a_network_get_the_bytes_of_a_fresh_one(mesh):
+    # four threads solve on one network with bids whose clearings hold two
+    # different sets of lines, so the one kept slot is replaced again and
+    # again while other threads read it.  Every call gives the bytes the
+    # same call gives alone, on a fresh copy of the network
+    scenario = gen_scenario(7, 38, "tight")
+    if mesh:
+        scenario = with_chords(scenario, 3)
+    assert is_radial(scenario.network) is not mesh
+    b = improved_gne(scenario).b_bar
+    cleared = [clear_market(scenario, bids) for bids in (b, 1.2 * b)]
+    assert not np.array_equal(cleared[0].sides, cleared[1].sides)
+    # (op, bids, anchor prices, guess, prosumer) of each call
+    calls = [(op, out.bids, cleared[1 - k].prices, out.sides, 2 * k)
+             for op in ("clear", "platform", "slopes")
+             for k, out in enumerate(cleared)]
+
+    def run(j, scenario=scenario):
+        op, *args = calls[j % len(calls)]
+        return [np.asarray(f).tobytes() for f in _fields(_run(op, scenario, *args))]
+
+    want = [run(j, _alone(scenario)) for j in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that the threads switch mid-call
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(run, range(500 * len(calls))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(fields == want[j % len(calls)] for j, fields in enumerate(got))
 
 
 def _eager(net, a, bids, held_solve, x, sides):

@@ -98,3 +98,7 @@ def test_bid_and_brlab_run_first_in_a_fresh_interpreter(argv, tmp_path):
         assert len(warned) == 1 and warned[0].startswith("warning: ")
     else:
         assert warned == []
+
+
+def test_dir_lists_every_public_name():
+    assert set(esharing.__all__) <= set(dir(esharing))
